@@ -1,6 +1,6 @@
 """Binary search tree monoid, cocharge sequences, and cyclic shift graphs."""
 
-from .cocharge import cochseq_tree, cochseq_word, cocharge_lower_bound, cocharge_total
+from .cocharge import cochseq_word, cocharge_lower_bound
 from .errors import (
     BudgetExceededError,
     CapExceededError,
@@ -12,62 +12,21 @@ from .errors import (
     RankError,
     SylvError,
 )
-from .graph import (
-    ComponentGraph,
-    ShiftWitness,
-    bfs_distances,
-    component,
-    diameter,
-    distance,
-    neighbors,
-    trees_with_evaluation,
-)
-from .monoid import (
-    SylvElement,
-    element_of,
-    equivalent,
-    evaluation_of,
-    identity,
-    multiply,
-    rewrite_class,
-    rewrite_equivalent,
-    single_rewrites,
-)
-from .pathsynth import (
-    PathCertificate,
-    PathStep,
-    base_step,
-    classify_step,
-    induction_step,
-    shift_path,
-    transcript,
-    verify_step_invariants,
-    visited_tops,
-)
-from .trees import (
-    Bst,
-    Node,
-    canonical_reading,
-    complete_subtree,
-    infix,
-    insert,
-    is_bst,
-    is_standard_tree,
-    labels,
-    left_child_path,
-    left_minimal,
-    node_count,
-    parse_tree,
-    postfix,
-    psylv,
-    reading_count,
-    readings,
-    remove_subtree,
-    right_maximal,
-    tree_str,
-)
-from .words import Word, evaluation, is_standard, parse_word, word_str
+from .graph import ComponentGraph, component, diameter
+from .monoid import SylvElement, element_of, equivalent, rewrite_equivalent
+from .pathsynth import PathCertificate, shift_path
+from .trees import Bst, Node, psylv, readings
+from .words import Word
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # the documented entry points
+    "element_of", "psylv", "readings", "equivalent", "rewrite_equivalent",
+    "cochseq_word", "cocharge_lower_bound", "component", "diameter", "shift_path",
+    # the types in their signatures
+    "SylvElement", "Word", "Bst", "Node", "ComponentGraph", "PathCertificate",
+    # errors
+    "SylvError", "ParseError", "RankError", "NotStandardError", "LocatorError",
+    "CapExceededError", "BudgetExceededError", "DisconnectedError", "InternalError",
+]

@@ -22,7 +22,6 @@ from .errors import (
     SylvError,
 )
 from .graph import (
-    MAX_READINGS,
     MAX_VERTICES,
     component,
     component_tsv,
@@ -39,7 +38,7 @@ from .monoid import (
     rewrite_equivalent,
 )
 from .pathsynth import certificate_json, shift_path, transcript
-from .trees import psylv, reading_str, readings, tree_art, tree_dot, tree_str
+from .trees import MAX_READINGS, psylv, reading_str, readings, tree_art, tree_dot, tree_str
 from .words import evaluation, is_standard, parse_word, word_str
 
 
@@ -242,8 +241,6 @@ def cmd_distance(args: argparse.Namespace) -> int:
     u, v = parse_word(args.source), parse_word(args.target)
     n = _infer_rank(args, u, v)
     s, t = element_of(u, n), element_of(v, n)
-    from .words import evaluation
-
     if evaluation(u, n) != evaluation(v, n):
         raise SylvError("words have different evaluations, so no path exists")
     g = component(evaluation(u, n), n, cfg.max_vertices, cfg.max_readings)

@@ -18,7 +18,7 @@ from typing import Union
 
 from .errors import InternalError, NotStandardError
 from .trees import (
-    DEFAULT_READINGS_CAP,
+    MAX_READINGS,
     Bst,
     canonical_reading,
     is_standard_tree,
@@ -46,7 +46,7 @@ def _as_tree(t: TreeLike) -> Bst:
 
 
 def cochseq_tree(t: TreeLike, check_all_readings: bool = False,
-                 cap: int = DEFAULT_READINGS_CAP) -> tuple[int, ...]:
+                 cap: int = MAX_READINGS) -> tuple[int, ...]:
     """Cocharge sequence of a standard tree, via its canonical reading.
 
     With check_all_readings the (exponential) full set of readings is

@@ -11,15 +11,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import CapExceededError, DisconnectedError, RankError
 from .monoid import SylvElement
-from .trees import Bst, Node, canonical_reading, psylv, readings, reading_str, tree_str
+from .trees import (MAX_READINGS, Bst, Node, canonical_reading, psylv, readings, reading_str,
+                    tree_str)
 from .words import Word, word_str
 
 MAX_VERTICES = 20_000
-MAX_READINGS = 100_000
 
 
 @dataclass(frozen=True)
@@ -48,28 +47,37 @@ def neighbors(s: SylvElement, cap: int = MAX_READINGS) -> dict[SylvElement, Shif
     return out
 
 
-@lru_cache(maxsize=None)
-def _trees_on(items: tuple[tuple[int, int], ...]) -> tuple[Bst, ...]:
-    """All distinct right-strict trees on the multiset given as ((value, count), ...).
+def _fold_trees(e: tuple[int, ...], empty, combine):
+    """Fold the right-strict trees with evaluation e without listing them first.
 
-    The root's value splits the multiset deterministically (equal values go
-    left), so no tree is produced twice.
+    A multiset ((value, count), ...) folds to combine([(root value, fold of
+    the left multiset, fold of the right multiset), ...]) over its root
+    values. Equal values go left, so the root's value splits the multiset
+    deterministically and no tree arises twice. The memo lives for one call.
     """
-    if not items:
-        return (None,)
-    out: list[Bst] = []
-    for i, (v, c) in enumerate(items):
-        left_items = items[:i] + (((v, c - 1),) if c > 1 else ())
-        right_items = items[i + 1 :]
-        for left in _trees_on(left_items):
-            for right in _trees_on(right_items):
-                out.append(Node(v, left, right))
-    return tuple(out)
+    memo = {(): empty}
+
+    def rec(items):
+        if items not in memo:
+            parts = []
+            for i, (v, c) in enumerate(items):
+                left = items[:i] + (((v, c - 1),) if c > 1 else ())
+                parts.append((v, rec(left), rec(items[i + 1 :])))
+            memo[items] = combine(parts)
+        return memo[items]
+
+    return rec(tuple((i + 1, c) for i, c in enumerate(e) if c > 0))
+
+
+def tree_count(e: tuple[int, ...]) -> int:
+    """len(trees_with_evaluation(e)), computed without building any tree."""
+    return _fold_trees(e, 1, lambda parts: sum(left * right for _, left, right in parts))
 
 
 def trees_with_evaluation(e: tuple[int, ...]) -> list[Bst]:
-    items = tuple((i + 1, c) for i, c in enumerate(e) if c > 0)
-    return list(_trees_on(items))
+    return list(_fold_trees(e, (None,), lambda parts: tuple(
+        Node(v, left, right) for v, lefts, rights in parts
+        for left in lefts for right in rights)))
 
 
 class ComponentGraph:
@@ -98,22 +106,27 @@ class ComponentGraph:
         return len(self.witnesses)
 
     def _parts(self) -> list[list[int]]:
-        unseen = set(range(len(self.vertices)))
+        seen: set[int] = set()
         parts = []
-        while unseen:
-            start = min(unseen)
-            comp = [start]
-            unseen.discard(start)
-            queue = deque([start])
-            while queue:
-                u = queue.popleft()
-                for v in self.adj[u]:
-                    if v in unseen:
-                        unseen.discard(v)
-                        comp.append(v)
-                        queue.append(v)
-            parts.append(sorted(comp))
+        for start in range(len(self.vertices)):
+            if start not in seen:
+                comp = _bfs(self.adj, start)
+                seen.update(comp)
+                parts.append(sorted(comp))
         return parts
+
+
+def _bfs(adj: list[list[int]], source: int) -> dict[int, int]:
+    """Distances from source to every vertex it reaches, in visiting order."""
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
 
 
 def component(e: tuple[int, ...], n: int, max_vertices: int = MAX_VERTICES,
@@ -123,10 +136,9 @@ def component(e: tuple[int, ...], n: int, max_vertices: int = MAX_VERTICES,
         raise RankError(f"evaluation has length {len(e)}, rank is {n}")
     if any(c < 0 for c in e):
         raise RankError(f"negative multiplicity in {e}")
-    trees = trees_with_evaluation(e)
-    if len(trees) > max_vertices:
+    if tree_count(e) > max_vertices:
         raise CapExceededError("component vertices", max_vertices)
-    vertices = sorted((SylvElement(n, t) for t in trees),
+    vertices = sorted((SylvElement(n, t) for t in trees_with_evaluation(e)),
                       key=lambda s: canonical_reading(s.tree))
     index = {v: i for i, v in enumerate(vertices)}
     adj: list[set[int]] = [set() for _ in vertices]
@@ -147,15 +159,7 @@ def component(e: tuple[int, ...], n: int, max_vertices: int = MAX_VERTICES,
 def bfs_distances(g: ComponentGraph, source: SylvElement) -> dict[SylvElement, int]:
     if source not in g.index:
         raise ValueError("source vertex not in component")
-    dist = {g.index[source]: 0}
-    queue = deque([g.index[source]])
-    while queue:
-        u = queue.popleft()
-        for v in g.adj[u]:
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return {g.vertices[i]: d for i, d in dist.items()}
+    return {g.vertices[i]: d for i, d in _bfs(g.adj, g.index[source]).items()}
 
 
 def distance(g: ComponentGraph, s: SylvElement, t: SylvElement) -> int:
@@ -173,15 +177,13 @@ def diameter(g: ComponentGraph) -> tuple[int, tuple[SylvElement, SylvElement]]:
         raise DisconnectedError(g.parts)
     if len(g.vertices) == 0:
         raise ValueError("empty graph has no diameter")
-    best = 0
-    pair = (g.vertices[0], g.vertices[0])
-    for s in g.vertices:
-        d = bfs_distances(g, s)
-        for t in g.vertices[g.index[s] + 1 :]:
-            if d[t] > best:
-                best = d[t]
-                pair = (s, t)
-    return best, pair
+    best, pair = 0, (0, 0)
+    for i in range(len(g.vertices)):
+        d = _bfs(g.adj, i)
+        for j in range(i + 1, len(g.vertices)):
+            if d[j] > best:
+                best, pair = d[j], (i, j)
+    return best, (g.vertices[pair[0]], g.vertices[pair[1]])
 
 
 def graph_dot(g: ComponentGraph, tree_labels: bool = False, name: str = "shifts") -> str:

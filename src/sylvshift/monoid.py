@@ -84,44 +84,42 @@ def single_rewrites(w: Word) -> set[Word]:
     return out
 
 
-def rewrite_class(u: Word, n: int, budget: int = DEFAULT_REWRITE_BUDGET) -> set[Word]:
-    """Breadth-first closure of u under the defining relations."""
-    check_rank(u, n)
+def _closure(u: Word, budget: int):
+    """Breadth-first closure of u under the defining relations, yielding each
+    word when first reached; u comes first.
+
+    A word is yielded before the budget counts it, so a caller that stops at
+    some word stops where a full closure would still have been within budget.
+    """
     seen = {u}
     queue = deque([u])
+    yield u
     while queue:
         w = queue.popleft()
         for nxt in single_rewrites(w):
             if nxt not in seen:
+                yield nxt
                 seen.add(nxt)
                 if len(seen) > budget:
                     raise BudgetExceededError(budget)
                 queue.append(nxt)
-    return seen
+
+
+def rewrite_class(u: Word, n: int, budget: int = DEFAULT_REWRITE_BUDGET) -> set[Word]:
+    """Breadth-first closure of u under the defining relations."""
+    check_rank(u, n)
+    return set(_closure(u, budget))
 
 
 def rewrite_equivalent(u: Word, v: Word, n: int, budget: int = DEFAULT_REWRITE_BUDGET) -> bool:
     """Decide equality of [u] and [v] purely by rewriting.
 
     The moves preserve length and evaluation, so mismatches there settle the
-    question immediately and the search space is finite.
+    question immediately and the search space is finite. The search stops as
+    soon as it reaches v.
     """
     check_rank(u, n)
     check_rank(v, n)
     if len(u) != len(v) or evaluation(u, n) != evaluation(v, n):
         return False
-    if u == v:
-        return True
-    seen = {u}
-    queue = deque([u])
-    while queue:
-        w = queue.popleft()
-        for nxt in single_rewrites(w):
-            if nxt == v:
-                return True
-            if nxt not in seen:
-                seen.add(nxt)
-                if len(seen) > budget:
-                    raise BudgetExceededError(budget)
-                queue.append(nxt)
-    return False
+    return any(w == v for w in _closure(u, budget))

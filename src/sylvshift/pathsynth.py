@@ -80,15 +80,6 @@ class PathCertificate:
         return prev == target
 
 
-def _node_at(t: Bst, loc: str) -> Bst:
-    cur = t
-    for step in loc:
-        if cur is None:
-            return None
-        cur = cur.left if step == "L" else cur.right
-    return cur
-
-
 def _matches(node: Bst, pattern: Bst) -> bool:
     """Pattern occurs at node: labels and parent-child shape agree on the
     pattern's span; the host may carry extra nodes below the pattern's frontier."""
@@ -132,13 +123,11 @@ def visited_tops(target: Bst, h: int) -> list[tuple[int, int, str]]:
     nodes = postfix(target)
     if not 1 <= h <= len(nodes):
         raise ValueError(f"step {h} outside 1..{len(nodes)}")
-    visited = nodes[:h]
-    locs = [loc for _, loc in visited]
-    tops = [
-        (i + 1, lab, loc)
-        for i, (lab, loc) in enumerate(visited)
-        if not any(other != loc and loc.startswith(other) for other in locs)
-    ]
+    # Postfix order visits a node after all its descendants, so the visited
+    # nodes are closed under descendants: one is topmost iff its parent is unvisited.
+    visited = {loc for _, loc in nodes[:h]}
+    tops = [(i + 1, lab, loc) for i, (lab, loc) in enumerate(nodes[:h])
+            if not loc or loc[:-1] not in visited]
     if tops[-1][0] != h:
         raise InternalError(f"node visited at step {h} lies below an earlier one")
     return tops
@@ -173,7 +162,7 @@ def classify_step(target: Bst, h: int) -> str:
         raise ValueError(f"step {h} outside 1..{n - 1}")
     _, loc_h = nodes[h - 1]
     _, loc_next = nodes[h]
-    parent_next = _node_at(target, loc_next)
+    parent_next = complete_subtree(target, loc_next)
     conds = {
         # previous node is a left child; next node lies in its parent's right subtree
         "case1": bool(loc_h) and loc_h[-1] == "L" and loc_next.startswith(loc_h[:-1] + "R"),
@@ -220,21 +209,23 @@ def induction_step(t: Bst, target: Bst, h: int) -> tuple[ShiftWitness, Bst, str]
     r_bh = canonical_reading(bh)
     lm = "L" * _spine_len(bh, "L")  # leftmost node of the root copy of bh
     rm = "R" * _spine_len(bh, "R")
+    left_min = complete_subtree(t, lm).left  # subtree hanging off the copy's leftmost node
+    right_max = complete_subtree(t, rm).right  # subtree hanging off its rightmost node
     u_loc = _find_loc(t, u_next)
     if u_loc is None:
         raise InternalError(f"step {h}: symbol {u_next} missing from the tree")
+    u_node = complete_subtree(t, u_loc)
 
     if case in ("case1", "case3"):
         r_root = rm + "R"
-        if _node_at(t, r_root) is None or not u_loc.startswith(r_root):
+        if not u_loc.startswith(r_root):
             raise InternalError(
                 f"step {h}: next node {u_next} is not in the right-maximal subtree")
         if u_next <= labels(bh)[-1]:
             raise InternalError(
                 f"step {h}: next node {u_next} is not above the built subtree's labels")
-        u_node = _node_at(t, u_loc)
-        delta = canonical_reading(remove_subtree(_node_at(t, r_root), u_loc[len(r_root):]))
-        lam = canonical_reading(_node_at(t, lm + "L"))
+        delta = canonical_reading(remove_subtree(right_max, u_loc[len(r_root):]))
+        lam = canonical_reading(left_min)
         if case == "case1":
             x = canonical_reading(u_node.left) + canonical_reading(u_node.right) + (u_next,)
             tag = "case1"
@@ -246,54 +237,52 @@ def induction_step(t: Bst, target: Bst, h: int) -> tuple[ShiftWitness, Bst, str]
         y = delta + lam + r_bh
 
     elif case == "case2":
-        bg = _node_at(target, loc_next).left  # older built pattern: left subtree of u_next
+        bg = complete_subtree(target, loc_next).left  # older built pattern, below u_next
         r_bg = canonical_reading(bg)
         if not (labels(bg)[-1] + 1 == u_next == labels(bh)[0] - 1):
             raise InternalError(
                 f"step {h}: {u_next} is not the unique value between the two built subtrees")
-        delta = canonical_reading(_node_at(t, rm + "R"))
+        delta = canonical_reading(right_max)
         lslot = lm + "L"
         if u_loc == lslot:
             # next node sits on the left spine, directly between the two patterns
             g_root = u_loc + "L"
-            if not _matches(_node_at(t, g_root), bg):
+            if not _matches(u_node.left, bg):
                 raise InternalError(
                     f"step {h}: expected the older built subtree directly below {u_next}")
-            lam = canonical_reading(_node_at(t, g_root + "L" * _spine_len(bg, "L") + "L"))
+            lam = canonical_reading(complete_subtree(t, g_root + "L" * _spine_len(bg, "L")).left)
             x = lam + r_bg + (u_next,)
             y = delta + r_bh
             tag = "case2a"
         else:
             # patterns adjacent on the spine; next node hangs off the older one's right
             g_root = lslot
-            if not _matches(_node_at(t, g_root), bg):
+            if not _matches(left_min, bg):
                 raise InternalError(
                     f"step {h}: expected the older built subtree directly below the newest one")
             if u_loc != g_root + "R" * _spine_len(bg, "R") + "R":
                 raise InternalError(
                     f"step {h}: {u_next} is not the right-maximal subtree of the older pattern")
-            u_node = _node_at(t, u_loc)
             if u_node.left is not None or u_node.right is not None:
                 raise InternalError(
                     f"step {h}: right-maximal subtree at {u_next} is not a single node")
-            lam = canonical_reading(_node_at(t, g_root + "L" * _spine_len(bg, "L") + "L"))
+            lam = canonical_reading(complete_subtree(t, g_root + "L" * _spine_len(bg, "L")).left)
             x = (u_next,)
             y = lam + r_bg + delta + r_bh
             tag = "case2b"
 
     else:  # case4
         lslot = lm + "L"
-        if _node_at(t, lslot) is None or not u_loc.startswith(lslot):
+        if not u_loc.startswith(lslot):
             raise InternalError(
                 f"step {h}: next node {u_next} is not in the left-minimal subtree")
         if u_next != labels(bh)[0] - 1:
             raise InternalError(
                 f"step {h}: {u_next} is not the value just below the built subtree")
         rel = u_loc[len(lslot):]
-        u_node = _node_at(t, u_loc)
         if u_node.right is not None:
             raise InternalError(f"step {h}: next node {u_next} should have no right subtree")
-        delta = canonical_reading(_node_at(t, rm + "R"))
+        delta = canonical_reading(right_max)
         if rel == "":
             x = canonical_reading(u_node.left) + (u_next,)
             y = delta + r_bh
@@ -302,7 +291,7 @@ def induction_step(t: Bst, target: Bst, h: int) -> tuple[ShiftWitness, Bst, str]
             if set(rel) != {"R"}:
                 raise InternalError(
                     f"step {h}: {u_next} is not the maximum of the left-minimal subtree")
-            lam = canonical_reading(remove_subtree(_node_at(t, lslot), rel))
+            lam = canonical_reading(remove_subtree(left_min, rel))
             x = canonical_reading(u_node.left) + (u_next,)
             y = lam + delta + r_bh
             tag = "case4b"

@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 from .errors import CapExceededError, LocatorError, ParseError
 from .words import Word, word_str
 
-DEFAULT_READINGS_CAP = 100_000
+MAX_READINGS = 100_000
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,7 @@ def reading_count(t: Bst) -> int:
     return factorial(node_count(t)) // prod
 
 
-def readings(t: Bst, cap: int = DEFAULT_READINGS_CAP) -> set[Word]:
+def readings(t: Bst, cap: int = MAX_READINGS) -> set[Word]:
     """All words whose insertion yields t: the label sequences of the linear
     extensions of the children-before-parents order.
 
@@ -180,12 +180,6 @@ def readings(t: Bst, cap: int = DEFAULT_READINGS_CAP) -> set[Word]:
     return rec(t)
 
 
-def subtree_locators(t: Bst, root: Locator = "") -> set[Locator]:
-    """Locators of the complete subtree at root."""
-    base = complete_subtree(t, root)
-    return {root + loc for _, loc in infix(base)}
-
-
 def complete_subtree(t: Bst, x: Locator) -> Bst:
     """The node at locator x together with everything below it."""
     cur = t
@@ -213,61 +207,6 @@ def remove_subtree(t: Bst, x: Locator) -> Bst:
         return Node(node.label, node.left, child)
 
     return rec(t, x)
-
-
-def left_child_path(t: Bst) -> list[Locator]:
-    """Locators of the maximal chain of left children from the root, root first."""
-    if t is None:
-        raise LocatorError("empty tree has no left child path")
-    out = [""]
-    cur = t
-    while cur.left is not None:
-        out.append(out[-1] + "L")
-        cur = cur.left
-    return out
-
-
-def _validate_rooted(t: Bst, locs: Iterable[Locator]) -> tuple[Locator, frozenset]:
-    """Check locs form a non-empty, connected, rooted node set of t; return (root, set)."""
-    s = frozenset(locs)
-    if not s:
-        raise LocatorError("subtree locator set is empty")
-    for loc in s:
-        node = complete_subtree(t, loc)
-        if node is None:
-            raise LocatorError(f"locator {loc!r} not in tree")
-    roots = [loc for loc in s if not loc or loc[:-1] not in s]
-    if len(roots) != 1:
-        raise LocatorError(f"locator set has {len(roots)} roots, expected 1")
-    return roots[0], s
-
-
-def left_minimal(t: Bst, b: Iterable[Locator]) -> Bst:
-    """Complete subtree hanging off the left of the left-most node of B.
-
-    B is given as the locators of its nodes (a rooted, connected pattern in
-    t). The result is empty when that slot is empty.
-    """
-    root, s = _validate_rooted(t, b)
-    loc = root
-    while loc + "L" in s:
-        loc += "L"
-    try:
-        return complete_subtree(t, loc + "L")
-    except LocatorError:
-        return None
-
-
-def right_maximal(t: Bst, b: Iterable[Locator]) -> Bst:
-    """Complete subtree hanging off the right of the right-most node of B."""
-    root, s = _validate_rooted(t, b)
-    loc = root
-    while loc + "R" in s:
-        loc += "R"
-    try:
-        return complete_subtree(t, loc + "R")
-    except LocatorError:
-        return None
 
 
 def tree_str(t: Bst) -> str:

@@ -14,10 +14,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .cocharge import cochseq_word, cocharge_lower_bound
-from .graph import bfs_distances, component, diameter, neighbors
+from .graph import bfs_distances, component, diameter, neighbors, trees_with_evaluation
 from .monoid import SylvElement, element_of, multiply, rewrite_class
 from .pathsynth import CASE_TAGS, shift_path
-from .trees import canonical_reading, psylv, tree_str
+from .trees import canonical_reading, psylv, readings, tree_str
 from .words import parse_word, word_str
 
 
@@ -50,9 +50,8 @@ def _all_words(rank: int, length: int):
 
 
 def standard_trees(n: int) -> list:
-    """All standard trees on n nodes, in a fixed order."""
-    return sorted({psylv(p) for p in itertools.permutations(range(1, n + 1))},
-                  key=canonical_reading)
+    """All standard trees on n nodes, sorted by canonical reading."""
+    return sorted(trees_with_evaluation((1,) * n), key=canonical_reading)
 
 
 def suite_oracle(rank: int = 4, maxlen: int = 6, budget: int = 1_000_000) -> SuiteReport:
@@ -85,15 +84,14 @@ def suite_cocharge_congruence(nmax: int = 7) -> SuiteReport:
     rep = SuiteReport(f"cocharge-congruence(n<={nmax})")
     checked = 0
     for n in range(1, nmax + 1):
-        fibers: dict = {}
-        for p in itertools.permutations(range(1, n + 1)):
-            fibers.setdefault(psylv(p), []).append(p)
-        for tree, fiber in fibers.items():
+        trees = standard_trees(n)
+        for tree in trees:
+            fiber = readings(tree)
             seqs = {cochseq_word(w) for w in fiber}
             if len(seqs) != 1:
                 rep.fail(f"tree {tree_str(tree)} has readings with sequences {sorted(seqs)}")
             checked += len(fiber)
-        _progress(f"cocharge-congruence: n={n} done ({len(fibers)} trees)")
+        _progress(f"cocharge-congruence: n={n} done ({len(trees)} trees)")
     rep.lines.append(f"{checked} standard words grouped and checked")
     return rep
 
@@ -291,8 +289,6 @@ def suite_monoid(rank: int = 3, maxlen: int = 4, assoc_total: int = 6) -> SuiteR
                          f"{len(trees)} product trees")
             checked += 1
     rep.lines.append(f"{checked} class pairs multiply consistently")
-
-    from .graph import trees_with_evaluation
 
     elems: list[SylvElement] = []
     for total in range(0, assoc_total + 1):

@@ -48,6 +48,26 @@ def standard_trees(n: int) -> list[Bst]:
     return st(n)
 
 
+def standard_trees_by_insertion(n: int) -> list[Bst]:
+    """Standard trees straight from the definition: insert every permutation."""
+    from sylvshift.trees import canonical_reading
+
+    return sorted({psylv(p) for p in itertools.permutations(range(1, n + 1))},
+                  key=canonical_reading)
+
+
+def visited_tops_by_scan(target: Bst, h: int) -> list[tuple[int, int, str]]:
+    """Topmost nodes among the first h in postfix order, by comparing every
+    visited locator with every other: the node is topmost iff no other
+    visited locator is a proper prefix of its own."""
+    from sylvshift.trees import postfix
+
+    visited = postfix(target)[:h]
+    locs = [loc for _, loc in visited]
+    return [(i + 1, lab, loc) for i, (lab, loc) in enumerate(visited)
+            if not any(other != loc and loc.startswith(other) for other in locs)]
+
+
 @pytest.fixture
 def eq1_tree():
     return psylv(EQ1_WORD)

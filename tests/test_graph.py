@@ -4,6 +4,7 @@ import networkx as nx
 import pytest
 
 from conftest import multiset_words
+from sylvshift import graph
 from sylvshift.errors import CapExceededError, DisconnectedError, RankError
 from sylvshift.graph import (
     ComponentGraph,
@@ -15,6 +16,7 @@ from sylvshift.graph import (
     distance,
     graph_dot,
     neighbors,
+    tree_count,
     trees_with_evaluation,
 )
 from sylvshift.monoid import SylvElement, element_of, identity
@@ -74,6 +76,7 @@ def test_trees_with_evaluation_matches_bruteforce():
         assert len(built) == len(set(built))
         assert set(built) == brute
         assert all(is_bst(t) for t in built)
+        assert tree_count(e) == len(built)
 
 
 def test_component_examples():
@@ -110,6 +113,15 @@ def test_component_validates_input():
         component((-1, 1), 2)
     with pytest.raises(CapExceededError):
         component((1, 1, 1), 3, max_vertices=2)
+
+
+def test_component_cap_fails_before_building_trees(monkeypatch):
+    def build(e):
+        raise AssertionError(f"trees with evaluation {e} built before the vertex cap check")
+
+    monkeypatch.setattr(graph, "trees_with_evaluation", build)
+    with pytest.raises(CapExceededError):
+        component((1,) * 12, 12, max_vertices=10)
 
 
 def test_distance_examples():
@@ -160,6 +172,11 @@ def test_diameter_disconnected_reports_parts():
     with pytest.raises(DisconnectedError) as exc:
         diameter(broken)
     assert len(exc.value.parts) == 2
+
+    v = component((1, 1, 1), 3).vertices[:4]
+    two_parts = ComponentGraph(3, (1, 1, 1), v, [[2], [3], [0], [1]], {})
+    G = nx.Graph([(0, 2), (1, 3)])
+    assert two_parts.parts == sorted(sorted(c) for c in nx.connected_components(G))
 
 
 def test_witnesses_stored_oriented():

@@ -72,6 +72,11 @@ def test_rewrite_budget():
     w = tuple(range(1, 7)) + tuple(range(6, 0, -1))
     with pytest.raises(BudgetExceededError):
         rewrite_class(w, 6, budget=3)
+    # the class {312, 132} exceeds a budget of 1, but the pairwise search
+    # stops on reaching its target before counting it
+    with pytest.raises(BudgetExceededError):
+        rewrite_class((3, 1, 2), 3, budget=1)
+    assert rewrite_equivalent((3, 1, 2), (1, 3, 2), 3, budget=1)
 
 
 def test_rewrite_matches_insertion_exhaustive_rank3():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import standard_trees
+from conftest import standard_trees, visited_tops_by_scan
 from sylvshift.errors import NotStandardError, RankError
 from sylvshift.graph import neighbors
 from sylvshift.monoid import SylvElement, element_of
@@ -47,6 +47,13 @@ def test_visited_tops():
     tops = visited_tops(U5, 3)
     assert [(i, lab) for i, lab, _ in tops] == [(2, 3), (3, 5)]
     assert [lab for _, lab, _ in visited_tops(U5, 5)] == [1]
+
+
+def test_visited_tops_matches_scan_oracle():
+    for n in range(1, 7):
+        for t in standard_trees(n):
+            for h in range(1, n + 1):
+                assert visited_tops(t, h) == visited_tops_by_scan(t, h)
 
 
 def test_base_step_examples():

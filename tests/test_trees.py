@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import EQ1_STR, EQ1_WORD, brute_readings, hook_length_extensions, standard_trees
+from conftest import (
+    EQ1_STR,
+    EQ1_WORD,
+    brute_readings,
+    hook_length_extensions,
+    standard_trees,
+    standard_trees_by_insertion,
+)
 from sylvshift.errors import CapExceededError, LocatorError, ParseError
 from sylvshift.trees import (
     Node,
@@ -15,8 +22,6 @@ from sylvshift.trees import (
     is_bst,
     is_standard_tree,
     labels,
-    left_child_path,
-    left_minimal,
     node_count,
     parse_tree,
     postfix,
@@ -24,8 +29,6 @@ from sylvshift.trees import (
     reading_count,
     readings,
     remove_subtree,
-    right_maximal,
-    subtree_locators,
     tree_art,
     tree_dot,
     tree_str,
@@ -111,17 +114,6 @@ def test_canonical_reading():
     assert canonical_reading(None) == ()
 
 
-def test_left_child_path(eq1_tree):
-    chain = psylv(tuple(range(1, 6)))
-    path = left_child_path(chain)
-    assert path == ["", "L", "LL", "LLL", "LLLL"]
-    assert [complete_subtree(chain, p).label for p in path] == [5, 4, 3, 2, 1]
-    assert left_child_path(Node(1)) == [""]
-    assert [complete_subtree(eq1_tree, p).label for p in left_child_path(eq1_tree)] == [4, 2, 1, 1]
-    with pytest.raises(LocatorError):
-        left_child_path(None)
-
-
 def test_complete_subtree(eq1_tree):
     assert tree_str(complete_subtree(eq1_tree, "R")) == "5(5(5(_,_),_),6(_,7(_,_)))"
     assert complete_subtree(eq1_tree, "") == eq1_tree
@@ -132,30 +124,6 @@ def test_complete_subtree(eq1_tree):
         complete_subtree(eq1_tree, "RRL")
     with pytest.raises(LocatorError):
         complete_subtree(None, "L")
-
-
-def test_left_minimal_right_maximal(eq1_tree):
-    root_only = [""]
-    assert left_minimal(eq1_tree, root_only) == complete_subtree(eq1_tree, "L")
-    assert right_maximal(eq1_tree, root_only) == complete_subtree(eq1_tree, "R")
-
-    whole = [loc for _, loc in infix(eq1_tree)]
-    assert left_minimal(eq1_tree, whole) is None
-    assert right_maximal(eq1_tree, whole) is None
-
-    b = subtree_locators(eq1_tree, "L")  # the subtree 2(1(1),4)
-    assert right_maximal(eq1_tree, b) is None  # its node 4 has no right child
-    assert left_minimal(eq1_tree, b) is None  # the deep node 1 has no left child either
-
-
-def test_left_minimal_validates():
-    t = psylv((1, 3, 2, 5, 4))
-    with pytest.raises(LocatorError):
-        left_minimal(t, [])
-    with pytest.raises(LocatorError):
-        left_minimal(t, ["L", "R"])  # two roots
-    with pytest.raises(LocatorError):
-        left_minimal(t, ["LLLL"])
 
 
 def test_remove_subtree(eq1_tree):
@@ -205,3 +173,9 @@ def test_standard_tree_counts_are_catalan():
     for n in range(1, 7):
         assert len(standard_trees(n)) == catalan[n]
         assert all(is_standard_tree(t) for t in standard_trees(n))
+
+
+def test_standard_trees_match_insertion_oracle():
+    # same trees in the same order as inserting all n! permutations
+    for n in range(0, 8):
+        assert standard_trees(n) == standard_trees_by_insertion(n)
