@@ -16,15 +16,8 @@ from __future__ import annotations
 
 from typing import Union
 
-from .errors import InternalError, NotStandardError
-from .trees import (
-    MAX_READINGS,
-    Bst,
-    canonical_reading,
-    is_standard_tree,
-    node_count,
-    readings,
-)
+from .errors import NotStandardError
+from .trees import Bst, canonical_reading, is_standard_tree, node_count
 from .words import Word, is_standard
 
 TreeLike = Union[Bst, "SylvElement"]  # noqa: F821  (import cycle; duck-typed below)
@@ -45,25 +38,16 @@ def _as_tree(t: TreeLike) -> Bst:
     return t.tree if hasattr(t, "tree") else t
 
 
-def cochseq_tree(t: TreeLike, check_all_readings: bool = False,
-                 cap: int = MAX_READINGS) -> tuple[int, ...]:
+def cochseq_tree(t: TreeLike) -> tuple[int, ...]:
     """Cocharge sequence of a standard tree, via its canonical reading.
 
-    With check_all_readings the (exponential) full set of readings is
-    enumerated and required to agree; a disagreement would contradict the
-    class-invariance of the sequence and raises InternalError.
+    Every reading gives the same sequence; the tests and the
+    cocharge-congruence suite check that over all readings.
     """
     tree = _as_tree(t)
     if tree is None or not is_standard_tree(tree):
         raise NotStandardError("cocharge sequence needs a non-empty standard tree")
-    seq = cochseq_word(canonical_reading(tree))
-    if check_all_readings:
-        for r in readings(tree, cap):
-            if cochseq_word(r) != seq:
-                raise InternalError(
-                    f"readings of one tree disagree on cocharge: {r} gives "
-                    f"{cochseq_word(r)}, expected {seq}")
-    return seq
+    return cochseq_word(canonical_reading(tree))
 
 
 def cocharge_total(u: Word) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from math import comb
 
 from .errors import CapExceededError, DisconnectedError, RankError
 from .monoid import SylvElement
@@ -53,20 +54,30 @@ def _fold_trees(e: tuple[int, ...], empty, combine):
     A multiset ((value, count), ...) folds to combine([(root value, fold of
     the left multiset, fold of the right multiset), ...]) over its root
     values. Equal values go left, so the root's value splits the multiset
-    deterministically and no tree arises twice. The memo lives for one call.
+    deterministically and no tree arises twice. The memo lives for one call,
+    and an explicit stack stands in for recursion, so any number of symbols folds.
     """
+
+    def splits(items):
+        return [(v, items[:i] + (((v, c - 1),) if c > 1 else ()), items[i + 1 :])
+                for i, (v, c) in enumerate(items)]
+
+    root = tuple((i + 1, c) for i, c in enumerate(e) if c > 0)
     memo = {(): empty}
-
-    def rec(items):
-        if items not in memo:
-            parts = []
-            for i, (v, c) in enumerate(items):
-                left = items[:i] + (((v, c - 1),) if c > 1 else ())
-                parts.append((v, rec(left), rec(items[i + 1 :])))
-            memo[items] = combine(parts)
-        return memo[items]
-
-    return rec(tuple((i + 1, c) for i, c in enumerate(e) if c > 0))
+    stack = [root]
+    while stack:
+        items = stack[-1]
+        if items in memo:
+            stack.pop()
+            continue
+        parts = splits(items)
+        todo = [s for _, left, right in parts for s in (left, right) if s not in memo]
+        if todo:
+            stack.extend(todo)
+        else:
+            stack.pop()
+            memo[items] = combine([(v, memo[left], memo[right]) for v, left, right in parts])
+    return memo[root]
 
 
 def tree_count(e: tuple[int, ...]) -> int:
@@ -136,7 +147,11 @@ def component(e: tuple[int, ...], n: int, max_vertices: int = MAX_VERTICES,
         raise RankError(f"evaluation has length {len(e)}, rank is {n}")
     if any(c < 0 for c in e):
         raise RankError(f"negative multiplicity in {e}")
-    if tree_count(e) > max_vertices:
+    # Hanging each symbol's extra copies as a left chain below it turns every
+    # BST shape on the k distinct symbols into its own tree with evaluation e,
+    # so Catalan(k) <= tree_count(e); that bound is cheap to compare first.
+    k = sum(1 for c in e if c)
+    if comb(2 * k, k) // (k + 1) > max_vertices or tree_count(e) > max_vertices:
         raise CapExceededError("component vertices", max_vertices)
     vertices = sorted((SylvElement(n, t) for t in trees_with_evaluation(e)),
                       key=lambda s: canonical_reading(s.tree))
@@ -186,10 +201,10 @@ def diameter(g: ComponentGraph) -> tuple[int, tuple[SylvElement, SylvElement]]:
     return best, (g.vertices[pair[0]], g.vertices[pair[1]])
 
 
-def graph_dot(g: ComponentGraph, tree_labels: bool = False, name: str = "shifts") -> str:
+def graph_dot(g: ComponentGraph, tree_labels: bool = False) -> str:
     """Graphviz DOT; vertex labels are canonical readings unless tree_labels."""
     fmt = (lambda v: tree_str(v.tree)) if tree_labels else (lambda v: reading_str(v.tree))
-    lines = [f"graph {name} {{", "  node [shape=box];"]
+    lines = ["graph shifts {", "  node [shape=box];"]
     for i, v in enumerate(g.vertices):
         lines.append(f'  v{i} [label="{fmt(v)}"];')
     for (i, j), wit in sorted(g.witnesses.items()):

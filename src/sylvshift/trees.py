@@ -256,9 +256,9 @@ def parse_tree(text: str) -> Bst:
     return t
 
 
-def tree_dot(t: Bst, name: str = "bst") -> str:
+def tree_dot(t: Bst) -> str:
     """Graphviz DOT for one tree; edges carry their child side."""
-    lines = [f"digraph {name} {{", "  node [shape=circle];"]
+    lines = ["digraph bst {", "  node [shape=circle];"]
     if t is None:
         lines.append('  empty [label="(empty)" shape=plaintext];')
     for label, loc in infix(t):

@@ -14,10 +14,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .cocharge import cochseq_word, cocharge_lower_bound
-from .graph import bfs_distances, component, diameter, neighbors, trees_with_evaluation
-from .monoid import SylvElement, element_of, multiply, rewrite_class
+from .graph import (MAX_VERTICES, bfs_distances, component, diameter, neighbors,
+                    trees_with_evaluation)
+from .monoid import DEFAULT_REWRITE_BUDGET, SylvElement, element_of, multiply, rewrite_class
 from .pathsynth import CASE_TAGS, shift_path
-from .trees import canonical_reading, psylv, readings, tree_str
+from .trees import MAX_READINGS, canonical_reading, psylv, readings, tree_str
 from .words import parse_word, word_str
 
 
@@ -54,7 +55,8 @@ def standard_trees(n: int) -> list:
     return sorted(trees_with_evaluation((1,) * n), key=canonical_reading)
 
 
-def suite_oracle(rank: int = 4, maxlen: int = 6, budget: int = 1_000_000) -> SuiteReport:
+def suite_oracle(rank: int = 4, maxlen: int = 6,
+                 budget: int = DEFAULT_REWRITE_BUDGET) -> SuiteReport:
     """Rewriting closure classes coincide with insertion fibers, all words checked."""
     rep = SuiteReport(f"oracle(rank={rank}, maxlen={maxlen})")
     classes = 0
@@ -121,8 +123,8 @@ def suite_cocharge_shift(maxlen: int = 6) -> SuiteReport:
     return rep
 
 
-def suite_connectivity(rank: int = 4, maxlen: int = 6,
-                       max_vertices: int = 20_000, max_readings: int = 100_000) -> SuiteReport:
+def suite_connectivity(rank: int = 4, maxlen: int = 6, max_vertices: int = MAX_VERTICES,
+                       max_readings: int = MAX_READINGS) -> SuiteReport:
     """Every evaluation class up to the given rank and length is connected."""
     rep = SuiteReport(f"connectivity(rank<={rank}, len<={maxlen})")
     built = 0

@@ -1,6 +1,9 @@
+import argparse
 import json
 
-from sylvshift.cli import main
+import pytest
+
+from sylvshift.cli import build_parser, main
 from sylvshift.pathsynth import certificate_from_obj
 from sylvshift.trees import parse_tree, psylv
 from sylvshift.words import parse_word
@@ -143,7 +146,45 @@ def test_out_file(tmp_path, capsys):
     assert code == 0 and out == ""
     assert target.read_text().strip() == "2(1(_,_),3(_,_))"
 
+    code, _, err = run(capsys, "tree", "1", "--out", str(tmp_path / "missing" / "t.txt"))
+    assert code == 2 and err.startswith("error: cannot write")
+
 
 def test_jobs_flag(capsys):
     code, out, _ = run(capsys, "verify", "path", "--depth", "3", "--jobs", "2")
     assert code == 0 and out.startswith("PASS")
+
+
+SHARED_FLAGS = {"-n", "--format", "--max-readings", "--max-vertices", "--budget", "--jobs", "--out"}
+FLAGS_READ = {
+    "tree": {"--format", "--out"},
+    "cochseq": {"--format", "--out"},
+    "eval": {"-n", "--format", "--out"},
+    "multiply": {"-n", "--format", "--out"},
+    "path": {"-n", "--format", "--out"},
+    "readings": {"--format", "--max-readings", "--out"},
+    "neighbors": {"-n", "--format", "--max-readings", "--out"},
+    "equal": {"-n", "--format", "--budget", "--out"},
+    "component": {"-n", "--format", "--max-readings", "--max-vertices", "--out"},
+    "distance": {"-n", "--format", "--max-readings", "--max-vertices", "--out"},
+    "diameter": {"-n", "--format", "--max-readings", "--max-vertices", "--out"},
+    "verify": {"-n", "--max-readings", "--max-vertices", "--budget", "--jobs", "--out"},
+}
+
+
+def test_each_command_takes_only_the_shared_flags_it_reads(capsys):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    got = {name: {o for a in p._actions for o in a.option_strings if o in SHARED_FLAGS}
+           for name, p in sub.choices.items()}
+    assert got == FLAGS_READ
+    assert sum(len(flags) for flags in got.values()) == 45
+
+    for argv in (["tree", "132", "--jobs", "2"], ["neighbors", "12", "--max-readings", "0"],
+                 ["eval", "1", "-n", "-1"], ["verify", "path", "--jobs", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    capsys.readouterr()
+
+    code, out, _ = run(capsys, "verify", "monoid", "--rank", "2", "--maxlen", "2")
+    assert code == 0 and out.startswith("PASS monoid(rank=2, len<=2): ")

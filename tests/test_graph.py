@@ -1,4 +1,6 @@
 import itertools
+import sys
+from math import comb
 
 import networkx as nx
 import pytest
@@ -122,6 +124,29 @@ def test_component_cap_fails_before_building_trees(monkeypatch):
     monkeypatch.setattr(graph, "trees_with_evaluation", build)
     with pytest.raises(CapExceededError):
         component((1,) * 12, 12, max_vertices=10)
+
+
+def test_catalan_bounds_tree_count():
+    # component compares Catalan(k), k = distinct symbols, with its cap first
+    for e in itertools.product(range(3), repeat=4):
+        k = sum(1 for c in e if c)
+        assert comb(2 * k, k) // (k + 1) <= tree_count(e)
+
+
+@pytest.fixture
+def default_recursion_limit():
+    # cli.main raises the limit for the whole process; put the default back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(old)
+
+
+def test_long_evaluations_need_no_recursion(default_recursion_limit):
+    with pytest.raises(CapExceededError):
+        component((1,) * 1200, 1200, max_vertices=10)
+    assert tree_count((1200,)) == 1
+    assert tree_count((600, 600)) == 601  # T(a, b) = b + 1
 
 
 def test_distance_examples():
