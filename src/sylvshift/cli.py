@@ -61,7 +61,9 @@ def _parse_eval(text: str) -> tuple[int, ...]:
 
 
 def _infer_rank(args: argparse.Namespace, *ws: tuple[int, ...]) -> int:
-    return args.rank or max((a for w in ws for a in w), default=1)
+    if args.rank is not None:
+        return args.rank
+    return max((a for w in ws for a in w), default=1)
 
 
 def cmd_tree(args: argparse.Namespace) -> int:
@@ -161,15 +163,13 @@ def cmd_neighbors(args: argparse.Namespace) -> int:
 
 
 def _build_component(args: argparse.Namespace):
-    if args.standard:
-        if not args.rank:
-            raise SylvError("--standard needs --rank")
-        e = (1,) * args.rank
-    elif args.evaluation:
+    if not args.standard:
         e = _parse_eval(args.evaluation)
+    elif args.rank is None:
+        raise SylvError("--standard needs --rank")
     else:
-        raise SylvError("need --eval or --standard")
-    n = args.rank or len(e)
+        e = (1,) * args.rank
+    n = len(e) if args.rank is None else args.rank
     return component(e, n, args.max_vertices, args.max_readings)
 
 
@@ -354,9 +354,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, "rank", "max_readings", formats=("text", "tsv", "json"))
     p.set_defaults(func=cmd_neighbors)
 
+    def evaluation_flags(p):
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--eval", dest="evaluation", help="comma-separated multiplicities")
+        group.add_argument("--standard", action="store_true", help="evaluation 1,1,...,1")
+
     p = sub.add_parser("component", help="evaluation-class subgraph summary")
-    p.add_argument("--eval", dest="evaluation", help="comma-separated multiplicities")
-    p.add_argument("--standard", action="store_true", help="evaluation 1,1,...,1")
+    evaluation_flags(p)
     p.add_argument("--tree-labels", action="store_true",
                    help="label DOT vertices with full trees")
     common(p, "rank", "max_readings", "max_vertices", formats=("text", "tsv", "dot", "json"))
@@ -369,15 +373,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("diameter", help="exact diameter of one evaluation class")
-    p.add_argument("--eval", dest="evaluation")
-    p.add_argument("--standard", action="store_true")
+    evaluation_flags(p)
     common(p, "rank", "max_readings", "max_vertices", formats=("text", "tsv", "json"))
     p.set_defaults(func=cmd_diameter)
 
     p = sub.add_parser("path", help="certified chain of cyclic shifts between two words")
     p.add_argument("source")
     p.add_argument("target")
-    p.add_argument("--check", action="store_true", help="re-verify the certificate")
+    p.add_argument("--check", action="store_true",
+                   help="re-check the certificate's witnesses and chain; exit 5 if it fails")
     common(p, "rank")
     p.set_defaults(func=cmd_path)
 

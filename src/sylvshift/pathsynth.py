@@ -5,9 +5,15 @@ shifts T = T_0 ~ T_1 ~ ... ~ T_n = U. The chain follows the postfix
 traversal u_1..u_n of U: after step h, the complete subtrees of U rooted at
 the already-visited nodes that are topmost among them appear intact in T_h,
 newest at the root and the rest in order down the path of left child nodes.
-Every step is certified by the word pair (x, y) of its shift and every
-claimed structural fact is checked at runtime; a violation raises
-InternalError instead of producing an unverified path.
+
+`shift_path` walks the postfix list of U once. At each step it checks that
+the step's word pair (x, y) reads the current tree as xy, takes yx as the
+next tree, and checks the two chain invariants on it once; any violation
+raises InternalError instead of producing an unverified path. The
+invariants are preconditions of `induction_step`, not part of what a path
+proves, so `PathCertificate.verify` re-checks only the certificate's own
+claims: n steps, chained, with known tags, each witness reading its pre
+tree as xy and its post tree as yx.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from .graph import ShiftWitness
 from .monoid import SylvElement
 from .trees import (
     Bst,
+    Locator,
     canonical_reading,
     complete_subtree,
     is_standard_tree,
@@ -60,24 +67,20 @@ class PathCertificate:
         return len(self.steps)
 
     def verify(self) -> bool:
-        """Recheck every claim in the certificate from scratch."""
-        if not self.steps:
-            return False
-        target = self.target.tree
-        if len(self.steps) != node_count(target):
+        """Recheck the certificate's claims from scratch: n = node_count(target)
+        steps, each starting where the previous one ended, with a known case
+        tag and a witness that reads pre as xy and post as yx. The chain ends
+        at the target because the target is the last step's post."""
+        if not self.steps or len(self.steps) != node_count(self.target.tree):
             return False
         prev = self.source.tree
-        for h, step in enumerate(self.steps, start=1):
-            if step.pre.tree != prev:
-                return False
-            if step.case_tag not in CASE_TAGS:
+        for step in self.steps:
+            if step.pre.tree != prev or step.case_tag not in CASE_TAGS:
                 return False
             if not step.witness.validates(step.pre.tree, step.post.tree):
                 return False
-            if not verify_step_invariants(step.post.tree, target, h):
-                return False
             prev = step.post.tree
-        return prev == target
+        return True
 
 
 def _matches(node: Bst, pattern: Bst) -> bool:
@@ -114,33 +117,15 @@ def _find_loc(t: Bst, a: int) -> str | None:
     return None
 
 
-def visited_tops(target: Bst, h: int) -> list[tuple[int, int, str]]:
-    """Topmost already-visited nodes after h postfix steps, as (step, label, locator).
+def verify_step_invariants(t: Bst, target: Bst, tops: list[Locator]) -> bool:
+    """Check the two chain invariants of the construction after a step.
 
-    Returned in visiting order; the last entry is always the h-th visited
-    node itself, which never lies below an earlier one.
+    tops are the locators in target of the topmost visited nodes, oldest
+    first; the last is the node just visited. The complete subtree of target
+    at that node must appear at the root of t, and the subtrees at all tops
+    must appear, newest first, along t's path of left child nodes.
     """
-    nodes = postfix(target)
-    if not 1 <= h <= len(nodes):
-        raise ValueError(f"step {h} outside 1..{len(nodes)}")
-    # Postfix order visits a node after all its descendants, so the visited
-    # nodes are closed under descendants: one is topmost iff its parent is unvisited.
-    visited = {loc for _, loc in nodes[:h]}
-    tops = [(i + 1, lab, loc) for i, (lab, loc) in enumerate(nodes[:h])
-            if not loc or loc[:-1] not in visited]
-    if tops[-1][0] != h:
-        raise InternalError(f"node visited at step {h} lies below an earlier one")
-    return tops
-
-
-def verify_step_invariants(t: Bst, target: Bst, h: int) -> bool:
-    """Check the two chain invariants of the construction at step h.
-
-    After h steps: the complete subtree of target at the h-th postfix node
-    appears at the root of t, and the subtrees at all topmost visited nodes
-    appear, newest first, along t's path of left child nodes.
-    """
-    expected = [complete_subtree(target, loc) for _, _, loc in reversed(visited_tops(target, h))]
+    expected = [complete_subtree(target, loc) for loc in reversed(tops)]
     if not _matches(t, expected[0]):
         return False
     idx = 0
@@ -154,9 +139,9 @@ def verify_step_invariants(t: Bst, target: Bst, h: int) -> bool:
     return idx == len(expected)
 
 
-def classify_step(target: Bst, h: int) -> str:
-    """Which of the four step shapes relates the h-th and (h+1)-th postfix nodes."""
-    nodes = postfix(target)
+def classify_step(target: Bst, nodes: list[tuple[int, Locator]], h: int) -> str:
+    """Which of the four step shapes relates the h-th and (h+1)-th postfix
+    nodes; nodes is postfix(target)."""
     n = len(nodes)
     if not 1 <= h < n:
         raise ValueError(f"step {h} outside 1..{n - 1}")
@@ -179,7 +164,7 @@ def classify_step(target: Bst, h: int) -> str:
     return hits[0]
 
 
-def base_step(t: Bst, u1: int) -> tuple[ShiftWitness, Bst]:
+def base_step(t: Bst, u1: int) -> ShiftWitness:
     """First shift: rotate a reading of t so u1 comes last, making it the root."""
     if t is None or not is_standard_tree(t):
         raise NotStandardError("base step needs a non-empty standard tree")
@@ -187,21 +172,20 @@ def base_step(t: Bst, u1: int) -> tuple[ShiftWitness, Bst]:
     if u1 not in w:
         raise ValueError(f"symbol {u1} does not label any node")
     i = w.index(u1)
-    x, y = w[: i + 1], w[i + 1 :]
-    return ShiftWitness(x, y), psylv(y + x)
+    return ShiftWitness(w[: i + 1], w[i + 1 :])
 
 
-def induction_step(t: Bst, target: Bst, h: int) -> tuple[ShiftWitness, Bst, str]:
+def induction_step(t: Bst, target: Bst, nodes: list[tuple[int, Locator]],
+                   h: int) -> tuple[ShiftWitness, str]:
     """One shift extending the chain from step h to step h+1.
 
-    Requires the step-h invariants on t; locates the next postfix node of
-    target inside t, reads off the displaced subtrees, and returns the
-    witness, the shifted tree, and the sub-case actually taken.
+    Requires the step-h invariants on t; nodes is postfix(target). Locates
+    the next postfix node of target inside t, reads off the displaced
+    subtrees, and returns the witness and the sub-case actually taken.
     """
-    nodes = postfix(target)
     u_next, loc_next = nodes[h]
     _, loc_h = nodes[h - 1]
-    case = classify_step(target, h)
+    case = classify_step(target, nodes, h)
 
     bh = complete_subtree(target, loc_h)
     if not _matches(t, bh):
@@ -296,12 +280,7 @@ def induction_step(t: Bst, target: Bst, h: int) -> tuple[ShiftWitness, Bst, str]
             y = lam + delta + r_bh
             tag = "case4b"
 
-    if psylv(x + y) != t:
-        raise InternalError(f"step {h} ({tag}): assembled factorization is not a reading")
-    t_next = psylv(y + x)
-    if not verify_step_invariants(t_next, target, h + 1):
-        raise InternalError(f"step {h} ({tag}): chain invariants fail afterwards")
-    return ShiftWitness(x, y), t_next, tag
+    return ShiftWitness(x, y), tag
 
 
 def shift_path(start: SylvElement, target: SylvElement) -> PathCertificate:
@@ -317,23 +296,30 @@ def shift_path(start: SylvElement, target: SylvElement) -> PathCertificate:
     if node_count(s_tree) != n:
         raise NotStandardError("trees must have the same number of nodes")
 
-    rank = start.rank
     nodes = postfix(u_tree)
+    tops: list[Locator] = []  # topmost visited nodes of u_tree, oldest first
     steps: list[PathStep] = []
-    cur = s_tree
+    pre = start
+    for h, (label, loc) in enumerate(nodes):
+        if h == 0:
+            witness, tag = base_step(pre.tree, label), "base"
+        else:
+            witness, tag = induction_step(pre.tree, u_tree, nodes, h)
+        if psylv(witness.x + witness.y) != pre.tree:
+            raise InternalError(f"step {h} ({tag}): assembled factorization is not a reading")
+        post = SylvElement(start.rank, psylv(witness.y + witness.x))
+        # Postfix order visits a node right after its subtrees, whose roots
+        # are then the newest tops: the node replaces them.
+        while tops and tops[-1][:-1] == loc:
+            tops.pop()
+        tops.append(loc)
+        if not verify_step_invariants(post.tree, u_tree, tops):
+            raise InternalError("chain invariants fail after the base step" if h == 0
+                                else f"step {h} ({tag}): chain invariants fail afterwards")
+        steps.append(PathStep(pre, witness, post, tag))
+        pre = post
 
-    witness, nxt = base_step(cur, nodes[0][0])
-    if not verify_step_invariants(nxt, u_tree, 1):
-        raise InternalError("chain invariants fail after the base step")
-    steps.append(PathStep(SylvElement(rank, cur), witness, SylvElement(rank, nxt), "base"))
-    cur = nxt
-
-    for h in range(1, n):
-        witness, nxt, tag = induction_step(cur, u_tree, h)
-        steps.append(PathStep(SylvElement(rank, cur), witness, SylvElement(rank, nxt), tag))
-        cur = nxt
-
-    if cur != u_tree:
+    if pre.tree != u_tree:
         raise InternalError("path did not terminate at the target tree")
     return PathCertificate(tuple(steps))
 

@@ -3,8 +3,10 @@ import json
 
 import pytest
 
+from sylvshift import pathsynth
 from sylvshift.cli import build_parser, main
-from sylvshift.pathsynth import certificate_from_obj
+from sylvshift.graph import ShiftWitness
+from sylvshift.pathsynth import PathCertificate, certificate_from_obj
 from sylvshift.trees import parse_tree, psylv
 from sylvshift.words import parse_word
 
@@ -138,6 +140,37 @@ def test_exit_codes(capsys):
 
     code, _, err = run(capsys, "distance", "12", "11")
     assert code == 2 and "evaluation" in err
+
+    code, out, err = run(capsys, "eval", "12", "-n", "0")
+    assert code == 2 and out == "" and "outside alphabet 1..0" in err
+
+    for command in ("component", "diameter"):
+        for argv in ([command, "-n", "2"], [command, "-n", "2", "--eval", "1,1", "--standard"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_internal_errors_exit_5(monkeypatch, capsys):
+    real = pathsynth.induction_step
+
+    def corrupted(*args):
+        witness, tag = real(*args)
+        return ShiftWitness(witness.x[:-1], witness.y), tag
+
+    with monkeypatch.context() as m:
+        m.setattr(pathsynth, "induction_step", corrupted)
+        code, out, err = run(capsys, "path", "13254", "23541")
+    assert code == 5 and out == ""
+    assert err.startswith("internal error: step 1 (case3): ")
+
+    code, _, _ = run(capsys, "path", "13254", "23541", "--check")
+    assert code == 0
+    monkeypatch.setattr(PathCertificate, "verify", lambda self: False)
+    code, out, err = run(capsys, "path", "13254", "23541", "--check")
+    assert code == 5 and out == ""
+    assert err.strip() == "internal error: certificate failed re-verification"
 
 
 def test_out_file(tmp_path, capsys):

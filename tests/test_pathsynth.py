@@ -3,11 +3,14 @@ import json
 import pytest
 
 from conftest import standard_trees, visited_tops_by_scan
+from sylvshift import pathsynth
 from sylvshift.errors import NotStandardError, RankError
-from sylvshift.graph import neighbors
+from sylvshift.graph import ShiftWitness, neighbors
 from sylvshift.monoid import SylvElement, element_of
 from sylvshift.pathsynth import (
     CASE_TAGS,
+    PathCertificate,
+    PathStep,
     base_step,
     certificate_from_obj,
     certificate_json,
@@ -16,57 +19,100 @@ from sylvshift.pathsynth import (
     shift_path,
     transcript,
     verify_step_invariants,
-    visited_tops,
 )
-from sylvshift.trees import psylv
+from sylvshift.trees import canonical_reading, complete_subtree, postfix, psylv
 from sylvshift.words import parse_word
 
 U5 = psylv(parse_word("23541"))
+U5_NODES = postfix(U5)
 CHAIN_WORDS = ["13254", "54132", "12543", "41235", "12354", "23541"]
 CHAIN_TREES = [psylv(parse_word(w)) for w in CHAIN_WORDS]
 
 
+def scan_tops(target, h):
+    """Locators of the topmost nodes after h postfix steps, by the scan oracle."""
+    return [loc for _, _, loc in visited_tops_by_scan(target, h)]
+
+
+def record_tops(monkeypatch):
+    """Make shift_path log a copy of its stack of topmost visited nodes at
+    every step; returns the log."""
+    log = []
+    real = pathsynth.verify_step_invariants
+
+    def recording(t, target, tops):
+        log.append(list(tops))
+        return real(t, target, tops)
+
+    monkeypatch.setattr(pathsynth, "verify_step_invariants", recording)
+    return log
+
+
+@pytest.fixture(scope="module")
+def paths_through_n6():
+    """shift_path on every ordered standard pair with n <= 6, run once: the
+    case tags seen, the pairs whose path missed its target, and the pairs
+    whose stack of topmost visited nodes left the scan oracle at some step."""
+    with pytest.MonkeyPatch.context() as mp:
+        log = record_tops(mp)
+        seen, missed, stack_mismatches = set(), [], []
+        for n in range(1, 7):
+            trees = standard_trees(n)
+            for u in trees:
+                oracle = [scan_tops(u, h) for h in range(1, n + 1)]
+                for t in trees:
+                    log.clear()
+                    cert = shift_path(SylvElement(n, t), SylvElement(n, u))
+                    seen.update(s.case_tag for s in cert.steps)
+                    if cert.steps[-1].post.tree != u:
+                        missed.append((t, u))
+                    if log != oracle:
+                        stack_mismatches.append((t, u))
+    return seen, missed, stack_mismatches
+
+
 def test_classify_steps_of_worked_example():
-    assert classify_step(U5, 1) == "case3"
-    assert classify_step(U5, 2) == "case1"
-    assert classify_step(U5, 3) == "case2"
-    assert classify_step(U5, 4) == "case4"
+    assert classify_step(U5, U5_NODES, 1) == "case3"
+    assert classify_step(U5, U5_NODES, 2) == "case1"
+    assert classify_step(U5, U5_NODES, 3) == "case2"
+    assert classify_step(U5, U5_NODES, 4) == "case4"
     with pytest.raises(ValueError):
-        classify_step(U5, 5)
+        classify_step(U5, U5_NODES, 5)
 
 
 def test_classify_covers_all_consecutive_pairs():
     for n in range(2, 7):
         for t in standard_trees(n):
+            nodes = postfix(t)
             for h in range(1, n):
-                assert classify_step(t, h) in ("case1", "case2", "case3", "case4")
+                assert classify_step(t, nodes, h) in ("case1", "case2", "case3", "case4")
 
 
-def test_visited_tops():
+def test_visited_tops(monkeypatch):
     # after 3 postfix steps of U5 (nodes 2, 3, 5), nodes 3 and 5 are topmost
-    tops = visited_tops(U5, 3)
-    assert [(i, lab) for i, lab, _ in tops] == [(2, 3), (3, 5)]
-    assert [lab for _, lab, _ in visited_tops(U5, 5)] == [1]
+    log = record_tops(monkeypatch)
+    shift_path(element_of(parse_word("13254"), 5), element_of(parse_word("23541"), 5))
+    assert [complete_subtree(U5, loc).label for loc in log[2]] == [3, 5]
+    assert [complete_subtree(U5, loc).label for loc in log[4]] == [1]
+    assert scan_tops(U5, 3) == log[2]
 
 
-def test_visited_tops_matches_scan_oracle():
-    for n in range(1, 7):
-        for t in standard_trees(n):
-            for h in range(1, n + 1):
-                assert visited_tops(t, h) == visited_tops_by_scan(t, h)
+def test_visited_tops_matches_scan_oracle(paths_through_n6):
+    _, _, stack_mismatches = paths_through_n6
+    assert stack_mismatches == []
 
 
 def test_base_step_examples():
-    wit, t1 = base_step(CHAIN_TREES[0], 2)
+    wit = base_step(CHAIN_TREES[0], 2)
     assert (wit.x, wit.y) == ((1, 3, 2), (5, 4))
-    assert t1 == CHAIN_TREES[1]
+    assert wit.validates(CHAIN_TREES[0], CHAIN_TREES[1])
 
     single = psylv((1,))
-    wit, t1 = base_step(single, 1)
-    assert t1 == single and wit.x == (1,) and wit.y == ()
+    wit = base_step(single, 1)
+    assert wit.validates(single, single) and wit.x == (1,) and wit.y == ()
 
-    wit, t1 = base_step(psylv((2, 1)), 2)
-    assert t1 == psylv((1, 2)) and (wit.x, wit.y) == ((2,), (1,))
+    wit = base_step(psylv((2, 1)), 2)
+    assert wit.validates(psylv((2, 1)), psylv((1, 2))) and (wit.x, wit.y) == ((2,), (1,))
 
 
 def test_induction_steps_match_worked_example():
@@ -77,16 +123,16 @@ def test_induction_steps_match_worked_example():
         ((1,), (2, 3, 5, 4), "case4a"),
     ]
     for h, (x, y, tag) in enumerate(expected, start=1):
-        wit, nxt, got_tag = induction_step(CHAIN_TREES[h], U5, h)
+        wit, got_tag = induction_step(CHAIN_TREES[h], U5, U5_NODES, h)
         assert (wit.x, wit.y, got_tag) == (x, y, tag)
-        assert nxt == CHAIN_TREES[h + 1]
+        assert wit.validates(CHAIN_TREES[h], CHAIN_TREES[h + 1])
 
 
 def test_step_invariants_on_worked_example():
     for h in range(1, 6):
-        assert verify_step_invariants(CHAIN_TREES[h], U5, h)
+        assert verify_step_invariants(CHAIN_TREES[h], U5, scan_tops(U5, h))
     # a tree whose root is not the newest built subtree fails
-    assert not verify_step_invariants(CHAIN_TREES[0], U5, 1)
+    assert not verify_step_invariants(CHAIN_TREES[0], U5, scan_tops(U5, 1))
 
 
 def test_shift_path_golden():
@@ -129,15 +175,9 @@ def test_shift_path_exhaustive_small():
                 assert cert.verify()
 
 
-def test_case_coverage_through_n6():
-    seen = set()
-    for n in range(1, 7):
-        trees = standard_trees(n)
-        for t in trees:
-            for u in trees:
-                cert = shift_path(SylvElement(n, t), SylvElement(n, u))
-                seen.update(s.case_tag for s in cert.steps)
-                assert cert.steps[-1].post.tree == u
+def test_case_coverage_through_n6(paths_through_n6):
+    seen, missed, _ = paths_through_n6
+    assert missed == []
     assert seen == set(CASE_TAGS)
 
 
@@ -190,3 +230,15 @@ def test_tampered_certificates_fail():
 
     # drop a step
     assert not PathCertificate(cert.steps[1:]).verify()
+
+
+def test_verify_accepts_any_valid_chain():
+    # n trivial shifts from t to itself: a valid n-step chain the construction
+    # never builds, since its invariants fail on t after the first step
+    t = SylvElement(5, CHAIN_TREES[0])
+    trivial = PathStep(t, ShiftWitness(canonical_reading(t.tree), ()), t, "base")
+    assert not verify_step_invariants(t.tree, t.tree, scan_tops(t.tree, 1))
+    assert PathCertificate((trivial,) * 5).verify()
+    assert not PathCertificate((trivial,) * 4).verify()
+    untagged = PathStep(t, trivial.witness, t, "case5")
+    assert not PathCertificate((trivial,) * 4 + (untagged,)).verify()
