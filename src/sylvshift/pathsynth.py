@@ -88,9 +88,16 @@ def _matches(node: Bst, pattern: Bst) -> bool:
     pattern's span; the host may carry extra nodes below the pattern's frontier."""
     if pattern is None:
         return True
-    if node is None or node.label != pattern.label:
-        return False
-    return _matches(node.left, pattern.left) and _matches(node.right, pattern.right)
+    pairs = [(node, pattern)]
+    while pairs:
+        node, pattern = pairs.pop()
+        if node is None or node.label != pattern.label:
+            return False
+        if pattern.left is not None:
+            pairs.append((node.left, pattern.left))
+        if pattern.right is not None:
+            pairs.append((node.right, pattern.right))
+    return True
 
 
 def _spine_len(pattern: Bst, side: str) -> int:

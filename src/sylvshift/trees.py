@@ -11,7 +11,7 @@ Locators address nodes by the path from the root: a string over {"L", "R"},
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import comb, inf
 from typing import Iterable, Optional
 
 from .errors import CapExceededError, LocatorError, ParseError
@@ -31,48 +31,57 @@ Bst = Optional[Node]
 Locator = str
 
 
-def insert(t: Bst, a: int) -> Node:
-    """Add a as a new leaf in the unique position keeping the tree right-strict."""
-    path = []
-    cur = t
-    while cur is not None:
-        path.append(cur)
-        cur = cur.left if a <= cur.label else cur.right
-    new: Node = Node(a)
-    for parent in reversed(path):
-        if a <= parent.label:
-            new = Node(parent.label, new, parent.right)
-        else:
-            new = Node(parent.label, parent.left, new)
-    return new
-
-
 def psylv(w: Iterable[int]) -> Bst:
-    """Insert the symbols of w right-to-left into an initially empty tree."""
-    t: Bst = None
-    for a in reversed(tuple(w)):
-        t = insert(t, a)
-    return t
+    """Insert the symbols of w right-to-left into an initially empty tree.
+
+    The result is the Cartesian tree of w (Vuillemin, "A unifying look at
+    data structures", CACM 1980): a search tree on (label, position), as
+    equal symbols go left of later ones, and a heap on position, as a later
+    symbol is inserted earlier and sits nearer the root. One stable sort
+    gives the in-order sequence; a stack holds the open right spine. Each
+    position pops every entry with a smaller position, folding them into
+    the right chain that becomes its left subtree; the sentinel position
+    len(w) folds the whole tree. Every node is built once.
+    """
+    w = tuple(w)
+    spine: list[tuple[int, Bst]] = []  # open right spine: (position, left subtree)
+    for i in sorted(range(len(w)), key=w.__getitem__) + [len(w)]:
+        left: Bst = None
+        while spine and spine[-1][0] < i:
+            p, sub = spine.pop()
+            left = Node(w[p], sub, left)
+        spine.append((i, left))
+    return left
+
+
+def _postorder(t: Bst) -> list[Node]:
+    """Every node after its descendants, left subtree first: the reverse of
+    the root, right, left preorder."""
+    out: list[Node] = []
+    stack: list[Bst] = [t]
+    while stack:
+        node = stack.pop()
+        if node is not None:
+            out.append(node)
+            stack += (node.left, node.right)
+    out.reverse()
+    return out
 
 
 def node_count(t: Bst) -> int:
-    return 0 if t is None else 1 + node_count(t.left) + node_count(t.right)
+    return len(labels(t))
 
 
 def is_bst(t: Bst) -> bool:
     """Structural check of the right-strict search-tree property."""
-
-    def ok(node: Bst, lo: Optional[int], hi: Optional[int]) -> bool:
-        # invariant window: lo < label <= hi
-        if node is None:
-            return True
-        if lo is not None and node.label <= lo:
-            return False
-        if hi is not None and node.label > hi:
-            return False
-        return ok(node.left, lo, node.label) and ok(node.right, node.label, hi)
-
-    return ok(t, None, None)
+    stack: list[tuple[Bst, float, float]] = [(t, -inf, inf)]  # window: lo < label <= hi
+    while stack:
+        node, lo, hi = stack.pop()
+        if node is not None:
+            if not lo < node.label <= hi:
+                return False
+            stack += [(node.left, lo, node.label), (node.right, node.label, hi)]
+    return True
 
 
 def infix(t: Bst) -> list[tuple[int, Locator]]:
@@ -93,25 +102,32 @@ def infix(t: Bst) -> list[tuple[int, Locator]]:
 
 
 def postfix(t: Bst) -> list[tuple[int, Locator]]:
-    """Left subtree, right subtree, root; every node after its descendants."""
+    """Left subtree, right subtree, root; every node after its descendants.
+    Built as the root, right, left preorder, then reversed."""
     out: list[tuple[int, Locator]] = []
-    stack: list[tuple[Bst, Locator, bool]] = [(t, "", False)]
+    stack: list[tuple[Bst, Locator]] = [(t, "")]
     while stack:
-        node, loc, visit = stack.pop()
-        if node is None:
-            continue
-        if visit:
+        node, loc = stack.pop()
+        if node is not None:
             out.append((node.label, loc))
-        else:
-            stack.append((node, loc, True))
-            stack.append((node.right, loc + "R", False))
-            stack.append((node.left, loc + "L", False))
+            stack += ((node.left, loc + "L"), (node.right, loc + "R"))
+    out.reverse()
     return out
 
 
 def labels(t: Bst) -> list[int]:
     """All labels in weakly increasing order."""
-    return [a for a, _ in infix(t)]
+    out: list[int] = []
+    stack: list[Node] = []
+    cur = t
+    while stack or cur is not None:
+        while cur is not None:
+            stack.append(cur)
+            cur = cur.left
+        cur = stack.pop()
+        out.append(cur.label)
+        cur = cur.right
+    return out
 
 
 def is_standard_tree(t: Bst) -> bool:
@@ -122,28 +138,27 @@ def is_standard_tree(t: Bst) -> bool:
 
 def canonical_reading(t: Bst) -> Word:
     """The postfix label sequence; inserting it reproduces t."""
-    return tuple(a for a, _ in postfix(t))
+    return tuple([node.label for node in _postorder(t)])
 
 
 def reading_count(t: Bst) -> int:
-    """Number of readings, by the hook length formula for the
-    children-before-parents forest order.
+    """Number of readings: each node interleaves the readings of its two
+    subtrees in C(l + r, l) ways, l and r their sizes. The product over all
+    nodes is the hook length formula for the children-before-parents order.
 
     Counting node orders is enough: equal labels are always
     ancestor-comparable in a right-strict tree (their lowest common
     ancestor would otherwise split them into <= and > sides), so distinct
     node orders always spell distinct words.
     """
-
-    def subtree_sizes(node: Bst) -> list[int]:
-        if node is None:
-            return []
-        return [node_count(node)] + subtree_sizes(node.left) + subtree_sizes(node.right)
-
-    prod = 1
-    for s in subtree_sizes(t):
-        prod *= s
-    return factorial(node_count(t)) // prod
+    count = 1
+    sizes: list[int] = []  # sizes of the finished subtrees, in postfix order
+    for node in _postorder(t):
+        r = sizes.pop() if node.right is not None else 0
+        l = sizes.pop() if node.left is not None else 0
+        count *= comb(l + r, l)
+        sizes.append(l + r + 1)
+    return count
 
 
 def readings(t: Bst, cap: int = MAX_READINGS) -> set[Word]:
@@ -157,27 +172,22 @@ def readings(t: Bst, cap: int = MAX_READINGS) -> set[Word]:
         raise ValueError("cap must be >= 1")
     if reading_count(t) > cap:
         raise CapExceededError("readings", cap)
-
-    def merge(a: Word, b: Word) -> set[Word]:
-        if not a:
-            return {b}
-        if not b:
-            return {a}
-        out = {(a[0],) + m for m in merge(a[1:], b)}
-        out |= {(b[0],) + m for m in merge(a, b[1:])}
-        return out
-
-    def rec(node: Bst) -> set[Word]:
-        if node is None:
-            return {()}
-        out: set[Word] = set()
-        for la in rec(node.left):
-            for ra in rec(node.right):
-                for m in merge(la, ra):
-                    out.add(m + (node.label,))
-        return out
-
-    return rec(t)
+    # Readings are written right to left: a node may be written once its
+    # parent is, so a state is (suffix so far, nodes whose parent is in it).
+    found: set[Word] = set()
+    stack: list[tuple[Word, tuple[Node, ...]]] = [((), () if t is None else (t,))]
+    while stack:
+        suffix, frontier = stack.pop()
+        if not frontier:
+            found.add(suffix)
+        for i, node in enumerate(frontier):
+            rest = frontier[:i] + frontier[i + 1 :]
+            if node.left is not None:
+                rest += (node.left,)
+            if node.right is not None:
+                rest += (node.right,)
+            stack.append(((node.label,) + suffix, rest))
+    return found
 
 
 def complete_subtree(t: Bst, x: Locator) -> Bst:
@@ -195,25 +205,29 @@ def complete_subtree(t: Bst, x: Locator) -> Bst:
 def remove_subtree(t: Bst, x: Locator) -> Bst:
     """t with the complete subtree at x pruned (empties the whole tree for x='')."""
     complete_subtree(t, x)  # validate
-    if x == "":
-        return None
-
-    def rec(node: Node, path: Locator) -> Bst:
-        step, rest = path[0], path[1:]
-        if step == "L":
-            child = None if not rest else rec(node.left, rest)
-            return Node(node.label, child, node.right)
-        child = None if not rest else rec(node.right, rest)
-        return Node(node.label, node.left, child)
-
-    return rec(t, x)
+    path: list[Node] = []
+    cur = t
+    for step in x:
+        path.append(cur)
+        cur = cur.left if step == "L" else cur.right
+    new: Bst = None
+    for node, step in zip(reversed(path), reversed(x)):
+        new = Node(node.label, new, node.right) if step == "L" else Node(node.label, node.left, new)
+    return new
 
 
 def tree_str(t: Bst) -> str:
     """Nested `label(left,right)` form with `_` for empty slots."""
-    if t is None:
-        return "_"
-    return f"{t.label}({tree_str(t.left)},{tree_str(t.right)})"
+    out: list[str] = []
+    stack: list[Bst | str] = [t]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, Node):
+            out.append(f"{item.label}(")
+            stack += [")", item.right, ",", item.left]
+        else:
+            out.append("_" if item is None else item)
+    return "".join(out)
 
 
 def parse_tree(text: str) -> Bst:
@@ -224,36 +238,42 @@ def parse_tree(text: str) -> Bst:
     def err(msg: str) -> ParseError:
         return ParseError(f"bad tree text at index {pos}: {msg}")
 
-    def node() -> Bst:
+    def expect(ch: str) -> None:
         nonlocal pos
+        if pos >= len(s) or s[pos] != ch:
+            raise err(f"expected {ch!r}")
+        pos += 1
+
+    # nodes whose ')' is still to come: [label], then [label, left] once ',' is read
+    open_nodes: list[list] = []
+    while True:
         if pos < len(s) and s[pos] == "_":
             pos += 1
-            return None
-        start = pos
-        while pos < len(s) and s[pos].isdigit():
-            pos += 1
-        if start == pos:
-            raise err("expected label or '_'")
-        label = int(s[start:pos])
-        if label < 1:
-            raise err("labels must be >= 1")
-        if pos >= len(s) or s[pos] != "(":
-            raise err("expected '('")
-        pos += 1
-        left = node()
-        if pos >= len(s) or s[pos] != ",":
-            raise err("expected ','")
-        pos += 1
-        right = node()
-        if pos >= len(s) or s[pos] != ")":
-            raise err("expected ')'")
-        pos += 1
-        return Node(label, left, right)
-
-    t = node()
+            sub: Bst = None
+        else:
+            start = pos
+            while pos < len(s) and s[pos].isdigit():
+                pos += 1
+            if start == pos:
+                raise err("expected label or '_'")
+            label = int(s[start:pos])
+            if label < 1:
+                raise err("labels must be >= 1")
+            expect("(")
+            open_nodes.append([label])
+            continue
+        # sub is complete: a right child closes its parent, which is complete in turn
+        while open_nodes and len(open_nodes[-1]) == 2:
+            label, left = open_nodes.pop()
+            expect(")")
+            sub = Node(label, left, sub)
+        if not open_nodes:
+            break
+        open_nodes[-1].append(sub)
+        expect(",")
     if pos != len(s):
         raise err("trailing input")
-    return t
+    return sub
 
 
 def tree_dot(t: Bst) -> str:
@@ -274,19 +294,9 @@ def tree_dot(t: Bst) -> str:
 
 def tree_art(t: Bst) -> str:
     """Small sideways ASCII rendering (right subtree printed above the root)."""
-    lines: list[str] = []
-
-    def rec(node: Bst, depth: int) -> None:
-        if node is None:
-            return
-        rec(node.right, depth + 1)
-        lines.append("    " * depth + str(node.label))
-        rec(node.left, depth + 1)
-
     if t is None:
         return "(empty)"
-    rec(t, 0)
-    return "\n".join(lines)
+    return "\n".join("    " * len(loc) + str(label) for label, loc in reversed(infix(t)))
 
 
 def reading_str(t: Bst) -> str:

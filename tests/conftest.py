@@ -1,17 +1,44 @@
 """Shared oracles: independent recomputations the library is checked against."""
 
 import itertools
+import sys
 from math import factorial
 
 import pytest
 
-from sylvshift.trees import Bst, node_count, psylv
+from sylvshift.trees import Bst, Node, node_count, psylv
 
 # The 10-node tree used across the golden tests, spelled out by hand:
 # root 4; left 2(left 1(left 1), right 4); right 5(left 5(left 5),
 # right 6(right 7)).
 EQ1_WORD = (5, 4, 5, 1, 7, 6, 1, 5, 2, 4)
 EQ1_STR = "4(2(1(1(_,_),_),4(_,_)),5(5(5(_,_),_),6(_,7(_,_))))"
+
+
+def insert(t: Bst, a: int) -> Node:
+    """Add a as a new leaf in the unique position keeping the tree right-strict
+    (equal symbols go left), path-copying the frozen nodes above it."""
+    path = []
+    cur = t
+    while cur is not None:
+        path.append(cur)
+        cur = cur.left if a <= cur.label else cur.right
+    new: Node = Node(a)
+    for parent in reversed(path):
+        if a <= parent.label:
+            new = Node(parent.label, new, parent.right)
+        else:
+            new = Node(parent.label, parent.left, new)
+    return new
+
+
+def psylv_by_insertion(w) -> Bst:
+    """Insertion straight from the definition: the symbols of w one by one,
+    right to left, into an initially empty tree."""
+    t: Bst = None
+    for a in reversed(tuple(w)):
+        t = insert(t, a)
+    return t
 
 
 def multiset_words(symbols) -> set[tuple[int, ...]]:
@@ -66,6 +93,15 @@ def visited_tops_by_scan(target: Bst, h: int) -> list[tuple[int, int, str]]:
     locs = [loc for _, loc in visited]
     return [(i + 1, lab, loc) for i, (lab, loc) in enumerate(visited)
             if not any(other != loc and loc.startswith(other) for other in locs)]
+
+
+@pytest.fixture
+def default_recursion_limit():
+    # cli.main raises the limit for the whole process; put the default back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(old)
 
 
 @pytest.fixture

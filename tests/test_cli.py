@@ -117,6 +117,14 @@ def test_path_text_and_json(capsys):
     assert code == 0 and "T1" in out
 
 
+def test_path_between_long_chains(capsys):
+    up = ".".join(str(a) for a in range(1, 301))
+    down = ".".join(str(a) for a in range(300, 0, -1))
+    code, out, _ = run(capsys, "path", up, down, "-n", "300", "--check", "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)["steps"]) == 300
+
+
 def test_verify_suite(capsys):
     code, out, _ = run(capsys, "verify", "example-path")
     assert code == 0 and out.startswith("PASS")

@@ -1,5 +1,4 @@
 import itertools
-import sys
 from math import comb
 
 import networkx as nx
@@ -131,15 +130,6 @@ def test_catalan_bounds_tree_count():
     for e in itertools.product(range(3), repeat=4):
         k = sum(1 for c in e if c)
         assert comb(2 * k, k) // (k + 1) <= tree_count(e)
-
-
-@pytest.fixture
-def default_recursion_limit():
-    # cli.main raises the limit for the whole process; put the default back
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    yield
-    sys.setrecursionlimit(old)
 
 
 def test_long_evaluations_need_no_recursion(default_recursion_limit):

@@ -1,3 +1,4 @@
+import os
 import re
 import subprocess
 import sys
@@ -35,3 +36,11 @@ def test_runtime_imports_only_the_standard_library():
     tops = {name.partition(".")[0] for name in out}
     # multiprocessing also registers __main__ under the alias __mp_main__
     assert sorted(tops - {"sylvshift", "__mp_main__"} - set(sys.stdlib_module_names)) == []
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(sylvshift.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-m", "sylvshift", "tree", "132"], capture_output=True,
+                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0
+    assert done.stdout == "2(1(_,_),3(_,_))\n"

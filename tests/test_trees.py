@@ -9,6 +9,8 @@ from conftest import (
     EQ1_WORD,
     brute_readings,
     hook_length_extensions,
+    insert,
+    psylv_by_insertion,
     standard_trees,
     standard_trees_by_insertion,
 )
@@ -18,7 +20,6 @@ from sylvshift.trees import (
     canonical_reading,
     complete_subtree,
     infix,
-    insert,
     is_bst,
     is_standard_tree,
     labels,
@@ -38,13 +39,26 @@ words = st.lists(st.integers(1, 4), max_size=7).map(tuple)
 
 
 def test_insert_examples():
-    assert insert(None, 4) == Node(4)
-    assert insert(Node(2), 1) == Node(2, Node(1), None)
-    assert insert(Node(2), 3) == Node(2, None, Node(3))
+    assert insert(None, 4) == Node(4) == psylv((4,))
+    assert insert(Node(2), 1) == Node(2, Node(1), None) == psylv((1, 2))
+    assert insert(Node(2), 3) == Node(2, None, Node(3)) == psylv((3, 2))
 
 
 def test_insert_equal_goes_left():
-    assert insert(Node(2), 2) == Node(2, Node(2), None)
+    assert insert(Node(2), 2) == Node(2, Node(2), None) == psylv((2, 2))
+    assert tree_str(psylv((1, 2, 1, 2))) == "2(1(1(_,_),2(_,_)),_)"
+
+
+def test_psylv_matches_insertion_exhaustively():
+    # every word over {1..4} up to length 7, the empty word included
+    for length in range(0, 8):
+        for w in itertools.product((1, 2, 3, 4), repeat=length):
+            assert psylv(w) == psylv_by_insertion(w)
+
+
+@given(st.integers(1, 6).flatmap(lambda k: st.lists(st.integers(1, k), max_size=60)))
+def test_psylv_matches_insertion_with_repeats(w):
+    assert psylv(w) == psylv_by_insertion(w)
 
 
 def test_psylv_goldens(eq1_tree):
@@ -179,3 +193,15 @@ def test_standard_trees_match_insertion_oracle():
     # same trees in the same order as inserting all n! permutations
     for n in range(0, 8):
         assert standard_trees(n) == standard_trees_by_insertion(n)
+
+
+@pytest.mark.parametrize("w", [range(1, 100_001), range(100_000, 0, -1)])
+def test_chains_of_1e5_nodes_need_no_recursion(default_recursion_limit, w):
+    t = psylv(w)
+    n = 100_000
+    assert node_count(t) == n
+    assert labels(t) == list(range(1, n + 1))
+    assert canonical_reading(t) == tuple(w)
+    assert is_bst(t)
+    assert reading_count(t) == 1
+    assert node_count(parse_tree(tree_str(t))) == n
