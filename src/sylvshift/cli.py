@@ -38,7 +38,7 @@ from .monoid import (
     rewrite_equivalent,
 )
 from .pathsynth import certificate_json, shift_path, transcript
-from .trees import MAX_READINGS, psylv, reading_str, readings, tree_art, tree_dot, tree_str
+from .trees import MAX_READINGS, psylv, readings, tree_art, tree_dot, tree_str
 from .words import evaluation, is_standard, parse_word, word_str
 
 
@@ -133,7 +133,7 @@ def cmd_multiply(args: argparse.Namespace) -> int:
     product = multiply(element_of(u, n), element_of(v, n))
     if args.format == "json":
         _emit(json.dumps({"left": args.left, "right": args.right, "rank": n,
-                          "reading": reading_str(product.tree),
+                          "reading": word_str(product.key),
                           "tree": tree_str(product.tree)}), args)
     else:
         _emit(tree_str(product.tree), args)
@@ -145,7 +145,7 @@ def cmd_neighbors(args: argparse.Namespace) -> int:
     s = element_of(w, _infer_rank(args, w))
     nbrs = neighbors(s, args.max_readings)
     rows = sorted(
-        (reading_str(t.tree), word_str(wit.x), word_str(wit.y), tree_str(t.tree))
+        (word_str(t.key), word_str(wit.x), word_str(wit.y), tree_str(t.tree))
         for t, wit in nbrs.items())
     if args.format == "json":
         _emit(json.dumps({
@@ -184,7 +184,7 @@ def cmd_component(args: argparse.Namespace) -> int:
             "rank": g.rank,
             "evaluation": list(g.evaluation),
             "connected": g.connected,
-            "vertices": [reading_str(v.tree) for v in g.vertices],
+            "vertices": [word_str(v.key) for v in g.vertices],
             "edges": [
                 {"a": i, "b": j, "x": word_str(w.x), "y": word_str(w.y)}
                 for (i, j), w in sorted(g.witnesses.items())
@@ -222,14 +222,14 @@ def cmd_diameter(args: argparse.Namespace) -> int:
             "rank": g.rank,
             "evaluation": list(g.evaluation),
             "diameter": d,
-            "pair": [reading_str(a.tree), reading_str(b.tree)],
+            "pair": [word_str(a.key), word_str(b.key)],
             "vertices": len(g.vertices),
             "edges": g.edge_count(),
         }), args)
     elif args.format == "tsv":
         _emit(component_tsv(g), args)
     else:
-        _emit(f"{d}  ({reading_str(a.tree)} .. {reading_str(b.tree)})", args)
+        _emit(f"{d}  ({word_str(a.key)} .. {word_str(b.key)})", args)
     return 0
 
 
@@ -387,9 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run exhaustive verification suites")
     p.add_argument("suites", nargs="*", help="suite names, or 'all'")
-    p.add_argument("--n", "--depth", dest="nmax", type=int,
+    p.add_argument("--n", "--depth", dest="nmax", type=_int_at_least(0),
                    help="suite size parameter (max n), suite-specific default")
-    p.add_argument("--maxlen", type=int, help="max word length where applicable")
+    p.add_argument("--maxlen", type=_int_at_least(0), help="max word length where applicable")
     common(p, "rank", "max_readings", "max_vertices", "budget", "jobs", formats=None)
     p.set_defaults(func=cmd_verify)
 
@@ -397,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    sys.setrecursionlimit(max(20_000, sys.getrecursionlimit()))
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

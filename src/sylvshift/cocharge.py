@@ -14,13 +14,9 @@ the cyclic shift graph.
 
 from __future__ import annotations
 
-from typing import Union
-
 from .errors import NotStandardError
 from .trees import Bst, canonical_reading, is_standard_tree, node_count
 from .words import Word, is_standard
-
-TreeLike = Union[Bst, "SylvElement"]  # noqa: F821  (import cycle; duck-typed below)
 
 
 def cochseq_word(u: Word) -> tuple[int, ...]:
@@ -34,32 +30,21 @@ def cochseq_word(u: Word) -> tuple[int, ...]:
     return tuple(seq)
 
 
-def _as_tree(t: TreeLike) -> Bst:
-    return t.tree if hasattr(t, "tree") else t
-
-
-def cochseq_tree(t: TreeLike) -> tuple[int, ...]:
+def cochseq_tree(t: Bst) -> tuple[int, ...]:
     """Cocharge sequence of a standard tree, via its canonical reading.
 
     Every reading gives the same sequence; the tests and the
     cocharge-congruence suite check that over all readings.
     """
-    tree = _as_tree(t)
-    if tree is None or not is_standard_tree(tree):
+    if t is None or not is_standard_tree(t):
         raise NotStandardError("cocharge sequence needs a non-empty standard tree")
-    return cochseq_word(canonical_reading(tree))
+    return cochseq_word(canonical_reading(t))
 
 
-def cocharge_total(u: Word) -> int:
-    """Sum of the cocharge sequence (the classical single statistic)."""
-    return sum(cochseq_word(u))
-
-
-def cocharge_lower_bound(s: TreeLike, t: TreeLike) -> int:
+def cocharge_lower_bound(s: Bst, t: Bst) -> int:
     """Max componentwise gap of the two sequences; a cyclic-shift-distance lower bound."""
-    st, tt = _as_tree(s), _as_tree(t)
-    if node_count(st) != node_count(tt):
+    if node_count(s) != node_count(t):
         raise NotStandardError("lower bound needs standard trees of equal size")
-    a = cochseq_tree(st)
-    b = cochseq_tree(tt)
+    a = cochseq_tree(s)
+    b = cochseq_tree(t)
     return max(abs(x - y) for x, y in zip(a, b))

@@ -15,8 +15,7 @@ from math import comb
 
 from .errors import CapExceededError, DisconnectedError, RankError
 from .monoid import SylvElement
-from .trees import (MAX_READINGS, Bst, Node, canonical_reading, psylv, readings, reading_str,
-                    tree_str)
+from .trees import MAX_READINGS, Bst, Node, canonical_reading, psylv, readings, tree_str
 from .words import Word, word_str
 
 MAX_VERTICES = 20_000
@@ -29,8 +28,9 @@ class ShiftWitness:
     x: Word
     y: Word
 
-    def validates(self, source: Bst, target: Bst) -> bool:
-        return psylv(self.x + self.y) == source and psylv(self.y + self.x) == target
+    def validates(self, source: SylvElement, target: SylvElement) -> bool:
+        return (canonical_reading(psylv(self.x + self.y)) == source.key
+                and canonical_reading(psylv(self.y + self.x)) == target.key)
 
     def swapped(self) -> "ShiftWitness":
         return ShiftWitness(self.y, self.x)
@@ -154,7 +154,7 @@ def component(e: tuple[int, ...], n: int, max_vertices: int = MAX_VERTICES,
     if comb(2 * k, k) // (k + 1) > max_vertices or tree_count(e) > max_vertices:
         raise CapExceededError("component vertices", max_vertices)
     vertices = sorted((SylvElement(n, t) for t in trees_with_evaluation(e)),
-                      key=lambda s: canonical_reading(s.tree))
+                      key=lambda s: s.key)
     index = {v: i for i, v in enumerate(vertices)}
     adj: list[set[int]] = [set() for _ in vertices]
     witnesses: dict[tuple[int, int], ShiftWitness] = {}
@@ -203,7 +203,7 @@ def diameter(g: ComponentGraph) -> tuple[int, tuple[SylvElement, SylvElement]]:
 
 def graph_dot(g: ComponentGraph, tree_labels: bool = False) -> str:
     """Graphviz DOT; vertex labels are canonical readings unless tree_labels."""
-    fmt = (lambda v: tree_str(v.tree)) if tree_labels else (lambda v: reading_str(v.tree))
+    fmt = (lambda v: tree_str(v.tree)) if tree_labels else (lambda v: word_str(v.key))
     lines = ["graph shifts {", "  node [shape=box];"]
     for i, v in enumerate(g.vertices):
         lines.append(f'  v{i} [label="{fmt(v)}"];')
@@ -221,7 +221,7 @@ def component_tsv(g: ComponentGraph) -> str:
         str(len(g.vertices)),
         str(g.edge_count()),
         str(d),
-        reading_str(a.tree),
-        reading_str(b.tree),
+        word_str(a.key),
+        word_str(b.key),
     ]
     return "\t".join(cols)

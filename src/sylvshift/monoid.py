@@ -1,19 +1,21 @@
 """The binary search tree monoid of rank n.
 
 Elements are identified with their insertion trees; two words represent the
-same element exactly when their trees are equal. An independent oracle
-decides the same relation by closing a word under the defining rewriting
-moves: adjacent symbols c, a with a < c may swap whenever some later symbol
-b satisfies a <= b < c.
+same element exactly when their trees are equal. A class is the set of
+linear extensions of its tree, so an element is identified by one fixed
+reading, the canonical (postfix) one: a flat word that compares and hashes
+without walking the tree. An independent oracle decides the same relation
+by closing a word under the defining rewriting moves: adjacent symbols c, a
+with a < c may swap whenever some later symbol b satisfies a <= b < c.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError, RankError
-from .trees import Bst, canonical_reading, labels, node_count, psylv
+from .trees import Bst, canonical_reading, psylv
 from .words import Word, check_rank, evaluation
 
 DEFAULT_REWRITE_BUDGET = 1_000_000
@@ -21,27 +23,24 @@ DEFAULT_REWRITE_BUDGET = 1_000_000
 
 @dataclass(frozen=True)
 class SylvElement:
+    """An element of the rank-n monoid. Equality, hashing and repr use
+    (rank, key), key being the tree's canonical reading; the tree itself is
+    neither compared nor printed."""
+
     rank: int
-    tree: Bst
+    tree: Bst = field(compare=False, repr=False)
+    key: Word = field(init=False)
 
     def __post_init__(self):
-        check_rank(labels(self.tree), self.rank)
+        key = canonical_reading(self.tree)
+        check_rank(key, self.rank)
+        object.__setattr__(self, "key", key)
 
     def __mul__(self, other: "SylvElement") -> "SylvElement":
         return multiply(self, other)
 
     def __len__(self) -> int:
-        return node_count(self.tree)
-
-    def canonical_reading(self) -> Word:
-        return canonical_reading(self.tree)
-
-    def evaluation(self) -> tuple[int, ...]:
-        return evaluation_of(self)
-
-
-def identity(n: int) -> SylvElement:
-    return SylvElement(n, None)
+        return len(self.key)
 
 
 def element_of(w: Word, n: int) -> SylvElement:
@@ -51,20 +50,18 @@ def element_of(w: Word, n: int) -> SylvElement:
 
 def equivalent(u: Word, v: Word, n: int) -> bool:
     """True iff u and v insert to the same tree."""
-    check_rank(u, n)
-    check_rank(v, n)
-    return psylv(u) == psylv(v)
+    return element_of(u, n) == element_of(v, n)
 
 
 def multiply(s: SylvElement, t: SylvElement) -> SylvElement:
     """Concatenate representatives and re-insert; independent of reading choice."""
     if s.rank != t.rank:
         raise RankError(f"rank mismatch: {s.rank} vs {t.rank}")
-    return SylvElement(s.rank, psylv(canonical_reading(s.tree) + canonical_reading(t.tree)))
+    return SylvElement(s.rank, psylv(s.key + t.key))
 
 
 def evaluation_of(s: SylvElement) -> tuple[int, ...]:
-    return evaluation(labels(s.tree), s.rank)
+    return evaluation(s.key, s.rank)
 
 
 def single_rewrites(w: Word) -> set[Word]:

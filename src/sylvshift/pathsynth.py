@@ -31,7 +31,6 @@ from .trees import (
     complete_subtree,
     is_standard_tree,
     labels,
-    node_count,
     parse_tree,
     postfix,
     psylv,
@@ -67,19 +66,19 @@ class PathCertificate:
         return len(self.steps)
 
     def verify(self) -> bool:
-        """Recheck the certificate's claims from scratch: n = node_count(target)
+        """Recheck the certificate's claims from scratch: n = len(target)
         steps, each starting where the previous one ended, with a known case
         tag and a witness that reads pre as xy and post as yx. The chain ends
         at the target because the target is the last step's post."""
-        if not self.steps or len(self.steps) != node_count(self.target.tree):
+        if not self.steps or len(self.steps) != len(self.target):
             return False
-        prev = self.source.tree
+        prev = self.source
         for step in self.steps:
-            if step.pre.tree != prev or step.case_tag not in CASE_TAGS:
+            if step.pre != prev or step.case_tag not in CASE_TAGS:
                 return False
-            if not step.witness.validates(step.pre.tree, step.post.tree):
+            if not step.witness.validates(step.pre, step.post):
                 return False
-            prev = step.post.tree
+            prev = step.post
         return True
 
 
@@ -299,8 +298,7 @@ def shift_path(start: SylvElement, target: SylvElement) -> PathCertificate:
         raise NotStandardError("paths need non-empty trees")
     if not (is_standard_tree(s_tree) and is_standard_tree(u_tree)):
         raise NotStandardError("paths are defined for standard trees only")
-    n = node_count(u_tree)
-    if node_count(s_tree) != n:
+    if len(start) != len(target):
         raise NotStandardError("trees must have the same number of nodes")
 
     nodes = postfix(u_tree)
@@ -312,7 +310,7 @@ def shift_path(start: SylvElement, target: SylvElement) -> PathCertificate:
             witness, tag = base_step(pre.tree, label), "base"
         else:
             witness, tag = induction_step(pre.tree, u_tree, nodes, h)
-        if psylv(witness.x + witness.y) != pre.tree:
+        if canonical_reading(psylv(witness.x + witness.y)) != pre.key:
             raise InternalError(f"step {h} ({tag}): assembled factorization is not a reading")
         post = SylvElement(start.rank, psylv(witness.y + witness.x))
         # Postfix order visits a node right after its subtrees, whose roots
@@ -326,7 +324,7 @@ def shift_path(start: SylvElement, target: SylvElement) -> PathCertificate:
         steps.append(PathStep(pre, witness, post, tag))
         pre = post
 
-    if pre.tree != u_tree:
+    if pre != target:
         raise InternalError("path did not terminate at the target tree")
     return PathCertificate(tuple(steps))
 
@@ -372,13 +370,13 @@ def transcript(cert: PathCertificate) -> str:
     lines = []
     for i, step in enumerate(cert.steps):
         lines.append(
-            f"T{i} = {word_str(canonical_reading(step.pre.tree))}"
+            f"T{i} = {word_str(step.pre.key)}"
             f"  =  {tree_str(step.pre.tree)}")
         lines.append(
             f"   ~  x={word_str(step.witness.x) or 'e'}"
             f"  y={word_str(step.witness.y) or 'e'}   [{step.case_tag}]")
     last = cert.steps[-1].post
     lines.append(
-        f"T{len(cert.steps)} = {word_str(canonical_reading(last.tree))}"
+        f"T{len(cert.steps)} = {word_str(last.key)}"
         f"  =  {tree_str(last.tree)}")
     return "\n".join(lines)

@@ -11,11 +11,11 @@ Locators address nodes by the path from the root: a string over {"L", "R"},
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, inf
+from math import comb
 from typing import Iterable, Optional
 
 from .errors import CapExceededError, LocatorError, ParseError
-from .words import Word, word_str
+from .words import Word
 
 MAX_READINGS = 100_000
 
@@ -58,30 +58,20 @@ def _postorder(t: Bst) -> list[Node]:
     """Every node after its descendants, left subtree first: the reverse of
     the root, right, left preorder."""
     out: list[Node] = []
-    stack: list[Bst] = [t]
+    stack: list[Node] = [] if t is None else [t]
     while stack:
         node = stack.pop()
-        if node is not None:
-            out.append(node)
-            stack += (node.left, node.right)
+        out.append(node)
+        if node.left is not None:
+            stack.append(node.left)
+        if node.right is not None:
+            stack.append(node.right)
     out.reverse()
     return out
 
 
 def node_count(t: Bst) -> int:
     return len(labels(t))
-
-
-def is_bst(t: Bst) -> bool:
-    """Structural check of the right-strict search-tree property."""
-    stack: list[tuple[Bst, float, float]] = [(t, -inf, inf)]  # window: lo < label <= hi
-    while stack:
-        node, lo, hi = stack.pop()
-        if node is not None:
-            if not lo < node.label <= hi:
-                return False
-            stack += [(node.left, lo, node.label), (node.right, node.label, hi)]
-    return True
 
 
 def infix(t: Bst) -> list[tuple[int, Locator]]:
@@ -297,8 +287,3 @@ def tree_art(t: Bst) -> str:
     if t is None:
         return "(empty)"
     return "\n".join("    " * len(loc) + str(label) for label, loc in reversed(infix(t)))
-
-
-def reading_str(t: Bst) -> str:
-    """Canonical reading rendered as word text (handy graph vertex label)."""
-    return word_str(canonical_reading(t))

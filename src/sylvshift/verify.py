@@ -64,9 +64,9 @@ def suite_oracle(rank: int = 4, maxlen: int = 6,
     for length in range(1, maxlen + 1):
         fibers: dict = {}
         for w in _all_words(rank, length):
-            fibers.setdefault(psylv(w), set()).add(w)
+            fibers.setdefault(canonical_reading(psylv(w)), set()).add(w)
             words_total += 1
-        for tree, fiber in fibers.items():
+        for fiber in fibers.values():
             closure = rewrite_class(min(fiber), rank, budget)
             if closure != fiber:
                 extra = closure - fiber
@@ -141,13 +141,16 @@ def suite_connectivity(rank: int = 4, maxlen: int = 6, max_vertices: int = MAX_V
 
 
 def _evaluations(n: int, total: int):
-    """All length-n vectors of non-negative ints summing to total."""
-    if n == 1:
-        yield (total,)
+    """All length-n vectors of non-negative ints summing to total, in
+    lexicographic order: stars and bars, with the n - 1 bars at increasing
+    positions among total + n - 1 slots and each entry the stars between two."""
+    if n == 0:
+        if total == 0:
+            yield ()
         return
-    for first in range(total + 1):
-        for rest in _evaluations(n - 1, total - first):
-            yield (first,) + rest
+    for bars in itertools.combinations(range(total + n - 1), n - 1):
+        edges = (-1,) + bars + (total + n - 1,)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
 
 
 def suite_diameter_bounds(nmax: int = 5) -> SuiteReport:
@@ -156,9 +159,7 @@ def suite_diameter_bounds(nmax: int = 5) -> SuiteReport:
     for n in range(2, nmax + 1):
         g = component((1,) * n, n)
         d, (a, b) = diameter(g)
-        rep.lines.append(
-            f"n={n}: diameter {d} "
-            f"({word_str(canonical_reading(a.tree))} .. {word_str(canonical_reading(b.tree))})")
+        rep.lines.append(f"n={n}: diameter {d} ({word_str(a.key)} .. {word_str(b.key)})")
         if not n - 1 <= d <= n:
             rep.fail(f"n={n}: diameter {d} outside [{n - 1}, {n}]")
         _progress(f"diameter-bounds: n={n} -> {d}")
@@ -180,9 +181,8 @@ def suite_distance_lower_bound(nmax: int = 5) -> SuiteReport:
             for t in g.vertices:
                 bound = cocharge_lower_bound(s.tree, t.tree)
                 if dists[s][t] < bound:
-                    rep.fail(
-                        f"n={n}: distance({word_str(canonical_reading(s.tree))}, "
-                        f"{word_str(canonical_reading(t.tree))}) = {dists[s][t]} < bound {bound}")
+                    rep.fail(f"n={n}: distance({word_str(s.key)}, {word_str(t.key)}) "
+                             f"= {dists[s][t]} < bound {bound}")
                 pairs += 1
         _progress(f"distance-lower-bound: n={n} done")
     rep.lines.append(f"{pairs} standard pairs dominate their cocharge bound")
@@ -243,9 +243,9 @@ def suite_example_path() -> SuiteReport:
     words = [tuple(int(c) for c in w) for w in EXAMPLE_CHAIN]
     cert = shift_path(element_of(words[0], 5), element_of(words[-1], 5))
     for i, step in enumerate(cert.steps):
-        want = psylv(words[i + 1])
-        if step.post.tree != want:
-            rep.fail(f"step {i}: got {tree_str(step.post.tree)}, want {tree_str(want)}")
+        want = element_of(words[i + 1], 5)
+        if step.post != want:
+            rep.fail(f"step {i}: got {tree_str(step.post.tree)}, want {tree_str(want.tree)}")
     if not cert.verify():
         rep.fail("certificate fails re-verification")
     rep.lines.append("5-step chain matches the worked example and all edges validate")
@@ -259,8 +259,8 @@ def suite_induced(nmax: int = 4) -> SuiteReport:
     for m in range(1, nmax):
         for n in range(m + 1, nmax + 1):
             for t in standard_trees(m):
-                low = {x.tree for x in neighbors(SylvElement(m, t))}
-                high = {x.tree for x in neighbors(SylvElement(n, t))}
+                low = {x.key for x in neighbors(SylvElement(m, t))}
+                high = {x.key for x in neighbors(SylvElement(n, t))}
                 if low != high:
                     rep.fail(f"tree {tree_str(t)}: ranks {m} and {n} disagree")
                 checked += 1
@@ -274,15 +274,15 @@ def suite_monoid(rank: int = 3, maxlen: int = 4, assoc_total: int = 6) -> SuiteR
     fibers: dict = {}
     for length in range(0, maxlen + 1):
         for w in _all_words(rank, length):
-            fibers.setdefault(psylv(w), []).append(w)
+            fibers.setdefault(canonical_reading(psylv(w)), []).append(w)
     classes = list(fibers.values())
     checked = 0
     for cu in classes:
         for cv in classes:
-            trees = {psylv(u + v) for u in cu for v in cv}
-            if len(trees) != 1:
+            keys = {canonical_reading(psylv(u + v)) for u in cu for v in cv}
+            if len(keys) != 1:
                 rep.fail(f"classes of {word_str(cu[0])} and {word_str(cv[0])}: "
-                         f"{len(trees)} product trees")
+                         f"{len(keys)} product trees")
             checked += 1
     rep.lines.append(f"{checked} class pairs multiply consistently")
 

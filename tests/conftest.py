@@ -2,7 +2,7 @@
 
 import itertools
 import sys
-from math import factorial
+from math import factorial, inf
 
 import pytest
 
@@ -30,6 +30,18 @@ def insert(t: Bst, a: int) -> Node:
         else:
             new = Node(parent.label, parent.left, new)
     return new
+
+
+def is_bst(t: Bst) -> bool:
+    """Structural check of the right-strict search-tree property."""
+    stack: list[tuple[Bst, float, float]] = [(t, -inf, inf)]  # window: lo < label <= hi
+    while stack:
+        node, lo, hi = stack.pop()
+        if node is not None:
+            if not lo < node.label <= hi:
+                return False
+            stack += [(node.left, lo, node.label), (node.right, node.label, hi)]
+    return True
 
 
 def psylv_by_insertion(w) -> Bst:
@@ -97,7 +109,7 @@ def visited_tops_by_scan(target: Bst, h: int) -> list[tuple[int, int, str]]:
 
 @pytest.fixture
 def default_recursion_limit():
-    # cli.main raises the limit for the whole process; put the default back
+    # the library runs at Python's default limit; pin it there for the test
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     yield

@@ -1,5 +1,6 @@
 import argparse
 import json
+import sys
 
 import pytest
 
@@ -152,12 +153,25 @@ def test_exit_codes(capsys):
     code, out, err = run(capsys, "eval", "12", "-n", "0")
     assert code == 2 and out == "" and "outside alphabet 1..0" in err
 
+    for argv in (["verify", "diameter-bounds", "--n", "-5"],
+                 ["verify", "oracle", "--maxlen", "-2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    assert "expected an integer >= 0" in capsys.readouterr().err
+
     for command in ("component", "diameter"):
         for argv in ([command, "-n", "2"], [command, "-n", "2", "--eval", "1,1", "--standard"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_main_leaves_the_recursion_limit(default_recursion_limit, capsys):
+    code, out, _ = run(capsys, "verify", "connectivity", "-n", "1500", "--maxlen", "0")
+    assert code == 0 and out.startswith("PASS")
+    assert sys.getrecursionlimit() == 1000
 
 
 def test_internal_errors_exit_5(monkeypatch, capsys):

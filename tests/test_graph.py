@@ -4,8 +4,9 @@ from math import comb
 import networkx as nx
 import pytest
 
-from conftest import multiset_words
+from conftest import is_bst, multiset_words
 from sylvshift import graph
+from sylvshift import verify as suites
 from sylvshift.errors import CapExceededError, DisconnectedError, RankError
 from sylvshift.graph import (
     ComponentGraph,
@@ -20,8 +21,8 @@ from sylvshift.graph import (
     tree_count,
     trees_with_evaluation,
 )
-from sylvshift.monoid import SylvElement, element_of, identity
-from sylvshift.trees import canonical_reading, is_bst, labels, psylv
+from sylvshift.monoid import SylvElement, element_of, evaluation_of
+from sylvshift.trees import canonical_reading, labels, psylv
 
 
 def test_neighbors_examples():
@@ -29,7 +30,8 @@ def test_neighbors_examples():
     nbrs = set(neighbors(s))
     assert nbrs == {s, element_of((2, 1), 2)}
 
-    assert set(neighbors(identity(3))) == {identity(3)}
+    empty = element_of((), 3)
+    assert set(neighbors(empty)) == {empty}
 
     big = neighbors(element_of((1, 3, 2, 5, 4), 5))
     assert element_of((5, 4, 1, 3, 2), 5) in big
@@ -38,7 +40,7 @@ def test_neighbors_examples():
 def test_neighbors_witnesses_validate():
     s = element_of((1, 3, 2, 5, 4), 5)
     for t, wit in neighbors(s).items():
-        assert wit.validates(s.tree, t.tree)
+        assert wit.validates(s, t)
 
 
 def test_neighbors_symmetric_and_evaluation_preserving():
@@ -55,9 +57,9 @@ def test_neighbors_symmetric_and_evaluation_preserving():
             if s in cache:
                 continue
             for t, wit in nbrs(s).items():
-                assert t.evaluation() == s.evaluation()
+                assert evaluation_of(t) == evaluation_of(s)
                 assert s in nbrs(t)
-                assert ShiftWitness(wit.y, wit.x).validates(t.tree, s.tree)
+                assert ShiftWitness(wit.y, wit.x).validates(t, s)
 
 
 def test_trees_with_evaluation_counts():
@@ -198,7 +200,7 @@ def test_witnesses_stored_oriented():
     g = component((1, 1, 1), 3)
     for (i, j), wit in g.witnesses.items():
         assert i < j
-        assert wit.validates(g.vertices[i].tree, g.vertices[j].tree)
+        assert wit.validates(g.vertices[i], g.vertices[j])
 
 
 def test_vertices_sorted_and_deterministic():
@@ -222,3 +224,11 @@ def test_all_vertices_share_evaluation():
     g = component((2, 1, 1), 3)
     for v in g.vertices:
         assert sorted(labels(v.tree)) == [1, 1, 2, 3]
+
+
+def test_evaluations_in_lexicographic_order(default_recursion_limit):
+    for n in range(0, 5):
+        for total in range(0, 6):
+            want = [e for e in itertools.product(range(total + 1), repeat=n) if sum(e) == total]
+            assert list(suites._evaluations(n, total)) == want
+    assert len(list(suites._evaluations(1500, 1))) == 1500

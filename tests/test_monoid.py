@@ -3,18 +3,20 @@ import itertools
 import pytest
 
 from conftest import EQ1_WORD
+from sylvshift import verify as suites
 from sylvshift.errors import BudgetExceededError, RankError
+from sylvshift.graph import component, diameter, distance, trees_with_evaluation
 from sylvshift.monoid import (
     SylvElement,
     element_of,
     equivalent,
     evaluation_of,
-    identity,
     multiply,
     rewrite_class,
     rewrite_equivalent,
     single_rewrites,
 )
+from sylvshift.pathsynth import shift_path
 from sylvshift.trees import Node, canonical_reading, psylv
 from sylvshift.words import evaluation
 
@@ -22,7 +24,8 @@ from sylvshift.words import evaluation
 def test_element_of_examples():
     assert element_of((3, 1, 2), 3).tree == Node(2, Node(1), Node(3))
     assert element_of((1, 3, 2), 3) == element_of((3, 1, 2), 3)
-    assert element_of((), 4) == identity(4)
+    assert element_of((), 4) == SylvElement(4, None)
+    assert element_of((1, 3, 2), 3).key == (1, 3, 2)
 
 
 def test_element_rank_checked():
@@ -43,14 +46,14 @@ def test_multiply_examples():
     one, two = element_of((1,), 2), element_of((2,), 2)
     assert multiply(one, two).tree == Node(2, Node(1), None)
     assert multiply(two, one).tree == Node(1, None, Node(2))
-    e = identity(2)
+    e = element_of((), 2)
     assert multiply(e, one) == one and multiply(one, e) == one
     assert (one * two).tree == Node(2, Node(1), None)
 
 
 def test_multiply_rank_mismatch():
     with pytest.raises(RankError):
-        multiply(identity(2), identity(3))
+        multiply(element_of((), 2), element_of((), 3))
 
 
 def test_single_rewrites():
@@ -93,7 +96,7 @@ def test_rewrite_matches_insertion_exhaustive_rank3():
 
 def test_evaluation_of_examples():
     assert evaluation_of(element_of(EQ1_WORD, 7)) == (2, 1, 0, 2, 3, 1, 1)
-    assert evaluation_of(identity(3)) == (0, 0, 0)
+    assert evaluation_of(element_of((), 3)) == (0, 0, 0)
     assert evaluation_of(element_of((1, 3, 2, 5, 4), 5)) == (1, 1, 1, 1, 1)
 
 
@@ -129,3 +132,39 @@ def test_monoid_suite_at_stated_scale():
 
     rep = suite_monoid(rank=3, maxlen=4, assoc_total=6)
     assert rep.passed, rep.render()
+
+
+def test_canonical_reading_is_a_complete_key():
+    # distinct trees of one evaluation have distinct keys, and each key
+    # inserts back to its tree, so comparing keys is comparing trees
+    for n in range(0, 5):
+        for e in itertools.product(range(7), repeat=n):
+            if sum(e) > 6:
+                continue
+            trees = trees_with_evaluation(e)
+            keys = [SylvElement(n, t).key for t in trees]
+            assert len(set(keys)) == len(trees)
+            for t, key in zip(trees, keys):
+                assert psylv(key) == t
+
+
+def test_no_library_path_compares_trees(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a library path compared or hashed Node trees")
+
+    monkeypatch.setattr(Node, "__eq__", refuse)
+    monkeypatch.setattr(Node, "__hash__", refuse)
+    for e in [(1,) * 5, (2, 1, 2)]:
+        g = component(e, len(e))
+        d, (a, b) = diameter(g)
+        assert distance(g, a, b) == d
+    cert = shift_path(element_of((1, 3, 2, 5, 4), 5), element_of((2, 3, 5, 4, 1), 5))
+    assert cert.verify()
+    assert equivalent((3, 1, 2), (1, 3, 2), 3)
+    assert not equivalent((1, 2), (2, 1), 2)
+    assert multiply(element_of((1,), 2), element_of((2,), 2)) == element_of((1, 2), 2)
+    reports = [suites.suite_oracle(maxlen=4), suites.suite_monoid(),
+               suites.suite_induced(), suites.suite_example_path(),
+               suites.suite_distance_lower_bound(nmax=4)]
+    for rep in reports:
+        assert rep.passed, rep.render()

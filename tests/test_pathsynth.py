@@ -27,6 +27,7 @@ U5 = psylv(parse_word("23541"))
 U5_NODES = postfix(U5)
 CHAIN_WORDS = ["13254", "54132", "12543", "41235", "12354", "23541"]
 CHAIN_TREES = [psylv(parse_word(w)) for w in CHAIN_WORDS]
+CHAIN = [SylvElement(5, t) for t in CHAIN_TREES]
 
 
 def scan_tops(target, h):
@@ -105,14 +106,15 @@ def test_visited_tops_matches_scan_oracle(paths_through_n6):
 def test_base_step_examples():
     wit = base_step(CHAIN_TREES[0], 2)
     assert (wit.x, wit.y) == ((1, 3, 2), (5, 4))
-    assert wit.validates(CHAIN_TREES[0], CHAIN_TREES[1])
+    assert wit.validates(CHAIN[0], CHAIN[1])
 
-    single = psylv((1,))
-    wit = base_step(single, 1)
+    single = element_of((1,), 1)
+    wit = base_step(single.tree, 1)
     assert wit.validates(single, single) and wit.x == (1,) and wit.y == ()
 
     wit = base_step(psylv((2, 1)), 2)
-    assert wit.validates(psylv((2, 1)), psylv((1, 2))) and (wit.x, wit.y) == ((2,), (1,))
+    assert wit.validates(element_of((2, 1), 2), element_of((1, 2), 2))
+    assert (wit.x, wit.y) == ((2,), (1,))
 
 
 def test_induction_steps_match_worked_example():
@@ -125,7 +127,7 @@ def test_induction_steps_match_worked_example():
     for h, (x, y, tag) in enumerate(expected, start=1):
         wit, got_tag = induction_step(CHAIN_TREES[h], U5, U5_NODES, h)
         assert (wit.x, wit.y, got_tag) == (x, y, tag)
-        assert wit.validates(CHAIN_TREES[h], CHAIN_TREES[h + 1])
+        assert wit.validates(CHAIN[h], CHAIN[h + 1])
 
 
 def test_step_invariants_on_worked_example():

@@ -10,17 +10,18 @@ from conftest import (
     brute_readings,
     hook_length_extensions,
     insert,
+    is_bst,
     psylv_by_insertion,
     standard_trees,
     standard_trees_by_insertion,
 )
 from sylvshift.errors import CapExceededError, LocatorError, ParseError
+from sylvshift.monoid import element_of, equivalent
 from sylvshift.trees import (
     Node,
     canonical_reading,
     complete_subtree,
     infix,
-    is_bst,
     is_standard_tree,
     labels,
     node_count,
@@ -205,3 +206,8 @@ def test_chains_of_1e5_nodes_need_no_recursion(default_recursion_limit, w):
     assert is_bst(t)
     assert reading_count(t) == 1
     assert node_count(parse_tree(tree_str(t))) == n
+    a, b = element_of(tuple(w), n), element_of(tuple(w), n)
+    assert a.tree is not b.tree
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == f"SylvElement(rank={n}, key={tuple(w)!r})"
+    assert equivalent(tuple(w), canonical_reading(t), n)
