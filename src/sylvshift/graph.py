@@ -15,7 +15,7 @@ from math import comb
 
 from .errors import CapExceededError, DisconnectedError, RankError
 from .monoid import SylvElement
-from .trees import MAX_READINGS, Bst, Node, canonical_reading, psylv, readings, tree_str
+from .trees import MAX_READINGS, Bst, Node, psylv, readings, tree_str
 from .words import Word, word_str
 
 MAX_VERTICES = 20_000
@@ -29,8 +29,13 @@ class ShiftWitness:
     y: Word
 
     def validates(self, source: SylvElement, target: SylvElement) -> bool:
-        return (canonical_reading(psylv(self.x + self.y)) == source.key
-                and canonical_reading(psylv(self.y + self.x)) == target.key)
+        """True iff xy reads source and yx reads target; a symbol beyond
+        their rank reads neither."""
+        try:
+            return (SylvElement(source.rank, psylv(self.x + self.y)) == source
+                    and SylvElement(target.rank, psylv(self.y + self.x)) == target)
+        except RankError:
+            return False
 
     def swapped(self) -> "ShiftWitness":
         return ShiftWitness(self.y, self.x)

@@ -25,7 +25,8 @@ DEFAULT_REWRITE_BUDGET = 1_000_000
 class SylvElement:
     """An element of the rank-n monoid. Equality, hashing and repr use
     (rank, key), key being the tree's canonical reading; the tree itself is
-    neither compared nor printed."""
+    neither compared nor printed. The key walk refuses a tree that is not
+    right-strict (ValueError), so equal keys mean equal trees."""
 
     rank: int
     tree: Bst = field(compare=False, repr=False)

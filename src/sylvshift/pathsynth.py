@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .errors import InternalError, NotStandardError, RankError
 from .graph import ShiftWitness
-from .monoid import SylvElement
+from .monoid import SylvElement, element_of
 from .trees import (
     Bst,
     Locator,
@@ -310,7 +310,7 @@ def shift_path(start: SylvElement, target: SylvElement) -> PathCertificate:
             witness, tag = base_step(pre.tree, label), "base"
         else:
             witness, tag = induction_step(pre.tree, u_tree, nodes, h)
-        if canonical_reading(psylv(witness.x + witness.y)) != pre.key:
+        if element_of(witness.x + witness.y, start.rank) != pre:
             raise InternalError(f"step {h} ({tag}): assembled factorization is not a reading")
         post = SylvElement(start.rank, psylv(witness.y + witness.x))
         # Postfix order visits a node right after its subtrees, whose roots

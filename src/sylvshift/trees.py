@@ -11,7 +11,7 @@ Locators address nodes by the path from the root: a string over {"L", "R"},
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, inf
 from typing import Iterable, Optional
 
 from .errors import CapExceededError, LocatorError, ParseError
@@ -68,6 +68,15 @@ def _postorder(t: Bst) -> list[Node]:
             stack.append(node.right)
     out.reverse()
     return out
+
+
+def is_bst(t: Bst) -> bool:
+    """True iff t is right-strict, that is, some word inserts to it."""
+    try:
+        canonical_reading(t)
+    except ValueError:
+        return False
+    return True
 
 
 def node_count(t: Bst) -> int:
@@ -127,8 +136,24 @@ def is_standard_tree(t: Bst) -> bool:
 
 
 def canonical_reading(t: Bst) -> Word:
-    """The postfix label sequence; inserting it reproduces t."""
-    return tuple([node.label for node in _postorder(t)])
+    """The postfix label sequence; inserting it reproduces t. Built as the
+    root, right, left preorder, then reversed, checking on the way that
+    each label lies in the window (lo, hi] its ancestors leave open; raises
+    ValueError when t is not right-strict, as then no word reproduces it."""
+    out: list[int] = []
+    stack: list[tuple[Node, float, float]] = [] if t is None else [(t, -inf, inf)]
+    while stack:
+        node, lo, hi = stack.pop()
+        label = node.label
+        if not lo < label <= hi:
+            raise ValueError(f"not a right-strict search tree: label {label} outside ({lo}, {hi}]")
+        out.append(label)
+        if node.left is not None:
+            stack.append((node.left, lo, label))
+        if node.right is not None:
+            stack.append((node.right, label, hi))
+    out.reverse()
+    return tuple(out)
 
 
 def reading_count(t: Bst) -> int:
@@ -221,7 +246,7 @@ def tree_str(t: Bst) -> str:
 
 
 def parse_tree(text: str) -> Bst:
-    """Inverse of tree_str."""
+    """Inverse of tree_str; text that is not a right-strict tree is refused."""
     s = text.strip().replace(" ", "")
     pos = 0
 
@@ -263,6 +288,8 @@ def parse_tree(text: str) -> Bst:
         expect(",")
     if pos != len(s):
         raise err("trailing input")
+    if not is_bst(sub):
+        raise ParseError(f"tree text {text!r} is not a right-strict search tree")
     return sub
 
 

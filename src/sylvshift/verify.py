@@ -64,7 +64,7 @@ def suite_oracle(rank: int = 4, maxlen: int = 6,
     for length in range(1, maxlen + 1):
         fibers: dict = {}
         for w in _all_words(rank, length):
-            fibers.setdefault(canonical_reading(psylv(w)), set()).add(w)
+            fibers.setdefault(element_of(w, rank), set()).add(w)
             words_total += 1
         for fiber in fibers.values():
             closure = rewrite_class(min(fiber), rank, budget)
@@ -274,15 +274,15 @@ def suite_monoid(rank: int = 3, maxlen: int = 4, assoc_total: int = 6) -> SuiteR
     fibers: dict = {}
     for length in range(0, maxlen + 1):
         for w in _all_words(rank, length):
-            fibers.setdefault(canonical_reading(psylv(w)), []).append(w)
+            fibers.setdefault(element_of(w, rank), []).append(w)
     classes = list(fibers.values())
     checked = 0
     for cu in classes:
         for cv in classes:
-            keys = {canonical_reading(psylv(u + v)) for u in cu for v in cv}
-            if len(keys) != 1:
+            products = {element_of(u + v, rank) for u in cu for v in cv}
+            if len(products) != 1:
                 rep.fail(f"classes of {word_str(cu[0])} and {word_str(cv[0])}: "
-                         f"{len(keys)} product trees")
+                         f"{len(products)} product trees")
             checked += 1
     rep.lines.append(f"{checked} class pairs multiply consistently")
 

@@ -2,7 +2,7 @@
 
 import itertools
 import sys
-from math import factorial, inf
+from math import factorial
 
 import pytest
 
@@ -30,18 +30,6 @@ def insert(t: Bst, a: int) -> Node:
         else:
             new = Node(parent.label, parent.left, new)
     return new
-
-
-def is_bst(t: Bst) -> bool:
-    """Structural check of the right-strict search-tree property."""
-    stack: list[tuple[Bst, float, float]] = [(t, -inf, inf)]  # window: lo < label <= hi
-    while stack:
-        node, lo, hi = stack.pop()
-        if node is not None:
-            if not lo < node.label <= hi:
-                return False
-            stack += [(node.left, lo, node.label), (node.right, node.label, hi)]
-    return True
 
 
 def psylv_by_insertion(w) -> Bst:

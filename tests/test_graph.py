@@ -4,7 +4,7 @@ from math import comb
 import networkx as nx
 import pytest
 
-from conftest import is_bst, multiset_words
+from conftest import multiset_words
 from sylvshift import graph
 from sylvshift import verify as suites
 from sylvshift.errors import CapExceededError, DisconnectedError, RankError
@@ -22,7 +22,7 @@ from sylvshift.graph import (
     trees_with_evaluation,
 )
 from sylvshift.monoid import SylvElement, element_of, evaluation_of
-from sylvshift.trees import canonical_reading, labels, psylv
+from sylvshift.trees import canonical_reading, is_bst, labels, psylv
 
 
 def test_neighbors_examples():

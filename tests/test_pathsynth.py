@@ -4,7 +4,7 @@ import pytest
 
 from conftest import standard_trees, visited_tops_by_scan
 from sylvshift import pathsynth
-from sylvshift.errors import NotStandardError, RankError
+from sylvshift.errors import NotStandardError, ParseError, RankError
 from sylvshift.graph import ShiftWitness, neighbors
 from sylvshift.monoid import SylvElement, element_of
 from sylvshift.pathsynth import (
@@ -20,7 +20,7 @@ from sylvshift.pathsynth import (
     transcript,
     verify_step_invariants,
 )
-from sylvshift.trees import canonical_reading, complete_subtree, postfix, psylv
+from sylvshift.trees import Node, canonical_reading, complete_subtree, postfix, psylv, tree_str
 from sylvshift.words import parse_word
 
 U5 = psylv(parse_word("23541"))
@@ -224,6 +224,25 @@ def test_tampered_certificates_fail():
     obj = certificate_obj(cert)
     obj["steps"][2]["x"] = "55"
     assert not certificate_from_obj(obj).verify()
+
+    # a witness symbol beyond the rank reads no element of it
+    obj = certificate_obj(cert)
+    obj["steps"][2]["x"] = "9"
+    assert not certificate_from_obj(obj).verify()
+
+    # a pre tree of another shape with the same postfix reading: the left
+    # chain of that reading breaks the search order
+    obj = certificate_obj(cert)
+    chain = None
+    for label in cert.steps[3].pre.key:
+        chain = Node(label, chain)
+    assert [label for label, _ in postfix(chain)] == list(cert.steps[3].pre.key)
+    assert tree_str(chain) != obj["steps"][3]["pre"]
+    obj["steps"][3]["pre"] = tree_str(chain)
+    with pytest.raises(ParseError):
+        certificate_from_obj(obj)
+    with pytest.raises(ValueError):
+        SylvElement(5, chain)
 
     # break the chaining
     steps = list(cert.steps)

@@ -10,18 +10,18 @@ from conftest import (
     brute_readings,
     hook_length_extensions,
     insert,
-    is_bst,
     psylv_by_insertion,
     standard_trees,
     standard_trees_by_insertion,
 )
 from sylvshift.errors import CapExceededError, LocatorError, ParseError
-from sylvshift.monoid import element_of, equivalent
+from sylvshift.monoid import SylvElement, element_of, equivalent
 from sylvshift.trees import (
     Node,
     canonical_reading,
     complete_subtree,
     infix,
+    is_bst,
     is_standard_tree,
     labels,
     node_count,
@@ -153,9 +153,44 @@ def test_tree_text_roundtrip(eq1_tree):
     assert parse_tree("_") is None
     big = psylv((1, 3, 12, 5))
     assert parse_tree(tree_str(big)) == big
-    for bad in ("", "4(", "4(1(_,_)", "4(_;_)", "x(_,_)"):
+    # the last two read like 2(1(_,_),_) and 1(1(_,_),_) in postfix order but
+    # break the search order, so no word inserts to them
+    for bad in ("", "4(", "4(1(_,_)", "4(_;_)", "x(_,_)", "2(_,1(_,_))", "1(_,1(_,_))"):
         with pytest.raises(ParseError):
             parse_tree(bad)
+
+
+def _labelled_shapes(size, symbols):
+    """Every binary tree with the given number of nodes, each node labelled
+    by any of the symbols, search order or not."""
+    if size == 0:
+        yield None
+        return
+    for left_size in range(size):
+        for left in _labelled_shapes(left_size, symbols):
+            for right in _labelled_shapes(size - 1 - left_size, symbols):
+                for label in symbols:
+                    yield Node(label, left, right)
+
+
+def test_right_strict_means_some_word_inserts_to_it():
+    inserted = {psylv_by_insertion(w)
+                for k in range(5) for w in itertools.product((1, 2, 3), repeat=k)}
+    refused = 0
+    for size in range(5):
+        for t in _labelled_shapes(size, (1, 2, 3)):
+            assert is_bst(t) == (t in inserted)
+            if is_bst(t):
+                assert psylv(canonical_reading(t)) == t
+                continue
+            refused += 1
+            with pytest.raises(ValueError):
+                canonical_reading(t)
+            with pytest.raises(ValueError):
+                SylvElement(3, t)
+            with pytest.raises(ParseError):
+                parse_tree(tree_str(t))
+    assert refused > 0
 
 
 def test_emitters_smoke(eq1_tree):
