@@ -253,6 +253,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for name in names:
         if name not in verify_mod.SUITES:
             raise SylvError(f"unknown suite {name!r}; have {', '.join(verify_mod.SUITES)}")
+        for param, least in verify_mod.LEAST_SIZES.get(name, {}).items():
+            value = getattr(args, param)
+            if value is not None and value < least:
+                flag = "--n" if param == "nmax" else f"--{param}"
+                raise SylvError(f"suite {name} has nothing to check at {flag} {value}; "
+                                f"it needs {flag} >= {least}")
     reports = [_run_suite(verify_mod.SUITES[name], args) for name in names]
     _emit("\n".join(r.render() for r in reports), args)
     return 0 if all(r.passed for r in reports) else 4

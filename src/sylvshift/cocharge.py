@@ -15,7 +15,7 @@ the cyclic shift graph.
 from __future__ import annotations
 
 from .errors import NotStandardError
-from .trees import Bst, canonical_reading, is_standard_tree, node_count
+from .trees import Bst, canonical_reading
 from .words import Word, is_standard
 
 
@@ -31,20 +31,18 @@ def cochseq_word(u: Word) -> tuple[int, ...]:
 
 
 def cochseq_tree(t: Bst) -> tuple[int, ...]:
-    """Cocharge sequence of a standard tree, via its canonical reading.
+    """Cocharge sequence of a non-empty standard tree, via its canonical reading.
 
     Every reading gives the same sequence; the tests and the
     cocharge-congruence suite check that over all readings.
     """
-    if t is None or not is_standard_tree(t):
-        raise NotStandardError("cocharge sequence needs a non-empty standard tree")
     return cochseq_word(canonical_reading(t))
 
 
 def cocharge_lower_bound(s: Bst, t: Bst) -> int:
     """Max componentwise gap of the two sequences; a cyclic-shift-distance lower bound."""
-    if node_count(s) != node_count(t):
-        raise NotStandardError("lower bound needs standard trees of equal size")
     a = cochseq_tree(s)
     b = cochseq_tree(t)
+    if len(a) != len(b):
+        raise NotStandardError("lower bound needs standard trees of equal size")
     return max(abs(x - y) for x, y in zip(a, b))

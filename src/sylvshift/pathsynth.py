@@ -6,6 +6,14 @@ traversal u_1..u_n of U: after step h, the complete subtrees of U rooted at
 the already-visited nodes that are topmost among them appear intact in T_h,
 newest at the root and the rest in order down the path of left child nodes.
 
+The first step rotates a reading of T so that u_1 becomes the root. Each
+later step h + 1 moves one complete subtree to the front: x reads the
+subtree of T_h at the next postfix node u_{h+1} of U, y reads the rest of
+T_h, and T_{h+1} = psylv(yx). A sylvester class is the set of linear
+extensions of its tree (Hivert, Novelli and Thibon, TCS 2005), so any
+reading y of the pruned tree gives the same T_{h+1}. The tags keep the
+names of the cases in which the paper's proof assembles x and y.
+
 `shift_path` walks the postfix list of U once. At each step it checks that
 the step's word pair (x, y) reads the current tree as xy, takes yx as the
 next tree, and checks the two chain invariants on it once; any violation
@@ -30,11 +38,9 @@ from .trees import (
     canonical_reading,
     complete_subtree,
     is_standard_tree,
-    labels,
     parse_tree,
     postfix,
     psylv,
-    remove_subtree,
     tree_str,
 )
 from .words import parse_word, word_str
@@ -97,16 +103,6 @@ def _matches(node: Bst, pattern: Bst) -> bool:
         if pattern.right is not None:
             pairs.append((node.right, pattern.right))
     return True
-
-
-def _spine_len(pattern: Bst, side: str) -> int:
-    k = 0
-    cur = pattern
-    while cur is not None:
-        cur = cur.left if side == "L" else cur.right
-        if cur is not None:
-            k += 1
-    return k
 
 
 def _find_loc(t: Bst, a: int) -> str | None:
@@ -185,108 +181,28 @@ def induction_step(t: Bst, target: Bst, nodes: list[tuple[int, Locator]],
                    h: int) -> tuple[ShiftWitness, str]:
     """One shift extending the chain from step h to step h+1.
 
-    Requires the step-h invariants on t; nodes is postfix(target). Locates
-    the next postfix node of target inside t, reads off the displaced
-    subtrees, and returns the witness and the sub-case actually taken.
+    Requires the step-h invariants on t; nodes is postfix(target). x reads
+    the complete subtree of t at the next postfix node u of target, and y
+    the rest of t: in the canonical reading of t that subtree is the block
+    ending at u, so x is that block and y the word around it. Returns the
+    witness and the sub-case of the step's shape.
     """
-    u_next, loc_next = nodes[h]
-    _, loc_h = nodes[h - 1]
-    case = classify_step(target, nodes, h)
-
-    bh = complete_subtree(target, loc_h)
-    if not _matches(t, bh):
-        raise InternalError(f"step {h}: newest built subtree is not at the root")
-    r_bh = canonical_reading(bh)
-    lm = "L" * _spine_len(bh, "L")  # leftmost node of the root copy of bh
-    rm = "R" * _spine_len(bh, "R")
-    left_min = complete_subtree(t, lm).left  # subtree hanging off the copy's leftmost node
-    right_max = complete_subtree(t, rm).right  # subtree hanging off its rightmost node
+    u_next, _ = nodes[h]
     u_loc = _find_loc(t, u_next)
     if u_loc is None:
         raise InternalError(f"step {h}: symbol {u_next} missing from the tree")
-    u_node = complete_subtree(t, u_loc)
-
-    if case in ("case1", "case3"):
-        r_root = rm + "R"
-        if not u_loc.startswith(r_root):
-            raise InternalError(
-                f"step {h}: next node {u_next} is not in the right-maximal subtree")
-        if u_next <= labels(bh)[-1]:
-            raise InternalError(
-                f"step {h}: next node {u_next} is not above the built subtree's labels")
-        delta = canonical_reading(remove_subtree(right_max, u_loc[len(r_root):]))
-        lam = canonical_reading(left_min)
-        if case == "case1":
-            x = canonical_reading(u_node.left) + canonical_reading(u_node.right) + (u_next,)
-            tag = "case1"
-        else:
-            if u_node.left is not None:
-                raise InternalError(f"step {h}: next node {u_next} should have no left subtree")
-            x = canonical_reading(u_node.right) + (u_next,)
-            tag = "case3"
-        y = delta + lam + r_bh
-
-    elif case == "case2":
-        bg = complete_subtree(target, loc_next).left  # older built pattern, below u_next
-        r_bg = canonical_reading(bg)
-        if not (labels(bg)[-1] + 1 == u_next == labels(bh)[0] - 1):
-            raise InternalError(
-                f"step {h}: {u_next} is not the unique value between the two built subtrees")
-        delta = canonical_reading(right_max)
-        lslot = lm + "L"
-        if u_loc == lslot:
-            # next node sits on the left spine, directly between the two patterns
-            g_root = u_loc + "L"
-            if not _matches(u_node.left, bg):
-                raise InternalError(
-                    f"step {h}: expected the older built subtree directly below {u_next}")
-            lam = canonical_reading(complete_subtree(t, g_root + "L" * _spine_len(bg, "L")).left)
-            x = lam + r_bg + (u_next,)
-            y = delta + r_bh
-            tag = "case2a"
-        else:
-            # patterns adjacent on the spine; next node hangs off the older one's right
-            g_root = lslot
-            if not _matches(left_min, bg):
-                raise InternalError(
-                    f"step {h}: expected the older built subtree directly below the newest one")
-            if u_loc != g_root + "R" * _spine_len(bg, "R") + "R":
-                raise InternalError(
-                    f"step {h}: {u_next} is not the right-maximal subtree of the older pattern")
-            if u_node.left is not None or u_node.right is not None:
-                raise InternalError(
-                    f"step {h}: right-maximal subtree at {u_next} is not a single node")
-            lam = canonical_reading(complete_subtree(t, g_root + "L" * _spine_len(bg, "L")).left)
-            x = (u_next,)
-            y = lam + r_bg + delta + r_bh
-            tag = "case2b"
-
-    else:  # case4
-        lslot = lm + "L"
-        if not u_loc.startswith(lslot):
-            raise InternalError(
-                f"step {h}: next node {u_next} is not in the left-minimal subtree")
-        if u_next != labels(bh)[0] - 1:
-            raise InternalError(
-                f"step {h}: {u_next} is not the value just below the built subtree")
-        rel = u_loc[len(lslot):]
-        if u_node.right is not None:
-            raise InternalError(f"step {h}: next node {u_next} should have no right subtree")
-        delta = canonical_reading(right_max)
-        if rel == "":
-            x = canonical_reading(u_node.left) + (u_next,)
-            y = delta + r_bh
-            tag = "case4a"
-        else:
-            if set(rel) != {"R"}:
-                raise InternalError(
-                    f"step {h}: {u_next} is not the maximum of the left-minimal subtree")
-            lam = canonical_reading(remove_subtree(left_min, rel))
-            x = canonical_reading(u_node.left) + (u_next,)
-            y = lam + delta + r_bh
-            tag = "case4b"
-
-    return ShiftWitness(x, y), tag
+    w = canonical_reading(t)
+    x = canonical_reading(complete_subtree(t, u_loc))
+    end = w.index(u_next) + 1
+    tag = classify_step(target, nodes, h)
+    if tag in ("case2", "case4"):
+        # sub-case a: u is the left child of the leftmost node of B_h's copy at the root
+        slot = "L"
+        cur = complete_subtree(target, nodes[h - 1][1])
+        while cur.left is not None:
+            cur, slot = cur.left, slot + "L"
+        tag += "a" if u_loc == slot else "b"
+    return ShiftWitness(x, w[: end - len(x)] + w[end:]), tag
 
 
 def shift_path(start: SylvElement, target: SylvElement) -> PathCertificate:

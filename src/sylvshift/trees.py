@@ -26,6 +26,10 @@ class Node:
     left: Optional["Node"] = None
     right: Optional["Node"] = None
 
+    def __repr__(self) -> str:
+        # the dataclass repr recurses; tree_str walks on an explicit stack
+        return f"<Node {tree_str(self)}>"
+
 
 Bst = Optional[Node]
 Locator = str
@@ -215,20 +219,6 @@ def complete_subtree(t: Bst, x: Locator) -> Bst:
     if cur is None and x:
         raise LocatorError(f"locator {x!r} addresses an empty slot")
     return cur
-
-
-def remove_subtree(t: Bst, x: Locator) -> Bst:
-    """t with the complete subtree at x pruned (empties the whole tree for x='')."""
-    complete_subtree(t, x)  # validate
-    path: list[Node] = []
-    cur = t
-    for step in x:
-        path.append(cur)
-        cur = cur.left if step == "L" else cur.right
-    new: Bst = None
-    for node, step in zip(reversed(path), reversed(x)):
-        new = Node(node.label, new, node.right) if step == "L" else Node(node.label, node.left, new)
-    return new
 
 
 def tree_str(t: Bst) -> str:

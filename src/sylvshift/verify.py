@@ -307,6 +307,19 @@ def suite_monoid(rank: int = 3, maxlen: int = 4, assoc_total: int = 6) -> SuiteR
     return rep
 
 
+# The least value of each size parameter at which a suite checks anything;
+# below it the suite would report PASS over nothing.
+LEAST_SIZES = {
+    "oracle": {"rank": 1, "maxlen": 1},
+    "cocharge-congruence": {"nmax": 1},
+    "cocharge-shift": {"maxlen": 1},
+    "connectivity": {"rank": 1},
+    "diameter-bounds": {"nmax": 2},
+    "distance-lower-bound": {"nmax": 2},
+    "path": {"nmax": 1},
+    "induced-subgraph": {"nmax": 2},
+}
+
 SUITES = {
     "oracle": suite_oracle,
     "cocharge-congruence": suite_cocharge_congruence,

@@ -6,7 +6,11 @@ from math import factorial
 
 import pytest
 
-from sylvshift.trees import Bst, Node, node_count, psylv
+from sylvshift import pathsynth
+from sylvshift.errors import InternalError
+from sylvshift.graph import ShiftWitness
+from sylvshift.trees import (Bst, Locator, Node, canonical_reading, complete_subtree, labels,
+                             node_count, postfix, psylv)
 
 # The 10-node tree used across the golden tests, spelled out by hand:
 # root 4; left 2(left 1(left 1), right 4); right 5(left 5(left 5),
@@ -49,8 +53,6 @@ def multiset_words(symbols) -> set[tuple[int, ...]]:
 def brute_readings(t: Bst) -> set[tuple[int, ...]]:
     """Readings computed straight from the definition: every arrangement of
     the labels whose insertion reproduces the tree."""
-    from sylvshift.trees import labels
-
     return {w for w in multiset_words(labels(t)) if psylv(w) == t}
 
 
@@ -77,8 +79,6 @@ def standard_trees(n: int) -> list[Bst]:
 
 def standard_trees_by_insertion(n: int) -> list[Bst]:
     """Standard trees straight from the definition: insert every permutation."""
-    from sylvshift.trees import canonical_reading
-
     return sorted({psylv(p) for p in itertools.permutations(range(1, n + 1))},
                   key=canonical_reading)
 
@@ -87,12 +87,145 @@ def visited_tops_by_scan(target: Bst, h: int) -> list[tuple[int, int, str]]:
     """Topmost nodes among the first h in postfix order, by comparing every
     visited locator with every other: the node is topmost iff no other
     visited locator is a proper prefix of its own."""
-    from sylvshift.trees import postfix
-
     visited = postfix(target)[:h]
     locs = [loc for _, loc in visited]
     return [(i + 1, lab, loc) for i, (lab, loc) in enumerate(visited)
             if not any(other != loc and loc.startswith(other) for other in locs)]
+
+
+def remove_subtree(t: Bst, x: Locator) -> Bst:
+    """t with the complete subtree at x pruned (empties the whole tree for x='')."""
+    complete_subtree(t, x)  # validate
+    path: list[Node] = []
+    cur = t
+    for step in x:
+        path.append(cur)
+        cur = cur.left if step == "L" else cur.right
+    new: Bst = None
+    for node, step in zip(reversed(path), reversed(x)):
+        new = Node(node.label, new, node.right) if step == "L" else Node(node.label, node.left, new)
+    return new
+
+
+def _spine_len(pattern: Bst, side: str) -> int:
+    k = 0
+    cur = pattern
+    while cur is not None:
+        cur = cur.left if side == "L" else cur.right
+        if cur is not None:
+            k += 1
+    return k
+
+
+def induction_step_by_cases(t: Bst, target: Bst, nodes, h: int) -> tuple[ShiftWitness, str]:
+    """One shift from step h to step h+1, assembled piece by piece as in the
+    paper's proof of the upper bound: the four step shapes split into six
+    sub-cases, and each piece is read only after the lemma that places it
+    is checked (InternalError otherwise).
+
+    Requires the step-h invariants on t; nodes is postfix(target). Returns
+    the witness and the sub-case taken. The library's `induction_step`
+    moves the same x, the complete subtree at the next node, to the front;
+    this y may list the rest of t in another order, but reads the same tree.
+    """
+    u_next, loc_next = nodes[h]
+    _, loc_h = nodes[h - 1]
+    case = pathsynth.classify_step(target, nodes, h)
+
+    bh = complete_subtree(target, loc_h)
+    if not pathsynth._matches(t, bh):
+        raise InternalError(f"step {h}: newest built subtree is not at the root")
+    r_bh = canonical_reading(bh)
+    lm = "L" * _spine_len(bh, "L")  # leftmost node of the root copy of bh
+    rm = "R" * _spine_len(bh, "R")
+    left_min = complete_subtree(t, lm).left  # subtree hanging off the copy's leftmost node
+    right_max = complete_subtree(t, rm).right  # subtree hanging off its rightmost node
+    u_loc = pathsynth._find_loc(t, u_next)
+    if u_loc is None:
+        raise InternalError(f"step {h}: symbol {u_next} missing from the tree")
+    u_node = complete_subtree(t, u_loc)
+
+    if case in ("case1", "case3"):
+        r_root = rm + "R"
+        if not u_loc.startswith(r_root):
+            raise InternalError(
+                f"step {h}: next node {u_next} is not in the right-maximal subtree")
+        if u_next <= labels(bh)[-1]:
+            raise InternalError(
+                f"step {h}: next node {u_next} is not above the built subtree's labels")
+        delta = canonical_reading(remove_subtree(right_max, u_loc[len(r_root):]))
+        lam = canonical_reading(left_min)
+        if case == "case1":
+            x = canonical_reading(u_node.left) + canonical_reading(u_node.right) + (u_next,)
+            tag = "case1"
+        else:
+            if u_node.left is not None:
+                raise InternalError(f"step {h}: next node {u_next} should have no left subtree")
+            x = canonical_reading(u_node.right) + (u_next,)
+            tag = "case3"
+        y = delta + lam + r_bh
+
+    elif case == "case2":
+        bg = complete_subtree(target, loc_next).left  # older built pattern, below u_next
+        r_bg = canonical_reading(bg)
+        if not (labels(bg)[-1] + 1 == u_next == labels(bh)[0] - 1):
+            raise InternalError(
+                f"step {h}: {u_next} is not the unique value between the two built subtrees")
+        delta = canonical_reading(right_max)
+        lslot = lm + "L"
+        if u_loc == lslot:
+            # next node sits on the left spine, directly between the two patterns
+            g_root = u_loc + "L"
+            if not pathsynth._matches(u_node.left, bg):
+                raise InternalError(
+                    f"step {h}: expected the older built subtree directly below {u_next}")
+            lam = canonical_reading(complete_subtree(t, g_root + "L" * _spine_len(bg, "L")).left)
+            x = lam + r_bg + (u_next,)
+            y = delta + r_bh
+            tag = "case2a"
+        else:
+            # patterns adjacent on the spine; next node hangs off the older one's right
+            g_root = lslot
+            if not pathsynth._matches(left_min, bg):
+                raise InternalError(
+                    f"step {h}: expected the older built subtree directly below the newest one")
+            if u_loc != g_root + "R" * _spine_len(bg, "R") + "R":
+                raise InternalError(
+                    f"step {h}: {u_next} is not the right-maximal subtree of the older pattern")
+            if u_node.left is not None or u_node.right is not None:
+                raise InternalError(
+                    f"step {h}: right-maximal subtree at {u_next} is not a single node")
+            lam = canonical_reading(complete_subtree(t, g_root + "L" * _spine_len(bg, "L")).left)
+            x = (u_next,)
+            y = lam + r_bg + delta + r_bh
+            tag = "case2b"
+
+    else:  # case4
+        lslot = lm + "L"
+        if not u_loc.startswith(lslot):
+            raise InternalError(
+                f"step {h}: next node {u_next} is not in the left-minimal subtree")
+        if u_next != labels(bh)[0] - 1:
+            raise InternalError(
+                f"step {h}: {u_next} is not the value just below the built subtree")
+        rel = u_loc[len(lslot):]
+        if u_node.right is not None:
+            raise InternalError(f"step {h}: next node {u_next} should have no right subtree")
+        delta = canonical_reading(right_max)
+        if rel == "":
+            x = canonical_reading(u_node.left) + (u_next,)
+            y = delta + r_bh
+            tag = "case4a"
+        else:
+            if set(rel) != {"R"}:
+                raise InternalError(
+                    f"step {h}: {u_next} is not the maximum of the left-minimal subtree")
+            lam = canonical_reading(remove_subtree(left_min, rel))
+            x = canonical_reading(u_node.left) + (u_next,)
+            y = lam + delta + r_bh
+            tag = "case4b"
+
+    return ShiftWitness(x, y), tag
 
 
 @pytest.fixture

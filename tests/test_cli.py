@@ -160,6 +160,25 @@ def test_exit_codes(capsys):
         assert exc.value.code == 2
     assert "expected an integer >= 0" in capsys.readouterr().err
 
+    # a suite whose size flag leaves it nothing to check fails instead of passing
+    for suite, flag, value in (("diameter-bounds", "--n", "1"),
+                               ("distance-lower-bound", "--n", "1"),
+                               ("induced-subgraph", "--n", "1"),
+                               ("path", "--n", "0"),
+                               ("cocharge-congruence", "--n", "0"),
+                               ("oracle", "--maxlen", "0"),
+                               ("oracle", "--rank", "0"),
+                               ("cocharge-shift", "--maxlen", "0"),
+                               ("connectivity", "--rank", "0"),
+                               ("all", "--n", "1")):
+        code, out, err = run(capsys, "verify", suite, flag, value)
+        assert code == 2 and out == "" and f"at {flag} {value}" in err
+        assert suite == "all" or f"suite {suite} " in err
+    for suite, flag in (("connectivity", "--maxlen"), ("monoid", "--rank"),
+                        ("monoid", "--maxlen")):
+        code, out, _ = run(capsys, "verify", suite, flag, "0")
+        assert code == 0 and out.startswith(f"PASS {suite}")
+
     for command in ("component", "diameter"):
         for argv in ([command, "-n", "2"], [command, "-n", "2", "--eval", "1,1", "--standard"]):
             with pytest.raises(SystemExit) as exc:

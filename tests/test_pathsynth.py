@@ -1,10 +1,12 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import standard_trees, visited_tops_by_scan
+from conftest import induction_step_by_cases, standard_trees, visited_tops_by_scan
 from sylvshift import pathsynth
-from sylvshift.errors import NotStandardError, ParseError, RankError
+from sylvshift.errors import InternalError, NotStandardError, ParseError, RankError
 from sylvshift.graph import ShiftWitness, neighbors
 from sylvshift.monoid import SylvElement, element_of
 from sylvshift.pathsynth import (
@@ -49,27 +51,50 @@ def record_tops(monkeypatch):
     return log
 
 
+def case_oracle_disagreements(cert, target) -> list[str]:
+    """Steps of cert where the proof's case-by-case construction, run on the
+    step's pre tree, raises a lemma error, or gives another tag, another x,
+    or a y that reads another element."""
+    nodes = postfix(target.tree)
+    out = []
+    for h, step in enumerate(cert.steps[1:], start=1):
+        try:
+            wit, tag = induction_step_by_cases(step.pre.tree, target.tree, nodes, h)
+        except InternalError as exc:
+            out.append(f"step {h}: {exc}")
+            continue
+        same_y = element_of(wit.y, target.rank) == element_of(step.witness.y, target.rank)
+        if (tag, wit.x) != (step.case_tag, step.witness.x) or not same_y:
+            out.append(f"step {h}: cases give {tag} {wit.x} {wit.y}, the library "
+                       f"{step.case_tag} {step.witness.x} {step.witness.y}")
+    return out
+
+
 @pytest.fixture(scope="module")
 def paths_through_n6():
     """shift_path on every ordered standard pair with n <= 6, run once: the
-    case tags seen, the pairs whose path missed its target, and the pairs
-    whose stack of topmost visited nodes left the scan oracle at some step."""
+    case tags seen, the pairs whose path missed its target, the pairs whose
+    stack of topmost visited nodes left the scan oracle at some step, and the
+    steps where the case-by-case oracle disagrees with the library."""
     with pytest.MonkeyPatch.context() as mp:
         log = record_tops(mp)
-        seen, missed, stack_mismatches = set(), [], []
+        seen, missed, stack_mismatches, case_mismatches = set(), [], [], []
         for n in range(1, 7):
             trees = standard_trees(n)
             for u in trees:
                 oracle = [scan_tops(u, h) for h in range(1, n + 1)]
+                target = SylvElement(n, u)
                 for t in trees:
                     log.clear()
-                    cert = shift_path(SylvElement(n, t), SylvElement(n, u))
+                    cert = shift_path(SylvElement(n, t), target)
                     seen.update(s.case_tag for s in cert.steps)
                     if cert.steps[-1].post.tree != u:
                         missed.append((t, u))
                     if log != oracle:
                         stack_mismatches.append((t, u))
-    return seen, missed, stack_mismatches
+                    case_mismatches += [(tree_str(t), tree_str(u), d)
+                                        for d in case_oracle_disagreements(cert, target)]
+    return seen, missed, stack_mismatches, case_mismatches
 
 
 def test_classify_steps_of_worked_example():
@@ -99,8 +124,26 @@ def test_visited_tops(monkeypatch):
 
 
 def test_visited_tops_matches_scan_oracle(paths_through_n6):
-    _, _, stack_mismatches = paths_through_n6
+    _, _, stack_mismatches, _ = paths_through_n6
     assert stack_mismatches == []
+
+
+def test_induction_steps_match_case_oracle(paths_through_n6):
+    _, _, _, case_mismatches = paths_through_n6
+    assert case_mismatches == []
+
+
+@st.composite
+def standard_pairs(draw):
+    n = draw(st.integers(7, 40))
+    return [element_of(tuple(draw(st.permutations(range(1, n + 1)))), n) for _ in range(2)]
+
+
+@given(standard_pairs())
+def test_induction_steps_match_case_oracle_beyond_n6(pair):
+    source, target = pair
+    cert = shift_path(source, target)
+    assert case_oracle_disagreements(cert, target) == []
 
 
 def test_base_step_examples():
@@ -118,9 +161,12 @@ def test_base_step_examples():
 
 
 def test_induction_steps_match_worked_example():
+    # y is the canonical reading of T_h with x's block taken out. At step 2
+    # the proof's pieces give y = 4123 instead; both read the same pruned
+    # tree, so T_3 is the same.
     expected = [
         ((5, 4, 3), (1, 2), "case3"),
-        ((5,), (4, 1, 2, 3), "case1"),
+        ((5,), (1, 2, 4, 3), "case1"),
         ((4,), (1, 2, 3, 5), "case2b"),
         ((1,), (2, 3, 5, 4), "case4a"),
     ]
@@ -178,7 +224,7 @@ def test_shift_path_exhaustive_small():
 
 
 def test_case_coverage_through_n6(paths_through_n6):
-    seen, missed, _ = paths_through_n6
+    seen, missed, _, _ = paths_through_n6
     assert missed == []
     assert seen == set(CASE_TAGS)
 

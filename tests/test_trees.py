@@ -11,6 +11,7 @@ from conftest import (
     hook_length_extensions,
     insert,
     psylv_by_insertion,
+    remove_subtree,
     standard_trees,
     standard_trees_by_insertion,
 )
@@ -30,7 +31,6 @@ from sylvshift.trees import (
     psylv,
     reading_count,
     readings,
-    remove_subtree,
     tree_art,
     tree_dot,
     tree_str,
@@ -241,6 +241,7 @@ def test_chains_of_1e5_nodes_need_no_recursion(default_recursion_limit, w):
     assert is_bst(t)
     assert reading_count(t) == 1
     assert node_count(parse_tree(tree_str(t))) == n
+    assert repr(t) == f"<Node {tree_str(t)}>"
     a, b = element_of(tuple(w), n), element_of(tuple(w), n)
     assert a.tree is not b.tree
     assert a == b and hash(a) == hash(b)
