@@ -1,9 +1,13 @@
 """Cyclic shift graphs restricted to one evaluation class.
 
 Two elements are adjacent when one factors as x*y and the other as y*x.
-Working over words: every neighbor of s arises by splitting some reading of
-s at some point and swapping the halves. All neighbors share s's
-evaluation, so each evaluation class spans a (conjecturally connected)
+Over words: split a reading of s as xy and insert yx. The nodes that y
+reads are closed upwards (the root and some of its descendants, or
+nothing), and x is a linear extension of the forest left below them. The
+relation is a congruence, so `neighbor_keys` takes each such y once and
+each sylvester class of x once, not every reading at every split, and
+reads the neighbor's key without building its tree. All neighbors share
+s's evaluation, so each evaluation class spans a (conjecturally connected)
 finite subgraph that can be searched exhaustively at desk scale.
 """
 
@@ -11,11 +15,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb
 
 from .errors import CapExceededError, DisconnectedError, RankError
 from .monoid import SylvElement
-from .trees import MAX_READINGS, Bst, Node, psylv, readings, tree_str
+from .trees import (MAX_READINGS, Bst, Node, child_sizes, psylv, psylv_key, reading_count,
+                    tree_str)
 from .words import Word, word_str
 
 MAX_VERTICES = 20_000
@@ -41,59 +47,154 @@ class ShiftWitness:
         return ShiftWitness(self.y, self.x)
 
 
-def neighbors(s: SylvElement, cap: int = MAX_READINGS) -> dict[SylvElement, ShiftWitness]:
-    """Every element one cyclic shift away from s (s itself included), with one witness each."""
-    out: dict[SylvElement, ShiftWitness] = {}
-    for w in sorted(readings(s.tree, cap)):
-        for k in range(len(w) + 1):
-            x, y = w[:k], w[k:]
-            t = SylvElement(s.rank, psylv(y + x))
-            if t not in out:
-                out[t] = ShiftWitness(x, y)
+def _fold(state, parts, combine, memo: dict):
+    """Fold a state that splits into (label, left state, right state) parts.
+
+    memo maps every state folded so far to its value; the caller seeds it
+    with the empty state. An explicit stack stands in for recursion, so
+    states nest to any depth.
+    """
+    pending: dict = {}
+    stack = [state]
+    while stack:
+        top = stack[-1]
+        if top in memo:
+            stack.pop()
+            continue
+        if top not in pending:
+            pending[top] = ps = parts(top)
+            todo = [sub for _, left, right in ps for sub in (left, right) if sub not in memo]
+            if todo:
+                stack.extend(todo)
+                continue
+        stack.pop()
+        memo[top] = combine([(v, memo[left], memo[right]) for v, left, right in pending.pop(top)])
+    return memo[state]
+
+
+def neighbor_keys(s: SylvElement, cap: int = MAX_READINGS) -> dict[Word, ShiftWitness]:
+    """The key of every element one cyclic shift away from s (s itself
+    included), with one witness each.
+
+    A split xy of a reading of s puts an up-closed set U of nodes in y and
+    the forest F of complete subtrees below U in x. The relation is a
+    congruence, so the neighbor psylv(yx) depends only on U and the class
+    of x among the linear extensions of F. A class's last letter is the
+    label v of some root r of F; the rest of F splits into its labels <= v
+    and > v. Two disjoint complete subtrees of s have disjoint label
+    ranges, so each other tree of F falls wholly on one side, as do r's
+    two subtrees, and no order ties the sides together. The classes of F
+    are therefore the trees r(left class, right class), all distinct, and
+    the canonical reading of each is itself an x for it. Nodes are numbered
+    in postfix order, so a complete subtree is a range of bits and F a
+    bitmask; the classes of each F are memoized for the call.
+
+    Raises CapExceededError before any work when s has more than cap
+    readings; the (U, class) pairs tried never outnumber readings x splits.
+    """
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    if reading_count(s.tree) > cap:
+        raise CapExceededError("readings", cap)
+    lab = s.key
+    n = len(lab)
+    # first[p]: the lowest postfix index in p's subtree, which spans first[p]..p
+    first = [p - l - r for p, (l, r) in enumerate(child_sizes(s.tree))]
+    at_most: dict[int, int] = {}  # label v -> bitmask of the nodes labelled <= v
+    mask = 0
+    for p in sorted(range(n), key=lab.__getitem__):
+        mask |= 1 << p
+        at_most[lab[p]] = mask
+
+    def parts(forest: int):
+        out = []
+        rest = forest
+        while rest:
+            r = rest.bit_length() - 1  # the highest node left is a root
+            rest &= (1 << first[r]) - 1
+            below = forest & ~(1 << r)
+            low = below & at_most[lab[r]]
+            out.append((lab[r], low, below ^ low))
+        return out
+
+    def combine(ps):
+        return [kl + kr + (v,) for v, lows, highs in ps for kl in lows for kr in highs]
+
+    classes: dict[int, list[Word]] = {0: [()]}
+    out: dict[Word, ShiftWitness] = {}
+    # Closure walk down the postfix order: a node whose parent is in U
+    # either joins U or gives F its whole subtree, a range of bits.
+    stack = [(n - 1, 0)]  # (next node, F so far)
+    while stack:
+        p, forest = stack.pop()
+        if p >= 0:
+            stack.append((p - 1, forest))
+            stack.append((first[p] - 1, forest | (1 << p + 1) - (1 << first[p])))
+            continue
+        y = tuple(lab[q] for q in range(n) if not forest >> q & 1)
+        for x in _fold(forest, parts, combine, classes):
+            key = psylv_key(y + x)
+            if key not in out:
+                out[key] = ShiftWitness(x, y)
     return out
 
 
-def _fold_trees(e: tuple[int, ...], empty, combine):
-    """Fold the right-strict trees with evaluation e without listing them first.
-
-    A multiset ((value, count), ...) folds to combine([(root value, fold of
-    the left multiset, fold of the right multiset), ...]) over its root
-    values. Equal values go left, so the root's value splits the multiset
-    deterministically and no tree arises twice. The memo lives for one call,
-    and an explicit stack stands in for recursion, so any number of symbols folds.
-    """
-
-    def splits(items):
-        return [(v, items[:i] + (((v, c - 1),) if c > 1 else ()), items[i + 1 :])
-                for i, (v, c) in enumerate(items)]
-
-    root = tuple((i + 1, c) for i, c in enumerate(e) if c > 0)
-    memo = {(): empty}
-    stack = [root]
-    while stack:
-        items = stack[-1]
-        if items in memo:
-            stack.pop()
-            continue
-        parts = splits(items)
-        todo = [s for _, left, right in parts for s in (left, right) if s not in memo]
-        if todo:
-            stack.extend(todo)
-        else:
-            stack.pop()
-            memo[items] = combine([(v, memo[left], memo[right]) for v, left, right in parts])
-    return memo[root]
+def neighbors(s: SylvElement, cap: int = MAX_READINGS) -> dict[SylvElement, ShiftWitness]:
+    """Every element one cyclic shift away from s (s itself included), with one witness each."""
+    return {SylvElement(s.rank, psylv(key)): wit for key, wit in neighbor_keys(s, cap).items()}
 
 
 def tree_count(e: tuple[int, ...]) -> int:
-    """len(trees_with_evaluation(e)), computed without building any tree."""
-    return _fold_trees(e, 1, lambda parts: sum(left * right for _, left, right in parts))
+    """len(trees_with_evaluation(e)), computed without building any tree.
+
+    Read in order, a tree with evaluation e is a binary tree on the sorted
+    word whose node j has no right child whenever letter j + 1 repeats
+    letter j (a right subtree holds only larger labels), and every such
+    binary tree is one. The stack build of `trees.psylv`, run in order,
+    leaves node j without a right child exactly when node j + 1 pops at
+    least one entry. So count the pop sequences by stack height:
+    O(len(word)^2) additions.
+    """
+    word = [v for v, c in enumerate(e) for _ in range(c)]
+    ways = [1]  # ways[h]: pop sequences so far that leave h entries on the stack
+    for j, v in enumerate(word):
+        above = list(accumulate(reversed(ways)))[::-1]  # above[h] = sum(ways[h:])
+        ways = [0] + (above[1:] if j and word[j - 1] == v else above)
+    return sum(ways)
 
 
 def trees_with_evaluation(e: tuple[int, ...]) -> list[Bst]:
-    return list(_fold_trees(e, (None,), lambda parts: tuple(
-        Node(v, left, right) for v, lefts, rights in parts
-        for left in lefts for right in rights)))
+    """Every right-strict tree with evaluation e, each once.
+
+    A multiset's trees are Node(v, left tree, right tree) over its root
+    values v. Equal values go left, so v splits the multiset
+    deterministically and no tree arises twice. Every multiset met is a
+    run of e's nonzero values, all at full count but the last: the state
+    (first index, last index, count of the last value) names it, and None
+    the empty multiset.
+    """
+    values = [(i + 1, c) for i, c in enumerate(e) if c > 0]
+
+    def parts(state):
+        a, b, last = state
+        out = []
+        for i in range(a, b + 1):
+            v, c = values[i]
+            if i == b:
+                c = last
+            if c > 1:
+                low = (a, i, c - 1)
+            else:
+                low = (a, i - 1, values[i - 1][1]) if i > a else None
+            out.append((v, low, (i + 1, b, last) if i < b else None))
+        return out
+
+    def combine(ps):
+        return [Node(v, left, right) for v, lefts, rights in ps
+                for left in lefts for right in rights]
+
+    root = (0, len(values) - 1, values[-1][1]) if values else None
+    return _fold(root, parts, combine, {None: [None]})
 
 
 class ComponentGraph:
@@ -160,12 +261,12 @@ def component(e: tuple[int, ...], n: int, max_vertices: int = MAX_VERTICES,
         raise CapExceededError("component vertices", max_vertices)
     vertices = sorted((SylvElement(n, t) for t in trees_with_evaluation(e)),
                       key=lambda s: s.key)
-    index = {v: i for i, v in enumerate(vertices)}
+    index = {v.key: i for i, v in enumerate(vertices)}
     adj: list[set[int]] = [set() for _ in vertices]
     witnesses: dict[tuple[int, int], ShiftWitness] = {}
     for i, s in enumerate(vertices):
-        for t, wit in neighbors(s, max_readings).items():
-            j = index[t]
+        for key, wit in neighbor_keys(s, max_readings).items():
+            j = index[key]
             if i == j:
                 continue
             adj[i].add(j)

@@ -58,6 +58,21 @@ def psylv(w: Iterable[int]) -> Bst:
     return left
 
 
+def psylv_key(w: Word) -> Word:
+    """canonical_reading(psylv(w)) without building a node: psylv's sort
+    and stack, keeping each label as it is popped. A node is popped once
+    its subtree is complete and before anything outside it, so the pops
+    come in postfix order."""
+    out: list[int] = []
+    spine: list[int] = []  # open right spine, positions increasing upwards
+    for i in sorted(range(len(w)), key=w.__getitem__):
+        while spine and spine[-1] < i:
+            out.append(w[spine.pop()])
+        spine.append(i)
+    out += map(w.__getitem__, reversed(spine))  # the sentinel pops the rest
+    return tuple(out)
+
+
 def _postorder(t: Bst) -> list[Node]:
     """Every node after its descendants, left subtree first: the reverse of
     the root, right, left preorder."""
@@ -160,6 +175,18 @@ def canonical_reading(t: Bst) -> Word:
     return tuple(out)
 
 
+def child_sizes(t: Bst) -> list[tuple[int, int]]:
+    """The sizes of every node's left and right subtrees, in postfix order."""
+    out: list[tuple[int, int]] = []
+    sizes: list[int] = []  # sizes of the finished subtrees, in postfix order
+    for node in _postorder(t):
+        r = sizes.pop() if node.right is not None else 0
+        l = sizes.pop() if node.left is not None else 0
+        out.append((l, r))
+        sizes.append(l + r + 1)
+    return out
+
+
 def reading_count(t: Bst) -> int:
     """Number of readings: each node interleaves the readings of its two
     subtrees in C(l + r, l) ways, l and r their sizes. The product over all
@@ -171,12 +198,8 @@ def reading_count(t: Bst) -> int:
     node orders always spell distinct words.
     """
     count = 1
-    sizes: list[int] = []  # sizes of the finished subtrees, in postfix order
-    for node in _postorder(t):
-        r = sizes.pop() if node.right is not None else 0
-        l = sizes.pop() if node.left is not None else 0
+    for l, r in child_sizes(t):
         count *= comb(l + r, l)
-        sizes.append(l + r + 1)
     return count
 
 

@@ -303,7 +303,7 @@ def suite_monoid(rank: int = 3, maxlen: int = 4, assoc_total: int = 6) -> SuiteR
                     rep.fail("associativity broke on "
                              f"{tree_str(a.tree)}, {tree_str(b.tree)}, {tree_str(c.tree)}")
                 triples += 1
-    rep.lines.append(f"{triples} triples associate")
+    rep.lines.append(f"{triples} triples of total length <= {assoc_total} associate")
     return rep
 
 

@@ -9,8 +9,9 @@ import pytest
 from sylvshift import pathsynth
 from sylvshift.errors import InternalError
 from sylvshift.graph import ShiftWitness
+from sylvshift.monoid import SylvElement
 from sylvshift.trees import (Bst, Locator, Node, canonical_reading, complete_subtree, labels,
-                             node_count, postfix, psylv)
+                             node_count, postfix, psylv, readings)
 
 # The 10-node tree used across the golden tests, spelled out by hand:
 # root 4; left 2(left 1(left 1), right 4); right 5(left 5(left 5),
@@ -54,6 +55,18 @@ def brute_readings(t: Bst) -> set[tuple[int, ...]]:
     """Readings computed straight from the definition: every arrangement of
     the labels whose insertion reproduces the tree."""
     return {w for w in multiset_words(labels(t)) if psylv(w) == t}
+
+
+def neighbors_by_readings(s: SylvElement) -> dict[SylvElement, ShiftWitness]:
+    """Neighbors straight from the definition: every split xy of every
+    reading of s, swapped and inserted."""
+    out: dict[SylvElement, ShiftWitness] = {}
+    for w in sorted(readings(s.tree)):
+        for k in range(len(w) + 1):
+            t = SylvElement(s.rank, psylv(w[k:] + w[:k]))
+            if t not in out:
+                out[t] = ShiftWitness(w[:k], w[k:])
+    return out
 
 
 def hook_length_extensions(t: Bst) -> int:

@@ -262,3 +262,11 @@ def test_each_command_takes_only_the_shared_flags_it_reads(capsys):
 
     code, out, _ = run(capsys, "verify", "monoid", "--rank", "2", "--maxlen", "2")
     assert code == 0 and out.startswith("PASS monoid(rank=2, len<=2): ")
+
+
+def test_verify_monoid_states_its_associativity_range(capsys):
+    # --maxlen bounds the class pairs only; the triples run to total length 6
+    code, out, _ = run(capsys, "verify", "monoid", "--rank", "2", "--maxlen", "0")
+    assert code == 0
+    assert out == ("PASS monoid(rank=2, len<=0): 1 class pairs multiply consistently; "
+                   "2050 triples of total length <= 6 associate\n")

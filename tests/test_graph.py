@@ -3,8 +3,10 @@ from math import comb
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import multiset_words
+from conftest import multiset_words, neighbors_by_readings, standard_trees
 from sylvshift import graph
 from sylvshift import verify as suites
 from sylvshift.errors import CapExceededError, DisconnectedError, RankError
@@ -22,7 +24,11 @@ from sylvshift.graph import (
     trees_with_evaluation,
 )
 from sylvshift.monoid import SylvElement, element_of, evaluation_of
-from sylvshift.trees import canonical_reading, is_bst, labels, psylv
+from sylvshift.trees import canonical_reading, is_bst, labels, psylv, psylv_key, reading_count
+
+# Evaluation classes with repeated symbols whose every tree is checked
+# against the readings oracle, next to every standard tree with n <= 7.
+ORACLE_CLASSES = [(2, 1, 2, 1, 2), (3, 3), (2, 2, 2), (1, 3, 1, 2), (4, 1, 1), (2, 2, 2, 2)]
 
 
 def test_neighbors_examples():
@@ -41,6 +47,31 @@ def test_neighbors_witnesses_validate():
     s = element_of((1, 3, 2, 5, 4), 5)
     for t, wit in neighbors(s).items():
         assert wit.validates(s, t)
+
+
+def check_against_oracle(s):
+    got = neighbors(s)
+    assert set(got) == set(neighbors_by_readings(s))
+    for t, wit in got.items():
+        assert wit.validates(s, t)
+
+
+def test_neighbors_match_readings_oracle(monkeypatch):
+    tried = []
+    monkeypatch.setattr(graph, "psylv_key", lambda w: tried.append(w) or psylv_key(w))
+    cases = [(n, t) for n in range(8) for t in standard_trees(n)]
+    cases += [(len(e), t) for e in ORACLE_CLASSES for t in trees_with_evaluation(e)]
+    for n, t in cases:
+        tried.clear()
+        check_against_oracle(SylvElement(n, t))
+        # each word tried is yx for a distinct reading xy of t and split
+        assert 0 < len(tried) <= reading_count(t) * (len(canonical_reading(t)) + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 5), max_size=9).map(tuple))
+def test_neighbors_match_readings_oracle_sampled(w):
+    check_against_oracle(element_of(w, 5))
 
 
 def test_neighbors_symmetric_and_evaluation_preserving():
@@ -109,6 +140,11 @@ def test_component_edges_match_word_bruteforce():
         assert set(g.witnesses) == brute
 
 
+def test_standard_component_n8_golden():
+    g = component((1,) * 8, 8)
+    assert (len(g.vertices), g.edge_count(), g.connected) == (1430, 29444, True)
+
+
 def test_component_validates_input():
     with pytest.raises(RankError):
         component((1, 1), 3)
@@ -131,7 +167,12 @@ def test_catalan_bounds_tree_count():
     # component compares Catalan(k), k = distinct symbols, with its cap first
     for e in itertools.product(range(3), repeat=4):
         k = sum(1 for c in e if c)
-        assert comb(2 * k, k) // (k + 1) <= tree_count(e)
+        assert comb(2 * k, k) // (k + 1) <= tree_count(e) == len(trees_with_evaluation(e))
+
+
+def test_tree_count_of_long_standard_evaluations():
+    for k in range(301):
+        assert tree_count((1,) * k) == comb(2 * k, k) // (k + 1)
 
 
 def test_long_evaluations_need_no_recursion(default_recursion_limit):

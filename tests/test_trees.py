@@ -29,6 +29,7 @@ from sylvshift.trees import (
     parse_tree,
     postfix,
     psylv,
+    psylv_key,
     reading_count,
     readings,
     tree_art,
@@ -54,12 +55,16 @@ def test_psylv_matches_insertion_exhaustively():
     # every word over {1..4} up to length 7, the empty word included
     for length in range(0, 8):
         for w in itertools.product((1, 2, 3, 4), repeat=length):
-            assert psylv(w) == psylv_by_insertion(w)
+            t = psylv_by_insertion(w)
+            assert psylv(w) == t
+            assert psylv_key(w) == canonical_reading(t)
 
 
 @given(st.integers(1, 6).flatmap(lambda k: st.lists(st.integers(1, k), max_size=60)))
 def test_psylv_matches_insertion_with_repeats(w):
-    assert psylv(w) == psylv_by_insertion(w)
+    t = psylv_by_insertion(w)
+    assert psylv(w) == t
+    assert psylv_key(tuple(w)) == canonical_reading(t)
 
 
 def test_psylv_goldens(eq1_tree):
@@ -237,7 +242,7 @@ def test_chains_of_1e5_nodes_need_no_recursion(default_recursion_limit, w):
     n = 100_000
     assert node_count(t) == n
     assert labels(t) == list(range(1, n + 1))
-    assert canonical_reading(t) == tuple(w)
+    assert canonical_reading(t) == tuple(w) == psylv_key(tuple(w))
     assert is_bst(t)
     assert reading_count(t) == 1
     assert node_count(parse_tree(tree_str(t))) == n
