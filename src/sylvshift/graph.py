@@ -18,11 +18,11 @@ from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
 
-from .errors import CapExceededError, DisconnectedError, RankError
+from .errors import CapExceededError, DisconnectedError, InternalError, RankError
 from .monoid import SylvElement
 from .trees import (MAX_READINGS, Bst, Node, child_sizes, psylv, psylv_key, reading_count,
                     tree_str)
-from .words import Word, word_str
+from .words import Word, check_rank, word_str
 
 MAX_VERTICES = 20_000
 
@@ -36,12 +36,14 @@ class ShiftWitness:
 
     def validates(self, source: SylvElement, target: SylvElement) -> bool:
         """True iff xy reads source and yx reads target; a symbol beyond
-        their rank reads neither."""
+        their rank reads neither. Compares keys, so no tree is built."""
+        xy = self.x + self.y
         try:
-            return (SylvElement(source.rank, psylv(self.x + self.y)) == source
-                    and SylvElement(target.rank, psylv(self.y + self.x)) == target)
+            check_rank(xy, source.rank)
+            check_rank(xy, target.rank)
         except RankError:
             return False
+        return psylv_key(xy) == source.key and psylv_key(self.y + self.x) == target.key
 
     def swapped(self) -> "ShiftWitness":
         return ShiftWitness(self.y, self.x)
@@ -233,11 +235,12 @@ class ComponentGraph:
         return parts
 
 
-def _bfs(adj: list[list[int]], source: int) -> dict[int, int]:
-    """Distances from source to every vertex it reaches, in visiting order."""
+def _bfs(adj: list[list[int]], source: int, stop: int | None = None) -> dict[int, int]:
+    """Distances from source to every vertex it reaches, in visiting order;
+    the search ends as soon as it reaches stop."""
     dist = {source: 0}
     queue = deque([source])
-    while queue:
+    while queue and stop not in dist:
         u = queue.popleft()
         for v in adj[u]:
             if v not in dist:
@@ -286,25 +289,58 @@ def bfs_distances(g: ComponentGraph, source: SylvElement) -> dict[SylvElement, i
 def distance(g: ComponentGraph, s: SylvElement, t: SylvElement) -> int:
     if t not in g.index:
         raise ValueError("target vertex not in component")
-    d = bfs_distances(g, s)
-    if t not in d:
+    if s not in g.index:
+        raise ValueError("source vertex not in component")
+    target = g.index[t]
+    dist = _bfs(g.adj, g.index[s], stop=target)
+    if target not in dist:
         raise DisconnectedError(g.parts)
-    return d[t]
+    return dist[target]
 
 
 def diameter(g: ComponentGraph) -> tuple[int, tuple[SylvElement, SylvElement]]:
-    """Exact diameter by BFS from every vertex, with one extremal pair."""
+    """Exact diameter D, with the lexicographically least pair of vertex
+    indices i < j at distance D (a one-vertex graph gives (0, (v, v))).
+
+    Bit-parallel BFS (Akiba, Iwata and Yoshida, SIGMOD 2013): reach[u] is
+    the set of vertices within r steps of u, an int bitset, and round r + 1
+    ORs into it the round-r sets of u's neighbors. u's eccentricity is the
+    round in which its set fills, and full sets are not touched again, so
+    D is the number of rounds and the sets still open in the last one
+    belong to the vertices of eccentricity D. A round in which no set grows
+    while one is not full means the adjacency is inconsistent
+    (InternalError). Every pair at distance D starts at a vertex of
+    eccentricity D, and a vertex at distance D from the first such vertex
+    i has eccentricity D too, so it comes after i: one BFS from i gives
+    the pair.
+    """
     if not g.connected:
         raise DisconnectedError(g.parts)
     if len(g.vertices) == 0:
         raise ValueError("empty graph has no diameter")
-    best, pair = 0, (0, 0)
-    for i in range(len(g.vertices)):
-        d = _bfs(g.adj, i)
-        for j in range(i + 1, len(g.vertices)):
-            if d[j] > best:
-                best, pair = d[j], (i, j)
-    return best, (g.vertices[pair[0]], g.vertices[pair[1]])
+    n = len(g.vertices)
+    full = (1 << n) - 1
+    reach = [1 << u for u in range(n)]
+    d, last = 0, [0]  # the vertices of eccentricity d, in index order
+    todo = list(range(n)) if n > 1 else []
+    while todo:
+        d += 1
+        grown = []
+        for u in todo:
+            acc = reach[u]
+            for v in g.adj[u]:
+                acc |= reach[v]
+            if acc != reach[u]:
+                grown.append((u, acc))
+        if not grown:
+            raise InternalError(f"bitset BFS stalled in round {d} "
+                                f"with {len(todo)} sets not full")
+        for u, acc in grown:
+            reach[u] = acc
+        last, todo = todo, [u for u in todo if reach[u] != full]
+    i = last[0]
+    j = min(j for j, dj in _bfs(g.adj, i).items() if dj == d)
+    return d, (g.vertices[i], g.vertices[j])
 
 
 def graph_dot(g: ComponentGraph, tree_labels: bool = False) -> str:

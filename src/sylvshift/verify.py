@@ -290,15 +290,17 @@ def suite_monoid(rank: int = 3, maxlen: int = 4, assoc_total: int = 6) -> SuiteR
     for total in range(0, assoc_total + 1):
         for e in _evaluations(rank, total):
             elems.extend(SylvElement(rank, t) for t in trees_with_evaluation(e))
+    # elems runs through the totals in increasing order, so lengths never
+    # decrease along it: once b or c is too long, every later one is too.
     triples = 0
     for a in elems:
         for b in elems:
             if len(a) + len(b) > assoc_total:
-                continue
+                break
             ab = multiply(a, b)
             for c in elems:
                 if len(a) + len(b) + len(c) > assoc_total:
-                    continue
+                    break
                 if multiply(ab, c) != multiply(a, multiply(b, c)):
                     rep.fail("associativity broke on "
                              f"{tree_str(a.tree)}, {tree_str(b.tree)}, {tree_str(c.tree)}")

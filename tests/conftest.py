@@ -8,7 +8,7 @@ import pytest
 
 from sylvshift import pathsynth
 from sylvshift.errors import InternalError
-from sylvshift.graph import ShiftWitness
+from sylvshift.graph import ComponentGraph, ShiftWitness, bfs_distances
 from sylvshift.monoid import SylvElement
 from sylvshift.trees import (Bst, Locator, Node, canonical_reading, complete_subtree, labels,
                              node_count, postfix, psylv, readings)
@@ -67,6 +67,18 @@ def neighbors_by_readings(s: SylvElement) -> dict[SylvElement, ShiftWitness]:
             if t not in out:
                 out[t] = ShiftWitness(w[:k], w[k:])
     return out
+
+
+def diameter_by_bfs(g: ComponentGraph) -> tuple[int, tuple[SylvElement, SylvElement]]:
+    """Exact diameter by one full BFS per vertex, keeping the first pair
+    (i, j), i < j, met at the largest distance."""
+    best, pair = 0, (0, 0)
+    for i, s in enumerate(g.vertices):
+        d = bfs_distances(g, s)
+        for j in range(i + 1, len(g.vertices)):
+            if d[g.vertices[j]] > best:
+                best, pair = d[g.vertices[j]], (i, j)
+    return best, (g.vertices[pair[0]], g.vertices[pair[1]])
 
 
 def hook_length_extensions(t: Bst) -> int:

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import multiset_words, neighbors_by_readings, standard_trees
+from conftest import diameter_by_bfs, multiset_words, neighbors_by_readings, standard_trees
 from sylvshift import graph
 from sylvshift import verify as suites
-from sylvshift.errors import CapExceededError, DisconnectedError, RankError
+from sylvshift.errors import CapExceededError, DisconnectedError, InternalError, RankError
 from sylvshift.graph import (
     ComponentGraph,
     ShiftWitness,
@@ -25,6 +25,7 @@ from sylvshift.graph import (
 )
 from sylvshift.monoid import SylvElement, element_of, evaluation_of
 from sylvshift.trees import canonical_reading, is_bst, labels, psylv, psylv_key, reading_count
+from sylvshift.words import word_str
 
 # Evaluation classes with repeated symbols whose every tree is checked
 # against the readings oracle, next to every standard tree with n <= 7.
@@ -43,10 +44,22 @@ def test_neighbors_examples():
     assert element_of((5, 4, 1, 3, 2), 5) in big
 
 
-def test_neighbors_witnesses_validate():
+def test_neighbors_witnesses_validate(monkeypatch):
     s = element_of((1, 3, 2, 5, 4), 5)
-    for t, wit in neighbors(s).items():
+    nbrs = neighbors(s)
+
+    def build(w):
+        raise AssertionError(f"validates built the tree of {w}")
+
+    monkeypatch.setattr(graph, "psylv", build)
+    for t, wit in nbrs.items():
         assert wit.validates(s, t)
+    t = element_of((5, 4, 1, 3, 2), 5)
+    assert nbrs[t].validates(s, t)
+    assert not nbrs[t].validates(t, s)
+    assert not ShiftWitness((1, 3, 2), (6,)).validates(element_of((1, 3, 2), 6),
+                                                       element_of((1, 3, 2), 6))
+    assert not ShiftWitness((1, 3), (2, 5, 4)).validates(s, element_of((2, 1), 5))
 
 
 def check_against_oracle(s):
@@ -62,10 +75,12 @@ def test_neighbors_match_readings_oracle(monkeypatch):
     cases = [(n, t) for n in range(8) for t in standard_trees(n)]
     cases += [(len(e), t) for e in ORACLE_CLASSES for t in trees_with_evaluation(e)]
     for n, t in cases:
+        s = SylvElement(n, t)
         tried.clear()
-        check_against_oracle(SylvElement(n, t))
+        graph.neighbor_keys(s)
         # each word tried is yx for a distinct reading xy of t and split
         assert 0 < len(tried) <= reading_count(t) * (len(canonical_reading(t)) + 1)
+        check_against_oracle(s)
 
 
 @settings(max_examples=60, deadline=None)
@@ -143,6 +158,8 @@ def test_component_edges_match_word_bruteforce():
 def test_standard_component_n8_golden():
     g = component((1,) * 8, 8)
     assert (len(g.vertices), g.edge_count(), g.connected) == (1430, 29444, True)
+    d, (a, b) = diameter(g)
+    assert (d, word_str(a.key), word_str(b.key)) == (7, "12345678", "76543218")
 
 
 def test_component_validates_input():
@@ -187,8 +204,25 @@ def test_distance_examples():
     a, b = element_of((1, 2), 2), element_of((2, 1), 2)
     assert distance(g, a, b) == 1
     assert distance(g, a, a) == 0
-    with pytest.raises(ValueError):
-        distance(g, a, element_of((1, 1), 2))
+    stray = element_of((1, 1), 2)
+    with pytest.raises(ValueError, match="target"):
+        distance(g, a, stray)
+    with pytest.raises(ValueError, match="target"):
+        distance(g, stray, stray)
+    with pytest.raises(ValueError, match="source"):
+        distance(g, stray, a)
+    broken = ComponentGraph(2, (1, 1), [a, b], [[], []], {})
+    with pytest.raises(DisconnectedError):
+        distance(broken, a, b)
+    assert distance(broken, b, b) == 0
+
+
+def test_distance_matches_bfs_distances():
+    for e in [(1,) * 6, (2, 1, 2, 1, 2)]:
+        g = component(e, len(e))
+        for s in g.vertices:
+            want = bfs_distances(g, s)
+            assert {t: distance(g, s, t) for t in g.vertices} == want
 
 
 def test_chain_distance_lower_bound():
@@ -206,6 +240,24 @@ def test_diameter_small():
     assert 2 <= d3 <= 3
     d4, _ = diameter(component((1, 1, 1, 1), 4))
     assert 3 <= d4 <= 4
+
+
+def test_diameter_matches_per_vertex_bfs():
+    classes = [(1,) * n for n in range(8)] + ORACLE_CLASSES + [(3,)]
+    for e in classes:
+        g = component(e, len(e))
+        assert diameter(g) == diameter_by_bfs(g)
+    one = component((3,), 1)
+    assert diameter(one) == (0, (one.vertices[0], one.vertices[0]))
+
+
+def test_diameter_stalled_rounds_raise():
+    # vertex 1 lists no neighbor, so its set never grows past itself
+    v = component((1, 1), 2).vertices
+    lopsided = ComponentGraph(2, (1, 1), v, [[1], []], {})
+    assert lopsided.connected
+    with pytest.raises(InternalError):
+        diameter(lopsided)
 
 
 def test_distances_and_diameter_against_networkx():
