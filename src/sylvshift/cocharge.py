@@ -39,10 +39,13 @@ def cochseq_tree(t: Bst) -> tuple[int, ...]:
     return cochseq_word(canonical_reading(t))
 
 
-def cocharge_lower_bound(s: Bst, t: Bst) -> int:
-    """Max componentwise gap of the two sequences; a cyclic-shift-distance lower bound."""
-    a = cochseq_tree(s)
-    b = cochseq_tree(t)
+def cochseq_gap(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    """Max componentwise gap of two cocharge sequences of equal length."""
     if len(a) != len(b):
         raise NotStandardError("lower bound needs standard trees of equal size")
     return max(abs(x - y) for x, y in zip(a, b))
+
+
+def cocharge_lower_bound(s: Bst, t: Bst) -> int:
+    """Max componentwise gap of the two sequences; a cyclic-shift-distance lower bound."""
+    return cochseq_gap(cochseq_tree(s), cochseq_tree(t))

@@ -20,8 +20,7 @@ from math import comb
 
 from .errors import CapExceededError, DisconnectedError, InternalError, RankError
 from .monoid import SylvElement
-from .trees import (MAX_READINGS, Bst, Node, child_sizes, psylv, psylv_key, reading_count,
-                    tree_str)
+from .trees import MAX_READINGS, Bst, Node, check_reading_cap, child_sizes, psylv_key, tree_str
 from .words import Word, check_rank, word_str
 
 MAX_VERTICES = 20_000
@@ -94,14 +93,11 @@ def neighbor_keys(s: SylvElement, cap: int = MAX_READINGS) -> dict[Word, ShiftWi
     Raises CapExceededError before any work when s has more than cap
     readings; the (U, class) pairs tried never outnumber readings x splits.
     """
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    if reading_count(s.tree) > cap:
-        raise CapExceededError("readings", cap)
     lab = s.key
     n = len(lab)
+    check_reading_cap(lab, cap)
     # first[p]: the lowest postfix index in p's subtree, which spans first[p]..p
-    first = [p - l - r for p, (l, r) in enumerate(child_sizes(s.tree))]
+    first = [p - l - r for p, (l, r) in enumerate(child_sizes(lab))]
     at_most: dict[int, int] = {}  # label v -> bitmask of the nodes labelled <= v
     mask = 0
     for p in sorted(range(n), key=lab.__getitem__):
@@ -143,7 +139,7 @@ def neighbor_keys(s: SylvElement, cap: int = MAX_READINGS) -> dict[Word, ShiftWi
 
 def neighbors(s: SylvElement, cap: int = MAX_READINGS) -> dict[SylvElement, ShiftWitness]:
     """Every element one cyclic shift away from s (s itself included), with one witness each."""
-    return {SylvElement(s.rank, psylv(key)): wit for key, wit in neighbor_keys(s, cap).items()}
+    return {SylvElement(s.rank, key): wit for key, wit in neighbor_keys(s, cap).items()}
 
 
 def tree_count(e: tuple[int, ...]) -> int:
@@ -262,7 +258,7 @@ def component(e: tuple[int, ...], n: int, max_vertices: int = MAX_VERTICES,
     k = sum(1 for c in e if c)
     if comb(2 * k, k) // (k + 1) > max_vertices or tree_count(e) > max_vertices:
         raise CapExceededError("component vertices", max_vertices)
-    vertices = sorted((SylvElement(n, t) for t in trees_with_evaluation(e)),
+    vertices = sorted((SylvElement.of_tree(n, t) for t in trees_with_evaluation(e)),
                       key=lambda s: s.key)
     index = {v.key: i for i, v in enumerate(vertices)}
     adj: list[set[int]] = [set() for _ in vertices]

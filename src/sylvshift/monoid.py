@@ -12,10 +12,11 @@ with a < c may swap whenever some later symbol b satisfies a <= b < c.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import BudgetExceededError, RankError
-from .trees import Bst, canonical_reading, psylv
+from .trees import Bst, canonical_reading, psylv, psylv_key
 from .words import Word, check_rank, evaluation
 
 DEFAULT_REWRITE_BUDGET = 1_000_000
@@ -23,19 +24,29 @@ DEFAULT_REWRITE_BUDGET = 1_000_000
 
 @dataclass(frozen=True)
 class SylvElement:
-    """An element of the rank-n monoid. Equality, hashing and repr use
-    (rank, key), key being the tree's canonical reading; the tree itself is
-    neither compared nor printed. The key walk refuses a tree that is not
-    right-strict (ValueError), so equal keys mean equal trees."""
+    """An element of the rank-n monoid, held as the canonical reading of its
+    tree: SylvElement(n, w) checks the rank of any reading w and stores
+    psylv_key(w) as key, which equality, hashing and repr use with rank.
+    The tree is built from the key when first read."""
 
     rank: int
-    tree: Bst = field(compare=False, repr=False)
-    key: Word = field(init=False)
+    key: Word
 
     def __post_init__(self):
-        key = canonical_reading(self.tree)
-        check_rank(key, self.rank)
-        object.__setattr__(self, "key", key)
+        check_rank(self.key, self.rank)
+        object.__setattr__(self, "key", psylv_key(self.key))
+
+    @classmethod
+    def of_tree(cls, rank: int, tree: Bst) -> "SylvElement":
+        """The element of tree, kept as its tree; the key walk refuses a tree
+        that is not right-strict (ValueError), as no word inserts to it."""
+        s = cls(rank, canonical_reading(tree))
+        s.__dict__["tree"] = tree
+        return s
+
+    @cached_property
+    def tree(self) -> Bst:
+        return psylv(self.key)
 
     def __mul__(self, other: "SylvElement") -> "SylvElement":
         return multiply(self, other)
@@ -45,8 +56,7 @@ class SylvElement:
 
 
 def element_of(w: Word, n: int) -> SylvElement:
-    check_rank(w, n)
-    return SylvElement(n, psylv(w))
+    return SylvElement(n, w)
 
 
 def equivalent(u: Word, v: Word, n: int) -> bool:
@@ -58,7 +68,7 @@ def multiply(s: SylvElement, t: SylvElement) -> SylvElement:
     """Concatenate representatives and re-insert; independent of reading choice."""
     if s.rank != t.rank:
         raise RankError(f"rank mismatch: {s.rank} vs {t.rank}")
-    return SylvElement(s.rank, psylv(s.key + t.key))
+    return SylvElement(s.rank, s.key + t.key)
 
 
 def evaluation_of(s: SylvElement) -> tuple[int, ...]:

@@ -31,19 +31,9 @@ from dataclasses import dataclass
 
 from .errors import InternalError, NotStandardError, RankError
 from .graph import ShiftWitness
-from .monoid import SylvElement, element_of
-from .trees import (
-    Bst,
-    Locator,
-    canonical_reading,
-    complete_subtree,
-    is_standard_tree,
-    parse_tree,
-    postfix,
-    psylv,
-    tree_str,
-)
-from .words import parse_word, word_str
+from .monoid import SylvElement
+from .trees import Bst, Locator, complete_subtree, node_count, parse_tree, postfix, tree_str
+from .words import is_standard, parse_word, word_str
 
 CASE_TAGS = ("base", "case1", "case2a", "case2b", "case3", "case4a", "case4b")
 
@@ -166,34 +156,34 @@ def classify_step(target: Bst, nodes: list[tuple[int, Locator]], h: int) -> str:
     return hits[0]
 
 
-def base_step(t: Bst, u1: int) -> ShiftWitness:
-    """First shift: rotate a reading of t so u1 comes last, making it the root."""
-    if t is None or not is_standard_tree(t):
+def base_step(s: SylvElement, u1: int) -> ShiftWitness:
+    """First shift: rotate s's key so u1 comes last, making it the root."""
+    w = s.key
+    if not w or not is_standard(w):
         raise NotStandardError("base step needs a non-empty standard tree")
-    w = canonical_reading(t)
     if u1 not in w:
         raise ValueError(f"symbol {u1} does not label any node")
     i = w.index(u1)
     return ShiftWitness(w[: i + 1], w[i + 1 :])
 
 
-def induction_step(t: Bst, target: Bst, nodes: list[tuple[int, Locator]],
+def induction_step(pre: SylvElement, target: Bst, nodes: list[tuple[int, Locator]],
                    h: int) -> tuple[ShiftWitness, str]:
     """One shift extending the chain from step h to step h+1.
 
-    Requires the step-h invariants on t; nodes is postfix(target). x reads
-    the complete subtree of t at the next postfix node u of target, and y
-    the rest of t: in the canonical reading of t that subtree is the block
-    ending at u, so x is that block and y the word around it. Returns the
-    witness and the sub-case of the step's shape.
+    Requires the step-h invariants on pre's tree t; nodes is postfix(target).
+    x reads the complete subtree of t at the next postfix node u of target,
+    and y the rest of t: in pre's key, t's canonical reading, that subtree
+    is the block of its size ending at u, so x is that block and y the word
+    around it. Returns the witness and the sub-case of the step's shape.
     """
+    t, w = pre.tree, pre.key
     u_next, _ = nodes[h]
     u_loc = _find_loc(t, u_next)
     if u_loc is None:
         raise InternalError(f"step {h}: symbol {u_next} missing from the tree")
-    w = canonical_reading(t)
-    x = canonical_reading(complete_subtree(t, u_loc))
     end = w.index(u_next) + 1
+    x = w[end - node_count(complete_subtree(t, u_loc)):end]
     tag = classify_step(target, nodes, h)
     if tag in ("case2", "case4"):
         # sub-case a: u is the left child of the leftmost node of B_h's copy at the root
@@ -209,26 +199,26 @@ def shift_path(start: SylvElement, target: SylvElement) -> PathCertificate:
     """Certified chain of exactly n cyclic shifts from start to target."""
     if start.rank != target.rank:
         raise RankError(f"rank mismatch: {start.rank} vs {target.rank}")
-    s_tree, u_tree = start.tree, target.tree
-    if s_tree is None or u_tree is None:
+    if not start.key or not target.key:
         raise NotStandardError("paths need non-empty trees")
-    if not (is_standard_tree(s_tree) and is_standard_tree(u_tree)):
+    if not (is_standard(start.key) and is_standard(target.key)):
         raise NotStandardError("paths are defined for standard trees only")
     if len(start) != len(target):
         raise NotStandardError("trees must have the same number of nodes")
 
+    u_tree = target.tree
     nodes = postfix(u_tree)
     tops: list[Locator] = []  # topmost visited nodes of u_tree, oldest first
     steps: list[PathStep] = []
     pre = start
     for h, (label, loc) in enumerate(nodes):
         if h == 0:
-            witness, tag = base_step(pre.tree, label), "base"
+            witness, tag = base_step(pre, label), "base"
         else:
-            witness, tag = induction_step(pre.tree, u_tree, nodes, h)
-        if element_of(witness.x + witness.y, start.rank) != pre:
+            witness, tag = induction_step(pre, u_tree, nodes, h)
+        if SylvElement(start.rank, witness.x + witness.y) != pre:
             raise InternalError(f"step {h} ({tag}): assembled factorization is not a reading")
-        post = SylvElement(start.rank, psylv(witness.y + witness.x))
+        post = SylvElement(start.rank, witness.y + witness.x)
         # Postfix order visits a node right after its subtrees, whose roots
         # are then the newest tops: the node replaces them.
         while tops and tops[-1][:-1] == loc:
@@ -271,9 +261,9 @@ def certificate_from_obj(obj: dict) -> PathCertificate:
     rank = obj["rank"]
     steps = tuple(
         PathStep(
-            SylvElement(rank, parse_tree(s["pre"])),
+            SylvElement.of_tree(rank, parse_tree(s["pre"])),
             ShiftWitness(parse_word(s["x"]), parse_word(s["y"])),
-            SylvElement(rank, parse_tree(s["post"])),
+            SylvElement.of_tree(rank, parse_tree(s["post"])),
             s["case"],
         )
         for s in obj["steps"]

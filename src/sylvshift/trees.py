@@ -11,7 +11,7 @@ Locators address nodes by the path from the root: a string over {"L", "R"},
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, inf
+from math import comb, factorial, inf
 from typing import Iterable, Optional
 
 from .errors import CapExceededError, LocatorError, ParseError
@@ -71,22 +71,6 @@ def psylv_key(w: Word) -> Word:
         spine.append(i)
     out += map(w.__getitem__, reversed(spine))  # the sentinel pops the rest
     return tuple(out)
-
-
-def _postorder(t: Bst) -> list[Node]:
-    """Every node after its descendants, left subtree first: the reverse of
-    the root, right, left preorder."""
-    out: list[Node] = []
-    stack: list[Node] = [] if t is None else [t]
-    while stack:
-        node = stack.pop()
-        out.append(node)
-        if node.left is not None:
-            stack.append(node.left)
-        if node.right is not None:
-            stack.append(node.right)
-    out.reverse()
-    return out
 
 
 def is_bst(t: Bst) -> bool:
@@ -175,22 +159,27 @@ def canonical_reading(t: Bst) -> Word:
     return tuple(out)
 
 
-def child_sizes(t: Bst) -> list[tuple[int, int]]:
-    """The sizes of every node's left and right subtrees, in postfix order."""
+def child_sizes(w: Word) -> list[tuple[int, int]]:
+    """The sizes of every node's left and right subtrees in psylv(w), in
+    postfix order: psylv's sort and stack, sizing each subtree as it is
+    folded instead of building it."""
     out: list[tuple[int, int]] = []
-    sizes: list[int] = []  # sizes of the finished subtrees, in postfix order
-    for node in _postorder(t):
-        r = sizes.pop() if node.right is not None else 0
-        l = sizes.pop() if node.left is not None else 0
-        out.append((l, r))
-        sizes.append(l + r + 1)
+    spine: list[tuple[int, int]] = []  # open right spine: (position, left subtree size)
+    for i in sorted(range(len(w)), key=w.__getitem__) + [len(w)]:
+        size = 0
+        while spine and spine[-1][0] < i:
+            _, left = spine.pop()
+            out.append((left, size))
+            size += left + 1
+        spine.append((i, size))
     return out
 
 
-def reading_count(t: Bst) -> int:
-    """Number of readings: each node interleaves the readings of its two
-    subtrees in C(l + r, l) ways, l and r their sizes. The product over all
-    nodes is the hook length formula for the children-before-parents order.
+def reading_count(w: Word) -> int:
+    """Number of readings of psylv(w), w being any one of them: each node
+    interleaves the readings of its two subtrees in C(l + r, l) ways, l and
+    r their sizes. The product over all nodes is the hook length formula
+    for the children-before-parents order.
 
     Counting node orders is enough: equal labels are always
     ancestor-comparable in a right-strict tree (their lowest common
@@ -198,9 +187,19 @@ def reading_count(t: Bst) -> int:
     node orders always spell distinct words.
     """
     count = 1
-    for l, r in child_sizes(t):
+    for l, r in child_sizes(w):
         count *= comb(l + r, l)
     return count
+
+
+def check_reading_cap(w: Word, cap: int) -> None:
+    """Raise CapExceededError when psylv(w) has more than cap readings. No
+    tree on n nodes has more than n! >= 2^(n - 1) readings, so nothing is
+    counted when n! <= cap, and long words skip computing n!."""
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    if (len(w) > cap.bit_length() or factorial(len(w)) > cap) and reading_count(w) > cap:
+        raise CapExceededError("readings", cap)
 
 
 def readings(t: Bst, cap: int = MAX_READINGS) -> set[Word]:
@@ -210,10 +209,7 @@ def readings(t: Bst, cap: int = MAX_READINGS) -> set[Word]:
     Raises CapExceededError up front when the (exactly predictable) count
     exceeds cap, before enumerating anything.
     """
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    if reading_count(t) > cap:
-        raise CapExceededError("readings", cap)
+    check_reading_cap(canonical_reading(t), cap)
     # Readings are written right to left: a node may be written once its
     # parent is, so a state is (suffix so far, nodes whose parent is in it).
     found: set[Word] = set()

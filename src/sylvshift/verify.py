@@ -13,13 +13,13 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .cocharge import cochseq_word, cocharge_lower_bound
+from .cocharge import cochseq_gap, cochseq_word
 from .graph import (MAX_VERTICES, bfs_distances, component, diameter, neighbors,
                     trees_with_evaluation)
 from .monoid import DEFAULT_REWRITE_BUDGET, SylvElement, element_of, multiply, rewrite_class
 from .pathsynth import CASE_TAGS, shift_path
-from .trees import MAX_READINGS, canonical_reading, psylv, readings, tree_str
-from .words import parse_word, word_str
+from .trees import MAX_READINGS, canonical_reading, readings, tree_str
+from .words import Word, word_str
 
 
 @dataclass
@@ -175,11 +175,12 @@ def suite_distance_lower_bound(nmax: int = 5) -> SuiteReport:
         up = element_of(tuple(range(1, n + 1)), n)
         down = element_of(tuple(range(n, 0, -1)), n)
         dists = {v: bfs_distances(g, v) for v in g.vertices}
+        seqs = {v: cochseq_word(v.key) for v in g.vertices}
         if dists[up][down] < n - 1:
             rep.fail(f"n={n}: chain distance {dists[up][down]} < {n - 1}")
         for s in g.vertices:
             for t in g.vertices:
-                bound = cocharge_lower_bound(s.tree, t.tree)
+                bound = cochseq_gap(seqs[s], seqs[t])
                 if dists[s][t] < bound:
                     rep.fail(f"n={n}: distance({word_str(s.key)}, {word_str(t.key)}) "
                              f"= {dists[s][t]} < bound {bound}")
@@ -189,21 +190,22 @@ def suite_distance_lower_bound(nmax: int = 5) -> SuiteReport:
     return rep
 
 
-def _path_worker(args: tuple[int, str]) -> tuple[int, set, list[str]]:
-    """Run shift_path from one source tree to every standard target; for --jobs."""
-    n, source_word = args
-    source = psylv(parse_word(source_word))
+def _path_worker(args: tuple[int, list[Word], list[Word]]) -> tuple[int, set, list[str]]:
+    """Run shift_path from each source key to every target key; for --jobs."""
+    n, sources, targets = args
     tags: set[str] = set()
     failures: list[str] = []
     count = 0
-    for target in standard_trees(n):
+    for start, end in itertools.product([SylvElement(n, key) for key in sources],
+                                        [SylvElement(n, key) for key in targets]):
         try:
-            cert = shift_path(SylvElement(n, source), SylvElement(n, target))
+            cert = shift_path(start, end)
         except Exception as exc:  # noqa: BLE001  (reported, not swallowed)
-            failures.append(f"path {source_word} -> {tree_str(target)}: {exc}")
+            failures.append(f"path {word_str(start.key)} -> {tree_str(end.tree)}: {exc}")
             continue
         if not cert.verify():
-            failures.append(f"path {source_word} -> {tree_str(target)}: invalid certificate")
+            failures.append(f"path {word_str(start.key)} -> {tree_str(end.tree)}: "
+                            "invalid certificate")
         tags.update(s.case_tag for s in cert.steps)
         count += 1
     return count, tags, failures
@@ -215,8 +217,11 @@ def suite_path(nmax: int = 5, jobs: int = 1) -> SuiteReport:
     seen_tags: set[str] = set()
     total = 0
     for n in range(1, nmax + 1):
-        work = [(n, word_str(canonical_reading(t))) for t in standard_trees(n)]
-        if jobs > 1 and len(work) > 1:
+        # work items carry keys, not trees; a worker builds each target's tree once
+        keys = [canonical_reading(t) for t in standard_trees(n)]
+        size = -(-len(keys) // max(jobs, 1))
+        work = [(n, keys[i:i + size], keys) for i in range(0, len(keys), size)]
+        if len(work) > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 results = list(pool.map(_path_worker, work))
         else:
@@ -259,8 +264,8 @@ def suite_induced(nmax: int = 4) -> SuiteReport:
     for m in range(1, nmax):
         for n in range(m + 1, nmax + 1):
             for t in standard_trees(m):
-                low = {x.key for x in neighbors(SylvElement(m, t))}
-                high = {x.key for x in neighbors(SylvElement(n, t))}
+                low = {x.key for x in neighbors(SylvElement.of_tree(m, t))}
+                high = {x.key for x in neighbors(SylvElement.of_tree(n, t))}
                 if low != high:
                     rep.fail(f"tree {tree_str(t)}: ranks {m} and {n} disagree")
                 checked += 1
@@ -289,7 +294,7 @@ def suite_monoid(rank: int = 3, maxlen: int = 4, assoc_total: int = 6) -> SuiteR
     elems: list[SylvElement] = []
     for total in range(0, assoc_total + 1):
         for e in _evaluations(rank, total):
-            elems.extend(SylvElement(rank, t) for t in trees_with_evaluation(e))
+            elems.extend(SylvElement.of_tree(rank, t) for t in trees_with_evaluation(e))
     # elems runs through the totals in increasing order, so lengths never
     # decrease along it: once b or c is too long, every later one is too.
     triples = 0

@@ -63,7 +63,7 @@ def neighbors_by_readings(s: SylvElement) -> dict[SylvElement, ShiftWitness]:
     out: dict[SylvElement, ShiftWitness] = {}
     for w in sorted(readings(s.tree)):
         for k in range(len(w) + 1):
-            t = SylvElement(s.rank, psylv(w[k:] + w[:k]))
+            t = SylvElement.of_tree(s.rank, psylv(w[k:] + w[:k]))
             if t not in out:
                 out[t] = ShiftWitness(w[:k], w[k:])
     return out

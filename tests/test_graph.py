@@ -24,7 +24,8 @@ from sylvshift.graph import (
     trees_with_evaluation,
 )
 from sylvshift.monoid import SylvElement, element_of, evaluation_of
-from sylvshift.trees import canonical_reading, is_bst, labels, psylv, psylv_key, reading_count
+from sylvshift.trees import (Node, canonical_reading, is_bst, labels, psylv, psylv_key,
+                             reading_count, readings)
 from sylvshift.words import word_str
 
 # Evaluation classes with repeated symbols whose every tree is checked
@@ -48,10 +49,10 @@ def test_neighbors_witnesses_validate(monkeypatch):
     s = element_of((1, 3, 2, 5, 4), 5)
     nbrs = neighbors(s)
 
-    def build(w):
-        raise AssertionError(f"validates built the tree of {w}")
+    def build(self, label, *children):
+        raise AssertionError(f"validates built a node labelled {label}")
 
-    monkeypatch.setattr(graph, "psylv", build)
+    monkeypatch.setattr(Node, "__init__", build)
     for t, wit in nbrs.items():
         assert wit.validates(s, t)
     t = element_of((5, 4, 1, 3, 2), 5)
@@ -75,11 +76,11 @@ def test_neighbors_match_readings_oracle(monkeypatch):
     cases = [(n, t) for n in range(8) for t in standard_trees(n)]
     cases += [(len(e), t) for e in ORACLE_CLASSES for t in trees_with_evaluation(e)]
     for n, t in cases:
-        s = SylvElement(n, t)
+        s = SylvElement.of_tree(n, t)
         tried.clear()
         graph.neighbor_keys(s)
         # each word tried is yx for a distinct reading xy of t and split
-        assert 0 < len(tried) <= reading_count(t) * (len(canonical_reading(t)) + 1)
+        assert 0 < len(tried) <= reading_count(canonical_reading(t)) * (len(canonical_reading(t)) + 1)
         check_against_oracle(s)
 
 
@@ -150,7 +151,8 @@ def test_component_edges_match_word_bruteforce():
             for k in range(len(w) + 1):
                 t = psylv(w[k:] + w[:k])
                 if s != t:
-                    a, b = sorted((g.index[SylvElement(n, s)], g.index[SylvElement(n, t)]))
+                    a, b = sorted((g.index[SylvElement.of_tree(n, s)],
+                                   g.index[SylvElement.of_tree(n, t)]))
                     brute.add((a, b))
         assert set(g.witnesses) == brute
 
@@ -169,6 +171,18 @@ def test_component_validates_input():
         component((-1, 1), 2)
     with pytest.raises(CapExceededError):
         component((1, 1, 1), 3, max_vertices=2)
+
+
+def test_reading_cap_is_the_exact_reading_count():
+    for w in [(1, 3, 2, 5, 4), (2, 1, 2, 1, 2, 3), (3, 1, 4, 1, 5, 9, 2, 6, 5)]:
+        s = element_of(w, 9)
+        k = reading_count(w)
+        assert len(readings(s.tree, cap=k)) == k
+        assert neighbors(s, cap=k)
+        with pytest.raises(CapExceededError):
+            neighbors(s, cap=k - 1)
+        with pytest.raises(CapExceededError):
+            readings(s.tree, cap=k - 1)
 
 
 def test_component_cap_fails_before_building_trees(monkeypatch):

@@ -1,11 +1,14 @@
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import EQ1_WORD
 from sylvshift import verify as suites
 from sylvshift.errors import BudgetExceededError, RankError
-from sylvshift.graph import component, diameter, distance, trees_with_evaluation
+from sylvshift.graph import (ShiftWitness, component, diameter, distance, neighbors,
+                             trees_with_evaluation)
 from sylvshift.monoid import (
     SylvElement,
     element_of,
@@ -24,7 +27,7 @@ from sylvshift.words import evaluation
 def test_element_of_examples():
     assert element_of((3, 1, 2), 3).tree == Node(2, Node(1), Node(3))
     assert element_of((1, 3, 2), 3) == element_of((3, 1, 2), 3)
-    assert element_of((), 4) == SylvElement(4, None)
+    assert element_of((), 4) == SylvElement.of_tree(4, None)
     assert element_of((1, 3, 2), 3).key == (1, 3, 2)
 
 
@@ -32,7 +35,7 @@ def test_element_rank_checked():
     with pytest.raises(RankError):
         element_of((1, 5), 4)
     with pytest.raises(RankError):
-        SylvElement(2, psylv((1, 3)))
+        SylvElement.of_tree(2, psylv((1, 3)))
 
 
 def test_equivalent_examples():
@@ -142,7 +145,7 @@ def test_canonical_reading_is_a_complete_key():
             if sum(e) > 6:
                 continue
             trees = trees_with_evaluation(e)
-            keys = [SylvElement(n, t).key for t in trees]
+            keys = [SylvElement.of_tree(n, t).key for t in trees]
             assert len(set(keys)) == len(trees)
             for t, key in zip(trees, keys):
                 assert psylv(key) == t
@@ -168,3 +171,33 @@ def test_no_library_path_compares_trees(monkeypatch):
                suites.suite_distance_lower_bound(nmax=4)]
     for rep in reports:
         assert rep.passed, rep.render()
+
+
+@given(st.lists(st.integers(1, 4), max_size=9).map(tuple))
+def test_element_is_the_key_of_any_reading(w):
+    # w has repeated symbols; the element keeps the canonical reading of
+    # w's tree, and its lazily built tree is w's tree
+    t = psylv(w)
+    s = SylvElement(4, w)
+    assert s.key == canonical_reading(t)
+    assert s.tree == t and s.tree is s.tree
+    assert SylvElement.of_tree(4, t).tree is t
+    assert SylvElement.of_tree(4, t) == s == SylvElement(4, s.key)
+
+
+def test_keys_need_no_tree(monkeypatch):
+    def refuse(self, label, *children):
+        raise AssertionError(f"a node labelled {label} was built")
+
+    monkeypatch.setattr(Node, "__init__", refuse)
+    with pytest.raises(AssertionError):
+        psylv((1,))
+    s = element_of((1, 3, 2, 5, 4), 5)
+    assert s.key == (1, 3, 2, 5, 4)
+    assert multiply(element_of((3, 1), 5), element_of((2,), 5)) == element_of((1, 3, 2), 5)
+    assert equivalent((3, 1, 2), (1, 3, 2), 3)
+    assert not equivalent((1, 2), (2, 1), 2)
+    nbrs = neighbors(s)
+    assert element_of((5, 4, 1, 3, 2), 5) in nbrs
+    assert all(wit.validates(s, t) for t, wit in nbrs.items())
+    assert not ShiftWitness((1, 3), (2, 5, 4)).validates(s, element_of((2, 1), 5))

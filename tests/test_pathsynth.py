@@ -29,7 +29,7 @@ U5 = psylv(parse_word("23541"))
 U5_NODES = postfix(U5)
 CHAIN_WORDS = ["13254", "54132", "12543", "41235", "12354", "23541"]
 CHAIN_TREES = [psylv(parse_word(w)) for w in CHAIN_WORDS]
-CHAIN = [SylvElement(5, t) for t in CHAIN_TREES]
+CHAIN = [SylvElement.of_tree(5, t) for t in CHAIN_TREES]
 
 
 def scan_tops(target, h):
@@ -83,10 +83,10 @@ def paths_through_n6():
             trees = standard_trees(n)
             for u in trees:
                 oracle = [scan_tops(u, h) for h in range(1, n + 1)]
-                target = SylvElement(n, u)
+                target = SylvElement.of_tree(n, u)
                 for t in trees:
                     log.clear()
-                    cert = shift_path(SylvElement(n, t), target)
+                    cert = shift_path(SylvElement.of_tree(n, t), target)
                     seen.update(s.case_tag for s in cert.steps)
                     if cert.steps[-1].post.tree != u:
                         missed.append((t, u))
@@ -147,15 +147,15 @@ def test_induction_steps_match_case_oracle_beyond_n6(pair):
 
 
 def test_base_step_examples():
-    wit = base_step(CHAIN_TREES[0], 2)
+    wit = base_step(CHAIN[0], 2)
     assert (wit.x, wit.y) == ((1, 3, 2), (5, 4))
     assert wit.validates(CHAIN[0], CHAIN[1])
 
     single = element_of((1,), 1)
-    wit = base_step(single.tree, 1)
+    wit = base_step(single, 1)
     assert wit.validates(single, single) and wit.x == (1,) and wit.y == ()
 
-    wit = base_step(psylv((2, 1)), 2)
+    wit = base_step(element_of((2, 1), 2), 2)
     assert wit.validates(element_of((2, 1), 2), element_of((1, 2), 2))
     assert (wit.x, wit.y) == ((2,), (1,))
 
@@ -171,7 +171,7 @@ def test_induction_steps_match_worked_example():
         ((1,), (2, 3, 5, 4), "case4a"),
     ]
     for h, (x, y, tag) in enumerate(expected, start=1):
-        wit, got_tag = induction_step(CHAIN_TREES[h], U5, U5_NODES, h)
+        wit, got_tag = induction_step(CHAIN[h], U5, U5_NODES, h)
         assert (wit.x, wit.y, got_tag) == (x, y, tag)
         assert wit.validates(CHAIN[h], CHAIN[h + 1])
 
@@ -216,7 +216,7 @@ def test_shift_path_exhaustive_small():
         trees = standard_trees(n)
         for t in trees:
             for u in trees:
-                cert = shift_path(SylvElement(n, t), SylvElement(n, u))
+                cert = shift_path(SylvElement.of_tree(n, t), SylvElement.of_tree(n, u))
                 assert len(cert.steps) == n
                 assert cert.steps[0].pre.tree == t
                 assert cert.steps[-1].post.tree == u
@@ -288,7 +288,7 @@ def test_tampered_certificates_fail():
     with pytest.raises(ParseError):
         certificate_from_obj(obj)
     with pytest.raises(ValueError):
-        SylvElement(5, chain)
+        SylvElement.of_tree(5, chain)
 
     # break the chaining
     steps = list(cert.steps)
@@ -302,7 +302,7 @@ def test_tampered_certificates_fail():
 def test_verify_accepts_any_valid_chain():
     # n trivial shifts from t to itself: a valid n-step chain the construction
     # never builds, since its invariants fail on t after the first step
-    t = SylvElement(5, CHAIN_TREES[0])
+    t = SylvElement.of_tree(5, CHAIN_TREES[0])
     trivial = PathStep(t, ShiftWitness(canonical_reading(t.tree), ()), t, "base")
     assert not verify_step_invariants(t.tree, t.tree, scan_tops(t.tree, 1))
     assert PathCertificate((trivial,) * 5).verify()

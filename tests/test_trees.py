@@ -20,6 +20,7 @@ from sylvshift.monoid import SylvElement, element_of, equivalent
 from sylvshift.trees import (
     Node,
     canonical_reading,
+    child_sizes,
     complete_subtree,
     infix,
     is_bst,
@@ -112,15 +113,25 @@ def test_readings_match_bruteforce_exhaustively():
 def test_readings_count_matches_hook_formula():
     for n in range(1, 7):
         for t in standard_trees(n):
-            assert len(readings(t)) == hook_length_extensions(t) == reading_count(t)
+            assert (len(readings(t)) == hook_length_extensions(t)
+                    == reading_count(canonical_reading(t)))
+
+
+def test_child_sizes_of_any_reading_match_its_tree():
+    for length in range(0, 6):
+        for w in itertools.product((1, 2, 3), repeat=length):
+            t = psylv(w)
+            nodes = [complete_subtree(t, loc) for _, loc in postfix(t)]
+            want = [(node_count(v.left), node_count(v.right)) for v in nodes]
+            assert child_sizes(w) == want == child_sizes(canonical_reading(t))
 
 
 def test_reading_count_exact_on_multiset_trees():
     # node orders and words are in bijection even with repeated labels
     for length in range(0, 7):
         for w in itertools.product((1, 2, 3), repeat=length):
-            t = psylv(w)
-            assert len(readings(t)) == reading_count(t)
+            # w is any reading of its tree, not only the canonical one
+            assert len(readings(psylv(w))) == reading_count(w)
 
 
 def test_readings_cap():
@@ -192,7 +203,7 @@ def test_right_strict_means_some_word_inserts_to_it():
             with pytest.raises(ValueError):
                 canonical_reading(t)
             with pytest.raises(ValueError):
-                SylvElement(3, t)
+                SylvElement.of_tree(3, t)
             with pytest.raises(ParseError):
                 parse_tree(tree_str(t))
     assert refused > 0
@@ -244,7 +255,7 @@ def test_chains_of_1e5_nodes_need_no_recursion(default_recursion_limit, w):
     assert labels(t) == list(range(1, n + 1))
     assert canonical_reading(t) == tuple(w) == psylv_key(tuple(w))
     assert is_bst(t)
-    assert reading_count(t) == 1
+    assert reading_count(canonical_reading(t)) == 1
     assert node_count(parse_tree(tree_str(t))) == n
     assert repr(t) == f"<Node {tree_str(t)}>"
     a, b = element_of(tuple(w), n), element_of(tuple(w), n)
