@@ -27,6 +27,7 @@ from .graph import (
     component_tsv,
     diameter,
     distance,
+    edge_witnesses,
     graph_dot,
     neighbors,
 )
@@ -187,7 +188,7 @@ def cmd_component(args: argparse.Namespace) -> int:
             "vertices": [word_str(v.key) for v in g.vertices],
             "edges": [
                 {"a": i, "b": j, "x": word_str(w.x), "y": word_str(w.y)}
-                for (i, j), w in sorted(g.witnesses.items())
+                for i, j, w in edge_witnesses(g)
             ],
         }), args)
     else:

@@ -14,13 +14,14 @@ finite subgraph that can be searched exhaustively at desk scale.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
 
 from .errors import CapExceededError, DisconnectedError, InternalError, RankError
 from .monoid import SylvElement
-from .trees import MAX_READINGS, Bst, Node, check_reading_cap, child_sizes, psylv_key, tree_str
+from .trees import MAX_READINGS, check_reading_cap, child_sizes, psylv_key, tree_str
 from .words import Word, check_rank, word_str
 
 MAX_VERTICES = 20_000
@@ -44,16 +45,15 @@ class ShiftWitness:
             return False
         return psylv_key(xy) == source.key and psylv_key(self.y + self.x) == target.key
 
-    def swapped(self) -> "ShiftWitness":
-        return ShiftWitness(self.y, self.x)
 
+def _fold(state, parts, memo: dict) -> list[Word]:
+    """The canonical readings of the trees of a state that splits into
+    (label, left state, right state) parts; v(left, right) reads as the
+    left reading, the right reading, then v.
 
-def _fold(state, parts, combine, memo: dict):
-    """Fold a state that splits into (label, left state, right state) parts.
-
-    memo maps every state folded so far to its value; the caller seeds it
-    with the empty state. An explicit stack stands in for recursion, so
-    states nest to any depth.
+    memo maps every state folded so far to its readings; the caller seeds
+    it with the empty state's [()]. An explicit stack stands in for
+    recursion, so states nest to any depth.
     """
     pending: dict = {}
     stack = [state]
@@ -69,7 +69,8 @@ def _fold(state, parts, combine, memo: dict):
                 stack.extend(todo)
                 continue
         stack.pop()
-        memo[top] = combine([(v, memo[left], memo[right]) for v, left, right in pending.pop(top)])
+        memo[top] = [kl + kr + (v,) for v, left, right in pending.pop(top)
+                     for kl in memo[left] for kr in memo[right]]
     return memo[state]
 
 
@@ -115,9 +116,6 @@ def neighbor_keys(s: SylvElement, cap: int = MAX_READINGS) -> dict[Word, ShiftWi
             out.append((lab[r], low, below ^ low))
         return out
 
-    def combine(ps):
-        return [kl + kr + (v,) for v, lows, highs in ps for kl in lows for kr in highs]
-
     classes: dict[int, list[Word]] = {0: [()]}
     out: dict[Word, ShiftWitness] = {}
     # Closure walk down the postfix order: a node whose parent is in U
@@ -130,7 +128,7 @@ def neighbor_keys(s: SylvElement, cap: int = MAX_READINGS) -> dict[Word, ShiftWi
             stack.append((first[p] - 1, forest | (1 << p + 1) - (1 << first[p])))
             continue
         y = tuple(lab[q] for q in range(n) if not forest >> q & 1)
-        for x in _fold(forest, parts, combine, classes):
+        for x in _fold(forest, parts, classes):
             key = psylv_key(y + x)
             if key not in out:
                 out[key] = ShiftWitness(x, y)
@@ -143,7 +141,7 @@ def neighbors(s: SylvElement, cap: int = MAX_READINGS) -> dict[SylvElement, Shif
 
 
 def tree_count(e: tuple[int, ...]) -> int:
-    """len(trees_with_evaluation(e)), computed without building any tree.
+    """len(keys_with_evaluation(e)), computed without listing them.
 
     Read in order, a tree with evaluation e is a binary tree on the sorted
     word whose node j has no right child whenever letter j + 1 repeats
@@ -161,15 +159,14 @@ def tree_count(e: tuple[int, ...]) -> int:
     return sum(ways)
 
 
-def trees_with_evaluation(e: tuple[int, ...]) -> list[Bst]:
-    """Every right-strict tree with evaluation e, each once.
+def keys_with_evaluation(e: tuple[int, ...]) -> list[Word]:
+    """The key (canonical reading) of every tree with evaluation e, each once.
 
-    A multiset's trees are Node(v, left tree, right tree) over its root
-    values v. Equal values go left, so v splits the multiset
-    deterministically and no tree arises twice. Every multiset met is a
-    run of e's nonzero values, all at full count but the last: the state
-    (first index, last index, count of the last value) names it, and None
-    the empty multiset.
+    A multiset's trees are v(left tree, right tree) over its root values v.
+    Equal values go left, so v splits the multiset deterministically and no
+    tree arises twice. Every multiset met is a run of e's nonzero values,
+    all at full count but the last: the state (first index, last index,
+    count of the last value) names it, and None the empty multiset.
     """
     values = [(i + 1, c) for i, c in enumerate(e) if c > 0]
 
@@ -187,30 +184,28 @@ def trees_with_evaluation(e: tuple[int, ...]) -> list[Bst]:
             out.append((v, low, (i + 1, b, last) if i < b else None))
         return out
 
-    def combine(ps):
-        return [Node(v, left, right) for v, lefts, rights in ps
-                for left in lefts for right in rights]
-
     root = (0, len(values) - 1, values[-1][1]) if values else None
-    return _fold(root, parts, combine, {None: [None]})
+    return _fold(root, parts, {None: [()]})
 
 
 class ComponentGraph:
     """The subgraph induced by all elements with one fixed evaluation.
 
-    Vertices are sorted by canonical reading; edges carry one witness,
-    oriented from the lower-index endpoint. Self-loops are dropped.
+    Vertices are sorted by canonical reading and adj[i] lists the indices
+    of i's neighbors in increasing order; self-loops are dropped. Edges
+    carry no witness: `edge_witnesses` recomputes them from the vertices
+    under max_readings, the reading cap the graph was built with.
     """
 
     def __init__(self, rank: int, evaluation: tuple[int, ...],
                  vertices: list[SylvElement], adj: list[list[int]],
-                 witnesses: dict[tuple[int, int], ShiftWitness]):
+                 max_readings: int = MAX_READINGS):
         self.rank = rank
         self.evaluation = evaluation
         self.vertices = vertices
         self.index = {v: i for i, v in enumerate(vertices)}
         self.adj = adj
-        self.witnesses = witnesses
+        self.max_readings = max_readings
         self.parts = self._parts()
 
     @property
@@ -218,20 +213,20 @@ class ComponentGraph:
         return len(self.parts) <= 1
 
     def edge_count(self) -> int:
-        return len(self.witnesses)
+        return sum(map(len, self.adj)) // 2
 
     def _parts(self) -> list[list[int]]:
         seen: set[int] = set()
         parts = []
         for start in range(len(self.vertices)):
             if start not in seen:
-                comp = _bfs(self.adj, start)
+                comp = bfs(self.adj, start)
                 seen.update(comp)
                 parts.append(sorted(comp))
         return parts
 
 
-def _bfs(adj: list[list[int]], source: int, stop: int | None = None) -> dict[int, int]:
+def bfs(adj: list[list[int]], source: int, stop: int | None = None) -> dict[int, int]:
     """Distances from source to every vertex it reaches, in visiting order;
     the search ends as soon as it reaches stop."""
     dist = {source: 0}
@@ -258,28 +253,29 @@ def component(e: tuple[int, ...], n: int, max_vertices: int = MAX_VERTICES,
     k = sum(1 for c in e if c)
     if comb(2 * k, k) // (k + 1) > max_vertices or tree_count(e) > max_vertices:
         raise CapExceededError("component vertices", max_vertices)
-    vertices = sorted((SylvElement.of_tree(n, t) for t in trees_with_evaluation(e)),
-                      key=lambda s: s.key)
+    vertices = [SylvElement(n, key) for key in sorted(keys_with_evaluation(e))]
     index = {v.key: i for i, v in enumerate(vertices)}
-    adj: list[set[int]] = [set() for _ in vertices]
-    witnesses: dict[tuple[int, int], ShiftWitness] = {}
+    # Each lower neighbor j of i appended i to adj[i] already, in increasing
+    # j; so adj[i] stays sorted, and an asymmetric relation shows up here.
+    adj: list[list[int]] = [[] for _ in vertices]
     for i, s in enumerate(vertices):
-        for key, wit in neighbor_keys(s, max_readings).items():
-            j = index[key]
-            if i == j:
-                continue
-            adj[i].add(j)
-            adj[j].add(i)
-            key = (min(i, j), max(i, j))
-            if key not in witnesses:
-                witnesses[key] = wit if i < j else wit.swapped()
-    return ComponentGraph(n, e, vertices, [sorted(a) for a in adj], witnesses)
+        js = [index[key] for key in neighbor_keys(s, max_readings)]
+        if sorted(j for j in js if j < i) != adj[i]:
+            raise InternalError(f"shift relation not symmetric at {word_str(s.key)}")
+        for j in sorted(j for j in js if j > i):
+            adj[i].append(j)
+            adj[j].append(i)
+    return ComponentGraph(n, e, vertices, adj, max_readings)
 
 
-def bfs_distances(g: ComponentGraph, source: SylvElement) -> dict[SylvElement, int]:
-    if source not in g.index:
-        raise ValueError("source vertex not in component")
-    return {g.vertices[i]: d for i, d in _bfs(g.adj, g.index[source]).items()}
+def edge_witnesses(g: ComponentGraph) -> Iterator[tuple[int, int, ShiftWitness]]:
+    """Every edge (i, j), i < j, in increasing order, with the witness that
+    `neighbor_keys` gives from vertex i to vertex j under g's reading cap."""
+    for i, s in enumerate(g.vertices):
+        wits = neighbor_keys(s, g.max_readings)
+        for j in g.adj[i]:
+            if j > i:
+                yield i, j, wits[g.vertices[j].key]
 
 
 def distance(g: ComponentGraph, s: SylvElement, t: SylvElement) -> int:
@@ -288,7 +284,7 @@ def distance(g: ComponentGraph, s: SylvElement, t: SylvElement) -> int:
     if s not in g.index:
         raise ValueError("source vertex not in component")
     target = g.index[t]
-    dist = _bfs(g.adj, g.index[s], stop=target)
+    dist = bfs(g.adj, g.index[s], stop=target)
     if target not in dist:
         raise DisconnectedError(g.parts)
     return dist[target]
@@ -335,7 +331,7 @@ def diameter(g: ComponentGraph) -> tuple[int, tuple[SylvElement, SylvElement]]:
             reach[u] = acc
         last, todo = todo, [u for u in todo if reach[u] != full]
     i = last[0]
-    j = min(j for j, dj in _bfs(g.adj, i).items() if dj == d)
+    j = min(j for j, dj in bfs(g.adj, i).items() if dj == d)
     return d, (g.vertices[i], g.vertices[j])
 
 
@@ -345,7 +341,7 @@ def graph_dot(g: ComponentGraph, tree_labels: bool = False) -> str:
     lines = ["graph shifts {", "  node [shape=box];"]
     for i, v in enumerate(g.vertices):
         lines.append(f'  v{i} [label="{fmt(v)}"];')
-    for (i, j), wit in sorted(g.witnesses.items()):
+    for i, j, wit in edge_witnesses(g):
         lines.append(f'  v{i} -- v{j} [label="{word_str(wit.x)}|{word_str(wit.y)}"];')
     lines.append("}")
     return "\n".join(lines)

@@ -11,14 +11,14 @@ from __future__ import annotations
 import itertools
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from .cocharge import cochseq_gap, cochseq_word
-from .graph import (MAX_VERTICES, bfs_distances, component, diameter, neighbors,
-                    trees_with_evaluation)
+from .graph import MAX_VERTICES, bfs, component, diameter, keys_with_evaluation, neighbors
 from .monoid import DEFAULT_REWRITE_BUDGET, SylvElement, element_of, multiply, rewrite_class
 from .pathsynth import CASE_TAGS, shift_path
-from .trees import MAX_READINGS, canonical_reading, readings, tree_str
+from .trees import MAX_READINGS, psylv, readings, tree_str
 from .words import Word, word_str
 
 
@@ -50,9 +50,9 @@ def _all_words(rank: int, length: int):
     return itertools.product(range(1, rank + 1), repeat=length)
 
 
-def standard_trees(n: int) -> list:
-    """All standard trees on n nodes, sorted by canonical reading."""
-    return sorted(trees_with_evaluation((1,) * n), key=canonical_reading)
+def standard_keys(n: int) -> list[Word]:
+    """The keys (canonical readings) of all standard trees on n nodes, sorted."""
+    return sorted(keys_with_evaluation((1,) * n))
 
 
 def suite_oracle(rank: int = 4, maxlen: int = 6,
@@ -86,14 +86,14 @@ def suite_cocharge_congruence(nmax: int = 7) -> SuiteReport:
     rep = SuiteReport(f"cocharge-congruence(n<={nmax})")
     checked = 0
     for n in range(1, nmax + 1):
-        trees = standard_trees(n)
-        for tree in trees:
+        keys = standard_keys(n)
+        for tree in map(psylv, keys):
             fiber = readings(tree)
             seqs = {cochseq_word(w) for w in fiber}
             if len(seqs) != 1:
                 rep.fail(f"tree {tree_str(tree)} has readings with sequences {sorted(seqs)}")
             checked += len(fiber)
-        _progress(f"cocharge-congruence: n={n} done ({len(trees)} trees)")
+        _progress(f"cocharge-congruence: n={n} done ({len(keys)} trees)")
     rep.lines.append(f"{checked} standard words grouped and checked")
     return rep
 
@@ -172,18 +172,18 @@ def suite_distance_lower_bound(nmax: int = 5) -> SuiteReport:
     pairs = 0
     for n in range(2, nmax + 1):
         g = component((1,) * n, n)
-        up = element_of(tuple(range(1, n + 1)), n)
-        down = element_of(tuple(range(n, 0, -1)), n)
-        dists = {v: bfs_distances(g, v) for v in g.vertices}
-        seqs = {v: cochseq_word(v.key) for v in g.vertices}
+        up = g.index[element_of(tuple(range(1, n + 1)), n)]
+        down = g.index[element_of(tuple(range(n, 0, -1)), n)]
+        dists = [bfs(g.adj, i) for i in range(len(g.vertices))]
+        seqs = [cochseq_word(v.key) for v in g.vertices]
         if dists[up][down] < n - 1:
             rep.fail(f"n={n}: chain distance {dists[up][down]} < {n - 1}")
-        for s in g.vertices:
-            for t in g.vertices:
-                bound = cochseq_gap(seqs[s], seqs[t])
-                if dists[s][t] < bound:
+        for i, s in enumerate(g.vertices):
+            for j, t in enumerate(g.vertices):
+                bound = cochseq_gap(seqs[i], seqs[j])
+                if dists[i][j] < bound:
                     rep.fail(f"n={n}: distance({word_str(s.key)}, {word_str(t.key)}) "
-                             f"= {dists[s][t]} < bound {bound}")
+                             f"= {dists[i][j]} < bound {bound}")
                 pairs += 1
         _progress(f"distance-lower-bound: n={n} done")
     rep.lines.append(f"{pairs} standard pairs dominate their cocharge bound")
@@ -216,22 +216,22 @@ def suite_path(nmax: int = 5, jobs: int = 1) -> SuiteReport:
     rep = SuiteReport(f"path(n<={nmax})")
     seen_tags: set[str] = set()
     total = 0
+    # work items carry keys, not trees; a worker builds each target's tree once
+    work = []
     for n in range(1, nmax + 1):
-        # work items carry keys, not trees; a worker builds each target's tree once
-        keys = [canonical_reading(t) for t in standard_trees(n)]
+        keys = standard_keys(n)
         size = -(-len(keys) // max(jobs, 1))
-        work = [(n, keys[i:i + size], keys) for i in range(0, len(keys), size)]
-        if len(work) > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_path_worker, work))
-        else:
-            results = [_path_worker(w) for w in work]
-        for count, tags, failures in results:
+        work += [(n, keys[i:i + size], keys) for i in range(0, len(keys), size)]
+    # one pool serves every n, and none is started for a single item
+    pooled = jobs > 1 and len(work) > 1
+    with ProcessPoolExecutor(max_workers=jobs) if pooled else nullcontext() as pool:
+        results = pool.map(_path_worker, work) if pooled else map(_path_worker, work)
+        for (n, sources, _), (count, tags, failures) in zip(work, results):
             total += count
             seen_tags |= tags
             for f in failures:
                 rep.fail(f)
-        _progress(f"path: n={n} done ({total} pairs so far)")
+            _progress(f"path: n={n}, {len(sources)} sources done ({total} pairs so far)")
     missing = [t for t in CASE_TAGS if t not in seen_tags]
     if nmax >= 4 and missing:
         rep.fail(f"cases never exercised: {missing}")
@@ -263,11 +263,11 @@ def suite_induced(nmax: int = 4) -> SuiteReport:
     checked = 0
     for m in range(1, nmax):
         for n in range(m + 1, nmax + 1):
-            for t in standard_trees(m):
-                low = {x.key for x in neighbors(SylvElement.of_tree(m, t))}
-                high = {x.key for x in neighbors(SylvElement.of_tree(n, t))}
+            for key in standard_keys(m):
+                low = {x.key for x in neighbors(SylvElement(m, key))}
+                high = {x.key for x in neighbors(SylvElement(n, key))}
                 if low != high:
-                    rep.fail(f"tree {tree_str(t)}: ranks {m} and {n} disagree")
+                    rep.fail(f"tree {tree_str(psylv(key))}: ranks {m} and {n} disagree")
                 checked += 1
     rep.lines.append(f"{checked} elements agree across ranks")
     return rep
@@ -294,7 +294,7 @@ def suite_monoid(rank: int = 3, maxlen: int = 4, assoc_total: int = 6) -> SuiteR
     elems: list[SylvElement] = []
     for total in range(0, assoc_total + 1):
         for e in _evaluations(rank, total):
-            elems.extend(SylvElement.of_tree(rank, t) for t in trees_with_evaluation(e))
+            elems.extend(SylvElement(rank, key) for key in keys_with_evaluation(e))
     # elems runs through the totals in increasing order, so lengths never
     # decrease along it: once b or c is too long, every later one is too.
     triples = 0

@@ -2,13 +2,14 @@
 
 import itertools
 import sys
+from collections import deque
 from math import factorial
 
 import pytest
 
 from sylvshift import pathsynth
 from sylvshift.errors import InternalError
-from sylvshift.graph import ComponentGraph, ShiftWitness, bfs_distances
+from sylvshift.graph import ComponentGraph, ShiftWitness
 from sylvshift.monoid import SylvElement
 from sylvshift.trees import (Bst, Locator, Node, canonical_reading, complete_subtree, labels,
                              node_count, postfix, psylv, readings)
@@ -69,6 +70,20 @@ def neighbors_by_readings(s: SylvElement) -> dict[SylvElement, ShiftWitness]:
     return out
 
 
+def bfs_distances(g: ComponentGraph, source: SylvElement) -> dict[SylvElement, int]:
+    """Distances from source to every vertex it reaches, keyed by element:
+    a plain breadth-first search over g's adjacency lists."""
+    dist = {g.index[source]: 0}
+    queue = deque(dist)
+    while queue:
+        u = queue.popleft()
+        for v in g.adj[u]:
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return {g.vertices[i]: d for i, d in dist.items()}
+
+
 def diameter_by_bfs(g: ComponentGraph) -> tuple[int, tuple[SylvElement, SylvElement]]:
     """Exact diameter by one full BFS per vertex, keeping the first pair
     (i, j), i < j, met at the largest distance."""
@@ -97,9 +112,10 @@ def hook_length_extensions(t: Bst) -> int:
 
 
 def standard_trees(n: int) -> list[Bst]:
-    from sylvshift.verify import standard_trees as st
+    """All standard trees on n nodes, sorted by canonical reading."""
+    from sylvshift.verify import standard_keys
 
-    return st(n)
+    return [psylv(key) for key in standard_keys(n)]
 
 
 def standard_trees_by_insertion(n: int) -> list[Bst]:

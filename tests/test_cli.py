@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import sys
 
@@ -7,6 +8,7 @@ import pytest
 from sylvshift import pathsynth
 from sylvshift.cli import build_parser, main
 from sylvshift.graph import ShiftWitness
+from sylvshift.monoid import SylvElement
 from sylvshift.pathsynth import PathCertificate, certificate_from_obj
 from sylvshift.trees import parse_tree, psylv
 from sylvshift.words import parse_word
@@ -97,6 +99,45 @@ def test_component_and_diameter(capsys):
 
     code, out, _ = run(capsys, "component", "-n", "2", "--eval", "1,1", "--format", "dot")
     assert code == 0 and out.startswith("graph")
+
+
+# sha256 of the full stdout of `component` with witnessed edges, pinned
+# when each edge still stored its witness: recomputing them per source
+# vertex must reproduce every vertex, edge and x|y split byte for byte.
+COMPONENT_GOLDENS = [
+    (("-n", "5", "--eval", "2,1,2,1,2", "--format", "json"),
+     "0c8221ac0b084e705c0902a9538dcbbc398035a4ea9472ed0290afe014fe6b43"),
+    (("-n", "5", "--eval", "2,1,2,1,2", "--format", "dot"),
+     "2a5c79a32f78fd243f2992508be0f1c5b551ca360c867b91c2a887081f1f9c91"),
+    (("-n", "6", "--standard", "--format", "json"),
+     "73e360261fb7626abe9e7d14d204f5a2b5ed767a36d739f4ad032794a49f3a01"),
+    (("-n", "6", "--standard", "--format", "dot"),
+     "a4080ba42c2e2993d642d0092e9fb23b5af9a82a02b2737ce6deef81720e13dc"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", COMPONENT_GOLDENS)
+def test_component_output_golden(capsys, argv, digest):
+    code, out, _ = run(capsys, "component", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_component_json_with_raised_reading_cap(capsys):
+    # a vertex of (11, 11) has 352716 readings: over the default cap, under
+    # the raised one, which the recomputed witnesses must use too
+    code, _, err = run(capsys, "component", "--eval", "11,11", "--format", "json")
+    assert code == 3 and "cap" in err
+    code, out, _ = run(capsys, "component", "--eval", "11,11", "--max-readings", "400000",
+                       "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert len(doc["vertices"]) == 12 and doc["connected"]
+    vertices = [SylvElement(2, parse_word(v)) for v in doc["vertices"]]
+    for edge in doc["edges"]:
+        wit = ShiftWitness(parse_word(edge["x"]), parse_word(edge["y"]))
+        assert edge["a"] < edge["b"]
+        assert wit.validates(vertices[edge["a"]], vertices[edge["b"]])
 
 
 def test_distance(capsys):

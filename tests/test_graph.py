@@ -6,22 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import diameter_by_bfs, multiset_words, neighbors_by_readings, standard_trees
+from conftest import bfs_distances, diameter_by_bfs, multiset_words, neighbors_by_readings
 from sylvshift import graph
 from sylvshift import verify as suites
 from sylvshift.errors import CapExceededError, DisconnectedError, InternalError, RankError
 from sylvshift.graph import (
     ComponentGraph,
     ShiftWitness,
-    bfs_distances,
     component,
     component_tsv,
     diameter,
     distance,
+    edge_witnesses,
     graph_dot,
+    keys_with_evaluation,
     neighbors,
     tree_count,
-    trees_with_evaluation,
 )
 from sylvshift.monoid import SylvElement, element_of, evaluation_of
 from sylvshift.trees import (Node, canonical_reading, is_bst, labels, psylv, psylv_key,
@@ -73,14 +73,14 @@ def check_against_oracle(s):
 def test_neighbors_match_readings_oracle(monkeypatch):
     tried = []
     monkeypatch.setattr(graph, "psylv_key", lambda w: tried.append(w) or psylv_key(w))
-    cases = [(n, t) for n in range(8) for t in standard_trees(n)]
-    cases += [(len(e), t) for e in ORACLE_CLASSES for t in trees_with_evaluation(e)]
-    for n, t in cases:
-        s = SylvElement.of_tree(n, t)
+    cases = [(n, key) for n in range(8) for key in suites.standard_keys(n)]
+    cases += [(len(e), key) for e in ORACLE_CLASSES for key in keys_with_evaluation(e)]
+    for n, key in cases:
+        s = SylvElement(n, key)
         tried.clear()
         graph.neighbor_keys(s)
-        # each word tried is yx for a distinct reading xy of t and split
-        assert 0 < len(tried) <= reading_count(canonical_reading(t)) * (len(canonical_reading(t)) + 1)
+        # each word tried is yx for a distinct reading xy of s and split
+        assert 0 < len(tried) <= reading_count(key) * (len(key) + 1)
         check_against_oracle(s)
 
 
@@ -109,23 +109,23 @@ def test_neighbors_symmetric_and_evaluation_preserving():
                 assert ShiftWitness(wit.y, wit.x).validates(t, s)
 
 
-def test_trees_with_evaluation_counts():
+def test_keys_with_evaluation_counts():
     catalan = [1, 1, 2, 5, 14, 42, 132]
     for n in range(1, 7):
-        assert len(trees_with_evaluation((1,) * n)) == catalan[n]
-    assert len(trees_with_evaluation((2, 0))) == 1
-    assert len(trees_with_evaluation(())) == 1  # the empty tree
+        assert len(keys_with_evaluation((1,) * n)) == catalan[n]
+    assert len(keys_with_evaluation((2, 0))) == 1
+    assert keys_with_evaluation(()) == [()]  # the empty tree
 
 
-def test_trees_with_evaluation_matches_bruteforce():
-    # every distinct insertion tree of the class appears exactly once
+def test_keys_with_evaluation_matches_bruteforce():
+    # the key of every distinct insertion tree of the class appears exactly once
     for e in [(1, 1), (2, 0), (1, 1, 1), (2, 1, 0), (2, 2), (1, 0, 2), (2, 1, 1)]:
         symbols = [i + 1 for i, c in enumerate(e) for _ in range(c)]
-        brute = {psylv(w) for w in multiset_words(symbols)}
-        built = trees_with_evaluation(e)
+        brute = {canonical_reading(psylv(w)) for w in multiset_words(symbols)}
+        built = keys_with_evaluation(e)
         assert len(built) == len(set(built))
         assert set(built) == brute
-        assert all(is_bst(t) for t in built)
+        assert all(is_bst(psylv(key)) and canonical_reading(psylv(key)) == key for key in built)
         assert tree_count(e) == len(built)
 
 
@@ -154,7 +154,9 @@ def test_component_edges_match_word_bruteforce():
                     a, b = sorted((g.index[SylvElement.of_tree(n, s)],
                                    g.index[SylvElement.of_tree(n, t)]))
                     brute.add((a, b))
-        assert set(g.witnesses) == brute
+        assert {(i, j) for i, a in enumerate(g.adj) for j in a if i < j} == brute
+        assert {(i, j) for i, j, _ in edge_witnesses(g)} == brute
+        assert g.edge_count() == len(brute)
 
 
 def test_standard_component_n8_golden():
@@ -162,6 +164,18 @@ def test_standard_component_n8_golden():
     assert (len(g.vertices), g.edge_count(), g.connected) == (1430, 29444, True)
     d, (a, b) = diameter(g)
     assert (d, word_str(a.key), word_str(b.key)) == (7, "12345678", "76543218")
+
+
+def test_component_refuses_an_asymmetric_shift_relation(monkeypatch):
+    real = graph.neighbor_keys
+
+    def one_way(s, cap):
+        # 123 loses its neighbor 231, which still lists 123
+        return {k: w for k, w in real(s, cap).items() if (s.key, k) != ((1, 2, 3), (2, 3, 1))}
+
+    monkeypatch.setattr(graph, "neighbor_keys", one_way)
+    with pytest.raises(InternalError, match="not symmetric"):
+        component((1, 1, 1), 3)
 
 
 def test_component_validates_input():
@@ -187,9 +201,9 @@ def test_reading_cap_is_the_exact_reading_count():
 
 def test_component_cap_fails_before_building_trees(monkeypatch):
     def build(e):
-        raise AssertionError(f"trees with evaluation {e} built before the vertex cap check")
+        raise AssertionError(f"keys with evaluation {e} listed before the vertex cap check")
 
-    monkeypatch.setattr(graph, "trees_with_evaluation", build)
+    monkeypatch.setattr(graph, "keys_with_evaluation", build)
     with pytest.raises(CapExceededError):
         component((1,) * 12, 12, max_vertices=10)
 
@@ -198,7 +212,7 @@ def test_catalan_bounds_tree_count():
     # component compares Catalan(k), k = distinct symbols, with its cap first
     for e in itertools.product(range(3), repeat=4):
         k = sum(1 for c in e if c)
-        assert comb(2 * k, k) // (k + 1) <= tree_count(e) == len(trees_with_evaluation(e))
+        assert comb(2 * k, k) // (k + 1) <= tree_count(e) == len(keys_with_evaluation(e))
 
 
 def test_tree_count_of_long_standard_evaluations():
@@ -225,7 +239,7 @@ def test_distance_examples():
         distance(g, stray, stray)
     with pytest.raises(ValueError, match="source"):
         distance(g, stray, a)
-    broken = ComponentGraph(2, (1, 1), [a, b], [[], []], {})
+    broken = ComponentGraph(2, (1, 1), [a, b], [[], []])
     with pytest.raises(DisconnectedError):
         distance(broken, a, b)
     assert distance(broken, b, b) == 0
@@ -268,7 +282,7 @@ def test_diameter_matches_per_vertex_bfs():
 def test_diameter_stalled_rounds_raise():
     # vertex 1 lists no neighbor, so its set never grows past itself
     v = component((1, 1), 2).vertices
-    lopsided = ComponentGraph(2, (1, 1), v, [[1], []], {})
+    lopsided = ComponentGraph(2, (1, 1), v, [[1], []])
     assert lopsided.connected
     with pytest.raises(InternalError):
         diameter(lopsided)
@@ -279,7 +293,9 @@ def test_distances_and_diameter_against_networkx():
         g = component(e, n)
         G = nx.Graph()
         G.add_nodes_from(range(len(g.vertices)))
-        G.add_edges_from(g.witnesses)
+        G.add_edges_from((i, j) for i, a in enumerate(g.adj) for j in a)
+        assert {(i, j) for i, j, _ in edge_witnesses(g)} == {tuple(sorted(e)) for e in G.edges}
+        assert g.edge_count() == G.number_of_edges()
         assert nx.is_connected(G)
         d, _ = diameter(g)
         assert d == nx.diameter(G)
@@ -291,23 +307,28 @@ def test_distances_and_diameter_against_networkx():
 
 def test_diameter_disconnected_reports_parts():
     a, b = element_of((1, 2), 2), element_of((2, 1), 2)
-    broken = ComponentGraph(2, (1, 1), [a, b], [[], []], {})
+    broken = ComponentGraph(2, (1, 1), [a, b], [[], []])
     assert not broken.connected
     with pytest.raises(DisconnectedError) as exc:
         diameter(broken)
     assert len(exc.value.parts) == 2
 
     v = component((1, 1, 1), 3).vertices[:4]
-    two_parts = ComponentGraph(3, (1, 1, 1), v, [[2], [3], [0], [1]], {})
+    two_parts = ComponentGraph(3, (1, 1, 1), v, [[2], [3], [0], [1]])
     G = nx.Graph([(0, 2), (1, 3)])
     assert two_parts.parts == sorted(sorted(c) for c in nx.connected_components(G))
 
 
-def test_witnesses_stored_oriented():
-    g = component((1, 1, 1), 3)
-    for (i, j), wit in g.witnesses.items():
-        assert i < j
-        assert wit.validates(g.vertices[i], g.vertices[j])
+def test_edge_witnesses_oriented():
+    for e in [(1, 1, 1), (2, 1, 2, 1, 2)]:
+        g = component(e, len(e))
+        edges = []
+        for i, j, wit in edge_witnesses(g):
+            assert i < j
+            assert wit.validates(g.vertices[i], g.vertices[j])
+            edges.append((i, j))
+        assert edges == sorted((i, j) for i, a in enumerate(g.adj) for j in a if i < j)
+
 
 
 def test_vertices_sorted_and_deterministic():
@@ -316,7 +337,8 @@ def test_vertices_sorted_and_deterministic():
     assert rs == sorted(rs)
     again = component((1, 1, 1), 3)
     assert [v.tree for v in again.vertices] == [v.tree for v in g.vertices]
-    assert again.witnesses == g.witnesses
+    assert again.adj == g.adj
+    assert list(edge_witnesses(again)) == list(edge_witnesses(g))
 
 
 def test_emitters():

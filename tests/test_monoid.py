@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import EQ1_WORD
+from conftest import EQ1_WORD, multiset_words
 from sylvshift import verify as suites
 from sylvshift.errors import BudgetExceededError, RankError
-from sylvshift.graph import (ShiftWitness, component, diameter, distance, neighbors,
-                             trees_with_evaluation)
+from sylvshift.graph import (ShiftWitness, component, diameter, distance, keys_with_evaluation,
+                             neighbors)
 from sylvshift.monoid import (
     SylvElement,
     element_of,
@@ -144,9 +144,11 @@ def test_canonical_reading_is_a_complete_key():
         for e in itertools.product(range(7), repeat=n):
             if sum(e) > 6:
                 continue
-            trees = trees_with_evaluation(e)
+            symbols = [i + 1 for i, c in enumerate(e) for _ in range(c)]
+            trees = list({psylv(w) for w in multiset_words(symbols)})
             keys = [SylvElement.of_tree(n, t).key for t in trees]
             assert len(set(keys)) == len(trees)
+            assert set(keys) == set(keys_with_evaluation(e))
             for t, key in zip(trees, keys):
                 assert psylv(key) == t
 

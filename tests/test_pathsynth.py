@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import induction_step_by_cases, standard_trees, visited_tops_by_scan
+from conftest import bfs_distances, induction_step_by_cases, standard_trees, visited_tops_by_scan
 from sylvshift import pathsynth
 from sylvshift.errors import InternalError, NotStandardError, ParseError, RankError
 from sylvshift.graph import ShiftWitness, neighbors
@@ -230,7 +230,7 @@ def test_case_coverage_through_n6(paths_through_n6):
 
 
 def test_path_length_dominates_bfs_distance():
-    from sylvshift.graph import bfs_distances, component
+    from sylvshift.graph import component
 
     for n in range(2, 6):
         g = component((1,) * n, n)
