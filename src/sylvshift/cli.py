@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import os
 import sys
 
 from . import verify as verify_mod
@@ -45,7 +46,15 @@ from .words import evaluation, is_standard, parse_word, word_str
 
 def _emit(text: str, args: argparse.Namespace) -> None:
     if not args.out:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # The reader has gone (`... | head`): the rest of the output,
+            # and the interpreter's final flush, go to devnull, and the
+            # command still exits with its own code.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return
     try:
         with open(args.out, "w") as fh:

@@ -137,7 +137,7 @@ def neighbor_keys(s: SylvElement, cap: int = MAX_READINGS) -> dict[Word, ShiftWi
 
 def neighbors(s: SylvElement, cap: int = MAX_READINGS) -> dict[SylvElement, ShiftWitness]:
     """Every element one cyclic shift away from s (s itself included), with one witness each."""
-    return {SylvElement(s.rank, key): wit for key, wit in neighbor_keys(s, cap).items()}
+    return {SylvElement.of_key(s.rank, key): wit for key, wit in neighbor_keys(s, cap).items()}
 
 
 def tree_count(e: tuple[int, ...]) -> int:
@@ -240,6 +240,27 @@ def bfs(adj: list[list[int]], source: int, stop: int | None = None) -> dict[int,
     return dist
 
 
+def mirror_index(keys: list[Word], index: dict[Word, int]) -> list[int]:
+    """m[i]: the index of the mirror image of the tree keys[i], for the keys
+    of one class on distinct letters, index mapping each key to its place.
+
+    Reversing the letters of the support (its k-th smallest letter <-> its
+    k-th largest) reverses every comparison and keeps every position, so it
+    swaps left and right in the Cartesian tree of a word on distinct
+    letters. It acts letter by letter, so it takes the shift of xy to yx
+    to the shift of its image of xy that swaps the same two factors: m is
+    an automorphism of the class's shift graph. On repeated letters it
+    turns the sylvester congruence into the #-sylvester one, so it is no
+    automorphism there. Raises InternalError unless m is an involution.
+    """
+    support = sorted(keys[0]) if keys else []
+    flip = dict(zip(support, reversed(support)))
+    m = [index[psylv_key(tuple(map(flip.__getitem__, key)))] for key in keys]
+    if any(m[j] != i for i, j in enumerate(m)):
+        raise InternalError("letter reversal is not an involution on the class")
+    return m
+
+
 def component(e: tuple[int, ...], n: int, max_vertices: int = MAX_VERTICES,
               max_readings: int = MAX_READINGS) -> ComponentGraph:
     """Build the evaluation-class graph for e over the rank-n alphabet."""
@@ -253,13 +274,23 @@ def component(e: tuple[int, ...], n: int, max_vertices: int = MAX_VERTICES,
     k = sum(1 for c in e if c)
     if comb(2 * k, k) // (k + 1) > max_vertices or tree_count(e) > max_vertices:
         raise CapExceededError("component vertices", max_vertices)
-    vertices = [SylvElement(n, key) for key in sorted(keys_with_evaluation(e))]
-    index = {v.key: i for i, v in enumerate(vertices)}
+    keys = sorted(keys_with_evaluation(e))
+    vertices = [SylvElement.of_key(n, key) for key in keys]
+    index = {key: i for i, key in enumerate(keys)}
+    # On distinct letters only the vertex i <= m[i] of each mirror orbit
+    # enumerates its neighbors. Nothing is appended to adj[m[i]] after the
+    # loop leaves m[i], so when it reaches i > m[i], adj[m[i]] is complete
+    # and i's neighbors are its mirror image. On repeated letters the
+    # reversal is no automorphism, and every vertex enumerates.
+    m = mirror_index(keys, index) if max(e, default=0) <= 1 else None
     # Each lower neighbor j of i appended i to adj[i] already, in increasing
     # j; so adj[i] stays sorted, and an asymmetric relation shows up here.
     adj: list[list[int]] = [[] for _ in vertices]
     for i, s in enumerate(vertices):
-        js = [index[key] for key in neighbor_keys(s, max_readings)]
+        if m is None or i <= m[i]:
+            js = [index[key] for key in neighbor_keys(s, max_readings)]
+        else:
+            js = [m[j] for j in adj[m[i]]]
         if sorted(j for j in js if j < i) != adj[i]:
             raise InternalError(f"shift relation not symmetric at {word_str(s.key)}")
         for j in sorted(j for j in js if j > i):

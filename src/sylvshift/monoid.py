@@ -37,10 +37,21 @@ class SylvElement:
         object.__setattr__(self, "key", psylv_key(self.key))
 
     @classmethod
+    def of_key(cls, rank: int, key: Word) -> "SylvElement":
+        """The element whose canonical reading is key. The rank is checked,
+        but key is stored as given, so it must already be a canonical
+        reading (psylv_key of some word)."""
+        check_rank(key, rank)
+        s = object.__new__(cls)
+        object.__setattr__(s, "rank", rank)
+        object.__setattr__(s, "key", key)
+        return s
+
+    @classmethod
     def of_tree(cls, rank: int, tree: Bst) -> "SylvElement":
         """The element of tree, kept as its tree; the key walk refuses a tree
         that is not right-strict (ValueError), as no word inserts to it."""
-        s = cls(rank, canonical_reading(tree))
+        s = cls.of_key(rank, canonical_reading(tree))
         s.__dict__["tree"] = tree
         return s
 

@@ -9,7 +9,7 @@ import pytest
 
 from sylvshift import pathsynth
 from sylvshift.errors import InternalError
-from sylvshift.graph import ComponentGraph, ShiftWitness
+from sylvshift.graph import ComponentGraph, ShiftWitness, keys_with_evaluation, neighbor_keys
 from sylvshift.monoid import SylvElement
 from sylvshift.trees import (Bst, Locator, Node, canonical_reading, complete_subtree, labels,
                              node_count, postfix, psylv, readings)
@@ -68,6 +68,33 @@ def neighbors_by_readings(s: SylvElement) -> dict[SylvElement, ShiftWitness]:
             if t not in out:
                 out[t] = ShiftWitness(w[:k], w[k:])
     return out
+
+
+def adjacency_by_vertex(e: tuple[int, ...], n: int) -> list[list[int]]:
+    """The adjacency lists of e's class, built with one neighbor_keys call
+    per vertex and no use of the mirror symmetry; each list sorted, without
+    its vertex."""
+    keys = sorted(keys_with_evaluation(e))
+    index = {key: i for i, key in enumerate(keys)}
+    return [sorted(index[k] for k in neighbor_keys(SylvElement.of_key(n, key)) if k != key)
+            for key in keys]
+
+
+def mirror_tree(t: Bst, flip: dict[int, int]) -> Bst:
+    """t with left and right swapped at every node and every label a
+    replaced by flip[a], path-copied on an explicit stack."""
+    done: dict[int, Bst] = {id(None): None}
+    stack = [t]
+    while stack:
+        node = stack[-1]
+        if id(node) in done:
+            stack.pop()
+        elif id(node.left) in done and id(node.right) in done:
+            done[id(node)] = Node(flip[node.label], done[id(node.right)], done[id(node.left)])
+            stack.pop()
+        else:
+            stack += [node.left, node.right]
+    return done[id(t)]
 
 
 def bfs_distances(g: ComponentGraph, source: SylvElement) -> dict[SylvElement, int]:

@@ -1,11 +1,16 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import sylvshift
 from sylvshift import pathsynth
+from sylvshift import verify as suites
 from sylvshift.cli import build_parser, main
 from sylvshift.graph import ShiftWitness
 from sylvshift.monoid import SylvElement
@@ -253,6 +258,34 @@ def test_internal_errors_exit_5(monkeypatch, capsys):
     code, out, err = run(capsys, "path", "13254", "23541", "--check")
     assert code == 5 and out == ""
     assert err.strip() == "internal error: certificate failed re-verification"
+
+
+def test_closed_pipe_exits_cleanly():
+    # `component ... | head -1`: the reader leaves after one line of about
+    # 187 kB, more than a pipe buffers, so the write fails with EPIPE
+    src = Path(sylvshift.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    cmd = [sys.executable, "-m", "sylvshift", "component", "--standard", "-n", "7",
+           "--format", "dot"]
+    with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        assert proc.stdout.readline() == b"graph shifts {\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (0, b"")
+
+
+def test_closed_pipe_keeps_the_exit_code(monkeypatch):
+    failing = suites.SuiteReport("example-path")
+    failing.fail("a counterexample")
+    monkeypatch.setitem(suites.SUITES, "example-path", lambda: failing)
+    r, w = os.pipe()
+    os.close(r)
+    with open(w, "w") as closed, monkeypatch.context() as m:
+        m.setattr(sys, "stdout", closed)
+        assert main(["verify", "example-path"]) == 4
+        # stdout now points at devnull, so a later write and flush pass
+        print("more", file=closed, flush=True)
 
 
 def test_out_file(tmp_path, capsys):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bfs_distances, diameter_by_bfs, multiset_words, neighbors_by_readings
+from conftest import (adjacency_by_vertex, bfs_distances, diameter_by_bfs, mirror_tree,
+                      multiset_words, neighbors_by_readings)
 from sylvshift import graph
 from sylvshift import verify as suites
 from sylvshift.errors import CapExceededError, DisconnectedError, InternalError, RankError
@@ -20,13 +21,14 @@ from sylvshift.graph import (
     edge_witnesses,
     graph_dot,
     keys_with_evaluation,
+    mirror_index,
     neighbors,
     tree_count,
 )
 from sylvshift.monoid import SylvElement, element_of, evaluation_of
 from sylvshift.trees import (Node, canonical_reading, is_bst, labels, psylv, psylv_key,
                              reading_count, readings)
-from sylvshift.words import word_str
+from sylvshift.words import Word, word_str
 
 # Evaluation classes with repeated symbols whose every tree is checked
 # against the readings oracle, next to every standard tree with n <= 7.
@@ -166,16 +168,79 @@ def test_standard_component_n8_golden():
     assert (d, word_str(a.key), word_str(b.key)) == (7, "12345678", "76543218")
 
 
-def test_component_refuses_an_asymmetric_shift_relation(monkeypatch):
+# Gapped distinct-letter classes: the mirror reverses the support, not 1..n.
+GAPPED_CLASSES = [((1, 0, 1, 1, 0, 1), 6), ((0, 1, 1, 1), 4)]
+
+
+def test_component_matches_the_per_vertex_build():
+    for e, n in [((1,) * n, n) for n in range(8)] + GAPPED_CLASSES:
+        assert component(e, n).adj == adjacency_by_vertex(e, n), e
+
+
+def count_neighbor_keys(monkeypatch) -> list[Word]:
+    calls = []
     real = graph.neighbor_keys
+    monkeypatch.setattr(graph, "neighbor_keys", lambda s, cap: calls.append(s.key) or real(s, cap))
+    return calls
 
-    def one_way(s, cap):
-        # 123 loses its neighbor 231, which still lists 123
-        return {k: w for k, w in real(s, cap).items() if (s.key, k) != ((1, 2, 3), (2, 3, 1))}
 
-    monkeypatch.setattr(graph, "neighbor_keys", one_way)
-    with pytest.raises(InternalError, match="not symmetric"):
+def test_neighbor_keys_runs_once_per_mirror_orbit(monkeypatch):
+    calls = count_neighbor_keys(monkeypatch)
+    for n, orbits in [(5, 22), (7, 217), (8, 715)]:
+        calls.clear()
+        g = component((1,) * n, n)
+        m = mirror_index([v.key for v in g.vertices], {v.key: i for v, i in g.index.items()})
+        assert len(calls) == len(set(calls)) == orbits
+        assert {g.index[SylvElement(n, key)] for key in calls} == {min(i, j) for i, j in enumerate(m)}
+    # on repeated letters every vertex enumerates its own neighbors
+    for e in ORACLE_CLASSES:
+        calls.clear()
+        assert len(component(e, len(e)).vertices) == len(calls) == len(set(calls))
+
+
+def test_mirror_is_an_involutive_automorphism():
+    for e, n in [((1,) * n, n) for n in range(7)] + GAPPED_CLASSES:
+        keys = sorted(keys_with_evaluation(e))
+        index = {key: i for i, key in enumerate(keys)}
+        m = mirror_index(keys, index)
+        support = [a for a, c in enumerate(e, 1) if c]
+        flip = dict(zip(support, reversed(support)))
+        adj = adjacency_by_vertex(e, n)
+        for i, key in enumerate(keys):
+            assert m[m[i]] == i
+            assert psylv(keys[m[i]]) == mirror_tree(psylv(key), flip)
+            assert sorted(m[j] for j in adj[i]) == adj[m[i]]
+
+
+def test_a_mirror_that_is_no_involution_is_refused(monkeypatch):
+    # why component keeps the per-vertex build on repeated letters: on
+    # (2, 2) the reversal maps the class onto itself, but is no involution
+    keys = sorted(keys_with_evaluation((2, 2)))
+    with pytest.raises(InternalError, match="not an involution"):
+        mirror_index(keys, {key: i for i, key in enumerate(keys)})
+    monkeypatch.setattr(graph, "psylv_key", lambda w: (1, 2, 3))
+    with pytest.raises(InternalError, match="not an involution"):
         component((1, 1, 1), 3)
+
+
+def test_component_refuses_an_asymmetric_shift_relation(monkeypatch):
+    # An asymmetry between mirror partners i and m(i) cannot show up here:
+    # the list of m(i) is derived from that of i. The per-vertex build
+    # covers those pairs in test_mirror_is_an_involutive_automorphism.
+    real = graph.neighbor_keys
+    for dropped, at in [
+        # 123 loses its neighbor 231, whose list is derived from 213's
+        (((1, 2, 3), (2, 3, 1)), "231"),
+        # 21435 loses 13542, which comes first and whose list is derived
+        (((2, 1, 4, 3, 5), (1, 3, 5, 4, 2)), "21435"),
+    ]:
+        def one_way(s, cap, dropped=dropped):
+            return {k: w for k, w in real(s, cap).items() if (s.key, k) != dropped}
+
+        monkeypatch.setattr(graph, "neighbor_keys", one_way)
+        n = len(at)
+        with pytest.raises(InternalError, match=f"not symmetric at {at}$"):
+            component((1,) * n, n)
 
 
 def test_component_validates_input():

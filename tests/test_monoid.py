@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import EQ1_WORD, multiset_words
+from sylvshift import monoid
 from sylvshift import verify as suites
 from sylvshift.errors import BudgetExceededError, RankError
 from sylvshift.graph import (ShiftWitness, component, diameter, distance, keys_with_evaluation,
@@ -20,7 +21,7 @@ from sylvshift.monoid import (
     single_rewrites,
 )
 from sylvshift.pathsynth import shift_path
-from sylvshift.trees import Node, canonical_reading, psylv
+from sylvshift.trees import Node, canonical_reading, psylv, psylv_key
 from sylvshift.words import evaluation
 
 
@@ -185,6 +186,27 @@ def test_element_is_the_key_of_any_reading(w):
     assert s.tree == t and s.tree is s.tree
     assert SylvElement.of_tree(4, t).tree is t
     assert SylvElement.of_tree(4, t) == s == SylvElement(4, s.key)
+
+
+def test_keys_are_stored_without_a_second_insertion(monkeypatch):
+    calls = []
+    monkeypatch.setattr(monoid, "psylv_key", lambda w: calls.append(w) or psylv_key(w))
+    t = psylv(EQ1_WORD)
+    s = SylvElement.of_tree(7, t)
+    assert calls == [] and s.key == canonical_reading(t) and s.tree is t
+    assert SylvElement.of_key(7, s.key) == s == element_of(EQ1_WORD, 7)
+    assert calls == [EQ1_WORD]
+    # the rank is still checked, and a tree that is not right-strict refused
+    with pytest.raises(RankError):
+        SylvElement.of_tree(6, t)
+    with pytest.raises(RankError):
+        SylvElement.of_key(6, s.key)
+    with pytest.raises(ValueError, match="right-strict"):
+        SylvElement.of_tree(2, Node(1, None, Node(1)))
+    # component stores the keys it lists as they are
+    calls.clear()
+    g = component((2, 1, 2, 1, 2), 5)
+    assert calls == [] and len(g.vertices) == 136
 
 
 def test_keys_need_no_tree(monkeypatch):
