@@ -6,7 +6,6 @@ from .errors import (
     CapExceededError,
     DisconnectedError,
     InternalError,
-    LocatorError,
     NotStandardError,
     ParseError,
     RankError,
@@ -27,6 +26,6 @@ __all__ = [
     # the types in their signatures
     "SylvElement", "Word", "Bst", "Node", "ComponentGraph", "PathCertificate",
     # errors
-    "SylvError", "ParseError", "RankError", "NotStandardError", "LocatorError",
+    "SylvError", "ParseError", "RankError", "NotStandardError",
     "CapExceededError", "BudgetExceededError", "DisconnectedError", "InternalError",
 ]

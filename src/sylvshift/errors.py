@@ -17,10 +17,6 @@ class NotStandardError(SylvError):
     """An operation defined only for standard words/trees got a non-standard input."""
 
 
-class LocatorError(SylvError):
-    """A node locator does not resolve inside the tree it addresses."""
-
-
 class CapExceededError(SylvError):
     """An enumeration grew past its configured cap."""
 
@@ -46,8 +42,13 @@ class DisconnectedError(SylvError):
 
 
 class InternalError(SylvError):
-    """A structural fact the path construction relies on failed to hold.
+    """A structural fact the library relies on failed to hold.
 
-    This signals a bug in the library (or an input violating a checked
-    precondition), never an expected runtime condition.
+    Raised by the path construction (a step's factorization or chain
+    invariants), `graph.component` (an asymmetric shift relation),
+    `graph.mirror_index` (a letter reversal that is no involution),
+    `graph.diameter` (BFS rounds that stall) and the command line (`equal
+    --rewrite` disagreeing with insertion, a path certificate failing
+    `--check`). It signals a bug in the library (or an input violating a
+    checked precondition), never an expected runtime condition.
     """

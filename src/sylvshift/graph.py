@@ -334,8 +334,9 @@ def diameter(g: ComponentGraph) -> tuple[int, tuple[SylvElement, SylvElement]]:
     while one is not full means the adjacency is inconsistent
     (InternalError). Every pair at distance D starts at a vertex of
     eccentricity D, and a vertex at distance D from the first such vertex
-    i has eccentricity D too, so it comes after i: one BFS from i gives
-    the pair.
+    i has eccentricity D too, so it comes after i. In the last round every
+    open set grows, i's first; the bits it gains are the vertices at
+    distance D from i, and j is the lowest of them.
     """
     if not g.connected:
         raise DisconnectedError(g.parts)
@@ -344,7 +345,7 @@ def diameter(g: ComponentGraph) -> tuple[int, tuple[SylvElement, SylvElement]]:
     n = len(g.vertices)
     full = (1 << n) - 1
     reach = [1 << u for u in range(n)]
-    d, last = 0, [0]  # the vertices of eccentricity d, in index order
+    d, i, j = 0, 0, 0
     todo = list(range(n)) if n > 1 else []
     while todo:
         d += 1
@@ -358,11 +359,12 @@ def diameter(g: ComponentGraph) -> tuple[int, tuple[SylvElement, SylvElement]]:
         if not grown:
             raise InternalError(f"bitset BFS stalled in round {d} "
                                 f"with {len(todo)} sets not full")
+        i, acc = grown[0]
+        new = acc & ~reach[i]  # the vertices at distance d from i
+        j = (new & -new).bit_length() - 1
         for u, acc in grown:
             reach[u] = acc
-        last, todo = todo, [u for u in todo if reach[u] != full]
-    i = last[0]
-    j = min(j for j, dj in bfs(g.adj, i).items() if dj == d)
+        todo = [u for u in todo if reach[u] != full]
     return d, (g.vertices[i], g.vertices[j])
 
 

@@ -14,14 +14,18 @@ extensions of its tree (Hivert, Novelli and Thibon, TCS 2005), so any
 reading y of the pruned tree gives the same T_{h+1}. The tags keep the
 names of the cases in which the paper's proof assembles x and y.
 
-`shift_path` walks the postfix list of U once. At each step it checks that
-the step's word pair (x, y) reads the current tree as xy, takes yx as the
-next tree, and checks the two chain invariants on it once; any violation
-raises InternalError instead of producing an unverified path. The
-invariants are preconditions of `induction_step`, not part of what a path
-proves, so `PathCertificate.verify` re-checks only the certificate's own
-claims: n steps, chained, with known tags, each witness reading its pre
-tree as xy and its post tree as yx.
+`shift_path` reads U's key, its postfix label sequence, and the sizes of
+every node's subtrees (`trees.child_sizes`) once, and addresses U's nodes
+by postfix position: the subtree at position h spans the l + r positions
+before it, l and r its subtree sizes, and the sizes also name each step's
+shape. Locators (paths from the root) serve only to render trees. At each
+step it checks that the step's word pair (x, y) reads the current tree as
+xy, takes yx as the next tree, and checks the two chain invariants on it
+once; any violation raises InternalError instead of producing an
+unverified path. The invariants are preconditions of `induction_step`,
+not part of what a path proves, so `PathCertificate.verify` re-checks only
+the certificate's own claims: n steps, chained, with known tags, each
+witness reading its pre tree as xy and its post tree as yx.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ from dataclasses import dataclass
 from .errors import InternalError, NotStandardError, RankError
 from .graph import ShiftWitness
 from .monoid import SylvElement
-from .trees import Bst, Locator, complete_subtree, node_count, parse_tree, postfix, tree_str
-from .words import is_standard, parse_word, word_str
+from .trees import Bst, child_sizes, parse_tree, tree_str
+from .words import Word, is_standard, parse_word, word_str
 
 CASE_TAGS = ("base", "case1", "case2a", "case2b", "case3", "case4a", "case4b")
 
@@ -95,29 +99,24 @@ def _matches(node: Bst, pattern: Bst) -> bool:
     return True
 
 
-def _find_loc(t: Bst, a: int) -> str | None:
-    """Locator of the node labelled a in a standard (distinct-label) tree."""
-    loc = ""
-    cur = t
-    while cur is not None:
-        if a == cur.label:
-            return loc
-        if a < cur.label:
-            cur, loc = cur.left, loc + "L"
-        else:
-            cur, loc = cur.right, loc + "R"
-    return None
+def _subtree(t: Bst, a: int) -> Bst:
+    """The complete subtree at the node labelled a of a standard
+    (distinct-label) tree, found by search-tree descent; None if a is absent."""
+    while t is not None and t.label != a:
+        t = t.left if a < t.label else t.right
+    return t
 
 
-def verify_step_invariants(t: Bst, target: Bst, tops: list[Locator]) -> bool:
+def verify_step_invariants(t: Bst, target: SylvElement, tops: list[int]) -> bool:
     """Check the two chain invariants of the construction after a step.
 
-    tops are the locators in target of the topmost visited nodes, oldest
-    first; the last is the node just visited. The complete subtree of target
-    at that node must appear at the root of t, and the subtrees at all tops
-    must appear, newest first, along t's path of left child nodes.
+    tops are the postfix positions in target's key of the topmost visited
+    nodes, oldest first; the last is the node just visited. The complete
+    subtree of target at that node must appear at the root of t, and the
+    subtrees at all tops must appear, newest first, along t's path of left
+    child nodes.
     """
-    expected = [complete_subtree(target, loc) for loc in reversed(tops)]
+    expected = [_subtree(target.tree, target.key[p]) for p in reversed(tops)]
     if not _matches(t, expected[0]):
         return False
     idx = 0
@@ -131,29 +130,15 @@ def verify_step_invariants(t: Bst, target: Bst, tops: list[Locator]) -> bool:
     return idx == len(expected)
 
 
-def classify_step(target: Bst, nodes: list[tuple[int, Locator]], h: int) -> str:
-    """Which of the four step shapes relates the h-th and (h+1)-th postfix
-    nodes; nodes is postfix(target)."""
-    n = len(nodes)
-    if not 1 <= h < n:
-        raise ValueError(f"step {h} outside 1..{n - 1}")
-    _, loc_h = nodes[h - 1]
-    _, loc_next = nodes[h]
-    parent_next = complete_subtree(target, loc_next)
-    conds = {
-        # previous node is a left child; next node lies in its parent's right subtree
-        "case1": bool(loc_h) and loc_h[-1] == "L" and loc_next.startswith(loc_h[:-1] + "R"),
-        # previous node is the right child of the next one, which has a left subtree
-        "case2": loc_h == loc_next + "R" and parent_next.left is not None,
-        # previous node is the left child of the next one
-        "case3": loc_h == loc_next + "L",
-        # previous node is the right child of the next one, which has no left subtree
-        "case4": loc_h == loc_next + "R" and parent_next.left is None,
-    }
-    hits = [name for name, hit in conds.items() if hit]
-    if len(hits) != 1:
-        raise InternalError(f"postfix step {h} fits {hits or 'no'} cases, expected exactly one")
-    return hits[0]
+def _shape(l: int, r: int) -> str:
+    """The shape of the step to a next postfix node u whose subtrees in the
+    target have l and r nodes. The node visited just before u is u's right
+    child when r > 0 (case2 if u has a left subtree too, case4 if not) and
+    its left child when only l > 0 (case3); a leaf u follows a left child
+    whose parent's right subtree holds u (case1)."""
+    if r:
+        return "case2" if l else "case4"
+    return "case3" if l else "case1"
 
 
 def base_step(s: SylvElement, u1: int) -> ShiftWitness:
@@ -167,31 +152,40 @@ def base_step(s: SylvElement, u1: int) -> ShiftWitness:
     return ShiftWitness(w[: i + 1], w[i + 1 :])
 
 
-def induction_step(pre: SylvElement, target: Bst, nodes: list[tuple[int, Locator]],
+def induction_step(pre: SylvElement, key: Word, sizes: list[tuple[int, int]],
                    h: int) -> tuple[ShiftWitness, str]:
     """One shift extending the chain from step h to step h+1.
 
-    Requires the step-h invariants on pre's tree t; nodes is postfix(target).
-    x reads the complete subtree of t at the next postfix node u of target,
-    and y the rest of t: in pre's key, t's canonical reading, that subtree
-    is the block of its size ending at u, so x is that block and y the word
-    around it. Returns the witness and the sub-case of the step's shape.
+    Requires the step-h invariants on pre's tree t; key is the target's key
+    and sizes its child_sizes, both in postfix order. x reads the complete
+    subtree of t at the target's next postfix node u = key[h], and y the
+    rest of t. t is standard, so that subtree holds exactly the labels
+    strictly between u's nearest ancestors lo < u < hi; in pre's key, t's
+    canonical reading, it is the block of hi - lo - 1 symbols ending at u,
+    so x is that block and y the word around it. Returns the witness and
+    the sub-case of the step's shape.
     """
-    t, w = pre.tree, pre.key
-    u_next, _ = nodes[h]
-    u_loc = _find_loc(t, u_next)
-    if u_loc is None:
-        raise InternalError(f"step {h}: symbol {u_next} missing from the tree")
-    end = w.index(u_next) + 1
-    x = w[end - node_count(complete_subtree(t, u_loc)):end]
-    tag = classify_step(target, nodes, h)
+    w, u = pre.key, key[h]
+    lo, hi = 0, len(w) + 1
+    left_of = None  # u's parent while u is its left child
+    node = pre.tree
+    while node is not None and node.label != u:
+        if u < node.label:
+            hi = left_of = node.label
+            node = node.left
+        else:
+            lo, left_of = node.label, None
+            node = node.right
+    if node is None:
+        raise InternalError(f"step {h}: symbol {u} missing from the tree")
+    end = w.index(u) + 1
+    x = w[end - (hi - lo - 1):end]
+    tag = _shape(*sizes[h])
     if tag in ("case2", "case4"):
-        # sub-case a: u is the left child of the leftmost node of B_h's copy at the root
-        slot = "L"
-        cur = complete_subtree(target, nodes[h - 1][1])
-        while cur.left is not None:
-            cur, slot = cur.left, slot + "L"
-        tag += "a" if u_loc == slot else "b"
+        # sub-case a: u is the left child of the leftmost node of B_h's copy
+        # at the root, which carries B_h's least label
+        l, r = sizes[h - 1]
+        tag += "a" if left_of == min(key[h - 1 - l - r:h]) else "b"
     return ShiftWitness(x, w[: end - len(x)] + w[end:]), tag
 
 
@@ -206,25 +200,25 @@ def shift_path(start: SylvElement, target: SylvElement) -> PathCertificate:
     if len(start) != len(target):
         raise NotStandardError("trees must have the same number of nodes")
 
-    u_tree = target.tree
-    nodes = postfix(u_tree)
-    tops: list[Locator] = []  # topmost visited nodes of u_tree, oldest first
+    key = target.key
+    sizes = child_sizes(key)
+    tops: list[int] = []  # postfix positions of the topmost visited nodes, oldest first
     steps: list[PathStep] = []
     pre = start
-    for h, (label, loc) in enumerate(nodes):
+    for h, (l, r) in enumerate(sizes):
         if h == 0:
-            witness, tag = base_step(pre, label), "base"
+            witness, tag = base_step(pre, key[0]), "base"
         else:
-            witness, tag = induction_step(pre, u_tree, nodes, h)
+            witness, tag = induction_step(pre, key, sizes, h)
         if SylvElement(start.rank, witness.x + witness.y) != pre:
             raise InternalError(f"step {h} ({tag}): assembled factorization is not a reading")
         post = SylvElement(start.rank, witness.y + witness.x)
-        # Postfix order visits a node right after its subtrees, whose roots
-        # are then the newest tops: the node replaces them.
-        while tops and tops[-1][:-1] == loc:
+        # Postfix order visits a node right after its subtree, which spans
+        # the l + r positions before it: the node replaces the tops there.
+        while tops and tops[-1] >= h - l - r:
             tops.pop()
-        tops.append(loc)
-        if not verify_step_invariants(post.tree, u_tree, tops):
+        tops.append(h)
+        if not verify_step_invariants(post.tree, target, tops):
             raise InternalError("chain invariants fail after the base step" if h == 0
                                 else f"step {h} ({tag}): chain invariants fail afterwards")
         steps.append(PathStep(pre, witness, post, tag))

@@ -5,7 +5,9 @@ and < every label in its right subtree, so equal symbols accumulate on the
 left. The empty tree is None.
 
 Locators address nodes by the path from the root: a string over {"L", "R"},
-"" being the root itself.
+"" being the root itself. They serve only to render trees, as the node ids
+of `tree_dot` and the indentation of `tree_art`; elsewhere a node is
+addressed by its label or by its position in the canonical reading.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from math import comb, factorial, inf
 from typing import Iterable, Optional
 
-from .errors import CapExceededError, LocatorError, ParseError
+from .errors import CapExceededError, ParseError
 from .words import Word
 
 MAX_READINGS = 100_000
@@ -82,10 +84,6 @@ def is_bst(t: Bst) -> bool:
     return True
 
 
-def node_count(t: Bst) -> int:
-    return len(labels(t))
-
-
 def infix(t: Bst) -> list[tuple[int, Locator]]:
     """Left subtree, root, right subtree; labels come out weakly increasing."""
     out: list[tuple[int, Locator]] = []
@@ -101,41 +99,6 @@ def infix(t: Bst) -> list[tuple[int, Locator]]:
             stack.append((node, loc, True))
             stack.append((node.left, loc + "L", False))
     return out
-
-
-def postfix(t: Bst) -> list[tuple[int, Locator]]:
-    """Left subtree, right subtree, root; every node after its descendants.
-    Built as the root, right, left preorder, then reversed."""
-    out: list[tuple[int, Locator]] = []
-    stack: list[tuple[Bst, Locator]] = [(t, "")]
-    while stack:
-        node, loc = stack.pop()
-        if node is not None:
-            out.append((node.label, loc))
-            stack += ((node.left, loc + "L"), (node.right, loc + "R"))
-    out.reverse()
-    return out
-
-
-def labels(t: Bst) -> list[int]:
-    """All labels in weakly increasing order."""
-    out: list[int] = []
-    stack: list[Node] = []
-    cur = t
-    while stack or cur is not None:
-        while cur is not None:
-            stack.append(cur)
-            cur = cur.left
-        cur = stack.pop()
-        out.append(cur.label)
-        cur = cur.right
-    return out
-
-
-def is_standard_tree(t: Bst) -> bool:
-    """True iff the tree has exactly one node labelled by each of 1..size."""
-    ls = labels(t)
-    return ls == list(range(1, len(ls) + 1))
 
 
 def canonical_reading(t: Bst) -> Word:
@@ -226,18 +189,6 @@ def readings(t: Bst, cap: int = MAX_READINGS) -> set[Word]:
                 rest += (node.right,)
             stack.append(((node.label,) + suffix, rest))
     return found
-
-
-def complete_subtree(t: Bst, x: Locator) -> Bst:
-    """The node at locator x together with everything below it."""
-    cur = t
-    for i, step in enumerate(x):
-        if cur is None:
-            raise LocatorError(f"locator {x!r} falls off the tree at step {i}")
-        cur = cur.left if step == "L" else cur.right
-    if cur is None and x:
-        raise LocatorError(f"locator {x!r} addresses an empty slot")
-    return cur
 
 
 def tree_str(t: Bst) -> str:

@@ -11,8 +11,7 @@ from sylvshift import pathsynth
 from sylvshift.errors import InternalError
 from sylvshift.graph import ComponentGraph, ShiftWitness, keys_with_evaluation, neighbor_keys
 from sylvshift.monoid import SylvElement
-from sylvshift.trees import (Bst, Locator, Node, canonical_reading, complete_subtree, labels,
-                             node_count, postfix, psylv, readings)
+from sylvshift.trees import Bst, Locator, Node, canonical_reading, psylv, readings
 
 # The 10-node tree used across the golden tests, spelled out by hand:
 # root 4; left 2(left 1(left 1), right 4); right 5(left 5(left 5),
@@ -36,6 +35,73 @@ def insert(t: Bst, a: int) -> Node:
         else:
             new = Node(parent.label, parent.left, new)
     return new
+
+
+def labels(t: Bst) -> list[int]:
+    """All labels in weakly increasing order."""
+    out: list[int] = []
+    stack: list[Node] = []
+    cur = t
+    while stack or cur is not None:
+        while cur is not None:
+            stack.append(cur)
+            cur = cur.left
+        cur = stack.pop()
+        out.append(cur.label)
+        cur = cur.right
+    return out
+
+
+def node_count(t: Bst) -> int:
+    return len(labels(t))
+
+
+def is_standard_tree(t: Bst) -> bool:
+    """True iff the tree has exactly one node labelled by each of 1..size."""
+    ls = labels(t)
+    return ls == list(range(1, len(ls) + 1))
+
+
+def postfix(t: Bst) -> list[tuple[int, Locator]]:
+    """Left subtree, right subtree, root, each node with its locator: every
+    node after its descendants. Built as the root, right, left preorder,
+    then reversed."""
+    out: list[tuple[int, Locator]] = []
+    stack: list[tuple[Bst, Locator]] = [(t, "")]
+    while stack:
+        node, loc = stack.pop()
+        if node is not None:
+            out.append((node.label, loc))
+            stack += ((node.left, loc + "L"), (node.right, loc + "R"))
+    out.reverse()
+    return out
+
+
+def complete_subtree(t: Bst, x: Locator) -> Bst:
+    """The node at locator x together with everything below it; ValueError
+    when x leaves the tree."""
+    cur = t
+    for i, step in enumerate(x):
+        if cur is None:
+            raise ValueError(f"locator {x!r} falls off the tree at step {i}")
+        cur = cur.left if step == "L" else cur.right
+    if cur is None and x:
+        raise ValueError(f"locator {x!r} addresses an empty slot")
+    return cur
+
+
+def find_loc(t: Bst, a: int) -> str | None:
+    """Locator of the node labelled a in a standard (distinct-label) tree."""
+    loc = ""
+    cur = t
+    while cur is not None:
+        if a == cur.label:
+            return loc
+        if a < cur.label:
+            cur, loc = cur.left, loc + "L"
+        else:
+            cur, loc = cur.right, loc + "R"
+    return None
 
 
 def psylv_by_insertion(w) -> Bst:
@@ -151,13 +217,12 @@ def standard_trees_by_insertion(n: int) -> list[Bst]:
                   key=canonical_reading)
 
 
-def visited_tops_by_scan(target: Bst, h: int) -> list[tuple[int, int, str]]:
-    """Topmost nodes among the first h in postfix order, by comparing every
-    visited locator with every other: the node is topmost iff no other
-    visited locator is a proper prefix of its own."""
-    visited = postfix(target)[:h]
-    locs = [loc for _, loc in visited]
-    return [(i + 1, lab, loc) for i, (lab, loc) in enumerate(visited)
+def visited_tops_by_scan(target: Bst, h: int) -> list[int]:
+    """Postfix positions of the topmost nodes among the first h in postfix
+    order, by comparing every visited locator with every other: the node is
+    topmost iff no other visited locator is a proper prefix of its own."""
+    locs = [loc for _, loc in postfix(target)[:h]]
+    return [i for i, loc in enumerate(locs)
             if not any(other != loc and loc.startswith(other) for other in locs)]
 
 
@@ -173,6 +238,31 @@ def remove_subtree(t: Bst, x: Locator) -> Bst:
     for node, step in zip(reversed(path), reversed(x)):
         new = Node(node.label, new, node.right) if step == "L" else Node(node.label, node.left, new)
     return new
+
+
+def classify_step(target: Bst, nodes: list[tuple[int, Locator]], h: int) -> str:
+    """Which of the four step shapes relates the h-th and (h+1)-th postfix
+    nodes, from their locators; nodes is postfix(target)."""
+    n = len(nodes)
+    if not 1 <= h < n:
+        raise ValueError(f"step {h} outside 1..{n - 1}")
+    _, loc_h = nodes[h - 1]
+    _, loc_next = nodes[h]
+    parent_next = complete_subtree(target, loc_next)
+    conds = {
+        # previous node is a left child; next node lies in its parent's right subtree
+        "case1": bool(loc_h) and loc_h[-1] == "L" and loc_next.startswith(loc_h[:-1] + "R"),
+        # previous node is the right child of the next one, which has a left subtree
+        "case2": loc_h == loc_next + "R" and parent_next.left is not None,
+        # previous node is the left child of the next one
+        "case3": loc_h == loc_next + "L",
+        # previous node is the right child of the next one, which has no left subtree
+        "case4": loc_h == loc_next + "R" and parent_next.left is None,
+    }
+    hits = [name for name, hit in conds.items() if hit]
+    if len(hits) != 1:
+        raise InternalError(f"postfix step {h} fits {hits or 'no'} cases, expected exactly one")
+    return hits[0]
 
 
 def _spine_len(pattern: Bst, side: str) -> int:
@@ -198,7 +288,7 @@ def induction_step_by_cases(t: Bst, target: Bst, nodes, h: int) -> tuple[ShiftWi
     """
     u_next, loc_next = nodes[h]
     _, loc_h = nodes[h - 1]
-    case = pathsynth.classify_step(target, nodes, h)
+    case = classify_step(target, nodes, h)
 
     bh = complete_subtree(target, loc_h)
     if not pathsynth._matches(t, bh):
@@ -208,7 +298,7 @@ def induction_step_by_cases(t: Bst, target: Bst, nodes, h: int) -> tuple[ShiftWi
     rm = "R" * _spine_len(bh, "R")
     left_min = complete_subtree(t, lm).left  # subtree hanging off the copy's leftmost node
     right_max = complete_subtree(t, rm).right  # subtree hanging off its rightmost node
-    u_loc = pathsynth._find_loc(t, u_next)
+    u_loc = find_loc(t, u_next)
     if u_loc is None:
         raise InternalError(f"step {h}: symbol {u_next} missing from the tree")
     u_node = complete_subtree(t, u_loc)

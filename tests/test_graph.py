@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (adjacency_by_vertex, bfs_distances, diameter_by_bfs, mirror_tree,
-                      multiset_words, neighbors_by_readings)
+from conftest import (adjacency_by_vertex, bfs_distances, diameter_by_bfs, labels,
+                      mirror_tree, multiset_words, neighbors_by_readings)
 from sylvshift import graph
 from sylvshift import verify as suites
 from sylvshift.errors import CapExceededError, DisconnectedError, InternalError, RankError
@@ -26,8 +26,8 @@ from sylvshift.graph import (
     tree_count,
 )
 from sylvshift.monoid import SylvElement, element_of, evaluation_of
-from sylvshift.trees import (Node, canonical_reading, is_bst, labels, psylv, psylv_key,
-                             reading_count, readings)
+from sylvshift.trees import (Node, canonical_reading, is_bst, psylv, psylv_key, reading_count,
+                             readings)
 from sylvshift.words import Word, word_str
 
 # Evaluation classes with repeated symbols whose every tree is checked

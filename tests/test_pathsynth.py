@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import bfs_distances, induction_step_by_cases, standard_trees, visited_tops_by_scan
+from conftest import (bfs_distances, classify_step, induction_step_by_cases, postfix,
+                      standard_trees, visited_tops_by_scan)
 from sylvshift import pathsynth
 from sylvshift.errors import InternalError, NotStandardError, ParseError, RankError
 from sylvshift.graph import ShiftWitness, neighbors
@@ -16,30 +17,26 @@ from sylvshift.pathsynth import (
     base_step,
     certificate_from_obj,
     certificate_json,
-    classify_step,
     induction_step,
     shift_path,
     transcript,
     verify_step_invariants,
 )
-from sylvshift.trees import Node, canonical_reading, complete_subtree, postfix, psylv, tree_str
+from sylvshift.trees import Node, canonical_reading, child_sizes, psylv, tree_str
 from sylvshift.words import parse_word
 
 U5 = psylv(parse_word("23541"))
 U5_NODES = postfix(U5)
+U5_KEY = canonical_reading(U5)
+U5_SIZES = child_sizes(U5_KEY)
 CHAIN_WORDS = ["13254", "54132", "12543", "41235", "12354", "23541"]
 CHAIN_TREES = [psylv(parse_word(w)) for w in CHAIN_WORDS]
 CHAIN = [SylvElement.of_tree(5, t) for t in CHAIN_TREES]
 
 
-def scan_tops(target, h):
-    """Locators of the topmost nodes after h postfix steps, by the scan oracle."""
-    return [loc for _, _, loc in visited_tops_by_scan(target, h)]
-
-
 def record_tops(monkeypatch):
-    """Make shift_path log a copy of its stack of topmost visited nodes at
-    every step; returns the log."""
+    """Make shift_path log a copy of its stack of the postfix positions of
+    the topmost visited nodes at every step; returns the log."""
     log = []
     real = pathsynth.verify_step_invariants
 
@@ -82,7 +79,7 @@ def paths_through_n6():
         for n in range(1, 7):
             trees = standard_trees(n)
             for u in trees:
-                oracle = [scan_tops(u, h) for h in range(1, n + 1)]
+                oracle = [visited_tops_by_scan(u, h) for h in range(1, n + 1)]
                 target = SylvElement.of_tree(n, u)
                 for t in trees:
                     log.clear()
@@ -107,20 +104,23 @@ def test_classify_steps_of_worked_example():
 
 
 def test_classify_covers_all_consecutive_pairs():
-    for n in range(2, 7):
+    # exactly one locator shape fits every step of every standard tree
+    # through n = 8, and it is the one the library reads from the next
+    # node's subtree sizes
+    for n in range(2, 9):
         for t in standard_trees(n):
-            nodes = postfix(t)
+            nodes, sizes = postfix(t), child_sizes(canonical_reading(t))
             for h in range(1, n):
-                assert classify_step(t, nodes, h) in ("case1", "case2", "case3", "case4")
+                assert classify_step(t, nodes, h) == pathsynth._shape(*sizes[h])
 
 
 def test_visited_tops(monkeypatch):
     # after 3 postfix steps of U5 (nodes 2, 3, 5), nodes 3 and 5 are topmost
     log = record_tops(monkeypatch)
     shift_path(element_of(parse_word("13254"), 5), element_of(parse_word("23541"), 5))
-    assert [complete_subtree(U5, loc).label for loc in log[2]] == [3, 5]
-    assert [complete_subtree(U5, loc).label for loc in log[4]] == [1]
-    assert scan_tops(U5, 3) == log[2]
+    assert log[2] == [1, 2] and [U5_KEY[p] for p in log[2]] == [3, 5]
+    assert log[4] == [4] and U5_KEY[4] == 1
+    assert visited_tops_by_scan(U5, 3) == log[2]
 
 
 def test_visited_tops_matches_scan_oracle(paths_through_n6):
@@ -171,16 +171,24 @@ def test_induction_steps_match_worked_example():
         ((1,), (2, 3, 5, 4), "case4a"),
     ]
     for h, (x, y, tag) in enumerate(expected, start=1):
-        wit, got_tag = induction_step(CHAIN[h], U5, U5_NODES, h)
+        wit, got_tag = induction_step(CHAIN[h], U5_KEY, U5_SIZES, h)
         assert (wit.x, wit.y, got_tag) == (x, y, tag)
         assert wit.validates(CHAIN[h], CHAIN[h + 1])
 
 
+def test_induction_step_refuses_a_symbol_missing_from_the_tree():
+    # the target's next node 6 labels no node of the 5-node pre tree
+    key = (2, 3, 6, 4, 1)
+    with pytest.raises(InternalError, match="step 2: symbol 6 missing from the tree"):
+        induction_step(CHAIN[2], key, child_sizes(key), 2)
+
+
 def test_step_invariants_on_worked_example():
+    target = CHAIN[-1]
     for h in range(1, 6):
-        assert verify_step_invariants(CHAIN_TREES[h], U5, scan_tops(U5, h))
+        assert verify_step_invariants(CHAIN_TREES[h], target, visited_tops_by_scan(U5, h))
     # a tree whose root is not the newest built subtree fails
-    assert not verify_step_invariants(CHAIN_TREES[0], U5, scan_tops(U5, 1))
+    assert not verify_step_invariants(CHAIN_TREES[0], target, visited_tops_by_scan(U5, 1))
 
 
 def test_shift_path_golden():
@@ -304,7 +312,7 @@ def test_verify_accepts_any_valid_chain():
     # never builds, since its invariants fail on t after the first step
     t = SylvElement.of_tree(5, CHAIN_TREES[0])
     trivial = PathStep(t, ShiftWitness(canonical_reading(t.tree), ()), t, "base")
-    assert not verify_step_invariants(t.tree, t.tree, scan_tops(t.tree, 1))
+    assert not verify_step_invariants(t.tree, t, visited_tops_by_scan(t.tree, 1))
     assert PathCertificate((trivial,) * 5).verify()
     assert not PathCertificate((trivial,) * 4).verify()
     untagged = PathStep(t, trivial.witness, t, "case5")

