@@ -21,7 +21,7 @@ from math import comb
 
 from .errors import CapExceededError, DisconnectedError, InternalError, RankError
 from .monoid import SylvElement
-from .trees import MAX_READINGS, check_reading_cap, child_sizes, psylv_key, tree_str
+from .trees import MAX_READINGS, check_reading_cap, key_sizes, psylv_key, tree_str
 from .words import Word, check_rank, word_str
 
 MAX_VERTICES = 20_000
@@ -98,7 +98,7 @@ def neighbor_keys(s: SylvElement, cap: int = MAX_READINGS) -> dict[Word, ShiftWi
     n = len(lab)
     check_reading_cap(lab, cap)
     # first[p]: the lowest postfix index in p's subtree, which spans first[p]..p
-    first = [p - l - r for p, (l, r) in enumerate(child_sizes(lab))]
+    first = [p - l - r for p, (l, r) in enumerate(key_sizes(lab)[1])]
     at_most: dict[int, int] = {}  # label v -> bitmask of the nodes labelled <= v
     mask = 0
     for p in sorted(range(n), key=lab.__getitem__):

@@ -14,14 +14,17 @@ extensions of its tree (Hivert, Novelli and Thibon, TCS 2005), so any
 reading y of the pruned tree gives the same T_{h+1}. The tags keep the
 names of the cases in which the paper's proof assembles x and y.
 
-`shift_path` reads U's key, its postfix label sequence, and the sizes of
-every node's subtrees (`trees.child_sizes`) once, and addresses U's nodes
-by postfix position: the subtree at position h spans the l + r positions
-before it, l and r its subtree sizes, and the sizes also name each step's
+Every tree of the chain, U included, is held as its key (postfix label
+sequence) and the sizes of every node's subtrees, which one pass of
+insertion's sort and stack gives (`trees.key_sizes`); no `Node` is built.
+Nodes are addressed by postfix position: the node at position p with
+subtree sizes (l, r) has its right child at p - 1 when r > 0 and its left
+child at p - r - 1 when l > 0, the root is last, and a subtree spans the
+l + r positions before its node. The target's sizes also name each step's
 shape. Locators (paths from the root) serve only to render trees. At each
-step it checks that the step's word pair (x, y) reads the current tree as
-xy, takes yx as the next tree, and checks the two chain invariants on it
-once; any violation raises InternalError instead of producing an
+step `shift_path` checks that the step's word pair (x, y) reads the current
+tree as xy, takes yx as the next tree, and checks the two chain invariants
+on it once; any violation raises InternalError instead of producing an
 unverified path. The invariants are preconditions of `induction_step`,
 not part of what a path proves, so `PathCertificate.verify` re-checks only
 the certificate's own claims: n steps, chained, with known tags, each
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 from .errors import InternalError, NotStandardError, RankError
 from .graph import ShiftWitness
 from .monoid import SylvElement
-from .trees import Bst, child_sizes, parse_tree, tree_str
+from .trees import Sizes, key_sizes, parse_tree, tree_str
 from .words import Word, is_standard, parse_word, word_str
 
 CASE_TAGS = ("base", "case1", "case2a", "case2b", "case3", "case4a", "case4b")
@@ -82,52 +85,54 @@ class PathCertificate:
         return True
 
 
-def _matches(node: Bst, pattern: Bst) -> bool:
-    """Pattern occurs at node: labels and parent-child shape agree on the
-    pattern's span; the host may carry extra nodes below the pattern's frontier."""
-    if pattern is None:
-        return True
-    pairs = [(node, pattern)]
+def _occurs(t: tuple[Word, Sizes], p: int, pattern: tuple[Word, Sizes], q: int) -> bool:
+    """The complete subtree of pattern at position q occurs in t at position
+    p: labels and parent-child shape agree on the subtree's nodes; t may
+    carry extra nodes below the subtree's frontier."""
+    key, sizes = t
+    pkey, psizes = pattern
+    pairs = [(p, q)]
     while pairs:
-        node, pattern = pairs.pop()
-        if node is None or node.label != pattern.label:
+        p, q = pairs.pop()
+        if key[p] != pkey[q]:
             return False
-        if pattern.left is not None:
-            pairs.append((node.left, pattern.left))
-        if pattern.right is not None:
-            pairs.append((node.right, pattern.right))
+        (tl, tr), (l, r) = sizes[p], psizes[q]
+        if r:
+            if not tr:
+                return False
+            pairs.append((p - 1, q - 1))
+        if l:
+            if not tl:
+                return False
+            pairs.append((p - tr - 1, q - r - 1))
     return True
 
 
-def _subtree(t: Bst, a: int) -> Bst:
-    """The complete subtree at the node labelled a of a standard
-    (distinct-label) tree, found by search-tree descent; None if a is absent."""
-    while t is not None and t.label != a:
-        t = t.left if a < t.label else t.right
-    return t
-
-
-def verify_step_invariants(t: Bst, target: SylvElement, tops: list[int]) -> bool:
+def verify_step_invariants(t: tuple[Word, Sizes], target: tuple[Word, Sizes],
+                           tops: list[int]) -> bool:
     """Check the two chain invariants of the construction after a step.
 
-    tops are the postfix positions in target's key of the topmost visited
+    t and target are trees given by `key_sizes`, their nodes by postfix
+    position. tops are the positions in target of the topmost visited
     nodes, oldest first; the last is the node just visited. The complete
     subtree of target at that node must appear at the root of t, and the
     subtrees at all tops must appear, newest first, along t's path of left
     child nodes.
     """
-    expected = [_subtree(target.tree, target.key[p]) for p in reversed(tops)]
-    if not _matches(t, expected[0]):
+    key, sizes = t
+    tkey = target[0]
+    if key[-1] != tkey[tops[-1]]:  # the newest subtree must start at the root
         return False
-    idx = 0
-    cur = t
-    while cur is not None:
-        if idx < len(expected) and cur.label == expected[idx].label:
-            if not _matches(cur, expected[idx]):
+    idx = len(tops) - 1
+    p = len(key) - 1
+    while p >= 0:
+        if idx >= 0 and key[p] == tkey[tops[idx]]:
+            if not _occurs(t, p, target, tops[idx]):
                 return False
-            idx += 1
-        cur = cur.left
-    return idx == len(expected)
+            idx -= 1
+        l, r = sizes[p]
+        p = p - r - 1 if l else -1
+    return idx < 0
 
 
 def _shape(l: int, r: int) -> str:
@@ -152,41 +157,41 @@ def base_step(s: SylvElement, u1: int) -> ShiftWitness:
     return ShiftWitness(w[: i + 1], w[i + 1 :])
 
 
-def induction_step(pre: SylvElement, key: Word, sizes: list[tuple[int, int]],
+def induction_step(pre: tuple[Word, Sizes], target: tuple[Word, Sizes],
                    h: int) -> tuple[ShiftWitness, str]:
     """One shift extending the chain from step h to step h+1.
 
-    Requires the step-h invariants on pre's tree t; key is the target's key
-    and sizes its child_sizes, both in postfix order. x reads the complete
-    subtree of t at the target's next postfix node u = key[h], and y the
-    rest of t. t is standard, so that subtree holds exactly the labels
-    strictly between u's nearest ancestors lo < u < hi; in pre's key, t's
-    canonical reading, it is the block of hi - lo - 1 symbols ending at u,
-    so x is that block and y the word around it. Returns the witness and
-    the sub-case of the step's shape.
+    Requires the step-h invariants on pre; pre and target are trees given
+    by `key_sizes`. x reads the complete subtree of pre at the target's
+    next postfix node u: found by search-tree descent from pre's root at
+    the last position, it is the block of l + r + 1 symbols of pre's key
+    ending at u's position, l and r u's subtree sizes in pre, and y is the
+    word around that block. Returns the witness and the sub-case of the
+    step's shape.
     """
-    w, u = pre.key, key[h]
-    lo, hi = 0, len(w) + 1
+    (w, sizes), (key, tsizes) = pre, target
+    u = key[h]
+    p = len(w) - 1
     left_of = None  # u's parent while u is its left child
-    node = pre.tree
-    while node is not None and node.label != u:
-        if u < node.label:
-            hi = left_of = node.label
-            node = node.left
+    while p >= 0 and w[p] != u:
+        l, r = sizes[p]
+        if u < w[p]:
+            left_of = w[p]
+            p = p - r - 1 if l else -1
         else:
-            lo, left_of = node.label, None
-            node = node.right
-    if node is None:
+            left_of = None
+            p = p - 1 if r else -1
+    if p < 0:
         raise InternalError(f"step {h}: symbol {u} missing from the tree")
-    end = w.index(u) + 1
-    x = w[end - (hi - lo - 1):end]
-    tag = _shape(*sizes[h])
+    l, r = sizes[p]
+    start = p - l - r
+    tag = _shape(*tsizes[h])
     if tag in ("case2", "case4"):
         # sub-case a: u is the left child of the leftmost node of B_h's copy
         # at the root, which carries B_h's least label
-        l, r = sizes[h - 1]
+        l, r = tsizes[h - 1]
         tag += "a" if left_of == min(key[h - 1 - l - r:h]) else "b"
-    return ShiftWitness(x, w[: end - len(x)] + w[end:]), tag
+    return ShiftWitness(w[start:p + 1], w[:start] + w[p + 1:]), tag
 
 
 def shift_path(start: SylvElement, target: SylvElement) -> PathCertificate:
@@ -200,25 +205,26 @@ def shift_path(start: SylvElement, target: SylvElement) -> PathCertificate:
     if len(start) != len(target):
         raise NotStandardError("trees must have the same number of nodes")
 
-    key = target.key
-    sizes = child_sizes(key)
+    goal = key_sizes(target.key)
+    key, sizes = goal
     tops: list[int] = []  # postfix positions of the topmost visited nodes, oldest first
     steps: list[PathStep] = []
-    pre = start
+    pre, t = start, None  # t: pre's tree as key_sizes, once a step has built it
     for h, (l, r) in enumerate(sizes):
         if h == 0:
             witness, tag = base_step(pre, key[0]), "base"
         else:
-            witness, tag = induction_step(pre, key, sizes, h)
+            witness, tag = induction_step(t, goal, h)
         if SylvElement(start.rank, witness.x + witness.y) != pre:
             raise InternalError(f"step {h} ({tag}): assembled factorization is not a reading")
-        post = SylvElement(start.rank, witness.y + witness.x)
+        t = key_sizes(witness.y + witness.x)
+        post = SylvElement.of_key(start.rank, t[0])
         # Postfix order visits a node right after its subtree, which spans
         # the l + r positions before it: the node replaces the tops there.
         while tops and tops[-1] >= h - l - r:
             tops.pop()
         tops.append(h)
-        if not verify_step_invariants(post.tree, target, tops):
+        if not verify_step_invariants(t, goal, tops):
             raise InternalError("chain invariants fail after the base step" if h == 0
                                 else f"step {h} ({tag}): chain invariants fail afterwards")
         steps.append(PathStep(pre, witness, post, tag))

@@ -35,6 +35,7 @@ class Node:
 
 Bst = Optional[Node]
 Locator = str
+Sizes = list[tuple[int, int]]  # (left, right) subtree sizes per node, in postfix order
 
 
 def psylv(w: Iterable[int]) -> Bst:
@@ -122,20 +123,25 @@ def canonical_reading(t: Bst) -> Word:
     return tuple(out)
 
 
-def child_sizes(w: Word) -> list[tuple[int, int]]:
-    """The sizes of every node's left and right subtrees in psylv(w), in
-    postfix order: psylv's sort and stack, sizing each subtree as it is
-    folded instead of building it."""
-    out: list[tuple[int, int]] = []
+def key_sizes(w: Word) -> tuple[Word, Sizes]:
+    """psylv_key(w) together with the sizes of every node's left and right
+    subtrees in psylv(w), both in postfix order: psylv's sort and stack,
+    keeping each label and sizing each subtree as it is folded instead of
+    building it. The node at postfix position p with sizes (l, r) has its
+    right child at p - 1 when r > 0 and its left child at p - r - 1 when
+    l > 0; the root is at len(w) - 1."""
+    key: list[int] = []
+    sizes: Sizes = []
     spine: list[tuple[int, int]] = []  # open right spine: (position, left subtree size)
     for i in sorted(range(len(w)), key=w.__getitem__) + [len(w)]:
         size = 0
         while spine and spine[-1][0] < i:
-            _, left = spine.pop()
-            out.append((left, size))
+            p, left = spine.pop()
+            key.append(w[p])
+            sizes.append((left, size))
             size += left + 1
         spine.append((i, size))
-    return out
+    return tuple(key), sizes
 
 
 def reading_count(w: Word) -> int:
@@ -150,7 +156,7 @@ def reading_count(w: Word) -> int:
     node orders always spell distinct words.
     """
     count = 1
-    for l, r in child_sizes(w):
+    for l, r in key_sizes(w)[1]:
         count *= comb(l + r, l)
     return count
 

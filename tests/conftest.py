@@ -7,11 +7,10 @@ from math import factorial
 
 import pytest
 
-from sylvshift import pathsynth
 from sylvshift.errors import InternalError
 from sylvshift.graph import ComponentGraph, ShiftWitness, keys_with_evaluation, neighbor_keys
 from sylvshift.monoid import SylvElement
-from sylvshift.trees import Bst, Locator, Node, canonical_reading, psylv, readings
+from sylvshift.trees import Bst, Locator, Node, Sizes, canonical_reading, psylv, readings
 
 # The 10-node tree used across the golden tests, spelled out by hand:
 # root 4; left 2(left 1(left 1), right 4); right 5(left 5(left 5),
@@ -240,6 +239,53 @@ def remove_subtree(t: Bst, x: Locator) -> Bst:
     return new
 
 
+def matches(node: Bst, pattern: Bst) -> bool:
+    """Pattern occurs at node: labels and parent-child shape agree on the
+    pattern's span; the host may carry extra nodes below the pattern's frontier."""
+    if pattern is None:
+        return True
+    pairs = [(node, pattern)]
+    while pairs:
+        node, pattern = pairs.pop()
+        if node is None or node.label != pattern.label:
+            return False
+        if pattern.left is not None:
+            pairs.append((node.left, pattern.left))
+        if pattern.right is not None:
+            pairs.append((node.right, pattern.right))
+    return True
+
+
+def step_invariants_by_tree(t: Bst, patterns: list[Bst]) -> bool:
+    """The two chain invariants on a tree of nodes: patterns are the
+    target's complete subtrees at the topmost visited nodes, newest first;
+    they appear in that order along t's path of left child nodes, the
+    newest at t's root."""
+    if not matches(t, patterns[0]):
+        return False
+    idx = 0
+    cur = t
+    while cur is not None:
+        if idx < len(patterns) and cur.label == patterns[idx].label:
+            if not matches(cur, patterns[idx]):
+                return False
+            idx += 1
+        cur = cur.left
+    return idx == len(patterns)
+
+
+def tree_from_key_sizes(key, sizes: Sizes) -> Bst:
+    """The tree a key and its subtree sizes address: the node at postfix
+    position p with sizes (l, r) has its right child at p - 1 and its left
+    child at p - r - 1. Nodes are built in postfix order, children first."""
+    built: list[Node] = []
+    for p, (label, (l, r)) in enumerate(zip(key, sizes)):
+        right = built[p - 1] if r else None
+        left = built[p - r - 1] if l else None
+        built.append(Node(label, left, right))
+    return built[-1] if built else None
+
+
 def classify_step(target: Bst, nodes: list[tuple[int, Locator]], h: int) -> str:
     """Which of the four step shapes relates the h-th and (h+1)-th postfix
     nodes, from their locators; nodes is postfix(target)."""
@@ -291,7 +337,7 @@ def induction_step_by_cases(t: Bst, target: Bst, nodes, h: int) -> tuple[ShiftWi
     case = classify_step(target, nodes, h)
 
     bh = complete_subtree(target, loc_h)
-    if not pathsynth._matches(t, bh):
+    if not matches(t, bh):
         raise InternalError(f"step {h}: newest built subtree is not at the root")
     r_bh = canonical_reading(bh)
     lm = "L" * _spine_len(bh, "L")  # leftmost node of the root copy of bh
@@ -334,7 +380,7 @@ def induction_step_by_cases(t: Bst, target: Bst, nodes, h: int) -> tuple[ShiftWi
         if u_loc == lslot:
             # next node sits on the left spine, directly between the two patterns
             g_root = u_loc + "L"
-            if not pathsynth._matches(u_node.left, bg):
+            if not matches(u_node.left, bg):
                 raise InternalError(
                     f"step {h}: expected the older built subtree directly below {u_next}")
             lam = canonical_reading(complete_subtree(t, g_root + "L" * _spine_len(bg, "L")).left)
@@ -344,7 +390,7 @@ def induction_step_by_cases(t: Bst, target: Bst, nodes, h: int) -> tuple[ShiftWi
         else:
             # patterns adjacent on the spine; next node hangs off the older one's right
             g_root = lslot
-            if not pathsynth._matches(left_min, bg):
+            if not matches(left_min, bg):
                 raise InternalError(
                     f"step {h}: expected the older built subtree directly below the newest one")
             if u_loc != g_root + "R" * _spine_len(bg, "R") + "R":

@@ -1,11 +1,13 @@
 import json
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import (bfs_distances, classify_step, induction_step_by_cases, postfix,
-                      standard_trees, visited_tops_by_scan)
+from conftest import (bfs_distances, classify_step, complete_subtree, induction_step_by_cases,
+                      postfix, standard_trees, step_invariants_by_tree, visited_tops_by_scan)
 from sylvshift import pathsynth
 from sylvshift.errors import InternalError, NotStandardError, ParseError, RankError
 from sylvshift.graph import ShiftWitness, neighbors
@@ -22,13 +24,13 @@ from sylvshift.pathsynth import (
     transcript,
     verify_step_invariants,
 )
-from sylvshift.trees import Node, canonical_reading, child_sizes, psylv, tree_str
+from sylvshift.trees import Node, canonical_reading, key_sizes, psylv, tree_str
 from sylvshift.words import parse_word
 
 U5 = psylv(parse_word("23541"))
 U5_NODES = postfix(U5)
 U5_KEY = canonical_reading(U5)
-U5_SIZES = child_sizes(U5_KEY)
+U5_SIZES = key_sizes(U5_KEY)[1]
 CHAIN_WORDS = ["13254", "54132", "12543", "41235", "12354", "23541"]
 CHAIN_TREES = [psylv(parse_word(w)) for w in CHAIN_WORDS]
 CHAIN = [SylvElement.of_tree(5, t) for t in CHAIN_TREES]
@@ -48,15 +50,15 @@ def record_tops(monkeypatch):
     return log
 
 
-def case_oracle_disagreements(cert, target) -> list[str]:
+def case_oracle_disagreements(cert, target, tree_of=psylv) -> list[str]:
     """Steps of cert where the proof's case-by-case construction, run on the
-    step's pre tree, raises a lemma error, or gives another tag, another x,
-    or a y that reads another element."""
+    step's pre tree (tree_of its key), raises a lemma error, or gives another
+    tag, another x, or a y that reads another element."""
     nodes = postfix(target.tree)
     out = []
     for h, step in enumerate(cert.steps[1:], start=1):
         try:
-            wit, tag = induction_step_by_cases(step.pre.tree, target.tree, nodes, h)
+            wit, tag = induction_step_by_cases(tree_of(step.pre.key), target.tree, nodes, h)
         except InternalError as exc:
             out.append(f"step {h}: {exc}")
             continue
@@ -71,16 +73,24 @@ def case_oracle_disagreements(cert, target) -> list[str]:
 def paths_through_n6():
     """shift_path on every ordered standard pair with n <= 6, run once: the
     case tags seen, the pairs whose path missed its target, the pairs whose
-    stack of topmost visited nodes left the scan oracle at some step, and the
-    steps where the case-by-case oracle disagrees with the library."""
+    stack of topmost visited nodes left the scan oracle at some step, the
+    steps where the case-by-case oracle disagrees with the library, and the
+    count of each (library, tree oracle) verdict pair of the chain
+    invariants, over the distinct (tree, stack) pairs of every step's post
+    tree and pre tree with the step's stack of topmost visited nodes."""
     with pytest.MonkeyPatch.context() as mp:
         log = record_tops(mp)
         seen, missed, stack_mismatches, case_mismatches = set(), [], [], []
+        verdicts = Counter()
         for n in range(1, 7):
             trees = standard_trees(n)
+            tree_of = {canonical_reading(t): t for t in trees}
+            shape_of = {key: key_sizes(key) for key in tree_of}
             for u in trees:
                 oracle = [visited_tops_by_scan(u, h) for h in range(1, n + 1)]
                 target = SylvElement.of_tree(n, u)
+                subtrees = [complete_subtree(u, loc) for _, loc in postfix(u)]
+                checks = set()  # (tree key, tops) pairs met on u's paths
                 for t in trees:
                     log.clear()
                     cert = shift_path(SylvElement.of_tree(n, t), target)
@@ -89,9 +99,15 @@ def paths_through_n6():
                         missed.append((t, u))
                     if log != oracle:
                         stack_mismatches.append((t, u))
-                    case_mismatches += [(tree_str(t), tree_str(u), d)
-                                        for d in case_oracle_disagreements(cert, target)]
-    return seen, missed, stack_mismatches, case_mismatches
+                    disagreements = case_oracle_disagreements(cert, target, tree_of.__getitem__)
+                    case_mismatches += [(tree_str(t), tree_str(u), d) for d in disagreements]
+                    checks.update((key, tuple(tops)) for step, tops in zip(cert.steps, oracle)
+                                  for key in (step.pre.key, step.post.key))
+                for key, tops in checks:
+                    patterns = [subtrees[p] for p in reversed(tops)]
+                    verdicts[verify_step_invariants(shape_of[key], shape_of[target.key], tops),
+                             step_invariants_by_tree(tree_of[key], patterns)] += 1
+    return seen, missed, stack_mismatches, case_mismatches, verdicts
 
 
 def test_classify_steps_of_worked_example():
@@ -109,7 +125,7 @@ def test_classify_covers_all_consecutive_pairs():
     # node's subtree sizes
     for n in range(2, 9):
         for t in standard_trees(n):
-            nodes, sizes = postfix(t), child_sizes(canonical_reading(t))
+            nodes, sizes = postfix(t), key_sizes(canonical_reading(t))[1]
             for h in range(1, n):
                 assert classify_step(t, nodes, h) == pathsynth._shape(*sizes[h])
 
@@ -124,13 +140,20 @@ def test_visited_tops(monkeypatch):
 
 
 def test_visited_tops_matches_scan_oracle(paths_through_n6):
-    _, _, stack_mismatches, _ = paths_through_n6
+    _, _, stack_mismatches, _, _ = paths_through_n6
     assert stack_mismatches == []
 
 
 def test_induction_steps_match_case_oracle(paths_through_n6):
-    _, _, _, case_mismatches = paths_through_n6
+    _, _, _, case_mismatches, _ = paths_through_n6
     assert case_mismatches == []
+
+
+def test_step_invariants_match_tree_oracle(paths_through_n6):
+    # on every step's post tree (where the invariants hold) and pre tree
+    # (where they mostly fail), against every stack of topmost nodes met
+    _, _, _, _, verdicts = paths_through_n6
+    assert set(verdicts) == {(True, True), (False, False)}
 
 
 @st.composite
@@ -171,7 +194,7 @@ def test_induction_steps_match_worked_example():
         ((1,), (2, 3, 5, 4), "case4a"),
     ]
     for h, (x, y, tag) in enumerate(expected, start=1):
-        wit, got_tag = induction_step(CHAIN[h], U5_KEY, U5_SIZES, h)
+        wit, got_tag = induction_step(key_sizes(CHAIN[h].key), (U5_KEY, U5_SIZES), h)
         assert (wit.x, wit.y, got_tag) == (x, y, tag)
         assert wit.validates(CHAIN[h], CHAIN[h + 1])
 
@@ -180,15 +203,16 @@ def test_induction_step_refuses_a_symbol_missing_from_the_tree():
     # the target's next node 6 labels no node of the 5-node pre tree
     key = (2, 3, 6, 4, 1)
     with pytest.raises(InternalError, match="step 2: symbol 6 missing from the tree"):
-        induction_step(CHAIN[2], key, child_sizes(key), 2)
+        induction_step(key_sizes(CHAIN[2].key), key_sizes(key), 2)
 
 
 def test_step_invariants_on_worked_example():
-    target = CHAIN[-1]
+    target = (U5_KEY, U5_SIZES)
     for h in range(1, 6):
-        assert verify_step_invariants(CHAIN_TREES[h], target, visited_tops_by_scan(U5, h))
+        assert verify_step_invariants(key_sizes(CHAIN[h].key), target, visited_tops_by_scan(U5, h))
     # a tree whose root is not the newest built subtree fails
-    assert not verify_step_invariants(CHAIN_TREES[0], target, visited_tops_by_scan(U5, 1))
+    assert not verify_step_invariants(key_sizes(CHAIN[0].key), target,
+                                      visited_tops_by_scan(U5, 1))
 
 
 def test_shift_path_golden():
@@ -198,6 +222,32 @@ def test_shift_path_golden():
     assert cert.verify()
     text = transcript(cert)
     assert "13254" in text and "[case2b]" in text
+
+
+def test_paths_build_no_tree(monkeypatch):
+    # every tree of the chain is a key and its subtree sizes: neither the
+    # construction nor the re-check builds a node, on a 32-node pair drawn
+    # as the benchmark draws them and on the 300-node chain 1..300 -> 300..1
+    rng = random.Random(1)
+    pair = []
+    for _ in range(2):
+        word = list(range(1, 33))
+        picked = rng.sample(range(32), 20)
+        values = [word[i] for i in picked]
+        rng.shuffle(values)
+        for i, a in zip(picked, values):
+            word[i] = a
+        pair.append(element_of(tuple(word), 32))
+    chain = (element_of(tuple(range(1, 301)), 300), element_of(tuple(range(300, 0, -1)), 300))
+
+    def refuse(self, label, *children):
+        raise AssertionError(f"a node labelled {label} was built")
+
+    monkeypatch.setattr(Node, "__init__", refuse)
+    for source, target in (pair, chain):
+        cert = shift_path(source, target)
+        assert len(cert) == len(target) and cert.target == target
+        assert cert.verify()
 
 
 def test_worked_example_words_are_shift_neighbors():
@@ -232,7 +282,7 @@ def test_shift_path_exhaustive_small():
 
 
 def test_case_coverage_through_n6(paths_through_n6):
-    seen, missed, _, _ = paths_through_n6
+    seen, missed, _, _, _ = paths_through_n6
     assert missed == []
     assert seen == set(CASE_TAGS)
 
@@ -312,7 +362,8 @@ def test_verify_accepts_any_valid_chain():
     # never builds, since its invariants fail on t after the first step
     t = SylvElement.of_tree(5, CHAIN_TREES[0])
     trivial = PathStep(t, ShiftWitness(canonical_reading(t.tree), ()), t, "base")
-    assert not verify_step_invariants(t.tree, t, visited_tops_by_scan(t.tree, 1))
+    assert not verify_step_invariants(key_sizes(t.key), key_sizes(t.key),
+                                      visited_tops_by_scan(t.tree, 1))
     assert PathCertificate((trivial,) * 5).verify()
     assert not PathCertificate((trivial,) * 4).verify()
     untagged = PathStep(t, trivial.witness, t, "case5")

@@ -19,15 +19,16 @@ from conftest import (
     remove_subtree,
     standard_trees,
     standard_trees_by_insertion,
+    tree_from_key_sizes,
 )
 from sylvshift.errors import CapExceededError, ParseError
 from sylvshift.monoid import SylvElement, element_of, equivalent
 from sylvshift.trees import (
     Node,
     canonical_reading,
-    child_sizes,
     infix,
     is_bst,
+    key_sizes,
     parse_tree,
     psylv,
     psylv_key,
@@ -123,7 +124,20 @@ def test_child_sizes_of_any_reading_match_its_tree():
             t = psylv(w)
             nodes = [complete_subtree(t, loc) for _, loc in postfix(t)]
             want = [(node_count(v.left), node_count(v.right)) for v in nodes]
-            assert child_sizes(w) == want == child_sizes(canonical_reading(t))
+            assert key_sizes(w) == (canonical_reading(t), want) == key_sizes(canonical_reading(t))
+
+
+@given(st.integers(1, 6).flatmap(lambda k: st.lists(st.integers(1, k), max_size=60)))
+def test_key_sizes_address_the_tree(w):
+    # one pass gives the key and the sizes of its tree, and the positions
+    # they address (right child at p - 1, left child at p - r - 1) rebuild
+    # the inserted tree, repeated letters included
+    key = psylv_key(w)
+    assert key_sizes(w) == (key, key_sizes(key)[1])
+    t = psylv_by_insertion(w)
+    nodes = [complete_subtree(t, loc) for _, loc in postfix(t)]
+    assert key_sizes(w)[1] == [(node_count(v.left), node_count(v.right)) for v in nodes]
+    assert tree_from_key_sizes(*key_sizes(w)) == t == psylv(w)
 
 
 def test_reading_count_exact_on_multiset_trees():
