@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import InternalError, NotStandardError, RankError
 from .graph import ShiftWitness
@@ -235,16 +236,24 @@ def shift_path(start: SylvElement, target: SylvElement) -> PathCertificate:
     return PathCertificate(tuple(steps))
 
 
+def _tree_text():
+    """tree_str of an element's tree, memoized per element: a step's post is
+    usually the next step's pre, but a certificate read from JSON need not
+    chain, so the text is looked up by element, not carried along."""
+    return cache(lambda s: tree_str(s.tree))
+
+
 def certificate_obj(cert: PathCertificate) -> dict:
     """JSON-ready dict; words and trees use the package's text formats."""
+    text = _tree_text()
     return {
         "rank": cert.source.rank,
         "steps": [
             {
                 "step": i,
                 "case": s.case_tag,
-                "pre": tree_str(s.pre.tree),
-                "post": tree_str(s.post.tree),
+                "pre": text(s.pre),
+                "post": text(s.post),
                 "x": word_str(s.witness.x),
                 "y": word_str(s.witness.y),
             }
@@ -273,16 +282,17 @@ def certificate_from_obj(obj: dict) -> PathCertificate:
 
 def transcript(cert: PathCertificate) -> str:
     """Human-readable step-by-step listing of the chain."""
+    text = _tree_text()
     lines = []
     for i, step in enumerate(cert.steps):
         lines.append(
             f"T{i} = {word_str(step.pre.key)}"
-            f"  =  {tree_str(step.pre.tree)}")
+            f"  =  {text(step.pre)}")
         lines.append(
             f"   ~  x={word_str(step.witness.x) or 'e'}"
             f"  y={word_str(step.witness.y) or 'e'}   [{step.case_tag}]")
     last = cert.steps[-1].post
     lines.append(
         f"T{len(cert.steps)} = {word_str(last.key)}"
-        f"  =  {tree_str(last.tree)}")
+        f"  =  {text(last)}")
     return "\n".join(lines)

@@ -13,6 +13,7 @@ addressed by its label or by its position in the canonical reading.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, factorial, inf
 from typing import Iterable, Optional
 
@@ -20,6 +21,10 @@ from .errors import CapExceededError, ParseError
 from .words import Word
 
 MAX_READINGS = 100_000
+# Distinct words whose keys psylv_key keeps. The exhaustive suites ask for
+# the same few thousand keys again and again; 256 serves most repeats, and
+# a longer cache of long words costs more memory than it saves time.
+KEY_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -61,11 +66,18 @@ def psylv(w: Iterable[int]) -> Bst:
     return left
 
 
-def psylv_key(w: Word) -> Word:
+def psylv_key(w: Iterable[int]) -> Word:
     """canonical_reading(psylv(w)) without building a node: psylv's sort
     and stack, keeping each label as it is popped. A node is popped once
     its subtree is complete and before anything outside it, so the pops
-    come in postfix order."""
+    come in postfix order. The last KEY_CACHE_SIZE distinct words are kept
+    with their keys; w may be any sequence of ints and is looked up as a
+    tuple. Keys are tuples, so callers share a cached key safely."""
+    return _insertion_key(tuple(w))
+
+
+@lru_cache(maxsize=KEY_CACHE_SIZE)
+def _insertion_key(w: Word) -> Word:
     out: list[int] = []
     spine: list[int] = []  # open right spine, positions increasing upwards
     for i in sorted(range(len(w)), key=w.__getitem__):
@@ -74,6 +86,9 @@ def psylv_key(w: Word) -> Word:
         spine.append(i)
     out += map(w.__getitem__, reversed(spine))  # the sentinel pops the rest
     return tuple(out)
+
+
+psylv_key.cache_info = _insertion_key.cache_info
 
 
 def is_bst(t: Bst) -> bool:

@@ -196,8 +196,8 @@ def _path_worker(args: tuple[int, list[Word], list[Word]]) -> tuple[int, set, li
     tags: set[str] = set()
     failures: list[str] = []
     count = 0
-    for start, end in itertools.product([SylvElement(n, key) for key in sources],
-                                        [SylvElement(n, key) for key in targets]):
+    for start, end in itertools.product([SylvElement.of_key(n, key) for key in sources],
+                                        [SylvElement.of_key(n, key) for key in targets]):
         try:
             cert = shift_path(start, end)
         except Exception as exc:  # noqa: BLE001  (reported, not swallowed)
@@ -264,8 +264,8 @@ def suite_induced(nmax: int = 4) -> SuiteReport:
     for m in range(1, nmax):
         for n in range(m + 1, nmax + 1):
             for key in standard_keys(m):
-                low = {x.key for x in neighbors(SylvElement(m, key))}
-                high = {x.key for x in neighbors(SylvElement(n, key))}
+                low = {x.key for x in neighbors(SylvElement.of_key(m, key))}
+                high = {x.key for x in neighbors(SylvElement.of_key(n, key))}
                 if low != high:
                     rep.fail(f"tree {tree_str(psylv(key))}: ranks {m} and {n} disagree")
                 checked += 1
@@ -294,21 +294,36 @@ def suite_monoid(rank: int = 3, maxlen: int = 4, assoc_total: int = 6) -> SuiteR
     elems: list[SylvElement] = []
     for total in range(0, assoc_total + 1):
         for e in _evaluations(rank, total):
-            elems.extend(SylvElement(rank, key) for key in keys_with_evaluation(e))
+            elems.extend(SylvElement.of_key(rank, key) for key in keys_with_evaluation(e))
     # elems runs through the totals in increasing order, so lengths never
     # decrease along it: once b or c is too long, every later one is too.
-    triples = 0
-    for a in elems:
-        for b in elems:
-            if len(a) + len(b) > assoc_total:
+    # Every product a triple needs is of two elements of total length at
+    # most assoc_total, so it is again one of elems: row i of the table
+    # holds the index of each such product elems[i] * elems[j], j in order.
+    index = {e: i for i, e in enumerate(elems)}
+    lengths = [len(e) for e in elems]
+    table: list[list[int]] = []
+    for a, length in zip(elems, lengths):
+        row: list[int] = []
+        for b, other in zip(elems, lengths):
+            if length + other > assoc_total:
                 break
             ab = multiply(a, b)
-            for c in elems:
-                if len(a) + len(b) + len(c) > assoc_total:
+            if ab not in index:
+                rep.fail(f"product of {tree_str(a.tree)} and {tree_str(b.tree)} is {ab!r}, "
+                         f"outside the {len(elems)} elements of length <= {assoc_total}")
+                return rep
+            row.append(index[ab])
+        table.append(row)
+    triples = 0
+    for i, row in enumerate(table):
+        for j, ij in enumerate(row):
+            for k, length in enumerate(lengths):
+                if lengths[i] + lengths[j] + length > assoc_total:
                     break
-                if multiply(ab, c) != multiply(a, multiply(b, c)):
+                if table[ij][k] != table[i][table[j][k]]:
                     rep.fail("associativity broke on "
-                             f"{tree_str(a.tree)}, {tree_str(b.tree)}, {tree_str(c.tree)}")
+                             + ", ".join(tree_str(elems[x].tree) for x in (i, j, k)))
                 triples += 1
     rep.lines.append(f"{triples} triples of total length <= {assoc_total} associate")
     return rep

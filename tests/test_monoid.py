@@ -21,7 +21,7 @@ from sylvshift.monoid import (
     single_rewrites,
 )
 from sylvshift.pathsynth import shift_path
-from sylvshift.trees import Node, canonical_reading, psylv, psylv_key
+from sylvshift.trees import Node, canonical_reading, psylv, psylv_key, tree_str
 from sylvshift.words import evaluation
 
 
@@ -136,6 +136,73 @@ def test_monoid_suite_at_stated_scale():
 
     rep = suite_monoid(rank=3, maxlen=4, assoc_total=6)
     assert rep.passed, rep.render()
+
+
+def skewed(s, t):
+    """A product that reads its left factor backwards: an element of the
+    right length and letters, but not associative: (2)(1)() has key 12 and
+    (2)((1)()) has key 21."""
+    return SylvElement(s.rank, s.key[::-1] + t.key)
+
+
+def test_monoid_suite_reports_every_triple_that_does_not_associate(monkeypatch):
+    # the associativity check reads its products from a table; with a
+    # product that breaks the law it fails on exactly the triples that a
+    # direct check of all three products finds, in the same order
+    monkeypatch.setattr(suites, "multiply", skewed)
+    rep = suites.suite_monoid(rank=2, maxlen=2, assoc_total=4)
+    assert not rep.passed
+    elems = [SylvElement.of_key(2, key) for total in range(5)
+             for e in suites._evaluations(2, total) for key in keys_with_evaluation(e)]
+    want = [f"associativity broke on {tree_str(a.tree)}, {tree_str(b.tree)}, {tree_str(c.tree)}"
+            for a, b, c in itertools.product(elems, repeat=3)
+            if len(a) + len(b) + len(c) <= 4 and skewed(skewed(a, b), c) != skewed(a, skewed(b, c))]
+    assert want and rep.failures == want
+    assert "counterexample: associativity broke on 2(_,_), 1(_,_), _" in rep.render()
+
+
+def test_monoid_suite_reports_a_product_outside_its_elements(monkeypatch):
+    monkeypatch.setattr(suites, "multiply", lambda s, t: SylvElement(s.rank, s.key + t.key + (1,)))
+    rep = suites.suite_monoid(rank=2, maxlen=2, assoc_total=4)
+    assert not rep.passed
+    assert rep.failures == ["product of _ and 2(2(2(2(_,_),_),_),_) is "
+                            "SylvElement(rank=2, key=(2, 2, 2, 2, 1)), "
+                            "outside the 25 elements of length <= 4"]
+
+
+def test_suites_build_their_elements_from_keys(monkeypatch):
+    # suite_monoid's elements, the path suite's sources and targets and
+    # suite_induced's elements are built from canonical readings, which are
+    # stored as they are: with every other way into the constructor
+    # replaced, the suites insert nothing through it
+    calls = []
+    monkeypatch.setattr(monoid, "psylv_key", lambda w: calls.append(w) or psylv_key(w))
+
+    def by_key(w, n):
+        return SylvElement.of_key(n, psylv_key(w))
+
+    class Certified:
+        steps = ()
+
+        def verify(self):
+            return True
+
+    seen = []
+    monkeypatch.setattr(suites, "element_of", by_key)
+    monkeypatch.setattr(suites, "multiply", lambda s, t: by_key(s.key + t.key, s.rank))
+    monkeypatch.setattr(suites, "neighbors", lambda s: seen.append(s) or [])
+    monkeypatch.setattr(suites, "shift_path", lambda s, t: seen.append((s, t)) or Certified())
+    reports = [suites.suite_monoid(rank=2, maxlen=2, assoc_total=4),
+               suites.suite_induced(nmax=3), suites.suite_path(nmax=3)]
+    assert calls == []
+    assert all(rep.passed for rep in reports)
+    # induced: two elements for each key of rank m and each rank n > m, so
+    # 2 * (1 * 2 + 2 * 1); path: 1 + 2 * 2 + 5 * 5 ordered pairs
+    assert len(seen) == 8 + 30
+    for s in seen[:8]:
+        assert s == SylvElement(s.rank, s.key)
+    for s, t in seen[8:]:
+        assert (s, t) == (SylvElement(s.rank, s.key), SylvElement(t.rank, t.key))
 
 
 def test_canonical_reading_is_a_complete_key():

@@ -24,6 +24,7 @@ from conftest import (
 from sylvshift.errors import CapExceededError, ParseError
 from sylvshift.monoid import SylvElement, element_of, equivalent
 from sylvshift.trees import (
+    KEY_CACHE_SIZE,
     Node,
     canonical_reading,
     infix,
@@ -62,11 +63,28 @@ def test_psylv_matches_insertion_exhaustively():
             assert psylv_key(w) == canonical_reading(t)
 
 
-@given(st.integers(1, 6).flatmap(lambda k: st.lists(st.integers(1, k), max_size=60)))
-def test_psylv_matches_insertion_with_repeats(w):
+@given(st.integers(1, 6).flatmap(lambda k: st.lists(st.integers(1, k), max_size=60)),
+       st.booleans())
+def test_psylv_matches_insertion_with_repeats(w, as_tuple):
     t = psylv_by_insertion(w)
     assert psylv(w) == t
-    assert psylv_key(tuple(w)) == canonical_reading(t)
+    # psylv_key takes a tuple or a list and remembers recent words: a first
+    # call and the repeats, which the cache serves, all give the tree's key
+    word = tuple(w) if as_tuple else w
+    assert psylv_key(word) == canonical_reading(t)
+    hits = psylv_key.cache_info().hits
+    assert psylv_key(word) == psylv_key(list(w)) == psylv_key(tuple(w)) == canonical_reading(t)
+    assert psylv_key.cache_info().hits == hits + 3
+
+
+def test_key_cache_is_bounded():
+    # more distinct words than the cache holds: it stays full, not larger
+    for i in range(KEY_CACHE_SIZE + 100):
+        w = tuple(int(c) + 1 for c in str(i))
+        assert psylv_key(w) == canonical_reading(psylv_by_insertion(w))
+    info = psylv_key.cache_info()
+    assert info.maxsize == KEY_CACHE_SIZE
+    assert info.currsize == KEY_CACHE_SIZE
 
 
 def test_psylv_goldens(eq1_tree):
