@@ -8,7 +8,6 @@ Progress goes to stderr; results go to stdout (or --out).
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import sys
@@ -280,6 +279,8 @@ def _run_suite(suite, args: argparse.Namespace):
     Unset options are None and leave the suite's own default; the caps and
     the budget default to the same library constants the suites use.
     """
+    import inspect
+
     params = inspect.signature(suite).parameters
     return suite(**{k: v for k, v in vars(args).items() if k in params and v is not None})
 

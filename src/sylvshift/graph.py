@@ -13,37 +13,31 @@ finite subgraph that can be searched exhaustively at desk scale.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
 
 from .errors import CapExceededError, DisconnectedError, InternalError, RankError
 from .monoid import SylvElement
 from .trees import MAX_READINGS, check_reading_cap, key_sizes, psylv_key, tree_str
-from .words import Word, check_rank, word_str
+from .words import Word, word_str
 
 MAX_VERTICES = 20_000
 
 
-@dataclass(frozen=True)
-class ShiftWitness:
+class ShiftWitness(namedtuple("ShiftWitness", "x y")):
     """Word pair certifying one edge: xy reads the source, yx the target."""
 
-    x: Word
-    y: Word
+    __slots__ = ()
 
     def validates(self, source: SylvElement, target: SylvElement) -> bool:
-        """True iff xy reads source and yx reads target; a symbol beyond
-        their rank reads neither. Compares keys, so no tree is built."""
-        xy = self.x + self.y
-        try:
-            check_rank(xy, source.rank)
-            check_rank(xy, target.rank)
-        except RankError:
-            return False
-        return psylv_key(xy) == source.key and psylv_key(self.y + self.x) == target.key
+        """True iff xy reads source and yx reads target. Compares keys, so
+        no tree is built, and no rank is checked: equal keys have equal
+        letters, and an element's letters lie in 1..rank, so a symbol
+        beyond the rank (or below 1) reads neither."""
+        x, y = self
+        return psylv_key(x + y) == source.key and psylv_key(y + x) == target.key
 
 
 def _fold(state, parts, memo: dict) -> list[Word]:

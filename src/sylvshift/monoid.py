@@ -11,8 +11,7 @@ with a < c may swap whenever some later symbol b satisfies a <= b < c.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from functools import cached_property
 
 from .errors import BudgetExceededError, RankError
@@ -22,19 +21,16 @@ from .words import Word, check_rank, evaluation
 DEFAULT_REWRITE_BUDGET = 1_000_000
 
 
-@dataclass(frozen=True)
-class SylvElement:
+class SylvElement(namedtuple("SylvElement", "rank key")):
     """An element of the rank-n monoid, held as the canonical reading of its
     tree: SylvElement(n, w) checks the rank of any reading w and stores
-    psylv_key(w) as key, which equality, hashing and repr use with rank.
-    The tree is built from the key when first read."""
+    psylv_key(w) as key. A named tuple (rank, key): equality, hashing and
+    repr are the tuple's. The tree is built from the key when first read
+    and kept in the instance dict."""
 
-    rank: int
-    key: Word
-
-    def __post_init__(self):
-        check_rank(self.key, self.rank)
-        object.__setattr__(self, "key", psylv_key(self.key))
+    def __new__(cls, rank: int, key: Word) -> "SylvElement":
+        check_rank(key, rank)
+        return tuple.__new__(cls, (rank, psylv_key(key)))
 
     @classmethod
     def of_key(cls, rank: int, key: Word) -> "SylvElement":
@@ -42,10 +38,7 @@ class SylvElement:
         but key is stored as given, so it must already be a canonical
         reading (psylv_key of some word)."""
         check_rank(key, rank)
-        s = object.__new__(cls)
-        object.__setattr__(s, "rank", rank)
-        object.__setattr__(s, "key", key)
-        return s
+        return tuple.__new__(cls, (rank, key))
 
     @classmethod
     def of_tree(cls, rank: int, tree: Bst) -> "SylvElement":
@@ -61,6 +54,9 @@ class SylvElement:
 
     def __mul__(self, other: "SylvElement") -> "SylvElement":
         return multiply(self, other)
+
+    def __rmul__(self, other):
+        return NotImplemented  # not the tuple's repetition
 
     def __len__(self) -> int:
         return len(self.key)

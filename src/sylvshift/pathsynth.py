@@ -33,30 +33,28 @@ witness reading its pre tree as xy and its post tree as yx.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 
 from .errors import InternalError, NotStandardError, RankError
 from .graph import ShiftWitness
 from .monoid import SylvElement
-from .trees import Sizes, key_sizes, parse_tree, tree_str
+from .trees import Sizes, key_sizes, parse_tree, psylv_key, tree_str
 from .words import Word, is_standard, parse_word, word_str
 
 CASE_TAGS = ("base", "case1", "case2a", "case2b", "case3", "case4a", "case4b")
 
 
-@dataclass(frozen=True)
-class PathStep:
-    pre: SylvElement
-    witness: ShiftWitness
-    post: SylvElement
-    case_tag: str
+class PathStep(namedtuple("PathStep", "pre witness post case_tag")):
+    """One shift of a chain: witness reads pre as xy and post as yx."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PathCertificate:
-    steps: tuple[PathStep, ...]
+class PathCertificate(namedtuple("PathCertificate", "steps")):
+    """A chain of shifts, steps being a tuple of PathSteps."""
+
+    __slots__ = ()
 
     @property
     def source(self) -> SylvElement:
@@ -216,7 +214,7 @@ def shift_path(start: SylvElement, target: SylvElement) -> PathCertificate:
             witness, tag = base_step(pre, key[0]), "base"
         else:
             witness, tag = induction_step(t, goal, h)
-        if SylvElement(start.rank, witness.x + witness.y) != pre:
+        if psylv_key(witness.x + witness.y) != pre.key:
             raise InternalError(f"step {h} ({tag}): assembled factorization is not a reading")
         t = key_sizes(witness.y + witness.x)
         post = SylvElement.of_key(start.rank, t[0])
@@ -263,6 +261,8 @@ def certificate_obj(cert: PathCertificate) -> dict:
 
 
 def certificate_json(cert: PathCertificate) -> str:
+    import json
+
     return json.dumps(certificate_obj(cert), indent=2)
 
 

@@ -12,10 +12,9 @@ addressed by its label or by its position in the canonical reading.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from functools import lru_cache
 from math import comb, factorial, inf
-from typing import Iterable, Optional
 
 from .errors import CapExceededError, ParseError
 from .words import Word
@@ -27,18 +26,54 @@ MAX_READINGS = 100_000
 KEY_CACHE_SIZE = 256
 
 
-@dataclass(frozen=True)
 class Node:
-    label: int
-    left: Optional["Node"] = None
-    right: Optional["Node"] = None
+    """One node of an immutable tree. == and hash compare whole trees by
+    label and shape without recursion, so trees of any depth work at the
+    default recursion limit."""
+
+    __slots__ = ("label", "left", "right")
+
+    def __init__(self, label: int, left: Bst = None, right: Bst = None):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Node, (self.label, self.left, self.right)
+
+    def _preorder(self) -> tuple:
+        """The labels in preorder with None for each empty slot, which
+        spells the tree; walked on an explicit stack."""
+        out: list = []
+        stack: list[Bst] = [self]
+        while stack:
+            node = stack.pop()
+            if node is None:
+                out.append(None)
+            else:
+                out.append(node.label)
+                stack += (node.right, node.left)
+        return tuple(out)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Node):
+            return NotImplemented
+        return self is other or self._preorder() == other._preorder()
+
+    def __hash__(self) -> int:
+        return hash(self._preorder())
 
     def __repr__(self) -> str:
-        # the dataclass repr recurses; tree_str walks on an explicit stack
         return f"<Node {tree_str(self)}>"
 
 
-Bst = Optional[Node]
+Bst = Node | None
 Locator = str
 Sizes = list[tuple[int, int]]  # (left, right) subtree sizes per node, in postfix order
 

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import itertools
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
 
 from .cocharge import cochseq_gap, cochseq_word
 from .graph import MAX_VERTICES, bfs, component, diameter, keys_with_evaluation, neighbors
@@ -22,12 +20,12 @@ from .trees import MAX_READINGS, psylv, readings, tree_str
 from .words import Word, word_str
 
 
-@dataclass
 class SuiteReport:
-    name: str
-    passed: bool = True
-    lines: list[str] = field(default_factory=list)
-    failures: list[str] = field(default_factory=list)
+    def __init__(self, name: str):
+        self.name = name
+        self.passed = True
+        self.lines: list[str] = []
+        self.failures: list[str] = []
 
     def fail(self, message: str) -> None:
         self.passed = False
@@ -224,6 +222,8 @@ def suite_path(nmax: int = 5, jobs: int = 1) -> SuiteReport:
         work += [(n, keys[i:i + size], keys) for i in range(0, len(keys), size)]
     # one pool serves every n, and none is started for a single item
     pooled = jobs > 1 and len(work) > 1
+    if pooled:
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) if pooled else nullcontext() as pool:
         results = pool.map(_path_worker, work) if pooled else map(_path_worker, work)
         for (n, sources, _), (count, tags, failures) in zip(work, results):

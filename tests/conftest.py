@@ -135,6 +135,16 @@ def neighbors_by_readings(s: SylvElement) -> dict[SylvElement, ShiftWitness]:
     return out
 
 
+def validates_checking_ranks(wit: ShiftWitness, source: SylvElement, target: SylvElement) -> bool:
+    """ShiftWitness.validates straight from the definition, ranks first:
+    every symbol of xy lies in both alphabets, xy inserts to source's tree
+    and yx to target's."""
+    xy = wit.x + wit.y
+    if not all(1 <= a <= min(source.rank, target.rank) for a in xy):
+        return False
+    return psylv_by_insertion(xy) == source.tree and psylv_by_insertion(wit.y + wit.x) == target.tree
+
+
 def adjacency_by_vertex(e: tuple[int, ...], n: int) -> list[list[int]]:
     """The adjacency lists of e's class, built with one neighbor_keys call
     per vertex and no use of the mirror symmetry; each list sorted, without

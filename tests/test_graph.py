@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (adjacency_by_vertex, bfs_distances, diameter_by_bfs, labels,
-                      mirror_tree, multiset_words, neighbors_by_readings)
+                      mirror_tree, multiset_words, neighbors_by_readings,
+                      validates_checking_ranks)
 from sylvshift import graph
 from sylvshift import verify as suites
 from sylvshift.errors import CapExceededError, DisconnectedError, InternalError, RankError
@@ -63,6 +64,37 @@ def test_neighbors_witnesses_validate(monkeypatch):
     assert not ShiftWitness((1, 3, 2), (6,)).validates(element_of((1, 3, 2), 6),
                                                        element_of((1, 3, 2), 6))
     assert not ShiftWitness((1, 3), (2, 5, 4)).validates(s, element_of((2, 1), 5))
+    # validates checks no rank: a 0, a symbol beyond the rank, or a letter
+    # the other rank lacks gives a key that no element of that rank has
+    s3 = element_of((3, 1, 2), 3)
+    assert ShiftWitness((3,), (1, 2)).validates(s3, element_of((1, 2, 3), 3))
+    assert not ShiftWitness((0, 3), (1, 2)).validates(s3, s3)
+    assert not ShiftWitness((4,), (1, 2)).validates(s3, element_of((1, 2, 3), 3))
+    assert not ShiftWitness((3,), (1, 2)).validates(s3, element_of((1, 2), 2))
+
+
+def test_validates_matches_check_first_oracle():
+    # Every neighbor witness of each standard element on n <= 5 letters,
+    # with its letters as given, swapped between x and y, lowered to reach
+    # 0 and raised to reach n + 1, against sources and targets at ranks n
+    # and n + 1 holding the element's letters or the raised ones.
+    for n in range(1, 6):
+        def raised(w):
+            return tuple(a + (a == n) for a in w)
+
+        for key in suites.standard_keys(n):
+            s = SylvElement.of_key(n, key)
+            for key2, wit in graph.neighbor_keys(s).items():
+                wits = [wit, ShiftWitness(wit.y, wit.x),
+                        ShiftWitness(*(tuple(a - (a == 1) for a in w) for w in wit)),
+                        ShiftWitness(raised(wit.x), raised(wit.y))]
+                sources = [SylvElement.of_key(n, key), SylvElement.of_key(n + 1, key),
+                           SylvElement.of_key(n + 1, raised(key))]
+                targets = [SylvElement.of_key(n, key2), SylvElement.of_key(n + 1, key2),
+                           SylvElement.of_key(n + 1, raised(key2))]
+                for w in wits:
+                    for a, b in itertools.product(sources, targets):
+                        assert w.validates(a, b) is validates_checking_ranks(w, a, b), (w, a, b)
 
 
 def check_against_oracle(s):

@@ -1,10 +1,14 @@
 import os
+import pickle
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import sylvshift
+from sylvshift import element_of, shift_path
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -44,3 +48,54 @@ def test_python_dash_m_runs_the_cli():
                           text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0
     assert done.stdout == "2(1(_,_),3(_,_))\n"
+
+
+def test_value_types_are_immutable_picklable_and_keep_their_repr():
+    s = element_of((3, 1, 2), 3)
+    cached = element_of((3, 1, 2), 3)
+    tree = cached.tree
+    cert = shift_path(element_of((1, 2), 2), element_of((2, 1), 2))
+    step = cert.steps[1]
+    reprs = [
+        (s, "SylvElement(rank=3, key=(1, 3, 2))"),
+        (cached, "SylvElement(rank=3, key=(1, 3, 2))"),
+        (step.witness, "ShiftWitness(x=(1,), y=(2,))"),
+        (step, "PathStep(pre=SylvElement(rank=2, key=(1, 2)), witness=ShiftWitness(x=(1,), "
+               "y=(2,)), post=SylvElement(rank=2, key=(2, 1)), case_tag='case4a')"),
+        (cert, "PathCertificate(steps=(PathStep(pre=SylvElement(rank=2, key=(1, 2)), "
+               "witness=ShiftWitness(x=(1, 2), y=()), post=SylvElement(rank=2, key=(1, 2)), "
+               "case_tag='base'), " + repr(step) + "))"),
+        (tree, "<Node 2(1(_,_),3(_,_))>"),
+    ]
+    fields = {"SylvElement": ("rank", "key"), "ShiftWitness": ("x", "y"),
+              "PathStep": ("pre", "witness", "post", "case_tag"),
+              "PathCertificate": ("steps",), "Node": ("label", "left", "right")}
+    for value, text in reprs:
+        assert repr(value) == text
+        for name in fields[type(value).__name__]:
+            with pytest.raises(AttributeError):
+                setattr(value, name, getattr(value, name))
+        copy = pickle.loads(pickle.dumps(value))
+        assert type(copy) is type(value) and copy == value and repr(copy) == text
+    assert "tree" in vars(cached) and "tree" not in vars(s)
+    assert pickle.loads(pickle.dumps(cached)).tree == tree == s.tree
+    assert len(s) == len(s.key) == 3 and len(cert) == len(cert.steps) == 2
+    assert s * s == element_of((1, 3, 2, 1, 3, 2), 3)
+    with pytest.raises(TypeError):
+        2 * s
+
+
+def test_import_loads_no_heavy_module():
+    # The same interpreter bare and after `import sylvshift`: modules that
+    # site preloads show in both runs and are not the package's.
+    src = str(Path(sylvshift.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def modules(code: str) -> set[str]:
+        code += "\nimport sys\nprint('\\n'.join(sys.modules))"
+        return set(subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                  check=True, timeout=60, env=env).stdout.split())
+
+    added = modules("import sylvshift") - modules("pass")
+    assert "sylvshift.pathsynth" in added
+    assert added & {"dataclasses", "inspect", "json", "concurrent.futures"} == set()

@@ -290,6 +290,11 @@ def test_chains_of_1e5_nodes_need_no_recursion(default_recursion_limit, w):
     assert reading_count(canonical_reading(t)) == 1
     assert node_count(parse_tree(tree_str(t))) == n
     assert repr(t) == f"<Node {tree_str(t)}>"
+    # Node == and hash walk the whole tree; the two trees differ only at
+    # the deepest node once the first two symbols swap
+    u = psylv(w)
+    assert u is not t and u == t and hash(u) == hash(t)
+    assert psylv((w[1], w[0]) + tuple(w[2:])) != t
     a, b = element_of(tuple(w), n), element_of(tuple(w), n)
     assert a.tree is not b.tree
     assert a == b and hash(a) == hash(b)
