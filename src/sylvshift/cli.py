@@ -39,7 +39,7 @@ from .monoid import (
     rewrite_equivalent,
 )
 from .pathsynth import certificate_json, shift_path, transcript
-from .trees import MAX_READINGS, psylv, readings, tree_art, tree_dot, tree_str
+from .trees import MAX_READINGS, readings, tree_art, tree_dot, tree_str
 from .words import evaluation, is_standard, parse_word, word_str
 
 
@@ -76,15 +76,15 @@ def _infer_rank(args: argparse.Namespace, *ws: tuple[int, ...]) -> int:
 
 
 def cmd_tree(args: argparse.Namespace) -> int:
-    t = psylv(parse_word(args.word))
+    w = parse_word(args.word)
     if args.format == "art":
-        _emit(tree_art(t), args)
+        _emit(tree_art(w), args)
     elif args.format == "dot":
-        _emit(tree_dot(t), args)
+        _emit(tree_dot(w), args)
     elif args.format == "json":
-        _emit(json.dumps({"word": args.word, "tree": tree_str(t)}), args)
+        _emit(json.dumps({"word": args.word, "tree": tree_str(w)}), args)
     else:
-        _emit(tree_str(t), args)
+        _emit(tree_str(w), args)
     return 0
 
 
@@ -110,7 +110,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_readings(args: argparse.Namespace) -> int:
-    rs = sorted(readings(psylv(parse_word(args.word)), args.max_readings))
+    rs = sorted(readings(parse_word(args.word), args.max_readings))
     if args.format == "json":
         _emit(json.dumps({"word": args.word, "count": len(rs),
                           "readings": [word_str(r) for r in rs]}), args)
@@ -143,9 +143,9 @@ def cmd_multiply(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit(json.dumps({"left": args.left, "right": args.right, "rank": n,
                           "reading": word_str(product.key),
-                          "tree": tree_str(product.tree)}), args)
+                          "tree": tree_str(product.key)}), args)
     else:
-        _emit(tree_str(product.tree), args)
+        _emit(tree_str(product.key), args)
     return 0
 
 
@@ -154,7 +154,7 @@ def cmd_neighbors(args: argparse.Namespace) -> int:
     s = element_of(w, _infer_rank(args, w))
     nbrs = neighbors(s, args.max_readings)
     rows = sorted(
-        (word_str(t.key), word_str(wit.x), word_str(wit.y), tree_str(t.tree))
+        (word_str(t.key), word_str(wit.x), word_str(wit.y), tree_str(t.key))
         for t, wit in nbrs.items())
     if args.format == "json":
         _emit(json.dumps({

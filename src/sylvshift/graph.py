@@ -32,12 +32,14 @@ class ShiftWitness(namedtuple("ShiftWitness", "x y")):
     __slots__ = ()
 
     def validates(self, source: SylvElement, target: SylvElement) -> bool:
-        """True iff xy reads source and yx reads target. Compares keys, so
-        no tree is built, and no rank is checked: equal keys have equal
-        letters, and an element's letters lie in 1..rank, so a symbol
-        beyond the rank (or below 1) reads neither."""
+        """True iff source and target are elements of one monoid, xy reads
+        source and yx reads target. Compares keys, so no tree is built, and
+        the letters need no rank check: equal keys have equal letters, and
+        an element's letters lie in 1..rank, so a symbol beyond the rank
+        (or below 1) reads neither."""
         x, y = self
-        return psylv_key(x + y) == source.key and psylv_key(y + x) == target.key
+        return (source.rank == target.rank and psylv_key(x + y) == source.key
+                and psylv_key(y + x) == target.key)
 
 
 def _fold(state, parts, memo: dict) -> list[Word]:
@@ -364,7 +366,7 @@ def diameter(g: ComponentGraph) -> tuple[int, tuple[SylvElement, SylvElement]]:
 
 def graph_dot(g: ComponentGraph, tree_labels: bool = False) -> str:
     """Graphviz DOT; vertex labels are canonical readings unless tree_labels."""
-    fmt = (lambda v: tree_str(v.tree)) if tree_labels else (lambda v: word_str(v.key))
+    fmt = (lambda v: tree_str(v.key)) if tree_labels else (lambda v: word_str(v.key))
     lines = ["graph shifts {", "  node [shape=box];"]
     for i, v in enumerate(g.vertices):
         lines.append(f'  v{i} [label="{fmt(v)}"];')

@@ -12,10 +12,9 @@ with a < c may swap whenever some later symbol b satisfies a <= b < c.
 from __future__ import annotations
 
 from collections import deque, namedtuple
-from functools import cached_property
 
 from .errors import BudgetExceededError, RankError
-from .trees import Bst, canonical_reading, psylv, psylv_key
+from .trees import Bst, psylv, psylv_key
 from .words import Word, check_rank, evaluation
 
 DEFAULT_REWRITE_BUDGET = 1_000_000
@@ -24,9 +23,10 @@ DEFAULT_REWRITE_BUDGET = 1_000_000
 class SylvElement(namedtuple("SylvElement", "rank key")):
     """An element of the rank-n monoid, held as the canonical reading of its
     tree: SylvElement(n, w) checks the rank of any reading w and stores
-    psylv_key(w) as key. A named tuple (rank, key): equality, hashing and
-    repr are the tuple's. The tree is built from the key when first read
-    and kept in the instance dict."""
+    psylv_key(w) as key. A named tuple (rank, key) and nothing else:
+    equality, hashing, repr and pickling are the tuple's."""
+
+    __slots__ = ()
 
     def __new__(cls, rank: int, key: Word) -> "SylvElement":
         check_rank(key, rank)
@@ -40,16 +40,9 @@ class SylvElement(namedtuple("SylvElement", "rank key")):
         check_rank(key, rank)
         return tuple.__new__(cls, (rank, key))
 
-    @classmethod
-    def of_tree(cls, rank: int, tree: Bst) -> "SylvElement":
-        """The element of tree, kept as its tree; the key walk refuses a tree
-        that is not right-strict (ValueError), as no word inserts to it."""
-        s = cls.of_key(rank, canonical_reading(tree))
-        s.__dict__["tree"] = tree
-        return s
-
-    @cached_property
+    @property
     def tree(self) -> Bst:
+        """The element's tree, built from the key on each read."""
         return psylv(self.key)
 
     def __mul__(self, other: "SylvElement") -> "SylvElement":

@@ -234,24 +234,19 @@ def shift_path(start: SylvElement, target: SylvElement) -> PathCertificate:
     return PathCertificate(tuple(steps))
 
 
-def _tree_text():
-    """tree_str of an element's tree, memoized per element: a step's post is
-    usually the next step's pre, but a certificate read from JSON need not
-    chain, so the text is looked up by element, not carried along."""
-    return cache(lambda s: tree_str(s.tree))
-
-
 def certificate_obj(cert: PathCertificate) -> dict:
-    """JSON-ready dict; words and trees use the package's text formats."""
-    text = _tree_text()
+    """JSON-ready dict; words and trees use the package's text formats. A
+    step's post is usually the next step's pre, so each key's text is
+    rendered once."""
+    text = cache(tree_str)
     return {
         "rank": cert.source.rank,
         "steps": [
             {
                 "step": i,
                 "case": s.case_tag,
-                "pre": text(s.pre),
-                "post": text(s.post),
+                "pre": text(s.pre.key),
+                "post": text(s.post.key),
                 "x": word_str(s.witness.x),
                 "y": word_str(s.witness.y),
             }
@@ -267,12 +262,14 @@ def certificate_json(cert: PathCertificate) -> str:
 
 
 def certificate_from_obj(obj: dict) -> PathCertificate:
+    """Inverse of certificate_obj; each distinct tree text is parsed once."""
     rank = obj["rank"]
+    parse = cache(parse_tree)
     steps = tuple(
         PathStep(
-            SylvElement.of_tree(rank, parse_tree(s["pre"])),
+            SylvElement.of_key(rank, parse(s["pre"])),
             ShiftWitness(parse_word(s["x"]), parse_word(s["y"])),
-            SylvElement.of_tree(rank, parse_tree(s["post"])),
+            SylvElement.of_key(rank, parse(s["post"])),
             s["case"],
         )
         for s in obj["steps"]
@@ -282,17 +279,16 @@ def certificate_from_obj(obj: dict) -> PathCertificate:
 
 def transcript(cert: PathCertificate) -> str:
     """Human-readable step-by-step listing of the chain."""
-    text = _tree_text()
     lines = []
     for i, step in enumerate(cert.steps):
         lines.append(
             f"T{i} = {word_str(step.pre.key)}"
-            f"  =  {text(step.pre)}")
+            f"  =  {tree_str(step.pre.key)}")
         lines.append(
             f"   ~  x={word_str(step.witness.x) or 'e'}"
             f"  y={word_str(step.witness.y) or 'e'}   [{step.case_tag}]")
     last = cert.steps[-1].post
     lines.append(
         f"T{len(cert.steps)} = {word_str(last.key)}"
-        f"  =  {text(last)}")
+        f"  =  {tree_str(last.key)}")
     return "\n".join(lines)

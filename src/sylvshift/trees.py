@@ -1,13 +1,16 @@
 """Right-strict binary search trees: insertion, traversals, readings.
 
-Trees are immutable. A node's label is >= every label in its left subtree
-and < every label in its right subtree, so equal symbols accumulate on the
-left. The empty tree is None.
+A node's label is >= every label in its left subtree and < every label in
+its right subtree, so equal symbols accumulate on the left. Inside the
+library a tree is its key, the canonical (postfix) reading, and the sizes
+of every node's subtrees, which one pass of insertion's sort and stack
+gives (`key_sizes`); a node is addressed by its position in the key. The
+functions here take any reading w of the tree. `Node` trees, the empty one
+being None, are built only by `psylv`, for callers that want one.
 
 Locators address nodes by the path from the root: a string over {"L", "R"},
-"" being the root itself. They serve only to render trees, as the node ids
-of `tree_dot` and the indentation of `tree_art`; elsewhere a node is
-addressed by its label or by its position in the canonical reading.
+"" being the root itself. They are for rendering only, as the node ids of
+`tree_dot`.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ class Node:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return Node, (self.label, self.left, self.right)
+        return _tree, (self._preorder(),)
 
     def _preorder(self) -> tuple:
         """The labels in preorder with None for each empty slot, which
@@ -70,7 +73,7 @@ class Node:
         return hash(self._preorder())
 
     def __repr__(self) -> str:
-        return f"<Node {tree_str(self)}>"
+        return f"<Node {_text(self._preorder())}>"
 
 
 Bst = Node | None
@@ -84,30 +87,28 @@ def psylv(w: Iterable[int]) -> Bst:
     The result is the Cartesian tree of w (Vuillemin, "A unifying look at
     data structures", CACM 1980): a search tree on (label, position), as
     equal symbols go left of later ones, and a heap on position, as a later
-    symbol is inserted earlier and sits nearer the root. One stable sort
-    gives the in-order sequence; a stack holds the open right spine. Each
-    position pops every entry with a smaller position, folding them into
-    the right chain that becomes its left subtree; the sentinel position
-    len(w) folds the whole tree. Every node is built once.
+    symbol is inserted earlier and sits nearer the root. Built from the
+    positions of `key_sizes(w)`, every node once.
     """
-    w = tuple(w)
-    spine: list[tuple[int, Bst]] = []  # open right spine: (position, left subtree)
-    for i in sorted(range(len(w)), key=w.__getitem__) + [len(w)]:
-        left: Bst = None
-        while spine and spine[-1][0] < i:
-            p, sub = spine.pop()
-            left = Node(w[p], sub, left)
-        spine.append((i, left))
-    return left
+    return _tree(_preorder_labels(tuple(w)))
+
+
+def _tree(preorder) -> Bst:
+    """Inverse of Node._preorder: the tree that preorder spells (labels in
+    preorder, None for each empty slot), built on an explicit stack. Read
+    backwards, a node comes after its right and then its left subtree."""
+    stack: list[Bst] = []
+    for label in reversed(preorder):
+        stack.append(None if label is None else Node(label, stack.pop(), stack.pop()))
+    return stack[0]
 
 
 def psylv_key(w: Iterable[int]) -> Word:
-    """canonical_reading(psylv(w)) without building a node: psylv's sort
-    and stack, keeping each label as it is popped. A node is popped once
-    its subtree is complete and before anything outside it, so the pops
-    come in postfix order. The last KEY_CACHE_SIZE distinct words are kept
-    with their keys; w may be any sequence of ints and is looked up as a
-    tuple. Keys are tuples, so callers share a cached key safely."""
+    """canonical_reading(psylv(w)) without building a node: the sort and
+    stack of key_sizes, keeping only each label as it is popped. The last
+    KEY_CACHE_SIZE distinct words are kept with their keys; w may be any
+    sequence of ints and is looked up as a tuple. Keys are tuples, so
+    callers share a cached key safely."""
     return _insertion_key(tuple(w))
 
 
@@ -124,32 +125,6 @@ def _insertion_key(w: Word) -> Word:
 
 
 psylv_key.cache_info = _insertion_key.cache_info
-
-
-def is_bst(t: Bst) -> bool:
-    """True iff t is right-strict, that is, some word inserts to it."""
-    try:
-        canonical_reading(t)
-    except ValueError:
-        return False
-    return True
-
-
-def infix(t: Bst) -> list[tuple[int, Locator]]:
-    """Left subtree, root, right subtree; labels come out weakly increasing."""
-    out: list[tuple[int, Locator]] = []
-    stack: list[tuple[Bst, Locator, bool]] = [(t, "", False)]
-    while stack:
-        node, loc, visit = stack.pop()
-        if node is None:
-            continue
-        if visit:
-            out.append((node.label, loc))
-        else:
-            stack.append((node.right, loc + "R", False))
-            stack.append((node, loc, True))
-            stack.append((node.left, loc + "L", False))
-    return out
 
 
 def canonical_reading(t: Bst) -> Word:
@@ -175,9 +150,13 @@ def canonical_reading(t: Bst) -> Word:
 
 def key_sizes(w: Word) -> tuple[Word, Sizes]:
     """psylv_key(w) together with the sizes of every node's left and right
-    subtrees in psylv(w), both in postfix order: psylv's sort and stack,
-    keeping each label and sizing each subtree as it is folded instead of
-    building it. The node at postfix position p with sizes (l, r) has its
+    subtrees in psylv(w), both in postfix order. One stable sort gives the
+    in-order sequence of w's positions; a stack holds the open right
+    spine. Each position pops every entry with a smaller position, folding
+    them into the right chain that becomes its left subtree; the sentinel
+    position len(w) folds the whole tree. A node is popped once its subtree
+    is complete and before anything outside it, so the pops come in
+    postfix order. The node at postfix position p with sizes (l, r) has its
     right child at p - 1 when r > 0 and its left child at p - r - 1 when
     l > 0; the root is at len(w) - 1."""
     key: list[int] = []
@@ -221,102 +200,117 @@ def check_reading_cap(w: Word, cap: int) -> None:
         raise CapExceededError("readings", cap)
 
 
-def readings(t: Bst, cap: int = MAX_READINGS) -> set[Word]:
-    """All words whose insertion yields t: the label sequences of the linear
-    extensions of the children-before-parents order.
+def readings(w: Word, cap: int = MAX_READINGS) -> set[Word]:
+    """All words whose insertion yields psylv(w), w being any one of them:
+    the label sequences of the linear extensions of the
+    children-before-parents order.
 
     Raises CapExceededError up front when the (exactly predictable) count
     exceeds cap, before enumerating anything.
     """
-    check_reading_cap(canonical_reading(t), cap)
+    check_reading_cap(w, cap)
+    key, sizes = key_sizes(w)
+    children = [((p - r - 1,) if l else ()) + ((p - 1,) if r else ())
+                for p, (l, r) in enumerate(sizes)]
     # Readings are written right to left: a node may be written once its
-    # parent is, so a state is (suffix so far, nodes whose parent is in it).
+    # parent is, so a state is (suffix so far, positions whose parent is in it).
     found: set[Word] = set()
-    stack: list[tuple[Word, tuple[Node, ...]]] = [((), () if t is None else (t,))]
+    stack: list[tuple[Word, tuple[int, ...]]] = [((), (len(key) - 1,) if key else ())]
     while stack:
         suffix, frontier = stack.pop()
         if not frontier:
             found.add(suffix)
-        for i, node in enumerate(frontier):
-            rest = frontier[:i] + frontier[i + 1 :]
-            if node.left is not None:
-                rest += (node.left,)
-            if node.right is not None:
-                rest += (node.right,)
-            stack.append(((node.label,) + suffix, rest))
+        for i, p in enumerate(frontier):
+            stack.append(((key[p],) + suffix, frontier[:i] + frontier[i + 1 :] + children[p]))
     return found
 
 
-def tree_str(t: Bst) -> str:
-    """Nested `label(left,right)` form with `_` for empty slots."""
-    out: list[str] = []
-    stack: list[Bst | str] = [t]
+def _preorder_labels(w: Word) -> list[int | None]:
+    """The labels of psylv(w) in preorder with None for each empty slot,
+    which spells the tree as Node._preorder does; walked over the postfix
+    positions of key_sizes(w) on an explicit stack."""
+    key, sizes = key_sizes(w)
+    out: list[int | None] = []
+    stack = [len(key) - 1]  # positions, -1 standing for an empty slot
     while stack:
-        item = stack.pop()
-        if isinstance(item, Node):
-            out.append(f"{item.label}(")
-            stack += [")", item.right, ",", item.left]
+        p = stack.pop()
+        if p < 0:
+            out.append(None)
         else:
-            out.append("_" if item is None else item)
+            out.append(key[p])
+            l, r = sizes[p]
+            stack += (p - 1 if r else -1, p - r - 1 if l else -1)
+    return out
+
+
+def _text(preorder) -> str:
+    """Nested `label(left,right)` text, `_` for each empty slot, of the tree
+    that preorder spells as Node._preorder does."""
+    out: list[str] = []
+    pending: list[str] = []  # what each open node still needs: "," and then ")"
+    for label in preorder:
+        if label is None:
+            out.append("_")
+            while pending:  # close every node this ends a right subtree of
+                out.append(pending.pop())
+                if out[-1] == ",":
+                    break
+        else:
+            out.append(f"{label}(")
+            pending += (")", ",")
     return "".join(out)
 
 
-def parse_tree(text: str) -> Bst:
-    """Inverse of tree_str; text that is not a right-strict tree is refused."""
+def tree_str(w: Word) -> str:
+    """Nested `label(left,right)` form of psylv(w), with `_` for empty slots."""
+    return _text(_preorder_labels(w))
+
+
+def parse_tree(text: str) -> Word:
+    """Inverse of tree_str: the key (canonical reading) of the tree the text
+    spells. A node's ')' follows its subtrees, so the labels in the order
+    their nodes close are the key. Text is refused unless it is what
+    tree_str gives for that key (spaces aside): a tree that is not
+    right-strict, like anything that is not tree text, has no such key."""
+    import re
+
     s = text.strip().replace(" ", "")
-    pos = 0
-
-    def err(msg: str) -> ParseError:
-        return ParseError(f"bad tree text at index {pos}: {msg}")
-
-    def expect(ch: str) -> None:
-        nonlocal pos
-        if pos >= len(s) or s[pos] != ch:
-            raise err(f"expected {ch!r}")
-        pos += 1
-
-    # nodes whose ')' is still to come: [label], then [label, left] once ',' is read
-    open_nodes: list[list] = []
-    while True:
-        if pos < len(s) and s[pos] == "_":
-            pos += 1
-            sub: Bst = None
-        else:
-            start = pos
-            while pos < len(s) and s[pos].isdigit():
-                pos += 1
-            if start == pos:
-                raise err("expected label or '_'")
-            label = int(s[start:pos])
-            if label < 1:
-                raise err("labels must be >= 1")
-            expect("(")
-            open_nodes.append([label])
-            continue
-        # sub is complete: a right child closes its parent, which is complete in turn
-        while open_nodes and len(open_nodes[-1]) == 2:
-            label, left = open_nodes.pop()
-            expect(")")
-            sub = Node(label, left, sub)
-        if not open_nodes:
-            break
-        open_nodes[-1].append(sub)
-        expect(",")
-    if pos != len(s):
-        raise err("trailing input")
-    if not is_bst(sub):
-        raise ParseError(f"tree text {text!r} is not a right-strict search tree")
-    return sub
+    key: list[int] = []
+    opened: list[int] = []  # labels of the nodes whose ')' is still to come
+    for label, _ in re.findall(r"([0-9]+)\(|(\))", s):
+        if label:
+            opened.append(int(label))
+        elif opened:
+            key.append(opened.pop())
+    if 0 in key or tree_str(key) != s:
+        raise ParseError(f"{text!r} is not the text of a right-strict search tree")
+    return tuple(key)
 
 
-def tree_dot(t: Bst) -> str:
-    """Graphviz DOT for one tree; edges carry their child side."""
+def _infix(w: Word) -> list[tuple[int, Locator]]:
+    """The labels of psylv(w) in order (left subtree, node, right subtree),
+    each with its locator. psylv(key) is a search tree on (label, position
+    in key), and a node's position in key is its postfix position."""
+    key, sizes = key_sizes(w)
+    locs = [""] * len(key)
+    for p in reversed(range(len(key))):  # a node's parent sits after it
+        l, r = sizes[p]
+        if r:
+            locs[p - 1] = locs[p] + "R"
+        if l:
+            locs[p - r - 1] = locs[p] + "L"
+    return [(key[p], locs[p]) for p in sorted(range(len(key)), key=key.__getitem__)]
+
+
+def tree_dot(w: Word) -> str:
+    """Graphviz DOT for psylv(w); edges carry their child side."""
     lines = ["digraph bst {", "  node [shape=circle];"]
-    if t is None:
+    if not w:
         lines.append('  empty [label="(empty)" shape=plaintext];')
-    for label, loc in infix(t):
+    nodes = _infix(w)
+    for label, loc in nodes:
         lines.append(f'  n{loc or "root"} [label="{label}"];')
-    for _, loc in infix(t):
+    for _, loc in nodes:
         if loc:
             parent = loc[:-1] or "root"
             side = loc[-1]
@@ -325,8 +319,9 @@ def tree_dot(t: Bst) -> str:
     return "\n".join(lines)
 
 
-def tree_art(t: Bst) -> str:
-    """Small sideways ASCII rendering (right subtree printed above the root)."""
-    if t is None:
+def tree_art(w: Word) -> str:
+    """Small sideways ASCII rendering of psylv(w) (right subtree printed
+    above the root)."""
+    if not w:
         return "(empty)"
-    return "\n".join("    " * len(loc) + str(label) for label, loc in reversed(infix(t)))
+    return "\n".join("    " * len(loc) + str(label) for label, loc in reversed(_infix(w)))

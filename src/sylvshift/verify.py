@@ -16,7 +16,7 @@ from .cocharge import cochseq_gap, cochseq_word
 from .graph import MAX_VERTICES, bfs, component, diameter, keys_with_evaluation, neighbors
 from .monoid import DEFAULT_REWRITE_BUDGET, SylvElement, element_of, multiply, rewrite_class
 from .pathsynth import CASE_TAGS, shift_path
-from .trees import MAX_READINGS, psylv, readings, tree_str
+from .trees import MAX_READINGS, readings, tree_str
 from .words import Word, word_str
 
 
@@ -85,11 +85,11 @@ def suite_cocharge_congruence(nmax: int = 7) -> SuiteReport:
     checked = 0
     for n in range(1, nmax + 1):
         keys = standard_keys(n)
-        for tree in map(psylv, keys):
-            fiber = readings(tree)
+        for key in keys:
+            fiber = readings(key)
             seqs = {cochseq_word(w) for w in fiber}
             if len(seqs) != 1:
-                rep.fail(f"tree {tree_str(tree)} has readings with sequences {sorted(seqs)}")
+                rep.fail(f"tree {tree_str(key)} has readings with sequences {sorted(seqs)}")
             checked += len(fiber)
         _progress(f"cocharge-congruence: n={n} done ({len(keys)} trees)")
     rep.lines.append(f"{checked} standard words grouped and checked")
@@ -199,10 +199,10 @@ def _path_worker(args: tuple[int, list[Word], list[Word]]) -> tuple[int, set, li
         try:
             cert = shift_path(start, end)
         except Exception as exc:  # noqa: BLE001  (reported, not swallowed)
-            failures.append(f"path {word_str(start.key)} -> {tree_str(end.tree)}: {exc}")
+            failures.append(f"path {word_str(start.key)} -> {tree_str(end.key)}: {exc}")
             continue
         if not cert.verify():
-            failures.append(f"path {word_str(start.key)} -> {tree_str(end.tree)}: "
+            failures.append(f"path {word_str(start.key)} -> {tree_str(end.key)}: "
                             "invalid certificate")
         tags.update(s.case_tag for s in cert.steps)
         count += 1
@@ -214,7 +214,6 @@ def suite_path(nmax: int = 5, jobs: int = 1) -> SuiteReport:
     rep = SuiteReport(f"path(n<={nmax})")
     seen_tags: set[str] = set()
     total = 0
-    # work items carry keys, not trees; a worker builds each target's tree once
     work = []
     for n in range(1, nmax + 1):
         keys = standard_keys(n)
@@ -250,7 +249,7 @@ def suite_example_path() -> SuiteReport:
     for i, step in enumerate(cert.steps):
         want = element_of(words[i + 1], 5)
         if step.post != want:
-            rep.fail(f"step {i}: got {tree_str(step.post.tree)}, want {tree_str(want.tree)}")
+            rep.fail(f"step {i}: got {tree_str(step.post.key)}, want {tree_str(want.key)}")
     if not cert.verify():
         rep.fail("certificate fails re-verification")
     rep.lines.append("5-step chain matches the worked example and all edges validate")
@@ -267,7 +266,7 @@ def suite_induced(nmax: int = 4) -> SuiteReport:
                 low = {x.key for x in neighbors(SylvElement.of_key(m, key))}
                 high = {x.key for x in neighbors(SylvElement.of_key(n, key))}
                 if low != high:
-                    rep.fail(f"tree {tree_str(psylv(key))}: ranks {m} and {n} disagree")
+                    rep.fail(f"tree {tree_str(key)}: ranks {m} and {n} disagree")
                 checked += 1
     rep.lines.append(f"{checked} elements agree across ranks")
     return rep
@@ -310,7 +309,7 @@ def suite_monoid(rank: int = 3, maxlen: int = 4, assoc_total: int = 6) -> SuiteR
                 break
             ab = multiply(a, b)
             if ab not in index:
-                rep.fail(f"product of {tree_str(a.tree)} and {tree_str(b.tree)} is {ab!r}, "
+                rep.fail(f"product of {tree_str(a.key)} and {tree_str(b.key)} is {ab!r}, "
                          f"outside the {len(elems)} elements of length <= {assoc_total}")
                 return rep
             row.append(index[ab])
@@ -323,7 +322,7 @@ def suite_monoid(rank: int = 3, maxlen: int = 4, assoc_total: int = 6) -> SuiteR
                     break
                 if table[ij][k] != table[i][table[j][k]]:
                     rep.fail("associativity broke on "
-                             + ", ".join(tree_str(elems[x].tree) for x in (i, j, k)))
+                             + ", ".join(tree_str(elems[x].key) for x in (i, j, k)))
                 triples += 1
     rep.lines.append(f"{triples} triples of total length <= {assoc_total} associate")
     return rep

@@ -7,10 +7,10 @@ from math import factorial
 
 import pytest
 
-from sylvshift.errors import InternalError
+from sylvshift.errors import InternalError, ParseError
 from sylvshift.graph import ComponentGraph, ShiftWitness, keys_with_evaluation, neighbor_keys
 from sylvshift.monoid import SylvElement
-from sylvshift.trees import Bst, Locator, Node, Sizes, canonical_reading, psylv, readings
+from sylvshift.trees import Bst, Locator, Node, Sizes, canonical_reading, psylv
 
 # The 10-node tree used across the golden tests, spelled out by hand:
 # root 4; left 2(left 1(left 1), right 4); right 5(left 5(left 5),
@@ -112,6 +112,140 @@ def psylv_by_insertion(w) -> Bst:
     return t
 
 
+def is_bst(t: Bst) -> bool:
+    """True iff t is right-strict, that is, some word inserts to it."""
+    try:
+        canonical_reading(t)
+    except ValueError:
+        return False
+    return True
+
+
+def infix(t: Bst) -> list[tuple[int, Locator]]:
+    """Left subtree, root, right subtree; labels come out weakly increasing."""
+    out: list[tuple[int, Locator]] = []
+    stack: list[tuple[Bst, Locator, bool]] = [(t, "", False)]
+    while stack:
+        node, loc, visit = stack.pop()
+        if node is None:
+            continue
+        if visit:
+            out.append((node.label, loc))
+        else:
+            stack.append((node.right, loc + "R", False))
+            stack.append((node, loc, True))
+            stack.append((node.left, loc + "L", False))
+    return out
+
+
+def node_readings(t: Bst) -> set[tuple[int, ...]]:
+    """All words whose insertion yields t, walked over its nodes: the label
+    sequences of the linear extensions of the children-before-parents order."""
+    # Readings are written right to left: a node may be written once its
+    # parent is, so a state is (suffix so far, nodes whose parent is in it).
+    found: set[tuple[int, ...]] = set()
+    stack: list[tuple[tuple[int, ...], tuple[Node, ...]]] = [((), () if t is None else (t,))]
+    while stack:
+        suffix, frontier = stack.pop()
+        if not frontier:
+            found.add(suffix)
+        for i, node in enumerate(frontier):
+            rest = frontier[:i] + frontier[i + 1 :]
+            if node.left is not None:
+                rest += (node.left,)
+            if node.right is not None:
+                rest += (node.right,)
+            stack.append(((node.label,) + suffix, rest))
+    return found
+
+
+def node_tree_str(t: Bst) -> str:
+    """Nested `label(left,right)` form with `_` for empty slots, walked over
+    the nodes of any tree, right-strict or not."""
+    out: list[str] = []
+    stack: list[Bst | str] = [t]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, Node):
+            out.append(f"{item.label}(")
+            stack += [")", item.right, ",", item.left]
+        else:
+            out.append("_" if item is None else item)
+    return "".join(out)
+
+
+def node_parse_tree(text: str) -> Bst:
+    """The tree of nodes that text spells; text that is not a right-strict
+    tree is refused."""
+    s = text.strip().replace(" ", "")
+    pos = 0
+
+    def err(msg: str) -> ParseError:
+        return ParseError(f"bad tree text at index {pos}: {msg}")
+
+    def expect(ch: str) -> None:
+        nonlocal pos
+        if pos >= len(s) or s[pos] != ch:
+            raise err(f"expected {ch!r}")
+        pos += 1
+
+    # nodes whose ')' is still to come: [label], then [label, left] once ',' is read
+    open_nodes: list[list] = []
+    while True:
+        if pos < len(s) and s[pos] == "_":
+            pos += 1
+            sub: Bst = None
+        else:
+            start = pos
+            while pos < len(s) and s[pos].isdigit():
+                pos += 1
+            if start == pos:
+                raise err("expected label or '_'")
+            label = int(s[start:pos])
+            if label < 1:
+                raise err("labels must be >= 1")
+            expect("(")
+            open_nodes.append([label])
+            continue
+        # sub is complete: a right child closes its parent, which is complete in turn
+        while open_nodes and len(open_nodes[-1]) == 2:
+            label, left = open_nodes.pop()
+            expect(")")
+            sub = Node(label, left, sub)
+        if not open_nodes:
+            break
+        open_nodes[-1].append(sub)
+        expect(",")
+    if pos != len(s):
+        raise err("trailing input")
+    if not is_bst(sub):
+        raise ParseError(f"tree text {text!r} is not a right-strict search tree")
+    return sub
+
+
+def node_tree_dot(t: Bst) -> str:
+    """Graphviz DOT for a tree of nodes; edges carry their child side."""
+    lines = ["digraph bst {", "  node [shape=circle];"]
+    if t is None:
+        lines.append('  empty [label="(empty)" shape=plaintext];')
+    for label, loc in infix(t):
+        lines.append(f'  n{loc or "root"} [label="{label}"];')
+    for _, loc in infix(t):
+        if loc:
+            parent = loc[:-1] or "root"
+            side = loc[-1]
+            lines.append(f'  n{parent} -> n{loc} [label="{side}"];')
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def node_tree_art(t: Bst) -> str:
+    """Sideways ASCII rendering of a tree of nodes (right subtree above the root)."""
+    if t is None:
+        return "(empty)"
+    return "\n".join("    " * len(loc) + str(label) for label, loc in reversed(infix(t)))
+
+
 def multiset_words(symbols) -> set[tuple[int, ...]]:
     """All distinct arrangements of a multiset of symbols."""
     return set(itertools.permutations(symbols))
@@ -127,9 +261,9 @@ def neighbors_by_readings(s: SylvElement) -> dict[SylvElement, ShiftWitness]:
     """Neighbors straight from the definition: every split xy of every
     reading of s, swapped and inserted."""
     out: dict[SylvElement, ShiftWitness] = {}
-    for w in sorted(readings(s.tree)):
+    for w in sorted(node_readings(s.tree)):
         for k in range(len(w) + 1):
-            t = SylvElement.of_tree(s.rank, psylv(w[k:] + w[:k]))
+            t = SylvElement.of_key(s.rank, canonical_reading(psylv(w[k:] + w[:k])))
             if t not in out:
                 out[t] = ShiftWitness(w[:k], w[k:])
     return out
@@ -137,10 +271,10 @@ def neighbors_by_readings(s: SylvElement) -> dict[SylvElement, ShiftWitness]:
 
 def validates_checking_ranks(wit: ShiftWitness, source: SylvElement, target: SylvElement) -> bool:
     """ShiftWitness.validates straight from the definition, ranks first:
-    every symbol of xy lies in both alphabets, xy inserts to source's tree
-    and yx to target's."""
+    source and target have one rank, every symbol of xy lies in its
+    alphabet, xy inserts to source's tree and yx to target's."""
     xy = wit.x + wit.y
-    if not all(1 <= a <= min(source.rank, target.rank) for a in xy):
+    if source.rank != target.rank or not all(1 <= a <= source.rank for a in xy):
         return False
     return psylv_by_insertion(xy) == source.tree and psylv_by_insertion(wit.y + wit.x) == target.tree
 

@@ -17,7 +17,7 @@ def _ok(k: int, name: str, detail: str = ""):
 
 
 def test_01_golden_insertion():
-    assert tree_str(psylv(EQ1_WORD)) == EQ1_STR
+    assert tree_str(EQ1_WORD) == EQ1_STR
     _ok(1, "golden-insertion")
 
 

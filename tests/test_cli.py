@@ -15,7 +15,7 @@ from sylvshift.cli import build_parser, main
 from sylvshift.graph import ShiftWitness
 from sylvshift.monoid import SylvElement
 from sylvshift.pathsynth import PathCertificate, certificate_from_obj
-from sylvshift.trees import parse_tree, psylv
+from sylvshift.trees import parse_tree, psylv_key
 from sylvshift.words import parse_word
 
 
@@ -43,7 +43,7 @@ def test_tree_empty_and_formats(capsys):
 def test_tree_json_roundtrip(capsys):
     code, out, _ = run(capsys, "tree", "13254", "--format", "json")
     obj = json.loads(out)
-    assert parse_tree(obj["tree"]) == psylv(parse_word(obj["word"]))
+    assert parse_tree(obj["tree"]) == psylv_key(parse_word(obj["word"]))
 
 
 def test_dotted_words(capsys):
@@ -88,7 +88,7 @@ def test_neighbors(capsys):
     assert "15432" in readings  # the tree of 54132
     for n in obj["neighbors"]:
         x, y = parse_word(n["x"]), parse_word(n["y"])
-        assert psylv(y + x) == parse_tree(n["tree"])
+        assert psylv_key(y + x) == parse_tree(n["tree"])
 
 
 def test_component_and_diameter(capsys):
@@ -124,6 +124,46 @@ COMPONENT_GOLDENS = [
 @pytest.mark.parametrize("argv, digest", COMPONENT_GOLDENS)
 def test_component_output_golden(capsys, argv, digest):
     code, out, _ = run(capsys, "component", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of the full stdout of commands that print trees, pinned while
+# trees were still rendered by walking nodes: rendering from key positions
+# must reproduce every tree, reading and witness byte for byte.
+TREE_GOLDENS = [
+    (("tree", "5451761524"),
+     "ab8b73381ca057343312513450d4813fa4edeec07ea3d43c573f9557523f2fda"),
+    (("tree", "5451761524", "--format", "art"),
+     "81a62d5841354e7eceac61842740ad01abe8692fda5b6aec13bb2f10d818644f"),
+    (("tree", "5451761524", "--format", "dot"),
+     "eb6077fd9d786c2b8a3f9bb01d4e48dd24b5467cc53704c690bc127b55a52079"),
+    (("tree", "5451761524", "--format", "json"),
+     "781e04067fe40f18c29ef38497a9a91317c34d95868880cc59af432081a3d903"),
+    (("tree", "1.3.12.5", "--format", "dot"),
+     "bb2166ca7c21a34b8db70d1744d08a274dffe14897449aa860b9332ced824551"),
+    (("tree", ""),
+     "4415b7e361fc6f6ba2492adef1f27cfb00d0105e4588177470cecc4214b35284"),
+    (("readings", "5451761524"),
+     "97cf0a76e0d39b95fb3d66d37b14043eed449aa1de1864df02a5a95b383fda05"),
+    (("readings", "5451761524", "--format", "json"),
+     "f338789962336d3a648c7fe75a55e68e45fede109320927b553c3107d5cfb6c1"),
+    (("component", "-n", "5", "--eval", "2,1,2,1,2", "--format", "dot", "--tree-labels"),
+     "648643647456060299181ae9570de2a5ce2301f67cd95b8dc5341001fa392933"),
+    (("component", "-n", "6", "--standard", "--format", "dot", "--tree-labels"),
+     "3b17dda05e8d544b493e8bcf2dabb3cc39d3a76b50a3b317d5eb1b537e813c47"),
+    (("path", "13254", "23541", "--check"),
+     "0d5250bdbd5a4969abb7a2e578774a4aa1e54bdaac92c02f9db8836da4c4b724"),
+    (("neighbors", "5451761524", "--format", "json"),
+     "120e0552c895868d7b0e06582cfadf111caadc5da0c4e5ebad2db8fcac03185e"),
+    (("multiply", "2143", "3412", "--format", "json"),
+     "d5b0ea860510f512218d72c1d51f202ced30f50fb38251a3590c3c166a5c1fc4"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", TREE_GOLDENS)
+def test_tree_output_golden(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -48,7 +48,7 @@ def test_all_readings_agree_through_n6():
     for n in range(1, 7):
         for p in itertools.permutations(range(1, n + 1)):
             t = psylv(p)
-            assert {cochseq_word(r) for r in readings(t)} == {cochseq_tree(t)}
+            assert {cochseq_word(r) for r in readings(p)} == {cochseq_tree(t)}
 
 
 @given(st.permutations(list(range(1, 8))))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (adjacency_by_vertex, bfs_distances, diameter_by_bfs, labels,
+from conftest import (adjacency_by_vertex, bfs_distances, diameter_by_bfs, is_bst, labels,
                       mirror_tree, multiset_words, neighbors_by_readings,
                       validates_checking_ranks)
 from sylvshift import graph
@@ -27,8 +27,7 @@ from sylvshift.graph import (
     tree_count,
 )
 from sylvshift.monoid import SylvElement, element_of, evaluation_of
-from sylvshift.trees import (Node, canonical_reading, is_bst, psylv, psylv_key, reading_count,
-                             readings)
+from sylvshift.trees import Node, canonical_reading, psylv, psylv_key, reading_count, readings
 from sylvshift.words import Word, word_str
 
 # Evaluation classes with repeated symbols whose every tree is checked
@@ -64,8 +63,11 @@ def test_neighbors_witnesses_validate(monkeypatch):
     assert not ShiftWitness((1, 3, 2), (6,)).validates(element_of((1, 3, 2), 6),
                                                        element_of((1, 3, 2), 6))
     assert not ShiftWitness((1, 3), (2, 5, 4)).validates(s, element_of((2, 1), 5))
-    # validates checks no rank: a 0, a symbol beyond the rank, or a letter
-    # the other rank lacks gives a key that no element of that rank has
+    # an edge joins two elements of one monoid: the keys match, the ranks do not
+    assert ShiftWitness((2,), (1,)).validates(element_of((2, 1), 2), element_of((1, 2), 2))
+    assert not ShiftWitness((2,), (1,)).validates(element_of((2, 1), 2), element_of((1, 2), 3))
+    # the letters need no rank check: a 0, a symbol beyond the rank, or a
+    # letter the other rank lacks gives a key that no element of that rank has
     s3 = element_of((3, 1, 2), 3)
     assert ShiftWitness((3,), (1, 2)).validates(s3, element_of((1, 2, 3), 3))
     assert not ShiftWitness((0, 3), (1, 2)).validates(s3, s3)
@@ -185,8 +187,8 @@ def test_component_edges_match_word_bruteforce():
             for k in range(len(w) + 1):
                 t = psylv(w[k:] + w[:k])
                 if s != t:
-                    a, b = sorted((g.index[SylvElement.of_tree(n, s)],
-                                   g.index[SylvElement.of_tree(n, t)]))
+                    a, b = sorted((g.index[SylvElement.of_key(n, canonical_reading(s))],
+                                   g.index[SylvElement.of_key(n, canonical_reading(t))]))
                     brute.add((a, b))
         assert {(i, j) for i, a in enumerate(g.adj) for j in a if i < j} == brute
         assert {(i, j) for i, j, _ in edge_witnesses(g)} == brute
@@ -288,12 +290,12 @@ def test_reading_cap_is_the_exact_reading_count():
     for w in [(1, 3, 2, 5, 4), (2, 1, 2, 1, 2, 3), (3, 1, 4, 1, 5, 9, 2, 6, 5)]:
         s = element_of(w, 9)
         k = reading_count(w)
-        assert len(readings(s.tree, cap=k)) == k
+        assert len(readings(s.key, cap=k)) == k
         assert neighbors(s, cap=k)
         with pytest.raises(CapExceededError):
             neighbors(s, cap=k - 1)
         with pytest.raises(CapExceededError):
-            readings(s.tree, cap=k - 1)
+            readings(s.key, cap=k - 1)
 
 
 def test_component_cap_fails_before_building_trees(monkeypatch):

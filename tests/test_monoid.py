@@ -28,7 +28,7 @@ from sylvshift.words import evaluation
 def test_element_of_examples():
     assert element_of((3, 1, 2), 3).tree == Node(2, Node(1), Node(3))
     assert element_of((1, 3, 2), 3) == element_of((3, 1, 2), 3)
-    assert element_of((), 4) == SylvElement.of_tree(4, None)
+    assert element_of((), 4) == SylvElement.of_key(4, canonical_reading(None))
     assert element_of((1, 3, 2), 3).key == (1, 3, 2)
 
 
@@ -36,7 +36,7 @@ def test_element_rank_checked():
     with pytest.raises(RankError):
         element_of((1, 5), 4)
     with pytest.raises(RankError):
-        SylvElement.of_tree(2, psylv((1, 3)))
+        SylvElement.of_key(2, canonical_reading(psylv((1, 3))))
 
 
 def test_equivalent_examples():
@@ -154,7 +154,7 @@ def test_monoid_suite_reports_every_triple_that_does_not_associate(monkeypatch):
     assert not rep.passed
     elems = [SylvElement.of_key(2, key) for total in range(5)
              for e in suites._evaluations(2, total) for key in keys_with_evaluation(e)]
-    want = [f"associativity broke on {tree_str(a.tree)}, {tree_str(b.tree)}, {tree_str(c.tree)}"
+    want = [f"associativity broke on {tree_str(a.key)}, {tree_str(b.key)}, {tree_str(c.key)}"
             for a, b, c in itertools.product(elems, repeat=3)
             if len(a) + len(b) + len(c) <= 4 and skewed(skewed(a, b), c) != skewed(a, skewed(b, c))]
     assert want and rep.failures == want
@@ -214,7 +214,7 @@ def test_canonical_reading_is_a_complete_key():
                 continue
             symbols = [i + 1 for i, c in enumerate(e) for _ in range(c)]
             trees = list({psylv(w) for w in multiset_words(symbols)})
-            keys = [SylvElement.of_tree(n, t).key for t in trees]
+            keys = [SylvElement.of_key(n, canonical_reading(t)).key for t in trees]
             assert len(set(keys)) == len(trees)
             assert set(keys) == set(keys_with_evaluation(e))
             for t, key in zip(trees, keys):
@@ -246,30 +246,27 @@ def test_no_library_path_compares_trees(monkeypatch):
 @given(st.lists(st.integers(1, 4), max_size=9).map(tuple))
 def test_element_is_the_key_of_any_reading(w):
     # w has repeated symbols; the element keeps the canonical reading of
-    # w's tree, and its lazily built tree is w's tree
+    # w's tree, and the tree it builds on each read is w's tree
     t = psylv(w)
     s = SylvElement(4, w)
     assert s.key == canonical_reading(t)
-    assert s.tree == t and s.tree is s.tree
-    assert SylvElement.of_tree(4, t).tree is t
-    assert SylvElement.of_tree(4, t) == s == SylvElement(4, s.key)
+    assert s.tree == t
+    assert SylvElement.of_key(4, canonical_reading(t)) == s == SylvElement(4, s.key)
 
 
 def test_keys_are_stored_without_a_second_insertion(monkeypatch):
     calls = []
     monkeypatch.setattr(monoid, "psylv_key", lambda w: calls.append(w) or psylv_key(w))
     t = psylv(EQ1_WORD)
-    s = SylvElement.of_tree(7, t)
-    assert calls == [] and s.key == canonical_reading(t) and s.tree is t
+    s = SylvElement.of_key(7, canonical_reading(t))
+    assert calls == [] and s.key == canonical_reading(t) and s.tree == t
     assert SylvElement.of_key(7, s.key) == s == element_of(EQ1_WORD, 7)
     assert calls == [EQ1_WORD]
-    # the rank is still checked, and a tree that is not right-strict refused
-    with pytest.raises(RankError):
-        SylvElement.of_tree(6, t)
+    # the rank is still checked, and a tree that is not right-strict has no key
     with pytest.raises(RankError):
         SylvElement.of_key(6, s.key)
     with pytest.raises(ValueError, match="right-strict"):
-        SylvElement.of_tree(2, Node(1, None, Node(1)))
+        canonical_reading(Node(1, None, Node(1)))
     # component stores the keys it lists as they are
     calls.clear()
     g = component((2, 1, 2, 1, 2), 5)

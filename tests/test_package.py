@@ -77,12 +77,24 @@ def test_value_types_are_immutable_picklable_and_keep_their_repr():
                 setattr(value, name, getattr(value, name))
         copy = pickle.loads(pickle.dumps(value))
         assert type(copy) is type(value) and copy == value and repr(copy) == text
-    assert "tree" in vars(cached) and "tree" not in vars(s)
+    # an element holds its rank and key only; its tree is built on each read
+    assert not hasattr(s, "__dict__") and cached.tree is not tree
     assert pickle.loads(pickle.dumps(cached)).tree == tree == s.tree
     assert len(s) == len(s.key) == 3 and len(cert) == len(cert.steps) == 2
     assert s * s == element_of((1, 3, 2, 1, 3, 2), 3)
     with pytest.raises(TypeError):
         2 * s
+
+
+def test_deep_trees_pickle(default_recursion_limit):
+    # an element pickles as its rank and key, a Node as its preorder, so a
+    # 5000-node chain goes through pickle at the default recursion limit
+    n = 5000
+    s = element_of(tuple(range(1, n + 1)), n)
+    chain = s.tree
+    assert pickle.loads(pickle.dumps(s)) == s
+    copy = pickle.loads(pickle.dumps(chain))
+    assert copy == chain and copy is not chain
 
 
 def test_import_loads_no_heavy_module():

@@ -7,8 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (bfs_distances, classify_step, complete_subtree, induction_step_by_cases,
-                      postfix, standard_trees, step_invariants_by_tree, visited_tops_by_scan)
+                      node_tree_str, postfix, standard_trees, step_invariants_by_tree,
+                      visited_tops_by_scan)
 from sylvshift import pathsynth
+from sylvshift.cli import main
 from sylvshift.errors import InternalError, NotStandardError, ParseError, RankError
 from sylvshift.graph import ShiftWitness, neighbors
 from sylvshift.monoid import SylvElement, element_of
@@ -33,7 +35,7 @@ U5_KEY = canonical_reading(U5)
 U5_SIZES = key_sizes(U5_KEY)[1]
 CHAIN_WORDS = ["13254", "54132", "12543", "41235", "12354", "23541"]
 CHAIN_TREES = [psylv(parse_word(w)) for w in CHAIN_WORDS]
-CHAIN = [SylvElement.of_tree(5, t) for t in CHAIN_TREES]
+CHAIN = [SylvElement.of_key(5, canonical_reading(t)) for t in CHAIN_TREES]
 
 
 def record_tops(monkeypatch):
@@ -88,19 +90,20 @@ def paths_through_n6():
             shape_of = {key: key_sizes(key) for key in tree_of}
             for u in trees:
                 oracle = [visited_tops_by_scan(u, h) for h in range(1, n + 1)]
-                target = SylvElement.of_tree(n, u)
+                target = SylvElement.of_key(n, canonical_reading(u))
                 subtrees = [complete_subtree(u, loc) for _, loc in postfix(u)]
                 checks = set()  # (tree key, tops) pairs met on u's paths
                 for t in trees:
                     log.clear()
-                    cert = shift_path(SylvElement.of_tree(n, t), target)
+                    cert = shift_path(SylvElement.of_key(n, canonical_reading(t)), target)
                     seen.update(s.case_tag for s in cert.steps)
                     if cert.steps[-1].post.tree != u:
                         missed.append((t, u))
                     if log != oracle:
                         stack_mismatches.append((t, u))
                     disagreements = case_oracle_disagreements(cert, target, tree_of.__getitem__)
-                    case_mismatches += [(tree_str(t), tree_str(u), d) for d in disagreements]
+                    case_mismatches += [(tree_str(cert.source.key), tree_str(target.key), d)
+                                        for d in disagreements]
                     checks.update((key, tuple(tops)) for step, tops in zip(cert.steps, oracle)
                                   for key in (step.pre.key, step.post.key))
                 for key, tops in checks:
@@ -224,10 +227,11 @@ def test_shift_path_golden():
     assert "13254" in text and "[case2b]" in text
 
 
-def test_paths_build_no_tree(monkeypatch):
+def test_paths_build_no_tree(default_recursion_limit, monkeypatch, capsys):
     # every tree of the chain is a key and its subtree sizes: neither the
-    # construction nor the re-check builds a node, on a 32-node pair drawn
-    # as the benchmark draws them and on the 300-node chain 1..300 -> 300..1
+    # construction, the re-check, nor writing and reading the certificate
+    # builds a node, on a 32-node pair drawn as the benchmark draws them
+    # and on the 300-node chain 1..300 -> 300..1
     rng = random.Random(1)
     pair = []
     for _ in range(2):
@@ -248,6 +252,20 @@ def test_paths_build_no_tree(monkeypatch):
         cert = shift_path(source, target)
         assert len(cert) == len(target) and cert.target == target
         assert cert.verify()
+        back = certificate_from_obj(json.loads(certificate_json(cert)))
+        assert back == cert and back.verify()
+    # nor does a command that prints trees
+    formats = ("text", "art", "dot", "json")
+    for argv in (["path", "13254", "23541", "--check"],
+                 ["path", "13254", "23541", "--check", "--format", "json"],
+                 *(["tree", "5451761524", "--format", f] for f in formats),
+                 ["readings", "5451761524"],
+                 ["multiply", "2143", "3412", "--format", "json"],
+                 ["neighbors", "5451761524", "--format", "json"],
+                 ["component", "-n", "5", "--eval", "2,1,2,1,2", "--format", "dot",
+                  "--tree-labels"]):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
 
 
 def test_worked_example_words_are_shift_neighbors():
@@ -274,7 +292,8 @@ def test_shift_path_exhaustive_small():
         trees = standard_trees(n)
         for t in trees:
             for u in trees:
-                cert = shift_path(SylvElement.of_tree(n, t), SylvElement.of_tree(n, u))
+                cert = shift_path(SylvElement.of_key(n, canonical_reading(t)),
+                                  SylvElement.of_key(n, canonical_reading(u)))
                 assert len(cert.steps) == n
                 assert cert.steps[0].pre.tree == t
                 assert cert.steps[-1].post.tree == u
@@ -341,12 +360,19 @@ def test_tampered_certificates_fail():
     for label in cert.steps[3].pre.key:
         chain = Node(label, chain)
     assert [label for label, _ in postfix(chain)] == list(cert.steps[3].pre.key)
-    assert tree_str(chain) != obj["steps"][3]["pre"]
-    obj["steps"][3]["pre"] = tree_str(chain)
+    assert node_tree_str(chain) != obj["steps"][3]["pre"]
+    obj["steps"][3]["pre"] = node_tree_str(chain)
     with pytest.raises(ParseError):
         certificate_from_obj(obj)
     with pytest.raises(ValueError):
-        SylvElement.of_tree(5, chain)
+        canonical_reading(chain)
+
+    # an edge joins two elements of one monoid: the same keys at another
+    # rank do not chain into a certificate
+    base, step = shift_path(element_of((1, 2), 2), element_of((2, 1), 2)).steps
+    mid = SylvElement.of_key(3, base.post.key)
+    assert PathCertificate((base, step)).verify()
+    assert not PathCertificate((base._replace(post=mid), step._replace(pre=mid))).verify()
 
     # break the chaining
     steps = list(cert.steps)
@@ -360,7 +386,7 @@ def test_tampered_certificates_fail():
 def test_verify_accepts_any_valid_chain():
     # n trivial shifts from t to itself: a valid n-step chain the construction
     # never builds, since its invariants fail on t after the first step
-    t = SylvElement.of_tree(5, CHAIN_TREES[0])
+    t = CHAIN[0]
     trivial = PathStep(t, ShiftWitness(canonical_reading(t.tree), ()), t, "base")
     assert not verify_step_invariants(key_sizes(t.key), key_sizes(t.key),
                                       visited_tops_by_scan(t.tree, 1))

@@ -10,10 +10,17 @@ from conftest import (
     brute_readings,
     complete_subtree,
     hook_length_extensions,
+    infix,
     insert,
+    is_bst,
     is_standard_tree,
     labels,
     node_count,
+    node_parse_tree,
+    node_readings,
+    node_tree_art,
+    node_tree_dot,
+    node_tree_str,
     postfix,
     psylv_by_insertion,
     remove_subtree,
@@ -22,13 +29,11 @@ from conftest import (
     tree_from_key_sizes,
 )
 from sylvshift.errors import CapExceededError, ParseError
-from sylvshift.monoid import SylvElement, element_of, equivalent
+from sylvshift.monoid import element_of, equivalent
 from sylvshift.trees import (
     KEY_CACHE_SIZE,
     Node,
     canonical_reading,
-    infix,
-    is_bst,
     key_sizes,
     parse_tree,
     psylv,
@@ -51,7 +56,7 @@ def test_insert_examples():
 
 def test_insert_equal_goes_left():
     assert insert(Node(2), 2) == Node(2, Node(2), None) == psylv((2, 2))
-    assert tree_str(psylv((1, 2, 1, 2))) == "2(1(1(_,_),2(_,_)),_)"
+    assert tree_str((1, 2, 1, 2)) == "2(1(1(_,_),2(_,_)),_)"
 
 
 def test_psylv_matches_insertion_exhaustively():
@@ -88,9 +93,9 @@ def test_key_cache_is_bounded():
 
 
 def test_psylv_goldens(eq1_tree):
-    assert tree_str(eq1_tree) == EQ1_STR
-    assert tree_str(psylv((1, 3, 2, 5, 4))) == "4(2(1(_,_),3(_,_)),5(_,_))"
-    assert tree_str(psylv((2, 3, 5, 4, 1))) == "1(_,4(3(2(_,_),_),5(_,_)))"
+    assert tree_str(canonical_reading(eq1_tree)) == EQ1_STR
+    assert tree_str((1, 3, 2, 5, 4)) == "4(2(1(_,_),3(_,_)),5(_,_))"
+    assert tree_str((2, 3, 5, 4, 1)) == "1(_,4(3(2(_,_),_),5(_,_)))"
     assert psylv(()) is None
 
 
@@ -115,10 +120,10 @@ def test_postfix_visits_descendants_first(eq1_tree):
 
 
 def test_readings_examples():
-    assert readings(psylv((1, 3, 2))) == {(1, 3, 2), (3, 1, 2)}
-    assert readings(psylv((2, 1))) == {(2, 1)}
-    assert readings(Node(5)) == {(5,)}
-    assert readings(None) == {()}
+    assert readings((1, 3, 2)) == {(1, 3, 2), (3, 1, 2)}
+    assert readings((2, 1)) == {(2, 1)}
+    assert readings((5,)) == {(5,)}
+    assert readings(()) == {()}
 
 
 def test_readings_match_bruteforce_exhaustively():
@@ -126,13 +131,13 @@ def test_readings_match_bruteforce_exhaustively():
     for length in range(0, 6):
         for w in itertools.product((1, 2, 3), repeat=length):
             t = psylv(w)
-            assert readings(t) == brute_readings(t)
+            assert readings(w) == brute_readings(t)
 
 
 def test_readings_count_matches_hook_formula():
     for n in range(1, 7):
         for t in standard_trees(n):
-            assert (len(readings(t)) == hook_length_extensions(t)
+            assert (len(readings(canonical_reading(t))) == hook_length_extensions(t)
                     == reading_count(canonical_reading(t)))
 
 
@@ -163,12 +168,12 @@ def test_reading_count_exact_on_multiset_trees():
     for length in range(0, 7):
         for w in itertools.product((1, 2, 3), repeat=length):
             # w is any reading of its tree, not only the canonical one
-            assert len(readings(psylv(w))) == reading_count(w)
+            assert len(readings(w)) == reading_count(w)
 
 
 def test_readings_cap():
     with pytest.raises(CapExceededError):
-        readings(psylv((1, 3, 2)), cap=1)
+        readings((1, 3, 2), cap=1)
 
 
 def test_canonical_reading():
@@ -178,7 +183,8 @@ def test_canonical_reading():
 
 
 def test_complete_subtree(eq1_tree):
-    assert tree_str(complete_subtree(eq1_tree, "R")) == "5(5(5(_,_),_),6(_,7(_,_)))"
+    right = canonical_reading(complete_subtree(eq1_tree, "R"))
+    assert tree_str(right) == "5(5(5(_,_),_),6(_,7(_,_)))"
     assert complete_subtree(eq1_tree, "") == eq1_tree
     assert complete_subtree(Node(9), "") == Node(9)
     with pytest.raises(ValueError):
@@ -191,16 +197,16 @@ def test_complete_subtree(eq1_tree):
 
 def test_remove_subtree(eq1_tree):
     pruned = remove_subtree(eq1_tree, "R")
-    assert tree_str(pruned) == "4(2(1(1(_,_),_),4(_,_)),_)"
+    assert tree_str(canonical_reading(pruned)) == "4(2(1(1(_,_),_),4(_,_)),_)"
     assert remove_subtree(eq1_tree, "") is None
     assert node_count(remove_subtree(eq1_tree, "LL")) == node_count(eq1_tree) - 2
 
 
 def test_tree_text_roundtrip(eq1_tree):
-    assert parse_tree(EQ1_STR) == eq1_tree
-    assert parse_tree("_") is None
-    big = psylv((1, 3, 12, 5))
-    assert parse_tree(tree_str(big)) == big
+    assert parse_tree(EQ1_STR) == canonical_reading(eq1_tree)
+    assert parse_tree("_") == ()
+    big = (1, 3, 12, 5)
+    assert parse_tree(tree_str(big)) == psylv_key(big)
     # the last two read like 2(1(_,_),_) and 1(1(_,_),_) in postfix order but
     # break the search order, so no word inserts to them
     for bad in ("", "4(", "4(1(_,_)", "4(_;_)", "x(_,_)", "2(_,1(_,_))", "1(_,1(_,_))"):
@@ -230,22 +236,73 @@ def test_right_strict_means_some_word_inserts_to_it():
             assert is_bst(t) == (t in inserted)
             if is_bst(t):
                 assert psylv(canonical_reading(t)) == t
+                assert parse_tree(node_tree_str(t)) == canonical_reading(t)
                 continue
             refused += 1
             with pytest.raises(ValueError):
                 canonical_reading(t)
-            with pytest.raises(ValueError):
-                SylvElement.of_tree(3, t)
             with pytest.raises(ParseError):
-                parse_tree(tree_str(t))
+                parse_tree(node_tree_str(t))
     assert refused > 0
 
 
-def test_emitters_smoke(eq1_tree):
-    dot = tree_dot(eq1_tree)
+def test_parse_tree_accepts_exactly_the_texts_tree_str_writes():
+    # every one-character edit of the text of every tree on up to three
+    # nodes: the key parser takes what the node parser takes when tree_str
+    # writes it back unchanged (so not "01(_,_)"), and refuses the rest
+    texts = {node_tree_str(psylv(w))
+             for k in range(4) for w in itertools.product((1, 2, 3), repeat=k)}
+    edits = set()
+    for text in texts:
+        for i in range(len(text) + 1):
+            edits.add(text[:i] + text[i + 1:])
+            for ch in "0123_(),x ":
+                edits.update((text[:i] + ch + text[i:], text[:i] + ch + text[i + 1:]))
+    accepted = 0
+    for text in sorted(edits):
+        try:
+            t = node_parse_tree(text)
+        except ParseError:
+            want = None
+        else:
+            want = canonical_reading(t) if node_tree_str(t) == text.replace(" ", "") else None
+        if want is None:
+            with pytest.raises(ParseError):
+                parse_tree(text)
+        else:
+            assert parse_tree(text) == want
+            accepted += 1
+    assert accepted > len(texts)
+
+
+def test_emitters_smoke():
+    dot = tree_dot(EQ1_WORD)
     assert dot.startswith("digraph") and dot.count("->") == 9
-    assert "7" in tree_art(eq1_tree)
-    assert tree_art(None) == "(empty)"
+    assert "7" in tree_art(EQ1_WORD)
+    assert tree_art(()) == "(empty)"
+
+
+def check_against_node_oracles(w):
+    """Rendering, parsing and readings over key positions agree with the
+    same jobs done by walking the nodes of w's tree."""
+    t = psylv_by_insertion(w)
+    text = tree_str(w)
+    assert text == node_tree_str(t)
+    assert tree_art(w) == node_tree_art(t)
+    assert tree_dot(w) == node_tree_dot(t)
+    assert parse_tree(text) == psylv_key(w) == canonical_reading(node_parse_tree(text))
+    assert readings(w) == node_readings(t)
+
+
+def test_key_walks_match_node_oracles_exhaustively():
+    for length in range(0, 7):
+        for w in itertools.product((1, 2, 3), repeat=length):
+            check_against_node_oracles(w)
+
+
+@given(st.integers(1, 4).flatmap(lambda k: st.lists(st.integers(1, k), max_size=8)))
+def test_key_walks_match_node_oracles_with_repeats(w):
+    check_against_node_oracles(tuple(w))
 
 
 @given(words)
@@ -260,7 +317,7 @@ def test_psylv_is_bst_and_infix_sorted(w):
 @given(words)
 def test_word_is_reading_of_its_tree(w):
     t = psylv(w)
-    rs = readings(t)
+    rs = readings(w)
     assert w in rs
     for r in rs:
         assert psylv(r) == t
@@ -288,8 +345,11 @@ def test_chains_of_1e5_nodes_need_no_recursion(default_recursion_limit, w):
     assert canonical_reading(t) == tuple(w) == psylv_key(tuple(w))
     assert is_bst(t)
     assert reading_count(canonical_reading(t)) == 1
-    assert node_count(parse_tree(tree_str(t))) == n
-    assert repr(t) == f"<Node {tree_str(t)}>"
+    assert parse_tree(tree_str(w)) == tuple(w)
+    assert repr(t) == f"<Node {tree_str(w)}>"
+    # the sideways art is quadratic in the depth, so it is drawn for a
+    # 2000-node chain: deeper than the recursion limit, 8 MB of text
+    assert tree_art(w[:2000]) == node_tree_art(psylv(w[:2000]))
     # Node == and hash walk the whole tree; the two trees differ only at
     # the deepest node once the first two symbols swap
     u = psylv(w)
