@@ -29,7 +29,7 @@ from .graph import (
     distance,
     edge_witnesses,
     graph_dot,
-    neighbors,
+    neighbor_keys,
 )
 from .monoid import (
     DEFAULT_REWRITE_BUDGET,
@@ -152,10 +152,8 @@ def cmd_multiply(args: argparse.Namespace) -> int:
 def cmd_neighbors(args: argparse.Namespace) -> int:
     w = parse_word(args.word)
     s = element_of(w, _infer_rank(args, w))
-    nbrs = neighbors(s, args.max_readings)
-    rows = sorted(
-        (word_str(t.key), word_str(wit.x), word_str(wit.y), tree_str(t.key))
-        for t, wit in nbrs.items())
+    rows = sorted((word_str(key), word_str(wit.x), word_str(wit.y), tree_str(key))
+                  for key, wit in neighbor_keys(s, args.max_readings).items())
     if args.format == "json":
         _emit(json.dumps({
             "word": args.word,
@@ -187,7 +185,7 @@ def cmd_component(args: argparse.Namespace) -> int:
     if args.format == "dot":
         _emit(graph_dot(g, tree_labels=args.tree_labels), args)
     elif args.format == "tsv":
-        _emit(component_tsv(g), args)
+        _emit(component_tsv(g, diameter(g)), args)
     elif args.format == "json":
         _emit(json.dumps({
             "rank": g.rank,
@@ -236,7 +234,7 @@ def cmd_diameter(args: argparse.Namespace) -> int:
             "edges": g.edge_count(),
         }), args)
     elif args.format == "tsv":
-        _emit(component_tsv(g), args)
+        _emit(component_tsv(g, (d, (a, b))), args)
     else:
         _emit(f"{d}  ({word_str(a.key)} .. {word_str(b.key)})", args)
     return 0

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import deque, namedtuple
 from collections.abc import Iterator
+from functools import cached_property
 from itertools import accumulate
 from math import comb
 
@@ -133,7 +134,7 @@ def neighbor_keys(s: SylvElement, cap: int = MAX_READINGS) -> dict[Word, ShiftWi
 
 def neighbors(s: SylvElement, cap: int = MAX_READINGS) -> dict[SylvElement, ShiftWitness]:
     """Every element one cyclic shift away from s (s itself included), with one witness each."""
-    return {SylvElement.of_key(s.rank, key): wit for key, wit in neighbor_keys(s, cap).items()}
+    return {SylvElement._make((s.rank, key)): wit for key, wit in neighbor_keys(s, cap).items()}
 
 
 def tree_count(e: tuple[int, ...]) -> int:
@@ -187,10 +188,10 @@ def keys_with_evaluation(e: tuple[int, ...]) -> list[Word]:
 class ComponentGraph:
     """The subgraph induced by all elements with one fixed evaluation.
 
-    Vertices are sorted by canonical reading and adj[i] lists the indices
-    of i's neighbors in increasing order; self-loops are dropped. Edges
-    carry no witness: `edge_witnesses` recomputes them from the vertices
-    under max_readings, the reading cap the graph was built with.
+    Vertices are sorted by key, index maps each key to its vertex, and
+    adj[i] lists i's neighbors in increasing order; self-loops are dropped.
+    Edges carry no witness: `edge_witnesses` recomputes them from the
+    vertices under max_readings, the reading cap the graph was built with.
     """
 
     def __init__(self, rank: int, evaluation: tuple[int, ...],
@@ -199,10 +200,9 @@ class ComponentGraph:
         self.rank = rank
         self.evaluation = evaluation
         self.vertices = vertices
-        self.index = {v: i for i, v in enumerate(vertices)}
+        self.index = {v.key: i for i, v in enumerate(vertices)}
         self.adj = adj
         self.max_readings = max_readings
-        self.parts = self._parts()
 
     @property
     def connected(self) -> bool:
@@ -211,7 +211,8 @@ class ComponentGraph:
     def edge_count(self) -> int:
         return sum(map(len, self.adj)) // 2
 
-    def _parts(self) -> list[list[int]]:
+    @cached_property
+    def parts(self) -> list[list[int]]:
         seen: set[int] = set()
         parts = []
         for start in range(len(self.vertices)):
@@ -271,8 +272,9 @@ def component(e: tuple[int, ...], n: int, max_vertices: int = MAX_VERTICES,
     if comb(2 * k, k) // (k + 1) > max_vertices or tree_count(e) > max_vertices:
         raise CapExceededError("component vertices", max_vertices)
     keys = sorted(keys_with_evaluation(e))
-    vertices = [SylvElement.of_key(n, key) for key in keys]
-    index = {key: i for i, key in enumerate(keys)}
+    g = ComponentGraph(n, e, [SylvElement._make((n, key)) for key in keys],
+                       [[] for _ in keys], max_readings)
+    index, adj = g.index, g.adj
     # On distinct letters only the vertex i <= m[i] of each mirror orbit
     # enumerates its neighbors. Nothing is appended to adj[m[i]] after the
     # loop leaves m[i], so when it reaches i > m[i], adj[m[i]] is complete
@@ -281,8 +283,7 @@ def component(e: tuple[int, ...], n: int, max_vertices: int = MAX_VERTICES,
     m = mirror_index(keys, index) if max(e, default=0) <= 1 else None
     # Each lower neighbor j of i appended i to adj[i] already, in increasing
     # j; so adj[i] stays sorted, and an asymmetric relation shows up here.
-    adj: list[list[int]] = [[] for _ in vertices]
-    for i, s in enumerate(vertices):
+    for i, s in enumerate(g.vertices):
         if m is None or i <= m[i]:
             js = [index[key] for key in neighbor_keys(s, max_readings)]
         else:
@@ -292,7 +293,7 @@ def component(e: tuple[int, ...], n: int, max_vertices: int = MAX_VERTICES,
         for j in sorted(j for j in js if j > i):
             adj[i].append(j)
             adj[j].append(i)
-    return ComponentGraph(n, e, vertices, adj, max_readings)
+    return g
 
 
 def edge_witnesses(g: ComponentGraph) -> Iterator[tuple[int, int, ShiftWitness]]:
@@ -306,12 +307,12 @@ def edge_witnesses(g: ComponentGraph) -> Iterator[tuple[int, int, ShiftWitness]]
 
 
 def distance(g: ComponentGraph, s: SylvElement, t: SylvElement) -> int:
-    if t not in g.index:
+    if t.rank != g.rank or t.key not in g.index:
         raise ValueError("target vertex not in component")
-    if s not in g.index:
+    if s.rank != g.rank or s.key not in g.index:
         raise ValueError("source vertex not in component")
-    target = g.index[t]
-    dist = bfs(g.adj, g.index[s], stop=target)
+    target = g.index[t.key]
+    dist = bfs(g.adj, g.index[s.key], stop=target)
     if target not in dist:
         raise DisconnectedError(g.parts)
     return dist[target]
@@ -376,9 +377,10 @@ def graph_dot(g: ComponentGraph, tree_labels: bool = False) -> str:
     return "\n".join(lines)
 
 
-def component_tsv(g: ComponentGraph) -> str:
-    """One TSV row: evaluation, vertex count, edge count, diameter, extremal pair."""
-    d, (a, b) = diameter(g)
+def component_tsv(g: ComponentGraph, diam: tuple[int, tuple[SylvElement, SylvElement]]) -> str:
+    """One TSV row: evaluation, vertex count, edge count, and the diameter
+    and extremal pair diam that `diameter(g)` gave."""
+    d, (a, b) = diam
     cols = [
         ",".join(str(c) for c in g.evaluation),
         str(len(g.vertices)),

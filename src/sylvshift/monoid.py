@@ -24,9 +24,11 @@ class SylvElement(namedtuple("SylvElement", "rank key")):
     """An element of the rank-n monoid, held as the canonical reading of its
     tree: SylvElement(n, w) checks the rank of any reading w and stores
     psylv_key(w) as key. A named tuple (rank, key) and nothing else:
-    equality, hashing, repr and pickling are the tuple's."""
+    equality, hashing, repr and pickling are the tuple's. _make((rank, key))
+    checks nothing: it is for keys computed from checked letters of that rank."""
 
     __slots__ = ()
+    _make = classmethod(tuple.__new__)  # namedtuple's would count fields by len()
 
     def __new__(cls, rank: int, key: Word) -> "SylvElement":
         check_rank(key, rank)
@@ -34,9 +36,8 @@ class SylvElement(namedtuple("SylvElement", "rank key")):
 
     @classmethod
     def of_key(cls, rank: int, key: Word) -> "SylvElement":
-        """The element whose canonical reading is key. The rank is checked,
-        but key is stored as given, so it must already be a canonical
-        reading (psylv_key of some word)."""
+        """The element whose canonical reading is key: the rank is checked and
+        key stored as given, so it must be psylv_key of some word."""
         check_rank(key, rank)
         return tuple.__new__(cls, (rank, key))
 
@@ -68,7 +69,7 @@ def multiply(s: SylvElement, t: SylvElement) -> SylvElement:
     """Concatenate representatives and re-insert; independent of reading choice."""
     if s.rank != t.rank:
         raise RankError(f"rank mismatch: {s.rank} vs {t.rank}")
-    return SylvElement(s.rank, s.key + t.key)
+    return SylvElement._make((s.rank, psylv_key(s.key + t.key)))
 
 
 def evaluation_of(s: SylvElement) -> tuple[int, ...]:

@@ -217,7 +217,7 @@ def shift_path(start: SylvElement, target: SylvElement) -> PathCertificate:
         if psylv_key(witness.x + witness.y) != pre.key:
             raise InternalError(f"step {h} ({tag}): assembled factorization is not a reading")
         t = key_sizes(witness.y + witness.x)
-        post = SylvElement.of_key(start.rank, t[0])
+        post = SylvElement._make((start.rank, t[0]))  # pre's letters, so no rank check
         # Postfix order visits a node right after its subtree, which spans
         # the l + r positions before it: the node replaces the tops there.
         while tops and tops[-1] >= h - l - r:

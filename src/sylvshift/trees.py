@@ -20,9 +20,14 @@ from functools import lru_cache
 from math import comb, factorial, inf
 
 from .errors import CapExceededError, ParseError
-from .words import Word
+from .words import Word, parse_label
 
 MAX_READINGS = 100_000
+# Characters that tree_art or tree_dot may write for one tree. Both grow
+# with the square of its depth (an art line is indented four spaces per
+# level, a DOT id is its node's path from the root): a 2000-node chain
+# draws 8 MB of art, a 1e5-node one would need 2e10 characters.
+MAX_RENDER_CHARS = 20_000_000
 # Distinct words whose keys psylv_key keeps. The exhaustive suites ask for
 # the same few thousand keys again and again; 256 serves most repeats, and
 # a longer cache of long words costs more memory than it saves time.
@@ -279,7 +284,7 @@ def parse_tree(text: str) -> Word:
     opened: list[int] = []  # labels of the nodes whose ')' is still to come
     for label, _ in re.findall(r"([0-9]+)\(|(\))", s):
         if label:
-            opened.append(int(label))
+            opened.append(parse_label(label))
         elif opened:
             key.append(opened.pop())
     if 0 in key or tree_str(key) != s:
@@ -287,27 +292,53 @@ def parse_tree(text: str) -> Word:
     return tuple(key)
 
 
-def _infix(w: Word) -> list[tuple[int, Locator]]:
-    """The labels of psylv(w) in order (left subtree, node, right subtree),
-    each with its locator. psylv(key) is a search tree on (label, position
-    in key), and a node's position in key is its postfix position."""
+def _depths(sizes: Sizes) -> list[int]:
+    """The depth of every node by postfix position, the root's being 0; a
+    node's parent comes after it."""
+    depth = [0] * len(sizes)
+    for p in reversed(range(len(sizes))):
+        l, r = sizes[p]
+        if r:
+            depth[p - 1] = depth[p] + 1
+        if l:
+            depth[p - r - 1] = depth[p] + 1
+    return depth
+
+
+def _check_render_size(chars: int) -> None:
+    if chars > MAX_RENDER_CHARS:
+        raise CapExceededError("rendered characters", MAX_RENDER_CHARS)
+
+
+def tree_dot(w: Word) -> str:
+    """Graphviz DOT for psylv(w); edges carry their child side. Raises
+    CapExceededError, before writing any line, when the text would be
+    longer than MAX_RENDER_CHARS."""
     key, sizes = key_sizes(w)
-    locs = [""] * len(key)
+    # Counted with the newline that ends every line but the last: the
+    # header and "}" take 38 characters (81 with the empty tree's line). A
+    # node at depth d has the id "n" + its d-letter locator, or "nroot",
+    # and writes `  n<id> [label="<label>"];` (16 and its id and label);
+    # below the root it also writes `  n<parent id> -> n<id> [label="<side>"];`
+    # (22 and both ids).
+    chars = 38 if key else 81
+    for a, d in zip(key, _depths(sizes)):
+        chars += 16 + (d or 4) + len(str(a))
+        if d:
+            chars += 22 + (d - 1 or 4) + d
+    _check_render_size(chars)
+    locs: list[Locator] = [""] * len(key)
     for p in reversed(range(len(key))):  # a node's parent sits after it
         l, r = sizes[p]
         if r:
             locs[p - 1] = locs[p] + "R"
         if l:
             locs[p - r - 1] = locs[p] + "L"
-    return [(key[p], locs[p]) for p in sorted(range(len(key)), key=key.__getitem__)]
-
-
-def tree_dot(w: Word) -> str:
-    """Graphviz DOT for psylv(w); edges carry their child side."""
+    # in order: psylv(key) is a search tree on (label, postfix position)
+    nodes = [(key[p], locs[p]) for p in sorted(range(len(key)), key=key.__getitem__)]
     lines = ["digraph bst {", "  node [shape=circle];"]
-    if not w:
+    if not key:
         lines.append('  empty [label="(empty)" shape=plaintext];')
-    nodes = _infix(w)
     for label, loc in nodes:
         lines.append(f'  n{loc or "root"} [label="{label}"];')
     for _, loc in nodes:
@@ -321,7 +352,13 @@ def tree_dot(w: Word) -> str:
 
 def tree_art(w: Word) -> str:
     """Small sideways ASCII rendering of psylv(w) (right subtree printed
-    above the root)."""
+    above the root), one line per node, indented four spaces per level.
+    Raises CapExceededError, before drawing any line, when the text would
+    be longer than MAX_RENDER_CHARS."""
     if not w:
         return "(empty)"
-    return "\n".join("    " * len(loc) + str(label) for label, loc in reversed(_infix(w)))
+    key, sizes = key_sizes(w)
+    depth = _depths(sizes)
+    _check_render_size(sum(4 * d + len(str(a)) + 1 for a, d in zip(key, depth)) - 1)
+    order = sorted(range(len(key)), key=key.__getitem__)  # in order, by (label, position)
+    return "\n".join("    " * depth[p] + str(key[p]) for p in reversed(order))

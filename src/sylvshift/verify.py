@@ -16,7 +16,7 @@ from .cocharge import cochseq_gap, cochseq_word
 from .graph import MAX_VERTICES, bfs, component, diameter, keys_with_evaluation, neighbors
 from .monoid import DEFAULT_REWRITE_BUDGET, SylvElement, element_of, multiply, rewrite_class
 from .pathsynth import CASE_TAGS, shift_path
-from .trees import MAX_READINGS, readings, tree_str
+from .trees import MAX_READINGS, psylv_key, readings, tree_str
 from .words import Word, word_str
 
 
@@ -62,7 +62,7 @@ def suite_oracle(rank: int = 4, maxlen: int = 6,
     for length in range(1, maxlen + 1):
         fibers: dict = {}
         for w in _all_words(rank, length):
-            fibers.setdefault(element_of(w, rank), set()).add(w)
+            fibers.setdefault(psylv_key(w), set()).add(w)
             words_total += 1
         for fiber in fibers.values():
             closure = rewrite_class(min(fiber), rank, budget)
@@ -170,8 +170,8 @@ def suite_distance_lower_bound(nmax: int = 5) -> SuiteReport:
     pairs = 0
     for n in range(2, nmax + 1):
         g = component((1,) * n, n)
-        up = g.index[element_of(tuple(range(1, n + 1)), n)]
-        down = g.index[element_of(tuple(range(n, 0, -1)), n)]
+        up = g.index[psylv_key(range(1, n + 1))]
+        down = g.index[psylv_key(range(n, 0, -1))]
         dists = [bfs(g.adj, i) for i in range(len(g.vertices))]
         seqs = [cochseq_word(v.key) for v in g.vertices]
         if dists[up][down] < n - 1:
@@ -194,8 +194,8 @@ def _path_worker(args: tuple[int, list[Word], list[Word]]) -> tuple[int, set, li
     tags: set[str] = set()
     failures: list[str] = []
     count = 0
-    for start, end in itertools.product([SylvElement.of_key(n, key) for key in sources],
-                                        [SylvElement.of_key(n, key) for key in targets]):
+    for start, end in itertools.product([SylvElement._make((n, key)) for key in sources],
+                                        [SylvElement._make((n, key)) for key in targets]):
         try:
             cert = shift_path(start, end)
         except Exception as exc:  # noqa: BLE001  (reported, not swallowed)
@@ -263,8 +263,8 @@ def suite_induced(nmax: int = 4) -> SuiteReport:
     for m in range(1, nmax):
         for n in range(m + 1, nmax + 1):
             for key in standard_keys(m):
-                low = {x.key for x in neighbors(SylvElement.of_key(m, key))}
-                high = {x.key for x in neighbors(SylvElement.of_key(n, key))}
+                low = {x.key for x in neighbors(SylvElement._make((m, key)))}
+                high = {x.key for x in neighbors(SylvElement._make((n, key)))}
                 if low != high:
                     rep.fail(f"tree {tree_str(key)}: ranks {m} and {n} disagree")
                 checked += 1
@@ -278,12 +278,12 @@ def suite_monoid(rank: int = 3, maxlen: int = 4, assoc_total: int = 6) -> SuiteR
     fibers: dict = {}
     for length in range(0, maxlen + 1):
         for w in _all_words(rank, length):
-            fibers.setdefault(element_of(w, rank), []).append(w)
+            fibers.setdefault(psylv_key(w), []).append(w)
     classes = list(fibers.values())
     checked = 0
     for cu in classes:
         for cv in classes:
-            products = {element_of(u + v, rank) for u in cu for v in cv}
+            products = {psylv_key(u + v) for u in cu for v in cv}
             if len(products) != 1:
                 rep.fail(f"classes of {word_str(cu[0])} and {word_str(cv[0])}: "
                          f"{len(products)} product trees")
@@ -293,7 +293,7 @@ def suite_monoid(rank: int = 3, maxlen: int = 4, assoc_total: int = 6) -> SuiteR
     elems: list[SylvElement] = []
     for total in range(0, assoc_total + 1):
         for e in _evaluations(rank, total):
-            elems.extend(SylvElement.of_key(rank, key) for key in keys_with_evaluation(e))
+            elems.extend(SylvElement._make((rank, key)) for key in keys_with_evaluation(e))
     # elems runs through the totals in increasing order, so lengths never
     # decrease along it: once b or c is too long, every later one is too.
     # Every product a triple needs is of two elements of total length at

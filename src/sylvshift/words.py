@@ -50,16 +50,26 @@ def parse_word(text: str) -> Word:
         dotted = "." in text
     if dotted:
         parts = text.split(".")
-        if any(not p.isdigit() for p in parts):
+        if any(not p.isdecimal() for p in parts):
             raise ParseError(f"bad dotted word {text!r}")
-        w = tuple(int(p) for p in parts)
+        w = tuple(map(parse_label, parts))
     else:
-        if not text.isdigit():
+        if not text.isdecimal():
             raise ParseError(f"bad word {text!r}")
         w = tuple(int(c) for c in text)
     if any(a < 1 for a in w):
         raise ParseError(f"symbols must be >= 1 in {text!r}")
     return w
+
+
+def parse_label(digits: str) -> int:
+    """The int that a run of decimal digits spells. Raises ParseError, not
+    Python's ValueError, when the run is longer than the interpreter
+    converts (sys.get_int_max_str_digits(), 4300 by default)."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"label of {len(digits)} digits is too long to read") from None
 
 
 def word_str(w: Sequence[int]) -> str:

@@ -309,7 +309,7 @@ def mirror_tree(t: Bst, flip: dict[int, int]) -> Bst:
 def bfs_distances(g: ComponentGraph, source: SylvElement) -> dict[SylvElement, int]:
     """Distances from source to every vertex it reaches, keyed by element:
     a plain breadth-first search over g's adjacency lists."""
-    dist = {g.index[source]: 0}
+    dist = {g.index[source.key]: 0}
     queue = deque(dist)
     while queue:
         u = queue.popleft()

@@ -106,6 +106,46 @@ def test_component_and_diameter(capsys):
     assert code == 0 and out.startswith("graph")
 
 
+def test_tsv_rows_compute_the_diameter_once(monkeypatch, capsys):
+    from sylvshift import cli, graph
+
+    calls = []
+    real = graph.diameter
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(graph, "diameter", counted)
+    monkeypatch.setattr(cli, "diameter", counted)
+    for command in ("diameter", "component"):
+        calls.clear()
+        code, out, _ = run(capsys, command, "--standard", "-n", "7", "--format", "tsv")
+        assert code == 0 and out == "1,1,1,1,1,1,1\t429\t5138\t6\t1234567\t6543217\n"
+        assert len(calls) == 1, command
+
+
+def test_labels_too_long_to_convert_exit_2(capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts integer strings of any length")
+    long = "1" * (limit + 1)
+    for argv in (["tree", "." + long], ["equal", "1", "." + long]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: label of {limit + 1} digits is too long to read\n"
+
+
+def test_tree_drawings_too_large_exit_3(capsys):
+    chain = ".".join(map(str, range(1, 100_001)))
+    for fmt in ("art", "dot"):
+        code, out, err = run(capsys, "tree", chain, "--format", fmt)
+        assert code == 3 and out == ""
+        assert err == "error: rendered characters exceeded cap of 20000000\n"
+    code, out, _ = run(capsys, "tree", chain)
+    assert code == 0 and out.startswith("100000(99999(")
+
+
 # sha256 of the full stdout of `component` with witnessed edges, pinned
 # when each edge still stored its witness: recomputing them per source
 # vertex must reproduce every vertex, edge and x|y split byte for byte.

@@ -187,8 +187,7 @@ def test_component_edges_match_word_bruteforce():
             for k in range(len(w) + 1):
                 t = psylv(w[k:] + w[:k])
                 if s != t:
-                    a, b = sorted((g.index[SylvElement.of_key(n, canonical_reading(s))],
-                                   g.index[SylvElement.of_key(n, canonical_reading(t))]))
+                    a, b = sorted((g.index[canonical_reading(s)], g.index[canonical_reading(t)]))
                     brute.add((a, b))
         assert {(i, j) for i, a in enumerate(g.adj) for j in a if i < j} == brute
         assert {(i, j) for i, j, _ in edge_witnesses(g)} == brute
@@ -223,9 +222,9 @@ def test_neighbor_keys_runs_once_per_mirror_orbit(monkeypatch):
     for n, orbits in [(5, 22), (7, 217), (8, 715)]:
         calls.clear()
         g = component((1,) * n, n)
-        m = mirror_index([v.key for v in g.vertices], {v.key: i for v, i in g.index.items()})
+        m = mirror_index([v.key for v in g.vertices], g.index)
         assert len(calls) == len(set(calls)) == orbits
-        assert {g.index[SylvElement(n, key)] for key in calls} == {min(i, j) for i, j in enumerate(m)}
+        assert {g.index[key] for key in calls} == {min(i, j) for i, j in enumerate(m)}
     # on repeated letters every vertex enumerates its own neighbors
     for e in ORACLE_CLASSES:
         calls.clear()
@@ -338,6 +337,12 @@ def test_distance_examples():
         distance(g, stray, stray)
     with pytest.raises(ValueError, match="source"):
         distance(g, stray, a)
+    # the key (1, 2) is a vertex, but the rank-3 element is not
+    other_rank = element_of((1, 2), 3)
+    with pytest.raises(ValueError, match="source"):
+        distance(g, other_rank, b)
+    with pytest.raises(ValueError, match="target"):
+        distance(g, a, other_rank)
     broken = ComponentGraph(2, (1, 1), [a, b], [[], []])
     with pytest.raises(DisconnectedError):
         distance(broken, a, b)
@@ -399,8 +404,8 @@ def test_distances_and_diameter_against_networkx():
         d, _ = diameter(g)
         assert d == nx.diameter(G)
         for v in g.vertices:
-            mine = {g.index[t]: dd for t, dd in bfs_distances(g, v).items()}
-            theirs = nx.single_source_shortest_path_length(G, g.index[v])
+            mine = {g.index[t.key]: dd for t, dd in bfs_distances(g, v).items()}
+            theirs = nx.single_source_shortest_path_length(G, g.index[v.key])
             assert mine == dict(theirs)
 
 
@@ -444,7 +449,7 @@ def test_emitters():
     g = component((1, 1), 2)
     dot = graph_dot(g)
     assert dot.startswith("graph") and "--" in dot and '"12"' in dot
-    row = component_tsv(g).split("\t")
+    row = component_tsv(g, diameter(g)).split("\t")
     assert row[0] == "1,1" and row[1] == "2" and row[2] == "1" and row[3] == "1"
 
 

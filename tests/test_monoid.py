@@ -289,3 +289,53 @@ def test_keys_need_no_tree(monkeypatch):
     assert element_of((5, 4, 1, 3, 2), 5) in nbrs
     assert all(wit.validates(s, t) for t, wit in nbrs.items())
     assert not ShiftWitness((1, 3), (2, 5, 4)).validates(s, element_of((2, 1), 5))
+
+
+def count_check_rank(monkeypatch) -> list:
+    """Wrap every binding of words.check_rank in the loaded sylvshift
+    modules; the returned list gets one entry per call."""
+    import sys
+
+    from sylvshift import words
+
+    calls = []
+    real = words.check_rank
+
+    def counted(w, n):
+        calls.append(n)
+        return real(w, n)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "sylvshift" and getattr(module, "check_rank", None) is real:
+            monkeypatch.setattr(module, "check_rank", counted)
+    return calls
+
+
+def test_ranks_are_checked_where_letters_enter(monkeypatch, capsys):
+    # A rank is checked where letters come from outside the library. An
+    # element whose key the library computed from checked letters of the
+    # same rank is built unchecked: component vertices, neighbors, path
+    # step posts and products.
+    from sylvshift.cli import main
+
+    calls = count_check_rank(monkeypatch)
+
+    def count(fn) -> int:
+        calls.clear()
+        fn()
+        return len(calls)
+
+    def chain_path():
+        cert = shift_path(element_of(tuple(range(1, 301)), 300),
+                          element_of(tuple(range(300, 0, -1)), 300))
+        assert cert.verify()
+
+    assert count(lambda: component((1,) * 7, 7)) == 0
+    assert count(lambda: component((2, 1, 2, 1, 2), 5)) == 0
+    assert count(chain_path) == 2
+    assert count(lambda: neighbors(element_of((1, 3, 2, 5, 4), 5))) == 1
+    assert count(lambda: multiply(element_of((2, 1), 3), element_of((3,), 3))) == 2
+    # the oracle suite's rewrite_class checks its 1530 classes; nothing else
+    # in the suites checks a rank more than a few times
+    assert count(lambda: main(["verify", "all", "--jobs", "1"])) < 2000
+    capsys.readouterr()

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 from hypothesis import given
@@ -28,6 +29,7 @@ from conftest import (
     standard_trees_by_insertion,
     tree_from_key_sizes,
 )
+from sylvshift import trees
 from sylvshift.errors import CapExceededError, ParseError
 from sylvshift.monoid import element_of, equivalent
 from sylvshift.trees import (
@@ -275,6 +277,36 @@ def test_parse_tree_accepts_exactly_the_texts_tree_str_writes():
     assert accepted > len(texts)
 
 
+def test_parse_tree_refuses_labels_too_long_to_convert():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts integer strings of any length")
+    with pytest.raises(ParseError, match=f"label of {limit + 1} digits"):
+        parse_tree("1" * (limit + 1) + "(_,_)")
+    with pytest.raises(ParseError, match=f"label of {limit + 1} digits"):
+        parse_tree("2(1(_,_)," + "3" * (limit + 1) + "(_,_))")
+
+
+def test_render_cap_is_the_exact_text_length(monkeypatch):
+    # art and DOT text are counted before any line is drawn: a cap of the
+    # text's own length draws it, one less refuses it; labels of several
+    # digits and repeated labels are counted as drawn (the empty tree's
+    # art, "(empty)", is not counted)
+    cap = trees.MAX_RENDER_CHARS
+    # the 2000-node chain's 8 MB of art lies within the default cap
+    assert len(tree_art(range(1, 2001))) <= cap
+    for length in range(0, 6):
+        for w in itertools.product((1, 2, 12, 345), repeat=length):
+            for render in (tree_art, tree_dot) if w else (tree_dot,):
+                monkeypatch.setattr(trees, "MAX_RENDER_CHARS", cap)
+                text = render(w)
+                monkeypatch.setattr(trees, "MAX_RENDER_CHARS", len(text))
+                assert render(w) == text
+                monkeypatch.setattr(trees, "MAX_RENDER_CHARS", len(text) - 1)
+                with pytest.raises(CapExceededError):
+                    render(w)
+
+
 def test_emitters_smoke():
     dot = tree_dot(EQ1_WORD)
     assert dot.startswith("digraph") and dot.count("->") == 9
@@ -350,6 +382,11 @@ def test_chains_of_1e5_nodes_need_no_recursion(default_recursion_limit, w):
     # the sideways art is quadratic in the depth, so it is drawn for a
     # 2000-node chain: deeper than the recursion limit, 8 MB of text
     assert tree_art(w[:2000]) == node_tree_art(psylv(w[:2000]))
+    # the whole chain would draw about 2e10 characters: refused up front
+    with pytest.raises(CapExceededError):
+        tree_art(w)
+    with pytest.raises(CapExceededError):
+        tree_dot(w)
     # Node == and hash walk the whole tree; the two trees differ only at
     # the deepest node once the first two symbols swap
     u = psylv(w)

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -37,9 +39,22 @@ def test_parse_word_forms():
 
 
 def test_parse_word_rejects():
-    for bad in ("a", "1..2", "1.x", "0", "10"):  # "10" has a 0 digit symbol
+    # "10" has a 0 digit symbol; "²" and ".1.²" are digits but not decimal
+    for bad in ("a", "1..2", "1.x", "0", "10", "\u00b2", ".1.\u00b2"):
         with pytest.raises(ParseError):
             parse_word(bad)
+
+
+def test_labels_too_long_to_convert_raise_parse_error():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts integer strings of any length")
+    long = "1" * (limit + 1)
+    with pytest.raises(ParseError, match=f"label of {limit + 1} digits"):
+        parse_word("." + long)
+    with pytest.raises(ParseError, match=f"label of {limit + 1} digits"):
+        parse_word("2." + long + ".3")
+    assert parse_word("." + "1" * limit) == (int("1" * limit),)
 
 
 def test_word_str_picks_format():
