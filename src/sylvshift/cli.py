@@ -26,13 +26,14 @@ from .graph import (
     component,
     component_tsv,
     diameter,
-    distance,
     edge_witnesses,
     graph_dot,
+    meet,
     neighbor_keys,
 )
 from .monoid import (
     DEFAULT_REWRITE_BUDGET,
+    SylvElement,
     element_of,
     equivalent,
     multiply,
@@ -209,10 +210,14 @@ def cmd_distance(args: argparse.Namespace) -> int:
     u, v = parse_word(args.source), parse_word(args.target)
     n = _infer_rank(args, u, v)
     s, t = element_of(u, n), element_of(v, n)
-    if evaluation(u, n) != evaluation(v, n):
+    if sorted(s.key) != sorted(t.key):
         raise SylvError("words have different evaluations, so no path exists")
-    g = component(evaluation(u, n), n, args.max_vertices, args.max_readings)
-    d = distance(g, s, t)
+    # Searched from both words over keys, so only the two balls around
+    # them are ever enumerated, never the whole class.
+    d = meet(lambda key: neighbor_keys(SylvElement._make((n, key)), args.max_readings),
+             s.key, t.key, args.max_vertices)
+    if d is None:
+        raise DisconnectedError([[word_str(s.key)], [word_str(t.key)]])
     if args.format == "json":
         _emit(json.dumps({"source": args.source, "target": args.target,
                           "rank": n, "distance": d}), args)
@@ -307,7 +312,8 @@ SHARED_FLAGS = {
     "max_readings": (("--max-readings",), dict(
         type=_int_at_least(1), default=MAX_READINGS, help="cap on readings of one tree")),
     "max_vertices": (("--max-vertices",), dict(
-        type=_int_at_least(1), default=MAX_VERTICES, help="cap on vertices of one component")),
+        type=_int_at_least(1), default=MAX_VERTICES,
+        help="cap on vertices of one component (distance: on vertices its search discovers)")),
     "budget": (("--budget",), dict(
         type=_int_at_least(1), default=DEFAULT_REWRITE_BUDGET,
         help="cap on words visited by a rewriting search")),
@@ -381,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, "rank", "max_readings", "max_vertices", formats=("text", "tsv", "dot", "json"))
     p.set_defaults(func=cmd_component)
 
-    p = sub.add_parser("distance", help="BFS distance between two words' elements")
+    p = sub.add_parser("distance", help="shift distance between two words' elements")
     p.add_argument("source")
     p.add_argument("target")
     common(p, "rank", "max_readings", "max_vertices")

@@ -14,7 +14,7 @@ finite subgraph that can be searched exhaustively at desk scale.
 from __future__ import annotations
 
 from collections import deque, namedtuple
-from collections.abc import Iterator
+from collections.abc import Callable, Hashable, Iterable, Iterator
 from functools import cached_property
 from itertools import accumulate
 from math import comb
@@ -223,18 +223,64 @@ class ComponentGraph:
         return parts
 
 
-def bfs(adj: list[list[int]], source: int, stop: int | None = None) -> dict[int, int]:
-    """Distances from source to every vertex it reaches, in visiting order;
-    the search ends as soon as it reaches stop."""
+def bfs(adj: list[list[int]], source: int) -> dict[int, int]:
+    """Distances from source to every vertex it reaches, in visiting order."""
     dist = {source: 0}
     queue = deque([source])
-    while queue and stop not in dist:
+    while queue:
         u = queue.popleft()
         for v in adj[u]:
             if v not in dist:
                 dist[v] = dist[u] + 1
                 queue.append(v)
     return dist
+
+
+def meet(neighbors: Callable[[Hashable], Iterable[Hashable]], s: Hashable, t: Hashable,
+         cap: int) -> int | None:
+    """The distance from s to t in the undirected graph that neighbors(u)
+    lists, or None when no path joins them.
+
+    Bidirectional search (Pohl, "Bi-directional search", 1971): grow whole
+    BFS levels from both ends, each time on the side whose frontier is
+    smaller, and stop at the first level that touches the other side's
+    visited set. Before each level the radii a and b explored around the
+    two ends add up to less than D, the distance, or an earlier level would
+    have touched. Growing one side to a + 1: if D <= a + 1 + b, the vertex
+    at a + 1 on a shortest path lies within b of the other end, so the
+    level touches; otherwise a touch would close a walk shorter than D, so
+    none happens. Every touch closes a walk of length ds[u] + 1 + dt[v],
+    so the least of them over the first touching level is D. A side that
+    runs out of vertices has exhausted its component. Raises
+    CapExceededError before storing more than cap discovered vertices.
+    """
+    if s == t:
+        return 0
+    if cap < 2:
+        raise CapExceededError("search vertices", cap)
+    near, far = {s: 0}, {t: 0}  # visited vertex -> its distance from that side's end
+    front, back = [s], [t]
+    while front and back:
+        if len(front) > len(back):
+            near, far, front, back = far, near, back, front
+        step = near[front[0]] + 1
+        touch = None  # least far[v] over the neighbors v already seen from the far side
+        grown = []
+        for u in front:
+            for v in neighbors(u):
+                if v in far:
+                    if touch is None or far[v] < touch:
+                        touch = far[v]
+                elif touch is None and v not in near:
+                    if len(near) + len(far) == cap:
+                        raise CapExceededError("search vertices", cap)
+                    near[v] = step
+                    grown.append(v)
+        if touch is not None:
+            return step + touch
+        # swap sides, so that a tie goes to the side not just grown
+        near, far, front, back = far, near, back, grown
+    return None
 
 
 def mirror_index(keys: list[Word], index: dict[Word, int]) -> list[int]:
@@ -311,11 +357,10 @@ def distance(g: ComponentGraph, s: SylvElement, t: SylvElement) -> int:
         raise ValueError("target vertex not in component")
     if s.rank != g.rank or s.key not in g.index:
         raise ValueError("source vertex not in component")
-    target = g.index[t.key]
-    dist = bfs(g.adj, g.index[s.key], stop=target)
-    if target not in dist:
+    d = meet(g.adj.__getitem__, g.index[s.key], g.index[t.key], len(g.vertices))
+    if d is None:
         raise DisconnectedError(g.parts)
-    return dist[target]
+    return d
 
 
 def diameter(g: ComponentGraph) -> tuple[int, tuple[SylvElement, SylvElement]]:

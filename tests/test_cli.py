@@ -227,7 +227,37 @@ def test_component_json_with_raised_reading_cap(capsys):
 
 def test_distance(capsys):
     code, out, _ = run(capsys, "distance", "-n", "5", "12345", "54321")
-    assert code == 0 and int(out.strip()) >= 4
+    assert code == 0 and out == "4\n"
+    code, out, _ = run(capsys, "distance", "-n", "5", "12345", "54321", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"source": "12345", "target": "54321", "rank": 5, "distance": 4}
+
+
+def test_distance_searches_without_the_class(monkeypatch, capsys):
+    from sylvshift import cli
+
+    def refuse(*args):
+        raise AssertionError("distance built the evaluation class")
+
+    monkeypatch.setattr(cli, "component", refuse)
+    code, out, _ = run(capsys, "distance", "-n", "5", "12345", "54321")
+    assert code == 0 and out == "4\n"
+    # one shift apart at n=11, whose class of 58786 trees is past the
+    # default --max-vertices: the search discovers a handful of them
+    up = ".".join(str(a) for a in range(1, 12))
+    shifted = ".".join(str(a) for a in [*range(2, 12), 1])
+    code, out, _ = run(capsys, "distance", "-n", "11", up, shifted)
+    assert code == 0 and out == "1\n"
+    # the discovered vertices are capped, not the class
+    code, out, err = run(capsys, "distance", "-n", "5", "12345", "54321", "--max-vertices", "5")
+    assert code == 3 and out == "" and "exceeded cap of 5" in err
+
+    # a neighbor function that leaves each element alone: the two words
+    # lie in different parts, exit 2
+    monkeypatch.setattr(cli, "neighbor_keys", lambda s, cap: {s.key: None})
+    code, out, err = run(capsys, "distance", "12", "21")
+    assert code == 2 and out == ""
+    assert err.startswith("error: graph is disconnected (2 parts)")
 
 
 def test_path_text_and_json(capsys):

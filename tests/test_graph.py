@@ -1,4 +1,6 @@
 import itertools
+import random
+from functools import cache
 from math import comb
 
 import networkx as nx
@@ -22,7 +24,9 @@ from sylvshift.graph import (
     edge_witnesses,
     graph_dot,
     keys_with_evaluation,
+    meet,
     mirror_index,
+    neighbor_keys,
     neighbors,
     tree_count,
 )
@@ -350,11 +354,71 @@ def test_distance_examples():
 
 
 def test_distance_matches_bfs_distances():
-    for e in [(1,) * 6, (2, 1, 2, 1, 2)]:
+    # distance is the bidirectional meet over g.adj; one plain BFS per
+    # source gives every distance the other way
+    for e in [(1,) * n for n in range(7)] + ORACLE_CLASSES:
         g = component(e, len(e))
         for s in g.vertices:
             want = bfs_distances(g, s)
+            i = g.index[s.key]
+            assert {t: meet(g.adj.__getitem__, i, g.index[t.key], len(g.vertices))
+                    for t in g.vertices} == want
             assert {t: distance(g, s, t) for t in g.vertices} == want
+
+
+def test_meet_on_keys_matches_the_built_graph():
+    # the search that `sylvshift distance` runs: over keys, on neighbor
+    # lists that include the key itself, without building the class
+    def shifts(n):
+        return lambda key: neighbor_keys(SylvElement._make((n, key)))
+
+    for e in [(1,) * n for n in range(6)] + [(2, 1, 2, 1, 2)]:
+        g = component(e, len(e))
+        known = cache(shifts(len(e)))  # each class's keys, enumerated once
+        for a, b in itertools.product(g.vertices, repeat=2):
+            assert meet(known, a.key, b.key, len(g.vertices)) == distance(g, a, b)
+    g = component((1,) * 7, 7)
+    rng = random.Random(7)
+    for _ in range(60):
+        a, b = rng.choice(g.vertices), rng.choice(g.vertices)
+        assert meet(shifts(7), a.key, b.key, len(g.vertices)) == distance(g, a, b)
+
+
+def test_meet_cap_and_disconnection():
+    # on a path 0 - 1 - ... - 9 the two balls meet in the middle after
+    # storing every vertex, so a cap of 10 suffices and 9 raises
+    def path(u):
+        return [v for v in (u - 1, u + 1) if 0 <= v <= 9]
+
+    assert meet(path, 0, 9, 10) == 9
+    assert meet(path, 3, 3, 1) == 0
+    with pytest.raises(CapExceededError):
+        meet(path, 0, 9, 9)
+    with pytest.raises(CapExceededError):
+        meet(path, 0, 1, 1)
+
+    # two disjoint infinite binary trees: every vertex offered is new, so
+    # the (cap + 1)-th one to be stored is the last one ever offered
+    offered = []
+
+    def grow(u):
+        for child in (u + (0,), u + (1,)):
+            offered.append(child)
+            yield child
+
+    for cap in (2, 3, 10, 57):
+        offered.clear()
+        with pytest.raises(CapExceededError):
+            meet(grow, (0,), (1,), cap)
+        assert len(offered) == cap - 1  # the two ends, cap - 2 stored, one refused
+
+    # two parts {0, 1} and {2, 3}: one side runs out, whichever it is
+    def pairs(u):
+        return [u ^ 1]
+
+    assert meet(pairs, 0, 2, 10) is None
+    assert meet(pairs, 3, 0, 10) is None
+    assert meet(pairs, 0, 1, 10) == 1
 
 
 def test_chain_distance_lower_bound():

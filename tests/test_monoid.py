@@ -190,7 +190,7 @@ def test_suites_build_their_elements_from_keys(monkeypatch):
     seen = []
     monkeypatch.setattr(suites, "element_of", by_key)
     monkeypatch.setattr(suites, "multiply", lambda s, t: by_key(s.key + t.key, s.rank))
-    monkeypatch.setattr(suites, "neighbors", lambda s: seen.append(s) or [])
+    monkeypatch.setattr(suites, "neighbor_keys", lambda s: seen.append(s) or [])
     monkeypatch.setattr(suites, "shift_path", lambda s, t: seen.append((s, t)) or Certified())
     reports = [suites.suite_monoid(rank=2, maxlen=2, assoc_total=4),
                suites.suite_induced(nmax=3), suites.suite_path(nmax=3)]
