@@ -33,7 +33,6 @@ from .graph import (
 )
 from .monoid import (
     DEFAULT_REWRITE_BUDGET,
-    SylvElement,
     element_of,
     equivalent,
     multiply,
@@ -154,7 +153,7 @@ def cmd_neighbors(args: argparse.Namespace) -> int:
     w = parse_word(args.word)
     s = element_of(w, _infer_rank(args, w))
     rows = sorted((word_str(key), word_str(wit.x), word_str(wit.y), tree_str(key))
-                  for key, wit in neighbor_keys(s, args.max_readings).items())
+                  for key, wit in neighbor_keys(s.key, args.max_readings).items())
     if args.format == "json":
         _emit(json.dumps({
             "word": args.word,
@@ -214,8 +213,7 @@ def cmd_distance(args: argparse.Namespace) -> int:
         raise SylvError("words have different evaluations, so no path exists")
     # Searched from both words over keys, so only the two balls around
     # them are ever enumerated, never the whole class.
-    d = meet(lambda key: neighbor_keys(SylvElement._make((n, key)), args.max_readings),
-             s.key, t.key, args.max_vertices)
+    d = meet(lambda key: neighbor_keys(key, args.max_readings), s.key, t.key, args.max_vertices)
     if d is None:
         raise DisconnectedError([[word_str(s.key)], [word_str(t.key)]])
     if args.format == "json":

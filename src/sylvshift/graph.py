@@ -6,9 +6,9 @@ reads are closed upwards (the root and some of its descendants, or
 nothing), and x is a linear extension of the forest left below them. The
 relation is a congruence, so `neighbor_keys` takes each such y once and
 each sylvester class of x once, not every reading at every split, and
-reads the neighbor's key without building its tree. All neighbors share
-s's evaluation, so each evaluation class spans a (conjecturally connected)
-finite subgraph that can be searched exhaustively at desk scale.
+reads the neighbor's key without building its tree. The components are
+exactly the evaluation classes, as the paper proves and `verify
+connectivity` checks on small ones, so each can be searched exhaustively.
 """
 
 from __future__ import annotations
@@ -71,16 +71,16 @@ def _fold(state, parts, memo: dict) -> list[Word]:
     return memo[state]
 
 
-def neighbor_keys(s: SylvElement, cap: int = MAX_READINGS) -> dict[Word, ShiftWitness]:
-    """The key of every element one cyclic shift away from s (s itself
-    included), with one witness each.
+def neighbor_keys(w: Word, cap: int = MAX_READINGS) -> dict[Word, ShiftWitness]:
+    """The key of every tree one cyclic shift away from psylv(w), w any of
+    its readings (that tree included), with one witness each.
 
-    A split xy of a reading of s puts an up-closed set U of nodes in y and
+    A split xy of a reading puts an up-closed set U of nodes in y and
     the forest F of complete subtrees below U in x. The relation is a
     congruence, so the neighbor psylv(yx) depends only on U and the class
     of x among the linear extensions of F. A class's last letter is the
     label v of some root r of F; the rest of F splits into its labels <= v
-    and > v. Two disjoint complete subtrees of s have disjoint label
+    and > v. Two disjoint complete subtrees of a tree have disjoint label
     ranges, so each other tree of F falls wholly on one side, as do r's
     two subtrees, and no order ties the sides together. The classes of F
     are therefore the trees r(left class, right class), all distinct, and
@@ -88,14 +88,14 @@ def neighbor_keys(s: SylvElement, cap: int = MAX_READINGS) -> dict[Word, ShiftWi
     in postfix order, so a complete subtree is a range of bits and F a
     bitmask; the classes of each F are memoized for the call.
 
-    Raises CapExceededError before any work when s has more than cap
-    readings; the (U, class) pairs tried never outnumber readings x splits.
+    Raises CapExceededError before any work when psylv(w) has more than
+    cap readings; the (U, class) pairs tried never outnumber readings x splits.
     """
-    lab = s.key
+    check_reading_cap(w, cap)
+    lab, sizes = key_sizes(w)
     n = len(lab)
-    check_reading_cap(lab, cap)
     # first[p]: the lowest postfix index in p's subtree, which spans first[p]..p
-    first = [p - l - r for p, (l, r) in enumerate(key_sizes(lab)[1])]
+    first = [p - l - r for p, (l, r) in enumerate(sizes)]
     at_most: dict[int, int] = {}  # label v -> bitmask of the nodes labelled <= v
     mask = 0
     for p in sorted(range(n), key=lab.__getitem__):
@@ -134,7 +134,7 @@ def neighbor_keys(s: SylvElement, cap: int = MAX_READINGS) -> dict[Word, ShiftWi
 
 def neighbors(s: SylvElement, cap: int = MAX_READINGS) -> dict[SylvElement, ShiftWitness]:
     """Every element one cyclic shift away from s (s itself included), with one witness each."""
-    return {SylvElement._make((s.rank, key)): wit for key, wit in neighbor_keys(s, cap).items()}
+    return {SylvElement._make((s.rank, k)): wit for k, wit in neighbor_keys(s.key, cap).items()}
 
 
 def tree_count(e: tuple[int, ...]) -> int:
@@ -329,13 +329,13 @@ def component(e: tuple[int, ...], n: int, max_vertices: int = MAX_VERTICES,
     m = mirror_index(keys, index) if max(e, default=0) <= 1 else None
     # Each lower neighbor j of i appended i to adj[i] already, in increasing
     # j; so adj[i] stays sorted, and an asymmetric relation shows up here.
-    for i, s in enumerate(g.vertices):
+    for i, key in enumerate(keys):
         if m is None or i <= m[i]:
-            js = [index[key] for key in neighbor_keys(s, max_readings)]
+            js = [index[k] for k in neighbor_keys(key, max_readings)]
         else:
             js = [m[j] for j in adj[m[i]]]
         if sorted(j for j in js if j < i) != adj[i]:
-            raise InternalError(f"shift relation not symmetric at {word_str(s.key)}")
+            raise InternalError(f"shift relation not symmetric at {word_str(key)}")
         for j in sorted(j for j in js if j > i):
             adj[i].append(j)
             adj[j].append(i)
@@ -346,7 +346,7 @@ def edge_witnesses(g: ComponentGraph) -> Iterator[tuple[int, int, ShiftWitness]]
     """Every edge (i, j), i < j, in increasing order, with the witness that
     `neighbor_keys` gives from vertex i to vertex j under g's reading cap."""
     for i, s in enumerate(g.vertices):
-        wits = neighbor_keys(s, g.max_readings)
+        wits = neighbor_keys(s.key, g.max_readings)
         for j in g.adj[i]:
             if j > i:
                 yield i, j, wits[g.vertices[j].key]
@@ -373,15 +373,14 @@ def diameter(g: ComponentGraph) -> tuple[int, tuple[SylvElement, SylvElement]]:
     round in which its set fills, and full sets are not touched again, so
     D is the number of rounds and the sets still open in the last one
     belong to the vertices of eccentricity D. A round in which no set grows
-    while one is not full means the adjacency is inconsistent
-    (InternalError). Every pair at distance D starts at a vertex of
+    while one is not full means more than one part (DisconnectedError) or
+    an inconsistent adjacency (InternalError), so no search checks the
+    parts beforehand. Every pair at distance D starts at a vertex of
     eccentricity D, and a vertex at distance D from the first such vertex
     i has eccentricity D too, so it comes after i. In the last round every
     open set grows, i's first; the bits it gains are the vertices at
     distance D from i, and j is the lowest of them.
     """
-    if not g.connected:
-        raise DisconnectedError(g.parts)
     if len(g.vertices) == 0:
         raise ValueError("empty graph has no diameter")
     n = len(g.vertices)
@@ -399,6 +398,8 @@ def diameter(g: ComponentGraph) -> tuple[int, tuple[SylvElement, SylvElement]]:
             if acc != reach[u]:
                 grown.append((u, acc))
         if not grown:
+            if not g.connected:
+                raise DisconnectedError(g.parts)
             raise InternalError(f"bitset BFS stalled in round {d} "
                                 f"with {len(todo)} sets not full")
         i, acc = grown[0]

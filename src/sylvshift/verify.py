@@ -2,8 +2,8 @@
 
 Each suite checks one family of claims by brute force and returns a report
 with replayable counterexamples on failure. The CLI exposes them under
-`sylvshift verify`; the heavier suites split their work across processes
-when asked, and reports are canonicalized so runs are reproducible.
+`sylvshift verify`; the path suite splits its work across processes when
+asked (--jobs), and reports are canonicalized so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -258,14 +258,14 @@ def suite_example_path() -> SuiteReport:
 
 
 def suite_induced(nmax: int = 4) -> SuiteReport:
-    """Neighbor sets of standard elements do not depend on the ambient rank."""
+    """Lifting a standard key's letters to the top of a larger alphabet lifts its neighbor keys."""
     rep = SuiteReport(f"induced-subgraph(n<={nmax})")
     checked = 0
     for m in range(1, nmax):
         for n in range(m + 1, nmax + 1):
             for key in standard_keys(m):
-                low = set(neighbor_keys(SylvElement._make((m, key))))
-                high = set(neighbor_keys(SylvElement._make((n, key))))
+                low = {tuple(a + n - m for a in k) for k in neighbor_keys(key)}
+                high = set(neighbor_keys(tuple(a + n - m for a in key)))
                 if low != high:
                     rep.fail(f"tree {tree_str(key)}: ranks {m} and {n} disagree")
                 checked += 1

@@ -279,13 +279,13 @@ def validates_checking_ranks(wit: ShiftWitness, source: SylvElement, target: Syl
     return psylv_by_insertion(xy) == source.tree and psylv_by_insertion(wit.y + wit.x) == target.tree
 
 
-def adjacency_by_vertex(e: tuple[int, ...], n: int) -> list[list[int]]:
+def adjacency_by_vertex(e: tuple[int, ...]) -> list[list[int]]:
     """The adjacency lists of e's class, built with one neighbor_keys call
     per vertex and no use of the mirror symmetry; each list sorted, without
     its vertex."""
     keys = sorted(keys_with_evaluation(e))
     index = {key: i for i, key in enumerate(keys)}
-    return [sorted(index[k] for k in neighbor_keys(SylvElement.of_key(n, key)) if k != key)
+    return [sorted(index[k] for k in neighbor_keys(key) if k != key)
             for key in keys]
 
 

@@ -89,8 +89,7 @@ def test_validates_matches_check_first_oracle():
             return tuple(a + (a == n) for a in w)
 
         for key in suites.standard_keys(n):
-            s = SylvElement.of_key(n, key)
-            for key2, wit in graph.neighbor_keys(s).items():
+            for key2, wit in graph.neighbor_keys(key).items():
                 wits = [wit, ShiftWitness(wit.y, wit.x),
                         ShiftWitness(*(tuple(a - (a == 1) for a in w) for w in wit)),
                         ShiftWitness(raised(wit.x), raised(wit.y))]
@@ -118,7 +117,7 @@ def test_neighbors_match_readings_oracle(monkeypatch):
     for n, key in cases:
         s = SylvElement(n, key)
         tried.clear()
-        graph.neighbor_keys(s)
+        graph.neighbor_keys(key)
         # each word tried is yx for a distinct reading xy of s and split
         assert 0 < len(tried) <= reading_count(key) * (len(key) + 1)
         check_against_oracle(s)
@@ -211,13 +210,13 @@ GAPPED_CLASSES = [((1, 0, 1, 1, 0, 1), 6), ((0, 1, 1, 1), 4)]
 
 def test_component_matches_the_per_vertex_build():
     for e, n in [((1,) * n, n) for n in range(8)] + GAPPED_CLASSES:
-        assert component(e, n).adj == adjacency_by_vertex(e, n), e
+        assert component(e, n).adj == adjacency_by_vertex(e), e
 
 
 def count_neighbor_keys(monkeypatch) -> list[Word]:
     calls = []
     real = graph.neighbor_keys
-    monkeypatch.setattr(graph, "neighbor_keys", lambda s, cap: calls.append(s.key) or real(s, cap))
+    monkeypatch.setattr(graph, "neighbor_keys", lambda w, cap: calls.append(w) or real(w, cap))
     return calls
 
 
@@ -242,7 +241,7 @@ def test_mirror_is_an_involutive_automorphism():
         m = mirror_index(keys, index)
         support = [a for a, c in enumerate(e, 1) if c]
         flip = dict(zip(support, reversed(support)))
-        adj = adjacency_by_vertex(e, n)
+        adj = adjacency_by_vertex(e)
         for i, key in enumerate(keys):
             assert m[m[i]] == i
             assert psylv(keys[m[i]]) == mirror_tree(psylv(key), flip)
@@ -271,8 +270,8 @@ def test_component_refuses_an_asymmetric_shift_relation(monkeypatch):
         # 21435 loses 13542, which comes first and whose list is derived
         (((2, 1, 4, 3, 5), (1, 3, 5, 4, 2)), "21435"),
     ]:
-        def one_way(s, cap, dropped=dropped):
-            return {k: w for k, w in real(s, cap).items() if (s.key, k) != dropped}
+        def one_way(key, cap, dropped=dropped):
+            return {k: w for k, w in real(key, cap).items() if (key, k) != dropped}
 
         monkeypatch.setattr(graph, "neighbor_keys", one_way)
         n = len(at)
@@ -369,19 +368,16 @@ def test_distance_matches_bfs_distances():
 def test_meet_on_keys_matches_the_built_graph():
     # the search that `sylvshift distance` runs: over keys, on neighbor
     # lists that include the key itself, without building the class
-    def shifts(n):
-        return lambda key: neighbor_keys(SylvElement._make((n, key)))
-
     for e in [(1,) * n for n in range(6)] + [(2, 1, 2, 1, 2)]:
         g = component(e, len(e))
-        known = cache(shifts(len(e)))  # each class's keys, enumerated once
+        known = cache(neighbor_keys)  # each class's keys, enumerated once
         for a, b in itertools.product(g.vertices, repeat=2):
             assert meet(known, a.key, b.key, len(g.vertices)) == distance(g, a, b)
     g = component((1,) * 7, 7)
     rng = random.Random(7)
     for _ in range(60):
         a, b = rng.choice(g.vertices), rng.choice(g.vertices)
-        assert meet(shifts(7), a.key, b.key, len(g.vertices)) == distance(g, a, b)
+        assert meet(neighbor_keys, a.key, b.key, len(g.vertices)) == distance(g, a, b)
 
 
 def test_meet_cap_and_disconnection():
@@ -454,6 +450,18 @@ def test_diameter_stalled_rounds_raise():
     assert lopsided.connected
     with pytest.raises(InternalError):
         diameter(lopsided)
+
+
+def test_diameter_searches_no_connected_graph(monkeypatch):
+    # only a graph whose rounds stall has its parts searched for
+    graphs = [component((1,) * 6, 6)] + [component(e, len(e)) for e in ORACLE_CLASSES]
+    want = [diameter_by_bfs(g) for g in graphs]
+
+    def refuse(adj, source):
+        raise AssertionError("diameter ran a BFS")
+
+    monkeypatch.setattr(graph, "bfs", refuse)
+    assert [diameter(g) for g in graphs] == want
 
 
 def test_distances_and_diameter_against_networkx():

@@ -171,10 +171,10 @@ def test_monoid_suite_reports_a_product_outside_its_elements(monkeypatch):
 
 
 def test_suites_build_their_elements_from_keys(monkeypatch):
-    # suite_monoid's elements, the path suite's sources and targets and
-    # suite_induced's elements are built from canonical readings, which are
-    # stored as they are: with every other way into the constructor
-    # replaced, the suites insert nothing through it
+    # suite_monoid's elements and the path suite's sources and targets are
+    # built from canonical readings, which are stored as they are: with
+    # every other way into the constructor replaced, the suites insert
+    # nothing through it; suite_induced builds no element at all
     calls = []
     monkeypatch.setattr(monoid, "psylv_key", lambda w: calls.append(w) or psylv_key(w))
 
@@ -196,13 +196,28 @@ def test_suites_build_their_elements_from_keys(monkeypatch):
                suites.suite_induced(nmax=3), suites.suite_path(nmax=3)]
     assert calls == []
     assert all(rep.passed for rep in reports)
-    # induced: two elements for each key of rank m and each rank n > m, so
-    # 2 * (1 * 2 + 2 * 1); path: 1 + 2 * 2 + 5 * 5 ordered pairs
+    # induced: for each key of rank m and each rank n > m, the key and then
+    # the key lifted by n - m, so 2 * (1 * 2 + 2 * 1) calls; path:
+    # 1 + 2 * 2 + 5 * 5 ordered pairs
     assert len(seen) == 8 + 30
-    for s in seen[:8]:
-        assert s == SylvElement(s.rank, s.key)
+    assert seen[:8] == [(1,), (2,), (1,), (3,), (1, 2), (2, 3), (2, 1), (3, 2)]
     for s, t in seen[8:]:
         assert (s, t) == (SylvElement(s.rank, s.key), SylvElement(t.rank, t.key))
+
+
+def test_induced_subgraph_fails_on_a_letter_dependent_shift(monkeypatch):
+    # a neighbor function that reads letter values, not only their order:
+    # it drops every neighbor but the source whose key ends in letter 1,
+    # which no lifted key has
+    real = suites.neighbor_keys
+
+    def biased(key):
+        return {k: wit for k, wit in real(key).items() if k == key or k[-1] != 1}
+
+    monkeypatch.setattr(suites, "neighbor_keys", biased)
+    rep = suites.suite_induced(nmax=4)
+    assert rep.render().startswith("FAIL induced-subgraph(n<=4)")
+    assert len(rep.failures) == 5
 
 
 def test_canonical_reading_is_a_complete_key():
