@@ -278,11 +278,11 @@ def _run_suite(suite, args: argparse.Namespace):
     """Run suite with each set verify option that names one of its parameters.
 
     Unset options are None and leave the suite's own default; the caps and
-    the budget default to the same library constants the suites use.
+    the budget default to the same library constants the suites use. The
+    suite's code object names its parameters, so `inspect` is not loaded.
     """
-    import inspect
-
-    params = inspect.signature(suite).parameters
+    code = suite.__code__
+    params = code.co_varnames[:code.co_argcount]
     return suite(**{k: v for k, v in vars(args).items() if k in params and v is not None})
 
 

@@ -9,11 +9,13 @@ each sylvester class of x once, not every reading at every split, and
 reads the neighbor's key without building its tree. The components are
 exactly the evaluation classes, as the paper proves and `verify
 connectivity` checks on small ones, so each can be searched exhaustively.
+Searches of a built class run on `levels`, a BFS that grows whole levels
+by set unions; `meet` searches over keys without building the class.
 """
 
 from __future__ import annotations
 
-from collections import deque, namedtuple
+from collections import namedtuple
 from collections.abc import Callable, Hashable, Iterable, Iterator
 from functools import cached_property
 from itertools import accumulate
@@ -213,27 +215,28 @@ class ComponentGraph:
 
     @cached_property
     def parts(self) -> list[list[int]]:
+        """Each part's sorted vertex indices, lowest part first: what
+        `levels` reaches from the lowest vertex not yet placed."""
         seen: set[int] = set()
         parts = []
         for start in range(len(self.vertices)):
             if start not in seen:
-                comp = bfs(self.adj, start)
-                seen.update(comp)
-                parts.append(sorted(comp))
+                part = set().union(*levels(self.adj, start))
+                seen |= part
+                parts.append(sorted(part))
         return parts
 
 
-def bfs(adj: list[list[int]], source: int) -> dict[int, int]:
-    """Distances from source to every vertex it reaches, in visiting order."""
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
+def levels(adj: list[list[int]], source: int) -> Iterator[set[int]]:
+    """The sets of vertices at distance 0, 1, 2, ... from source, each
+    yielded once, until none is left: a level-synchronous BFS. Each level
+    is the union of the previous level's rows less the vertices seen so
+    far, so the work per arc runs in C, not in a Python loop."""
+    seen, front = {source}, {source}
+    while front:
+        yield front
+        front = set().union(*map(adj.__getitem__, front)) - seen
+        seen |= front
 
 
 def meet(neighbors: Callable[[Hashable], Iterable[Hashable]], s: Hashable, t: Hashable,
@@ -353,14 +356,38 @@ def edge_witnesses(g: ComponentGraph) -> Iterator[tuple[int, int, ShiftWitness]]
 
 
 def distance(g: ComponentGraph, s: SylvElement, t: SylvElement) -> int:
+    """The distance from s to t in g; DisconnectedError when no path joins them.
+
+    Bidirectional search on `levels`, as in `meet`: grow the side whose last
+    level is smaller (a tie goes to the side not just grown) until a new
+    level, at depth a + 1, meets the other side, whose levels reach depth b.
+    The sides were disjoint before it, so it meets only the other's last
+    level: a vertex there at depth c < b has a neighbor at depth a on this
+    side, within c + 1 <= b of the other end, so already on both sides. The
+    distance is a + 1 + b, the number of levels grown beyond the two ends.
+    A side that runs out has exhausted its part.
+    """
     if t.rank != g.rank or t.key not in g.index:
         raise ValueError("target vertex not in component")
     if s.rank != g.rank or s.key not in g.index:
         raise ValueError("source vertex not in component")
-    d = meet(g.adj.__getitem__, g.index[s.key], g.index[t.key], len(g.vertices))
-    if d is None:
-        raise DisconnectedError(g.parts)
-    return d
+    if s.key == t.key:
+        return 0
+    # the side to grow and the other one: each its kernel and its last level
+    grow, other = levels(g.adj, g.index[s.key]), levels(g.adj, g.index[t.key])
+    front, back = next(grow), next(other)
+    d = 0
+    while True:
+        if len(front) > len(back):
+            front, back, grow, other = back, front, other, grow
+        front = next(grow, None)
+        if front is None:
+            raise DisconnectedError(g.parts)
+        d += 1
+        if not front.isdisjoint(back):
+            return d
+        # swap sides, so that a tie goes to the side not just grown
+        front, back, grow, other = back, front, other, grow
 
 
 def diameter(g: ComponentGraph) -> tuple[int, tuple[SylvElement, SylvElement]]:

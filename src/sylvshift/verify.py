@@ -13,7 +13,7 @@ import sys
 from contextlib import nullcontext
 
 from .cocharge import cochseq_gap, cochseq_word
-from .graph import (MAX_VERTICES, bfs, component, diameter, keys_with_evaluation,
+from .graph import (MAX_VERTICES, component, diameter, keys_with_evaluation, levels,
                     neighbor_keys)
 from .monoid import DEFAULT_REWRITE_BUDGET, SylvElement, element_of, multiply, rewrite_class
 from .pathsynth import CASE_TAGS, shift_path
@@ -173,7 +173,8 @@ def suite_distance_lower_bound(nmax: int = 5) -> SuiteReport:
         g = component((1,) * n, n)
         up = g.index[psylv_key(range(1, n + 1))]
         down = g.index[psylv_key(range(n, 0, -1))]
-        dists = [bfs(g.adj, i) for i in range(len(g.vertices))]
+        dists = [{v: d for d, level in enumerate(levels(g.adj, i)) for v in level}
+                 for i in range(len(g.vertices))]
         seqs = [cochseq_word(v.key) for v in g.vertices]
         if dists[up][down] < n - 1:
             rep.fail(f"n={n}: chain distance {dists[up][down]} < {n - 1}")

@@ -306,18 +306,24 @@ def mirror_tree(t: Bst, flip: dict[int, int]) -> Bst:
     return done[id(t)]
 
 
-def bfs_distances(g: ComponentGraph, source: SylvElement) -> dict[SylvElement, int]:
-    """Distances from source to every vertex it reaches, keyed by element:
-    a plain breadth-first search over g's adjacency lists."""
-    dist = {g.index[source.key]: 0}
+def bfs_by_index(adj: list[list[int]], source: int) -> dict[int, int]:
+    """Distances from vertex source to every vertex it reaches in the
+    adjacency lists adj: a plain breadth-first search, one arc at a time."""
+    dist = {source: 0}
     queue = deque(dist)
     while queue:
         u = queue.popleft()
-        for v in g.adj[u]:
+        for v in adj[u]:
             if v not in dist:
                 dist[v] = dist[u] + 1
                 queue.append(v)
-    return {g.vertices[i]: d for i, d in dist.items()}
+    return dist
+
+
+def bfs_distances(g: ComponentGraph, source: SylvElement) -> dict[SylvElement, int]:
+    """Distances from source to every vertex it reaches, keyed by element:
+    `bfs_by_index` over g's adjacency lists."""
+    return {g.vertices[i]: d for i, d in bfs_by_index(g.adj, g.index[source.key]).items()}
 
 
 def diameter_by_bfs(g: ComponentGraph) -> tuple[int, tuple[SylvElement, SylvElement]]:

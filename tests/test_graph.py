@@ -1,5 +1,6 @@
 import itertools
 import random
+from bisect import bisect_right
 from functools import cache
 from math import comb
 
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (adjacency_by_vertex, bfs_distances, diameter_by_bfs, is_bst, labels,
-                      mirror_tree, multiset_words, neighbors_by_readings,
+from conftest import (adjacency_by_vertex, bfs_by_index, bfs_distances, diameter_by_bfs, is_bst,
+                      labels, mirror_tree, multiset_words, neighbors_by_readings,
                       validates_checking_ranks)
 from sylvshift import graph
 from sylvshift import verify as suites
@@ -24,6 +25,7 @@ from sylvshift.graph import (
     edge_witnesses,
     graph_dot,
     keys_with_evaluation,
+    levels,
     meet,
     mirror_index,
     neighbor_keys,
@@ -353,8 +355,9 @@ def test_distance_examples():
 
 
 def test_distance_matches_bfs_distances():
-    # distance is the bidirectional meet over g.adj; one plain BFS per
-    # source gives every distance the other way
+    # distance grows `levels` from both ends, and meet searches g.adj one
+    # arc at a time; one plain BFS per source gives every distance the
+    # other way
     for e in [(1,) * n for n in range(7)] + ORACLE_CLASSES:
         g = component(e, len(e))
         for s in g.vertices:
@@ -417,6 +420,54 @@ def test_meet_cap_and_disconnection():
     assert meet(pairs, 0, 1, 10) == 1
 
 
+@st.composite
+def adjacency_lists(draw, max_vertices: int = 40) -> list[list[int]]:
+    """Symmetric sorted adjacency lists without self-loops, on shuffled
+    vertex numbers. Each vertex i > 0 is joined to at most one earlier
+    vertex, mostly i - 1 or i - 2, so long paths arise; a few more edges
+    close cycles. Edges stay inside blocks of consecutive numbers, so most
+    draws have several parts, isolated vertices among them."""
+    n = draw(st.integers(1, max_vertices))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=4))) if n > 1 else []
+    back = st.one_of(st.just(1), st.integers(1, 2), st.integers(0, n))  # 0 or > i: none
+    pairs = [(i - d, i) for i, d in enumerate(draw(st.lists(back, min_size=n, max_size=n)))]
+    ends = st.integers(0, n - 1)
+    pairs += draw(st.lists(st.tuples(ends, ends), max_size=n))
+    name = draw(st.permutations(range(n)))
+    rows: list[set[int]] = [set() for _ in range(n)]
+    for i, j in pairs:
+        if 0 <= i != j and bisect_right(cuts, i) == bisect_right(cuts, j):
+            rows[name[i]].add(name[j])
+            rows[name[j]].add(name[i])
+    return [sorted(row) for row in rows]
+
+
+@settings(max_examples=80, deadline=None)
+@given(adjacency_lists())
+def test_levels_distance_and_parts_match_plain_bfs(adj):
+    n = len(adj)
+    # one-letter elements stand in for the vertices: distance looks them up by key
+    g = ComponentGraph(n, (1,) * n, [element_of((v + 1,), n) for v in range(n)], adj)
+    G = nx.Graph()
+    G.add_nodes_from(range(n))
+    G.add_edges_from((i, j) for i, row in enumerate(adj) for j in row)
+    assert g.parts == sorted(sorted(part) for part in nx.connected_components(G))
+    for s in range(n):
+        want = bfs_by_index(adj, s)
+        assert want == nx.single_source_shortest_path_length(G, s)
+        # every vertex reached once, at its distance, and no empty level
+        found = list(levels(adj, s))
+        assert {v: d for d, level in enumerate(found) for v in level} == want
+        assert sum(map(len, found)) == len(want) and len(found) == max(want.values()) + 1
+        for t in range(n):
+            if t in want:
+                assert distance(g, g.vertices[s], g.vertices[t]) == want[t]
+            else:
+                with pytest.raises(DisconnectedError) as exc:
+                    distance(g, g.vertices[s], g.vertices[t])
+                assert exc.value.parts == g.parts
+
+
 def test_chain_distance_lower_bound():
     for n in range(2, 6):
         g = component((1,) * n, n)
@@ -460,7 +511,7 @@ def test_diameter_searches_no_connected_graph(monkeypatch):
     def refuse(adj, source):
         raise AssertionError("diameter ran a BFS")
 
-    monkeypatch.setattr(graph, "bfs", refuse)
+    monkeypatch.setattr(graph, "levels", refuse)
     assert [diameter(g) for g in graphs] == want
 
 

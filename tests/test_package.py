@@ -111,3 +111,17 @@ def test_import_loads_no_heavy_module():
     added = modules("import sylvshift") - modules("pass")
     assert "sylvshift.pathsynth" in added
     assert added & {"dataclasses", "inspect", "json", "concurrent.futures"} == set()
+
+
+def test_verify_loads_no_heavy_module():
+    # A verify suite's parameters are read from its code object, so a
+    # suite that needs no pool starts without inspect or the process pool.
+    # -X importtime lists on stderr every module the command imports.
+    src = str(Path(sylvshift.__file__).parents[1])
+    cmd = [sys.executable, "-X", "importtime", "-m", "sylvshift", "verify", "example-path"]
+    run = subprocess.run(cmd, capture_output=True, text=True, check=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.stdout.startswith("PASS example-path")
+    loaded = {line.rpartition("|")[2].strip() for line in run.stderr.splitlines()}
+    assert "sylvshift.verify" in loaded
+    assert loaded & {"dataclasses", "inspect", "concurrent.futures"} == set()
