@@ -9,14 +9,16 @@ each sylvester class of x once, not every reading at every split, and
 reads the neighbor's key without building its tree. The components are
 exactly the evaluation classes, as the paper proves and `verify
 connectivity` checks on small ones, so each can be searched exhaustively.
-Searches of a built class run on `levels`, a BFS that grows whole levels
-by set unions; `meet` searches over keys without building the class.
+`meet` is the one search from both ends: `distance` runs it over a built
+class's rows, and `sylvshift distance` over keys without building the
+class. `levels`, a BFS that grows whole levels by set unions, gives a
+built class's parts and all distances from one vertex.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Callable, Hashable, Iterable, Iterator
+from collections.abc import Callable, Collection, Hashable, Iterator
 from functools import cached_property
 from itertools import accumulate
 from math import comb
@@ -239,51 +241,58 @@ def levels(adj: list[list[int]], source: int) -> Iterator[set[int]]:
         seen |= front
 
 
-def meet(neighbors: Callable[[Hashable], Iterable[Hashable]], s: Hashable, t: Hashable,
+def meet(neighbors: Callable[[Hashable], Collection[Hashable]], s: Hashable, t: Hashable,
          cap: int) -> int | None:
     """The distance from s to t in the undirected graph that neighbors(u)
-    lists, or None when no path joins them.
+    lists, or None when no path joins them. neighbors(u) returns a
+    collection (a list, set or dict of vertices), which is read twice.
 
     Bidirectional search (Pohl, "Bi-directional search", 1971): grow whole
-    BFS levels from both ends, each time on the side whose frontier is
-    smaller, and stop at the first level that touches the other side's
-    visited set. Before each level the radii a and b explored around the
-    two ends add up to less than D, the distance, or an earlier level would
-    have touched. Growing one side to a + 1: if D <= a + 1 + b, the vertex
-    at a + 1 on a shortest path lies within b of the other end, so the
-    level touches; otherwise a touch would close a walk shorter than D, so
-    none happens. Every touch closes a walk of length ds[u] + 1 + dt[v],
-    so the least of them over the first touching level is D. A side that
-    runs out of vertices has exhausted its component. Raises
-    CapExceededError before storing more than cap discovered vertices.
+    BFS levels from both ends, each time on the side whose last level is
+    smaller (a tie goes to the side not just grown), one row neighbors(u)
+    at a time, and stop at the first row that meets the other side's last
+    level. Before each level the two sides have explored radii a and b
+    around their ends and are disjoint, so the distance D exceeds a + b.
+    A row of a vertex u at depth a can meet the other side only in its
+    last level: a vertex there at depth c < b would put u within
+    c + 1 <= b of the other end, on both sides. So a row that meets closes
+    a walk of length a + 1 + b, which is D, the number of levels grown
+    beyond the two ends, the one in progress included. Conversely, if
+    D = a + 1 + b, the vertex at depth a + 1 on a shortest path lies in
+    the other side's last level, so some row meets; and if D is larger, it
+    is new, so a side that grows empty has exhausted its component.
+
+    Raises CapExceededError after the first row that takes the vertices
+    found on both sides past cap, before the next call of neighbors.
     """
     if s == t:
         return 0
     if cap < 2:
         raise CapExceededError("search vertices", cap)
-    near, far = {s: 0}, {t: 0}  # visited vertex -> its distance from that side's end
-    front, back = [s], [t]
-    while front and back:
+    near, far = {s}, {t}  # the vertices found on each side
+    front, back = {s}, {t}  # each side's last level
+    d = 0  # the levels grown beyond the two ends
+    while True:
         if len(front) > len(back):
             near, far, front, back = far, near, back, front
-        step = near[front[0]] + 1
-        touch = None  # least far[v] over the neighbors v already seen from the far side
-        grown = []
+        d += 1
+        grown: set[Hashable] = set()
         for u in front:
-            for v in neighbors(u):
-                if v in far:
-                    if touch is None or far[v] < touch:
-                        touch = far[v]
-                elif touch is None and v not in near:
-                    if len(near) + len(far) == cap:
-                        raise CapExceededError("search vertices", cap)
-                    near[v] = step
-                    grown.append(v)
-        if touch is not None:
-            return step + touch
+            row = neighbors(u)
+            if not back.isdisjoint(row):
+                return d
+            grown.update(row)
+            # the row met no vertex of the far side, so only near overlaps grown
+            if len(grown) + len(near) + len(far) > cap:
+                grown -= near
+                if len(grown) + len(near) + len(far) > cap:
+                    raise CapExceededError("search vertices", cap)
+        grown -= near
+        if not grown:
+            return None
+        near |= grown
         # swap sides, so that a tie goes to the side not just grown
         near, far, front, back = far, near, back, grown
-    return None
 
 
 def mirror_index(keys: list[Word], index: dict[Word, int]) -> list[int]:
@@ -356,38 +365,16 @@ def edge_witnesses(g: ComponentGraph) -> Iterator[tuple[int, int, ShiftWitness]]
 
 
 def distance(g: ComponentGraph, s: SylvElement, t: SylvElement) -> int:
-    """The distance from s to t in g; DisconnectedError when no path joins them.
-
-    Bidirectional search on `levels`, as in `meet`: grow the side whose last
-    level is smaller (a tie goes to the side not just grown) until a new
-    level, at depth a + 1, meets the other side, whose levels reach depth b.
-    The sides were disjoint before it, so it meets only the other's last
-    level: a vertex there at depth c < b has a neighbor at depth a on this
-    side, within c + 1 <= b of the other end, so already on both sides. The
-    distance is a + 1 + b, the number of levels grown beyond the two ends.
-    A side that runs out has exhausted its part.
-    """
+    """The distance from s to t in g, by `meet` over g's rows;
+    DisconnectedError when no path joins them."""
     if t.rank != g.rank or t.key not in g.index:
         raise ValueError("target vertex not in component")
     if s.rank != g.rank or s.key not in g.index:
         raise ValueError("source vertex not in component")
-    if s.key == t.key:
-        return 0
-    # the side to grow and the other one: each its kernel and its last level
-    grow, other = levels(g.adj, g.index[s.key]), levels(g.adj, g.index[t.key])
-    front, back = next(grow), next(other)
-    d = 0
-    while True:
-        if len(front) > len(back):
-            front, back, grow, other = back, front, other, grow
-        front = next(grow, None)
-        if front is None:
-            raise DisconnectedError(g.parts)
-        d += 1
-        if not front.isdisjoint(back):
-            return d
-        # swap sides, so that a tie goes to the side not just grown
-        front, back, grow, other = back, front, other, grow
+    d = meet(g.adj.__getitem__, g.index[s.key], g.index[t.key], len(g.vertices))
+    if d is None:
+        raise DisconnectedError(g.parts)
+    return d
 
 
 def diameter(g: ComponentGraph) -> tuple[int, tuple[SylvElement, SylvElement]]:

@@ -153,14 +153,14 @@ def _evaluations(n: int, total: int):
 
 
 def suite_diameter_bounds(nmax: int = 5) -> SuiteReport:
-    """Exact standard-component diameters, reported and bounded by n-1..n."""
+    """Exact standard-component diameters, reported and required to be n-1."""
     rep = SuiteReport(f"diameter-bounds(n<={nmax})")
     for n in range(2, nmax + 1):
         g = component((1,) * n, n)
         d, (a, b) = diameter(g)
         rep.lines.append(f"n={n}: diameter {d} ({word_str(a.key)} .. {word_str(b.key)})")
-        if not n - 1 <= d <= n:
-            rep.fail(f"n={n}: diameter {d} outside [{n - 1}, {n}]")
+        if d != n - 1:
+            rep.fail(f"n={n}: diameter {d}, not {n - 1}")
         _progress(f"diameter-bounds: n={n} -> {d}")
     return rep
 

@@ -355,9 +355,8 @@ def test_distance_examples():
 
 
 def test_distance_matches_bfs_distances():
-    # distance grows `levels` from both ends, and meet searches g.adj one
-    # arc at a time; one plain BFS per source gives every distance the
-    # other way
+    # distance runs meet over g's rows, and so does this test directly;
+    # one plain BFS per source gives every distance the other way
     for e in [(1,) * n for n in range(7)] + ORACLE_CLASSES:
         g = component(e, len(e))
         for s in g.vertices:
@@ -396,20 +395,22 @@ def test_meet_cap_and_disconnection():
     with pytest.raises(CapExceededError):
         meet(path, 0, 1, 1)
 
-    # two disjoint infinite binary trees: every vertex offered is new, so
-    # the (cap + 1)-th one to be stored is the last one ever offered
+    # two disjoint infinite binary trees: every vertex offered is new, and
+    # the cap is checked after each row, so the row that takes the count
+    # past it, two children at a time, is the last one ever requested
     offered = []
 
     def grow(u):
-        for child in (u + (0,), u + (1,)):
-            offered.append(child)
-            yield child
+        row = (u + (0,), u + (1,))
+        offered.extend(row)
+        return row
 
     for cap in (2, 3, 10, 57):
         offered.clear()
         with pytest.raises(CapExceededError):
             meet(grow, (0,), (1,), cap)
-        assert len(offered) == cap - 1  # the two ends, cap - 2 stored, one refused
+        # found: the two ends and every vertex offered; over cap after the last row only
+        assert cap - 1 <= len(offered) <= cap
 
     # two parts {0, 1} and {2, 3}: one side runs out, whichever it is
     def pairs(u):
@@ -418,6 +419,34 @@ def test_meet_cap_and_disconnection():
     assert meet(pairs, 0, 2, 10) is None
     assert meet(pairs, 3, 0, 10) is None
     assert meet(pairs, 0, 1, 10) == 1
+
+
+def test_meet_stops_at_the_row_that_meets():
+    # on a path 0 - 1 - ... - 9 from 7 to 2 the levels grow {6, 8}, then
+    # {1, 3}, then {5, 9}, which 5's row [4, 6] closes against {0, 4}; 9's
+    # row meets nothing and may come first, but no row comes after 5's
+    called = []
+
+    def path(u):
+        called.append(u)
+        return [v for v in (u - 1, u + 1) if 0 <= v <= 9]
+
+    assert meet(path, 7, 2, 10) == 5
+    assert called[-1] == 5
+    assert sorted(called) in ([1, 2, 3, 5, 6, 7, 8], [1, 2, 3, 5, 6, 7, 8, 9])
+
+
+def test_meet_on_keys_makes_no_call_past_the_answer():
+    # the n=8 extremal pair, searched as `sylvshift distance` searches it:
+    # finishing the level after the first touch took 492 neighbor calls
+    calls = []
+
+    def counted(key):
+        calls.append(key)
+        return neighbor_keys(key)
+
+    assert meet(counted, (1, 2, 3, 4, 5, 6, 7, 8), (7, 6, 5, 4, 3, 2, 1, 8), 1430) == 7
+    assert len(calls) < 200 and len(set(calls)) == len(calls)
 
 
 @st.composite
@@ -492,6 +521,15 @@ def test_diameter_matches_per_vertex_bfs():
         assert diameter(g) == diameter_by_bfs(g)
     one = component((3,), 1)
     assert diameter(one) == (0, (one.vertices[0], one.vertices[0]))
+
+
+def test_diameter_bounds_requires_n_minus_one(monkeypatch):
+    real = suites.diameter
+    assert suites.suite_diameter_bounds(nmax=4).passed
+    monkeypatch.setattr(suites, "diameter", lambda g: (len(g.evaluation), real(g)[1]))
+    rep = suites.suite_diameter_bounds(nmax=4)
+    assert rep.render().startswith("FAIL diameter-bounds(n<=4)")
+    assert rep.failures == [f"n={n}: diameter {n}, not {n - 1}" for n in (2, 3, 4)]
 
 
 def test_diameter_stalled_rounds_raise():
