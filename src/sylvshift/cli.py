@@ -256,6 +256,10 @@ def cmd_path(args: argparse.Namespace) -> int:
     return 0
 
 
+# The size flags of verify, by the suite parameter each sets.
+SIZE_FLAGS = {"nmax": "--n", "maxlen": "--maxlen", "rank": "-n/--rank"}
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     names = args.suites or ["all"]
     if "all" in names:
@@ -269,6 +273,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 flag = "--n" if param == "nmax" else f"--{param}"
                 raise SylvError(f"suite {name} has nothing to check at {flag} {value}; "
                                 f"it needs {flag} >= {least}")
+    read = {param for name in names for param in _params(verify_mod.SUITES[name])}
+    for param, flag in SIZE_FLAGS.items():
+        if getattr(args, param) is not None and param not in read:
+            raise SylvError(f"no suite of {', '.join(names)} reads {flag}")
     reports = [_run_suite(verify_mod.SUITES[name], args) for name in names]
     _emit("\n".join(r.render() for r in reports), args)
     return 0 if all(r.passed for r in reports) else 4
@@ -281,9 +289,13 @@ def _run_suite(suite, args: argparse.Namespace):
     the budget default to the same library constants the suites use. The
     suite's code object names its parameters, so `inspect` is not loaded.
     """
-    code = suite.__code__
-    params = code.co_varnames[:code.co_argcount]
+    params = _params(suite)
     return suite(**{k: v for k, v in vars(args).items() if k in params and v is not None})
+
+
+def _params(suite) -> tuple[str, ...]:
+    code = suite.__code__
+    return code.co_varnames[:code.co_argcount]
 
 
 def _int_at_least(low: int):

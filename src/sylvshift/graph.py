@@ -92,11 +92,11 @@ def neighbor_keys(w: Word, cap: int = MAX_READINGS) -> dict[Word, ShiftWitness]:
     in postfix order, so a complete subtree is a range of bits and F a
     bitmask; the classes of each F are memoized for the call.
 
-    Raises CapExceededError before any work when psylv(w) has more than
+    Raises CapExceededError before enumerating when psylv(w) has more than
     cap readings; the (U, class) pairs tried never outnumber readings x splits.
     """
-    check_reading_cap(w, cap)
     lab, sizes = key_sizes(w)
+    check_reading_cap(sizes, cap)
     n = len(lab)
     # first[p]: the lowest postfix index in p's subtree, which spans first[p]..p
     first = [p - l - r for p, (l, r) in enumerate(sizes)]

@@ -161,27 +161,19 @@ def induction_step(pre: tuple[Word, Sizes], target: tuple[Word, Sizes],
     """One shift extending the chain from step h to step h+1.
 
     Requires the step-h invariants on pre; pre and target are trees given
-    by `key_sizes`. x reads the complete subtree of pre at the target's
-    next postfix node u: found by search-tree descent from pre's root at
-    the last position, it is the block of l + r + 1 symbols of pre's key
-    ending at u's position, l and r u's subtree sizes in pre, and y is the
-    word around that block. Returns the witness and the sub-case of the
-    step's shape.
+    by `key_sizes`. Both are standard, so a label names one node, at its
+    position in the key. x reads the complete subtree of pre at the
+    target's next postfix node u: the block of l + r + 1 symbols of pre's
+    key ending at u's position, l and r u's subtree sizes in pre, and y is
+    the word around that block. Returns the witness and the sub-case of
+    the step's shape.
     """
     (w, sizes), (key, tsizes) = pre, target
     u = key[h]
-    p = len(w) - 1
-    left_of = None  # u's parent while u is its left child
-    while p >= 0 and w[p] != u:
-        l, r = sizes[p]
-        if u < w[p]:
-            left_of = w[p]
-            p = p - r - 1 if l else -1
-        else:
-            left_of = None
-            p = p - 1 if r else -1
-    if p < 0:
-        raise InternalError(f"step {h}: symbol {u} missing from the tree")
+    try:
+        p = w.index(u)
+    except ValueError:
+        raise InternalError(f"step {h}: symbol {u} missing from the tree") from None
     l, r = sizes[p]
     start = p - l - r
     tag = _shape(*tsizes[h])
@@ -189,7 +181,9 @@ def induction_step(pre: tuple[Word, Sizes], target: tuple[Word, Sizes],
         # sub-case a: u is the left child of the leftmost node of B_h's copy
         # at the root, which carries B_h's least label
         l, r = tsizes[h - 1]
-        tag += "a" if left_of == min(key[h - 1 - l - r:h]) else "b"
+        q = w.index(min(key[h - 1 - l - r:h]))
+        lq, rq = sizes[q]
+        tag += "a" if lq and w[q - rq - 1] == u else "b"
     return ShiftWitness(w[start:p + 1], w[:start] + w[p + 1:]), tag
 
 

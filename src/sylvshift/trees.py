@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from functools import lru_cache
-from math import comb, factorial, inf
+from math import comb, inf
 
 from .errors import CapExceededError, ParseError
 from .words import Word, parse_label
@@ -195,14 +195,16 @@ def reading_count(w: Word) -> int:
     return count
 
 
-def check_reading_cap(w: Word, cap: int) -> None:
-    """Raise CapExceededError when psylv(w) has more than cap readings. No
-    tree on n nodes has more than n! >= 2^(n - 1) readings, so nothing is
-    counted when n! <= cap, and long words skip computing n!."""
+def check_reading_cap(sizes: Sizes, cap: int) -> None:
+    """Raise CapExceededError when the tree of these `key_sizes` sizes has
+    more than cap readings, at the first factor that takes the product past cap."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    if (len(w) > cap.bit_length() or factorial(len(w)) > cap) and reading_count(w) > cap:
-        raise CapExceededError("readings", cap)
+    count = 1
+    for l, r in sizes:
+        count *= comb(l + r, l)
+        if count > cap:
+            raise CapExceededError("readings", cap)
 
 
 def readings(w: Word, cap: int = MAX_READINGS) -> set[Word]:
@@ -213,8 +215,8 @@ def readings(w: Word, cap: int = MAX_READINGS) -> set[Word]:
     Raises CapExceededError up front when the (exactly predictable) count
     exceeds cap, before enumerating anything.
     """
-    check_reading_cap(w, cap)
     key, sizes = key_sizes(w)
+    check_reading_cap(sizes, cap)
     children = [((p - r - 1,) if l else ()) + ((p - 1,) if r else ())
                 for p, (l, r) in enumerate(sizes)]
     # Readings are written right to left: a node may be written once its

@@ -343,6 +343,22 @@ def test_exit_codes(capsys):
     capsys.readouterr()
 
 
+def test_verify_refuses_a_size_flag_no_named_suite_reads(capsys):
+    for argv, flag in ((["diameter-bounds", "-n", "6"], "-n/--rank"),
+                       (["example-path", "--n", "9"], "--n"),
+                       (["path", "monoid", "--maxlen", "3", "--n", "3"], None),
+                       (["cocharge-congruence", "diameter-bounds", "--maxlen", "3"], "--maxlen")):
+        code, out, err = run(capsys, "verify", *argv)
+        if flag is None:
+            assert code == 0 and out.count("PASS") == 2
+        else:
+            assert code == 2 and out == "" and err.endswith(f" reads {flag}\n")
+    # the caps, the budget and --jobs stay optional for every suite
+    code, out, _ = run(capsys, "verify", "example-path", "--jobs", "1", "--budget", "5",
+                       "--max-readings", "9")
+    assert code == 0 and out.startswith("PASS example-path")
+
+
 def test_main_leaves_the_recursion_limit(default_recursion_limit, capsys):
     code, out, _ = run(capsys, "verify", "connectivity", "-n", "1500", "--maxlen", "0")
     assert code == 0 and out.startswith("PASS")

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import (adjacency_by_vertex, bfs_by_index, bfs_distances, diameter_by_bfs, is_bst,
                       labels, mirror_tree, multiset_words, neighbors_by_readings,
                       validates_checking_ranks)
-from sylvshift import graph
+from sylvshift import graph, trees
 from sylvshift import verify as suites
 from sylvshift.errors import CapExceededError, DisconnectedError, InternalError, RankError
 from sylvshift.graph import (
@@ -33,7 +33,8 @@ from sylvshift.graph import (
     tree_count,
 )
 from sylvshift.monoid import SylvElement, element_of, evaluation_of
-from sylvshift.trees import Node, canonical_reading, psylv, psylv_key, reading_count, readings
+from sylvshift.trees import (Node, canonical_reading, key_sizes, psylv, psylv_key, reading_count,
+                             readings)
 from sylvshift.words import Word, word_str
 
 # Evaluation classes with repeated symbols whose every tree is checked
@@ -302,6 +303,23 @@ def test_reading_cap_is_the_exact_reading_count():
             readings(s.key, cap=k - 1)
 
 
+def test_neighbors_and_readings_insert_the_word_once(monkeypatch):
+    # the reading cap reads the sizes of the one key_sizes pass
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return key_sizes(w)
+
+    monkeypatch.setattr(trees, "key_sizes", counted)
+    monkeypatch.setattr(graph, "key_sizes", counted)
+    for w in [(3, 1, 4, 1, 5, 9, 2, 6, 5), tuple(range(1, 13)), (2, 1) * 6]:
+        for listing in (neighbor_keys, readings):
+            calls.clear()
+            listing(w)
+            assert calls == [w]
+
+
 def test_component_cap_fails_before_building_trees(monkeypatch):
     def build(e):
         raise AssertionError(f"keys with evaluation {e} listed before the vertex cap check")
@@ -503,6 +521,34 @@ def test_chain_distance_lower_bound():
         up = element_of(tuple(range(1, n + 1)), n)
         down = element_of(tuple(range(n, 0, -1)), n)
         assert distance(g, up, down) >= n - 1
+
+
+def test_distance_lower_bound_suite_checks_every_pair(monkeypatch):
+    assert suites.suite_distance_lower_bound(nmax=4).lines == [
+        "225 standard pairs dominate their cocharge bound"]
+    real = suites.component
+
+    def shortcut(e, n):
+        # one extra edge joins the two chain trees
+        g = real(e, n)
+        ends = {g.index[psylv_key(range(1, n + 1))], g.index[psylv_key(range(n, 0, -1))]}
+        adj = [sorted(set(row) | ends - {i}) if i in ends else row for i, row in enumerate(g.adj)]
+        return ComponentGraph(g.rank, g.evaluation, g.vertices, adj)
+
+    monkeypatch.setattr(suites, "component", shortcut)
+    rep = suites.suite_distance_lower_bound(nmax=4)
+    assert not rep.passed
+    assert "n=3: chain distance 1 < 2" in rep.failures
+    assert "n=4: distance(1234, 4321) = 1 < bound 3" in rep.failures
+
+    def cut(e, n):
+        g = real(e, n)
+        return ComponentGraph(g.rank, g.evaluation, g.vertices, [[] for _ in g.adj])
+
+    monkeypatch.setattr(suites, "component", cut)
+    rep = suites.suite_distance_lower_bound(nmax=3)
+    assert "n=3: 213 reaches 1 of 5 trees" in rep.failures
+    assert rep.lines == ["7 standard pairs dominate their cocharge bound"]
 
 
 def test_diameter_small():
