@@ -19,6 +19,7 @@ from .errors import (
     CapExceededError,
     DisconnectedError,
     InternalError,
+    ParseError,
     SylvError,
 )
 from .graph import (
@@ -40,7 +41,7 @@ from .monoid import (
 )
 from .pathsynth import certificate_json, shift_path, transcript
 from .trees import MAX_READINGS, readings, tree_art, tree_dot, tree_str
-from .words import evaluation, is_standard, parse_word, word_str
+from .words import evaluation, is_standard, parse_label, parse_word, word_str
 
 
 def _emit(text: str, args: argparse.Namespace) -> None:
@@ -62,11 +63,20 @@ def _emit(text: str, args: argparse.Namespace) -> None:
         raise SylvError(f"cannot write {args.out}: {exc.strerror}") from exc
 
 
-def _parse_eval(text: str) -> tuple[int, ...]:
+def _decimal(text: str) -> int | None:
+    """The int that text spells as a word label does (decimal digits only,
+    no sign, space or underscore), or None when it spells none."""
     try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError as exc:
-        raise SylvError(f"bad evaluation {text!r}, expected e.g. 1,1,0") from exc
+        return parse_label(text) if text.isdecimal() else None
+    except ParseError:
+        return None
+
+
+def _parse_eval(text: str) -> tuple[int, ...]:
+    counts = tuple(map(_decimal, text.split(",")))
+    if None in counts:
+        raise SylvError(f"bad evaluation {text!r}, expected e.g. 1,1,0")
+    return counts
 
 
 def _infer_rank(args: argparse.Namespace, *ws: tuple[int, ...]) -> int:
@@ -302,11 +312,8 @@ def _int_at_least(low: int):
     """argparse type for an integer >= low; anything else exits 2 with usage."""
 
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = low - 1
-        if value < low:
+        value = _decimal(text)
+        if value is None or value < low:
             raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
         return value
 

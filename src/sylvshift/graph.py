@@ -17,6 +17,7 @@ built class's parts and all distances from one vertex.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Callable, Collection, Hashable, Iterator
 from functools import cached_property
@@ -144,13 +145,15 @@ def neighbors(s: SylvElement, cap: int = MAX_READINGS) -> dict[SylvElement, Shif
 def tree_count(e: tuple[int, ...]) -> int:
     """len(keys_with_evaluation(e)), computed without listing them.
 
-    Read in order, a tree with evaluation e is a binary tree on the sorted
-    word whose node j has no right child whenever letter j + 1 repeats
-    letter j (a right subtree holds only larger labels), and every such
-    binary tree is one. The stack build of `trees.psylv`, run in order,
-    leaves node j without a right child exactly when node j + 1 pops at
-    least one entry. So count the pop sequences by stack height:
-    O(len(word)^2) additions.
+    The trees with evaluation e are the search trees on the sorted word
+    whose equal labels go left: the trees on a span word[i:j] are p(left,
+    right) over each position p that holds the last copy of its value in
+    the span, with word[i:p] on the left and word[p + 1:j] on the right.
+    Read in order, they are the binary trees on the sorted word whose node
+    p has no right child whenever letter p + 1 repeats letter p. Built in
+    order on a stack of its open right spine, a binary tree leaves node p
+    without a right child exactly when node p + 1 pops at least one entry.
+    So count the pop sequences by stack height: O(len(word)^2) additions.
     """
     word = [v for v, c in enumerate(e) for _ in range(c)]
     ways = [1]  # ways[h]: pop sequences so far that leave h entries on the stack
@@ -161,32 +164,21 @@ def tree_count(e: tuple[int, ...]) -> int:
 
 
 def keys_with_evaluation(e: tuple[int, ...]) -> list[Word]:
-    """The key (canonical reading) of every tree with evaluation e, each once.
-
-    A multiset's trees are v(left tree, right tree) over its root values v.
-    Equal values go left, so v splits the multiset deterministically and no
-    tree arises twice. Every multiset met is a run of e's nonzero values,
-    all at full count but the last: the state (first index, last index,
-    count of the last value) names it, and None the empty multiset.
+    """The key (canonical reading) of every tree with evaluation e, each once:
+    the trees on spans of the sorted word that `tree_count` describes,
+    folded over spans (i, j), None being the empty span. The run ends come
+    from one sorted list by bisection, so a span costs one step per
+    distinct value in it.
     """
-    values = [(i + 1, c) for i, c in enumerate(e) if c > 0]
+    word = [v for v, c in enumerate(e, 1) for _ in range(c)]
+    ends = [p for p in range(len(word) - 1) if word[p] != word[p + 1]]  # each run's last copy
 
-    def parts(state):
-        a, b, last = state
-        out = []
-        for i in range(a, b + 1):
-            v, c = values[i]
-            if i == b:
-                c = last
-            if c > 1:
-                low = (a, i, c - 1)
-            else:
-                low = (a, i - 1, values[i - 1][1]) if i > a else None
-            out.append((v, low, (i + 1, b, last) if i < b else None))
-        return out
+    def parts(span):
+        i, j = span
+        return [(word[p], (i, p) if p > i else None, (p + 1, j) if p + 1 < j else None)
+                for p in ends[bisect_left(ends, i):bisect_left(ends, j - 1)] + [j - 1]]
 
-    root = (0, len(values) - 1, values[-1][1]) if values else None
-    return _fold(root, parts, {None: [()]})
+    return _fold((0, len(word)) if word else None, parts, {None: [()]})
 
 
 class ComponentGraph:

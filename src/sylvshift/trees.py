@@ -179,25 +179,23 @@ def key_sizes(w: Word) -> tuple[Word, Sizes]:
 
 
 def reading_count(w: Word) -> int:
-    """Number of readings of psylv(w), w being any one of them: each node
-    interleaves the readings of its two subtrees in C(l + r, l) ways, l and
-    r their sizes. The product over all nodes is the hook length formula
-    for the children-before-parents order.
+    """Number of readings of psylv(w), w being any one of them: the
+    product of `check_reading_cap` with no cap."""
+    return check_reading_cap(key_sizes(w)[1], inf)
 
-    Counting node orders is enough: equal labels are always
-    ancestor-comparable in a right-strict tree (their lowest common
-    ancestor would otherwise split them into <= and > sides), so distinct
-    node orders always spell distinct words.
+
+def check_reading_cap(sizes: Sizes, cap: float) -> int:
+    """Number of readings of the tree of these `key_sizes` sizes; raises
+    CapExceededError at the first factor that takes it past cap.
+
+    Each node interleaves the readings of its two subtrees in C(l + r, l)
+    ways, l and r their sizes. The product over all nodes is the hook
+    length formula for the children-before-parents order. Counting node
+    orders is enough: equal labels are always ancestor-comparable in a
+    right-strict tree (their lowest common ancestor would otherwise split
+    them into <= and > sides), so distinct node orders always spell
+    distinct words.
     """
-    count = 1
-    for l, r in key_sizes(w)[1]:
-        count *= comb(l + r, l)
-    return count
-
-
-def check_reading_cap(sizes: Sizes, cap: int) -> None:
-    """Raise CapExceededError when the tree of these `key_sizes` sizes has
-    more than cap readings, at the first factor that takes the product past cap."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
     count = 1
@@ -205,6 +203,7 @@ def check_reading_cap(sizes: Sizes, cap: int) -> None:
         count *= comb(l + r, l)
         if count > cap:
             raise CapExceededError("readings", cap)
+    return count
 
 
 def readings(w: Word, cap: int = MAX_READINGS) -> set[Word]:

@@ -343,6 +343,26 @@ def test_exit_codes(capsys):
     capsys.readouterr()
 
 
+def test_numbers_follow_the_word_label_rule(capsys):
+    # counts and integer flags are decimal digits, as word labels are:
+    # Python's signs, spaces and underscores are refused
+    code, out, err = run(capsys, "component", "--eval=1_0,+1")
+    assert code == 2 and out == ""
+    assert err == "error: bad evaluation '1_0,+1', expected e.g. 1,1,0\n"
+    code, _, err = run(capsys, "component", "--eval", " 1,1")
+    assert code == 2 and "bad evaluation" in err
+    for argv in (["verify", "diameter-bounds", "--n", "+3"],
+                 ["component", "--standard", "-n", "1_0"],
+                 ["component", "--eval", "1,1", "--max-vertices", "1_000"],
+                 ["neighbors", "132", "--max-readings", " 4"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "expected an integer >= " in capsys.readouterr().err
+    code, out, _ = run(capsys, "component", "--eval", "0,2", "--max-vertices", "1")
+    assert code == 0 and out
+
+
 def test_verify_refuses_a_size_flag_no_named_suite_reads(capsys):
     for argv, flag in ((["diameter-bounds", "-n", "6"], "-n/--rank"),
                        (["example-path", "--n", "9"], "--n"),

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (adjacency_by_vertex, bfs_by_index, bfs_distances, diameter_by_bfs, is_bst,
-                      labels, mirror_tree, multiset_words, neighbors_by_readings,
-                      validates_checking_ranks)
+from conftest import (adjacency_by_vertex, bfs_by_index, bfs_distances, diameter_by_bfs,
+                      hook_length_extensions, is_bst, labels, mirror_tree, multiset_words,
+                      neighbors_by_readings, validates_checking_ranks)
 from sylvshift import graph, trees
 from sylvshift import verify as suites
 from sylvshift.errors import CapExceededError, DisconnectedError, InternalError, RankError
@@ -160,8 +160,9 @@ def test_keys_with_evaluation_counts():
 
 
 def test_keys_with_evaluation_matches_bruteforce():
-    # the key of every distinct insertion tree of the class appears exactly once
-    for e in [(1, 1), (2, 0), (1, 1, 1), (2, 1, 0), (2, 2), (1, 0, 2), (2, 1, 1)]:
+    # the key of every distinct insertion tree of the class appears exactly
+    # once, for every evaluation of rank <= 4 and total <= 6
+    for e in (e for k in range(5) for e in itertools.product(range(7), repeat=k) if sum(e) <= 6):
         symbols = [i + 1 for i, c in enumerate(e) for _ in range(c)]
         brute = {canonical_reading(psylv(w)) for w in multiset_words(symbols)}
         built = keys_with_evaluation(e)
@@ -294,7 +295,7 @@ def test_component_validates_input():
 def test_reading_cap_is_the_exact_reading_count():
     for w in [(1, 3, 2, 5, 4), (2, 1, 2, 1, 2, 3), (3, 1, 4, 1, 5, 9, 2, 6, 5)]:
         s = element_of(w, 9)
-        k = reading_count(w)
+        k = hook_length_extensions(psylv(w))
         assert len(readings(s.key, cap=k)) == k
         assert neighbors(s, cap=k)
         with pytest.raises(CapExceededError):

@@ -1,6 +1,7 @@
 import os
 import pickle
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 import sylvshift
 from sylvshift import element_of, shift_path
+from sylvshift.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -19,6 +21,28 @@ def test_readme_library_imports_are_exported():
     assert names
     assert set(names) <= set(sylvshift.__all__)
     assert all(hasattr(sylvshift, name) for name in sylvshift.__all__)
+
+
+# README command lines whose comment is their first line of output
+README_OUTPUTS = ("tree 5451761524", "eval 5451761524 -n 7", "multiply 1 2", "cochseq 1246375",
+                  "distance -n 5 12345 54321", "diameter --standard -n 5")
+
+
+def test_readme_command_block_runs(capsys):
+    # every line of the block under "Command line" exits 0, and those in
+    # README_OUTPUTS print their comment as their first line
+    block = re.search(r"## Command line\n+```\n(.*?)```", README.read_text(), re.S).group(1)
+    runs = {}
+    for line in block.splitlines():
+        if line.startswith("sylvshift "):
+            command, _, comment = line.removeprefix("sylvshift ").partition("#")
+            runs[command.strip()] = comment.strip()
+    assert len(runs) == 13 and set(README_OUTPUTS) <= set(runs)
+    for command, comment in runs.items():
+        assert main(shlex.split(command)) == 0, command
+        out = capsys.readouterr().out
+        if command in README_OUTPUTS:
+            assert out.splitlines()[0] == comment, command
 
 
 def test_runtime_imports_only_the_standard_library():
