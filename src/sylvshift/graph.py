@@ -146,14 +146,14 @@ def tree_count(e: tuple[int, ...]) -> int:
     """len(keys_with_evaluation(e)), computed without listing them.
 
     The trees with evaluation e are the search trees on the sorted word
-    whose equal labels go left: the trees on a span word[i:j] are p(left,
-    right) over each position p that holds the last copy of its value in
-    the span, with word[i:p] on the left and word[p + 1:j] on the right.
-    Read in order, they are the binary trees on the sorted word whose node
-    p has no right child whenever letter p + 1 repeats letter p. Built in
-    order on a stack of its open right spine, a binary tree leaves node p
-    without a right child exactly when node p + 1 pops at least one entry.
-    So count the pop sequences by stack height: O(len(word)^2) additions.
+    whose equal labels go left: read in order, the binary trees on the
+    sorted word whose node p has no right child whenever letter p + 1
+    repeats letter p. Built in order on a stack of its open right spine,
+    node j pops k entries and is pushed, and node j - 1 has no right child
+    exactly when k >= 1. So the trees are the pop sequences with k >= 1
+    wherever letter j repeats letter j - 1, and a tree's pops, followed by
+    the spine left at the end, spell its key in postfix order. Count the
+    sequences by stack height: O(len(word)^2) additions.
     """
     word = [v for v, c in enumerate(e) for _ in range(c)]
     ways = [1]  # ways[h]: pop sequences so far that leave h entries on the stack
@@ -165,20 +165,35 @@ def tree_count(e: tuple[int, ...]) -> int:
 
 def keys_with_evaluation(e: tuple[int, ...]) -> list[Word]:
     """The key (canonical reading) of every tree with evaluation e, each once:
-    the trees on spans of the sorted word that `tree_count` describes,
-    folded over spans (i, j), None being the empty span. The run ends come
-    from one sorted list by bisection, so a span costs one step per
-    distinct value in it.
+    the pop sequences that `tree_count` counts, walked on an explicit stack.
+    Frames share their spine and their pops as linked (label, rest) pairs,
+    so the walk holds little beyond the keys it returns.
     """
     word = [v for v, c in enumerate(e, 1) for _ in range(c)]
-    ends = [p for p in range(len(word) - 1) if word[p] != word[p + 1]]  # each run's last copy
-
-    def parts(span):
-        i, j = span
-        return [(word[p], (i, p) if p > i else None, (p + 1, j) if p + 1 < j else None)
-                for p in ends[bisect_left(ends, i):bisect_left(ends, j - 1)] + [j - 1]]
-
-    return _fold((0, len(word)) if word else None, parts, {None: [()]})
+    out: list[Word] = []
+    stack = [(0, 0, None, None)]  # (node j, spine height, spine, pops), each newest first
+    while stack:
+        j, h, spine, pops = stack.pop()
+        if j == len(word):
+            key = []
+            while pops:
+                v, pops = pops
+                key.append(v)
+            key.reverse()
+            while spine:
+                v, spine = spine
+                key.append(v)
+            out.append(tuple(key))
+            continue
+        v = word[j]
+        repeat = j > 0 and word[j - 1] == v
+        for k in range(h + 1):  # node j pops k entries
+            if k or not repeat:
+                stack.append((j + 1, h - k + 1, (v, spine), pops))
+            if k < h:
+                top, spine = spine
+                pops = (top, pops)
+    return out
 
 
 class ComponentGraph:
@@ -322,27 +337,27 @@ def component(e: tuple[int, ...], n: int, max_vertices: int = MAX_VERTICES,
     if comb(2 * k, k) // (k + 1) > max_vertices or tree_count(e) > max_vertices:
         raise CapExceededError("component vertices", max_vertices)
     keys = sorted(keys_with_evaluation(e))
-    g = ComponentGraph(n, e, [SylvElement._make((n, key)) for key in keys],
-                       [[] for _ in keys], max_readings)
+    g = ComponentGraph(n, e, [SylvElement._make((n, key)) for key in keys], [], max_readings)
     index, adj = g.index, g.adj
-    # On distinct letters only the vertex i <= m[i] of each mirror orbit
-    # enumerates its neighbors. Nothing is appended to adj[m[i]] after the
-    # loop leaves m[i], so when it reaches i > m[i], adj[m[i]] is complete
-    # and i's neighbors are its mirror image. On repeated letters the
-    # reversal is no automorphism, and every vertex enumerates.
-    m = mirror_index(keys, index) if max(e, default=0) <= 1 else None
-    # Each lower neighbor j of i appended i to adj[i] already, in increasing
-    # j; so adj[i] stays sorted, and an asymmetric relation shows up here.
+    # On distinct letters the mirror m is an automorphism, so the vertex
+    # i <= m[i] of each orbit enumerates its neighbors and the other maps
+    # its partner's finished row. On repeated letters every vertex enumerates.
+    m = mirror_index(keys, index) if max(e, default=0) <= 1 else range(len(keys))
     for i, key in enumerate(keys):
-        if m is None or i <= m[i]:
-            js = [index[k] for k in neighbor_keys(key, max_readings)]
+        if i <= m[i]:
+            adj.append(sorted(index[k] for k in neighbor_keys(key, max_readings) if k != key))
         else:
-            js = [m[j] for j in adj[m[i]]]
-        if sorted(j for j in js if j < i) != adj[i]:
-            raise InternalError(f"shift relation not symmetric at {word_str(key)}")
-        for j in sorted(j for j in js if j > i):
-            adj[i].append(j)
-            adj[j].append(i)
+            adj.append(sorted(map(m.__getitem__, adj[m[i]])))
+    # found[i] counts the rows before i that list i while each is the next
+    # lower entry of row i; len(keys) once one is not
+    found = [0] * len(keys)
+    for i, row in enumerate(adj):
+        cut = bisect_left(row, i)
+        if found[i] != cut:
+            raise InternalError(f"shift relation not symmetric at {word_str(keys[i])}")
+        for j in row[cut:]:
+            f = found[j]
+            found[j] = f + 1 if f < len(adj[j]) and adj[j][f] == i else len(keys)
     return g
 
 
@@ -350,10 +365,12 @@ def edge_witnesses(g: ComponentGraph) -> Iterator[tuple[int, int, ShiftWitness]]
     """Every edge (i, j), i < j, in increasing order, with the witness that
     `neighbor_keys` gives from vertex i to vertex j under g's reading cap."""
     for i, s in enumerate(g.vertices):
-        wits = neighbor_keys(s.key, g.max_readings)
-        for j in g.adj[i]:
-            if j > i:
-                yield i, j, wits[g.vertices[j].key]
+        row = g.adj[i]
+        if row and row[-1] > i:  # a row that ends below i gives no edge (i, j)
+            wits = neighbor_keys(s.key, g.max_readings)
+            for j in row:
+                if j > i:
+                    yield i, j, wits[g.vertices[j].key]
 
 
 def distance(g: ComponentGraph, s: SylvElement, t: SylvElement) -> int:

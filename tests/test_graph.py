@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from bisect import bisect_right
 from functools import cache
 from math import comb
@@ -281,6 +282,27 @@ def test_component_refuses_an_asymmetric_shift_relation(monkeypatch):
         n = len(at)
         with pytest.raises(InternalError, match=f"not symmetric at {at}$"):
             component((1,) * n, n)
+    # a row also breaks it when it gains an arc its target does not return,
+    # even when another row drops an arc into that target, so that as many
+    # rows below 213 list it as 213 lists below itself
+    for added, dropped, at in [
+        (((1, 2, 3), (2, 1, 3)), None, "213"),
+        (((1, 2, 3, 4), (1, 3, 2, 4)), None, "1324"),
+        (((1, 2, 3), (2, 1, 3)), ((1, 3, 2), (2, 1, 3)), "213"),
+    ]:
+        def one_more(key, cap, added=added, dropped=dropped):
+            out = real(key, cap)
+            if key == added[0]:
+                assert added[1] not in out
+                out[added[1]] = ShiftWitness((), added[1])
+            if dropped and key == dropped[0]:
+                del out[dropped[1]]
+            return out
+
+        monkeypatch.setattr(graph, "neighbor_keys", one_more)
+        n = len(at)
+        with pytest.raises(InternalError, match=f"not symmetric at {at}$"):
+            component((1,) * n, n)
 
 
 def test_component_validates_input():
@@ -335,6 +357,10 @@ def test_catalan_bounds_tree_count():
     for e in itertools.product(range(3), repeat=4):
         k = sum(1 for c in e if c)
         assert comb(2 * k, k) // (k + 1) <= tree_count(e) == len(keys_with_evaluation(e))
+    # and the listing has exactly tree_count distinct keys, rank <= 3, total <= 12
+    for e in (e for k in range(4) for e in itertools.product(range(13), repeat=k) if sum(e) <= 12):
+        built = keys_with_evaluation(e)
+        assert tree_count(e) == len(built) == len(set(built)), e
 
 
 def test_tree_count_of_long_standard_evaluations():
@@ -347,6 +373,21 @@ def test_long_evaluations_need_no_recursion(default_recursion_limit):
         component((1,) * 1200, 1200, max_vertices=10)
     assert tree_count((1200,)) == 1
     assert tree_count((600, 600)) == 601  # T(a, b) = b + 1
+    assert keys_with_evaluation((20000,)) == [(1,) * 20000]
+
+
+def test_listing_a_class_holds_only_its_output():
+    # two long runs: the walk shares its frames' spines and pops, so it
+    # holds the 301 keys of 600 letters it returns and little else
+    tracemalloc.start()
+    try:
+        keys = keys_with_evaluation((300, 300))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(keys) == len(set(keys)) == 301
+    assert all(psylv_key(key) == key for key in keys)
+    assert peak < 20_000_000
 
 
 def test_distance_examples():
@@ -640,6 +681,14 @@ def test_edge_witnesses_oriented():
             assert wit.validates(g.vertices[i], g.vertices[j])
             edges.append((i, j))
         assert edges == sorted((i, j) for i, a in enumerate(g.adj) for j in a if i < j)
+
+
+def test_edge_witnesses_skip_vertices_without_a_higher_neighbor(monkeypatch):
+    g = component((1,) * 7, 7)
+    calls = count_neighbor_keys(monkeypatch)
+    assert sum(1 for _ in edge_witnesses(g)) == g.edge_count() == 5138
+    assert len(calls) == len(set(calls)) == 297
+    assert {g.index[key] for key in calls} == {i for i, a in enumerate(g.adj) if a and a[-1] > i}
 
 
 
