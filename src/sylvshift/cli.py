@@ -162,14 +162,14 @@ def cmd_multiply(args: argparse.Namespace) -> int:
 def cmd_neighbors(args: argparse.Namespace) -> int:
     w = parse_word(args.word)
     s = element_of(w, _infer_rank(args, w))
-    rows = sorted((word_str(key), word_str(wit.x), word_str(wit.y), tree_str(key))
+    rows = sorted((word_str(key), word_str(wit.x), word_str(wit.y), key)
                   for key, wit in neighbor_keys(s.key, args.max_readings).items())
     if args.format == "json":
         _emit(json.dumps({
             "word": args.word,
             "rank": s.rank,
             "neighbors": [
-                {"reading": r, "x": x, "y": y, "tree": t} for r, x, y, t in rows
+                {"reading": r, "x": x, "y": y, "tree": tree_str(key)} for r, x, y, key in rows
             ],
         }), args)
     elif args.format == "tsv":
@@ -425,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run exhaustive verification suites")
     p.add_argument("suites", nargs="*", help="suite names, or 'all'")
-    p.add_argument("--n", "--depth", dest="nmax", type=_int_at_least(0),
+    p.add_argument("--n", dest="nmax", type=_int_at_least(0),
                    help="suite size parameter (max n), suite-specific default")
     p.add_argument("--maxlen", type=_int_at_least(0), help="max word length where applicable")
     common(p, "rank", "max_readings", "max_vertices", "budget", "jobs", formats=None)

@@ -22,7 +22,7 @@ from collections import namedtuple
 from collections.abc import Callable, Collection, Hashable, Iterator
 from functools import cached_property
 from itertools import accumulate
-from math import comb
+from math import factorial, inf
 
 from .errors import CapExceededError, DisconnectedError, InternalError, RankError
 from .monoid import SylvElement
@@ -142,7 +142,7 @@ def neighbors(s: SylvElement, cap: int = MAX_READINGS) -> dict[SylvElement, Shif
     return {SylvElement._make((s.rank, k)): wit for k, wit in neighbor_keys(s.key, cap).items()}
 
 
-def tree_count(e: tuple[int, ...]) -> int:
+def tree_count(e: tuple[int, ...], cap: float = inf) -> int:
     """len(keys_with_evaluation(e)), computed without listing them.
 
     The trees with evaluation e are the search trees on the sorted word
@@ -154,13 +154,25 @@ def tree_count(e: tuple[int, ...]) -> int:
     wherever letter j repeats letter j - 1, and a tree's pops, followed by
     the spine left at the end, spell its key in postfix order. Count the
     sequences by stack height: O(len(word)^2) additions.
+
+    Raises CapExceededError("component vertices", cap) after the first
+    prefix of the word whose pop sequences outnumber cap. That is exact:
+    each pop sequence of a prefix extends to one of the whole word (node
+    j - 1 is on the stack for node j to pop), and distinct prefixes extend
+    to distinct sequences, so no prefix counts more than the whole word.
     """
     word = [v for v, c in enumerate(e) for _ in range(c)]
     ways = [1]  # ways[h]: pop sequences so far that leave h entries on the stack
+    count = 1  # sum(ways)
     for j, v in enumerate(word):
+        if count > cap:
+            break
         above = list(accumulate(reversed(ways)))[::-1]  # above[h] = sum(ways[h:])
         ways = [0] + (above[1:] if j and word[j - 1] == v else above)
-    return sum(ways)
+        count = sum(ways)
+    if count > cap:
+        raise CapExceededError("component vertices", cap)
+    return count
 
 
 def keys_with_evaluation(e: tuple[int, ...]) -> list[Word]:
@@ -325,18 +337,24 @@ def mirror_index(keys: list[Word], index: dict[Word, int]) -> list[int]:
 
 def component(e: tuple[int, ...], n: int, max_vertices: int = MAX_VERTICES,
               max_readings: int = MAX_READINGS) -> ComponentGraph:
-    """Build the evaluation-class graph for e over the rank-n alphabet."""
+    """Build the evaluation-class graph for e over the rank-n alphabet.
+
+    Both caps refuse before the first row is built. `tree_count` counts the
+    class against max_vertices before any key is listed; then every listed
+    key's readings are counted against max_readings, in key order. A class
+    is the set of linear extensions of its tree, so a tree of L = sum(e)
+    nodes has at most L! readings, and the count is skipped when L! is
+    within max_readings.
+    """
     if len(e) != n:
         raise RankError(f"evaluation has length {len(e)}, rank is {n}")
     if any(c < 0 for c in e):
         raise RankError(f"negative multiplicity in {e}")
-    # Hanging each symbol's extra copies as a left chain below it turns every
-    # BST shape on the k distinct symbols into its own tree with evaluation e,
-    # so Catalan(k) <= tree_count(e); that bound is cheap to compare first.
-    k = sum(1 for c in e if c)
-    if comb(2 * k, k) // (k + 1) > max_vertices or tree_count(e) > max_vertices:
-        raise CapExceededError("component vertices", max_vertices)
+    tree_count(e, max_vertices)
     keys = sorted(keys_with_evaluation(e))
+    if factorial(sum(e)) > max_readings:
+        for key in keys:
+            check_reading_cap(key_sizes(key)[1], max_readings)
     g = ComponentGraph(n, e, [SylvElement._make((n, key)) for key in keys], [], max_readings)
     index, adj = g.index, g.adj
     # On distinct letters the mirror m is an automorphism, so the vertex

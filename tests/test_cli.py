@@ -445,7 +445,7 @@ def test_out_file(tmp_path, capsys):
 
 
 def test_jobs_flag(capsys):
-    code, out, _ = run(capsys, "verify", "path", "--depth", "3", "--jobs", "2")
+    code, out, _ = run(capsys, "verify", "path", "--n", "3", "--jobs", "2")
     assert code == 0 and out.startswith("PASS")
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 import tracemalloc
 from bisect import bisect_right
 from functools import cache
@@ -353,7 +354,9 @@ def test_component_cap_fails_before_building_trees(monkeypatch):
 
 
 def test_catalan_bounds_tree_count():
-    # component compares Catalan(k), k = distinct symbols, with its cap first
+    # hanging each symbol's extra copies as a left chain below it turns every
+    # BST shape on the k distinct symbols into its own tree, so Catalan(k)
+    # bounds the count from below
     for e in itertools.product(range(3), repeat=4):
         k = sum(1 for c in e if c)
         assert comb(2 * k, k) // (k + 1) <= tree_count(e) == len(keys_with_evaluation(e))
@@ -361,6 +364,55 @@ def test_catalan_bounds_tree_count():
     for e in (e for k in range(4) for e in itertools.product(range(13), repeat=k) if sum(e) <= 12):
         built = keys_with_evaluation(e)
         assert tree_count(e) == len(built) == len(set(built)), e
+
+
+def test_tree_count_cap_is_exact():
+    # a prefix of the sorted word never has more pop sequences than the
+    # whole word, so refusing at the first prefix past the cap is exact
+    for e in (e for k in range(5) for e in itertools.product(range(9), repeat=k) if sum(e) <= 8):
+        count = tree_count(e)
+        assert tree_count(e, count) == count
+        with pytest.raises(CapExceededError, match=f"^component vertices exceeded cap of {count - 1}$"):
+            tree_count(e, count - 1)
+
+
+def test_component_vertex_cap_refuses_at_a_short_prefix():
+    # Catalan numbers pass 20000 at eleven letters, so the count stops there
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError, match="^component vertices exceeded cap of 20000$"):
+        component((1,) * 20000, 20000, 20000)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_component_reading_cap_refuses_before_the_first_row(monkeypatch):
+    # all but the first two of the 1001 trees of two runs of 1000 have more
+    # readings than the default cap; the keys are counted before any row
+    def row(w, cap):
+        raise AssertionError("a row was enumerated before the reading cap check")
+
+    monkeypatch.setattr(graph, "neighbor_keys", row)
+    with pytest.raises(CapExceededError, match="^readings exceeded cap of 100000$"):
+        component((1000, 1000), 2)
+
+
+def test_component_counts_no_readings_within_the_factorial_bound(monkeypatch):
+    # 7! = 5040 readings at most, within the default cap, so the standard
+    # n=7 build inserts only the keys of its rows: one per mirror orbit,
+    # (429 + 5 symmetric trees) / 2
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return key_sizes(w)
+
+    monkeypatch.setattr(trees, "key_sizes", counted)
+    monkeypatch.setattr(graph, "key_sizes", counted)
+    component((1,) * 7, 7)
+    assert len(calls) == 217
+    # past the bound every key is counted first, in key order
+    calls.clear()
+    g = component((1,) * 4, 4, max_readings=23)
+    assert calls[:14] == [v.key for v in g.vertices]
 
 
 def test_tree_count_of_long_standard_evaluations():
