@@ -213,19 +213,17 @@ class ComponentGraph:
 
     Vertices are sorted by key, index maps each key to its vertex, and
     adj[i] lists i's neighbors in increasing order; self-loops are dropped.
-    Edges carry no witness: `edge_witnesses` recomputes them from the
-    vertices under max_readings, the reading cap the graph was built with.
+    Edges carry no witness, and the graph no cap: `edge_witnesses` recomputes
+    the witnesses from vertices that all passed `component`'s reading cap.
     """
 
     def __init__(self, rank: int, evaluation: tuple[int, ...],
-                 vertices: list[SylvElement], adj: list[list[int]],
-                 max_readings: int = MAX_READINGS):
+                 vertices: list[SylvElement], adj: list[list[int]]):
         self.rank = rank
         self.evaluation = evaluation
         self.vertices = vertices
         self.index = {v.key: i for i, v in enumerate(vertices)}
         self.adj = adj
-        self.max_readings = max_readings
 
     @property
     def connected(self) -> bool:
@@ -340,11 +338,11 @@ def component(e: tuple[int, ...], n: int, max_vertices: int = MAX_VERTICES,
     """Build the evaluation-class graph for e over the rank-n alphabet.
 
     Both caps refuse before the first row is built. `tree_count` counts the
-    class against max_vertices before any key is listed; then every listed
-    key's readings are counted against max_readings, in key order. A class
-    is the set of linear extensions of its tree, so a tree of L = sum(e)
-    nodes has at most L! readings, and the count is skipped when L! is
-    within max_readings.
+    class against max_vertices before any key is listed. A tree of L = sum(e)
+    nodes has at most L! readings (a class is the set of linear extensions of
+    its tree); past that bound each mirror orbit's first key has its readings
+    counted against max_readings, in key order, as a mirror image has the
+    same hook product. The rows then run uncapped.
     """
     if len(e) != n:
         raise RankError(f"evaluation has length {len(e)}, rank is {n}")
@@ -352,18 +350,20 @@ def component(e: tuple[int, ...], n: int, max_vertices: int = MAX_VERTICES,
         raise RankError(f"negative multiplicity in {e}")
     tree_count(e, max_vertices)
     keys = sorted(keys_with_evaluation(e))
-    if factorial(sum(e)) > max_readings:
-        for key in keys:
-            check_reading_cap(key_sizes(key)[1], max_readings)
-    g = ComponentGraph(n, e, [SylvElement._make((n, key)) for key in keys], [], max_readings)
+    g = ComponentGraph(n, e, [SylvElement._make((n, key)) for key in keys], [])
     index, adj = g.index, g.adj
     # On distinct letters the mirror m is an automorphism, so the vertex
     # i <= m[i] of each orbit enumerates its neighbors and the other maps
     # its partner's finished row. On repeated letters every vertex enumerates.
     m = mirror_index(keys, index) if max(e, default=0) <= 1 else range(len(keys))
+    # whether L! > max_readings, stopping at the first k! past it
+    if any(factorial(k) > max_readings for k in range(sum(e) + 1)):
+        for i, key in enumerate(keys):
+            if i <= m[i]:
+                check_reading_cap(key_sizes(key)[1], max_readings)
     for i, key in enumerate(keys):
         if i <= m[i]:
-            adj.append(sorted(index[k] for k in neighbor_keys(key, max_readings) if k != key))
+            adj.append(sorted(index[k] for k in neighbor_keys(key, inf) if k != key))
         else:
             adj.append(sorted(map(m.__getitem__, adj[m[i]])))
     # found[i] counts the rows before i that list i while each is the next
@@ -381,11 +381,11 @@ def component(e: tuple[int, ...], n: int, max_vertices: int = MAX_VERTICES,
 
 def edge_witnesses(g: ComponentGraph) -> Iterator[tuple[int, int, ShiftWitness]]:
     """Every edge (i, j), i < j, in increasing order, with the witness that
-    `neighbor_keys` gives from vertex i to vertex j under g's reading cap."""
+    `neighbor_keys(key, inf)` gives from vertex i to vertex j."""
     for i, s in enumerate(g.vertices):
         row = g.adj[i]
         if row and row[-1] > i:  # a row that ends below i gives no edge (i, j)
-            wits = neighbor_keys(s.key, g.max_readings)
+            wits = neighbor_keys(s.key, inf)
             for j in row:
                 if j > i:
                     yield i, j, wits[g.vertices[j].key]

@@ -254,6 +254,17 @@ def test_mirror_is_an_involutive_automorphism():
             assert sorted(m[j] for j in adj[i]) == adj[m[i]]
 
 
+def test_mirror_partners_have_equal_reading_counts():
+    # the mirror swaps the two subtree sizes at every node, which leaves each
+    # factor C(l + r, l) of the hook product as it is, so `component` counts
+    # the readings of one tree per orbit
+    for n in range(9):
+        keys = sorted(keys_with_evaluation((1,) * n))
+        m = mirror_index(keys, {key: i for i, key in enumerate(keys)})
+        for i, key in enumerate(keys):
+            assert reading_count(keys[m[i]]) == reading_count(key), key
+
+
 def test_a_mirror_that_is_no_involution_is_refused(monkeypatch):
     # why component keeps the per-vertex build on repeated letters: on
     # (2, 2) the reversal maps the class onto itself, but is no involution
@@ -409,10 +420,24 @@ def test_component_counts_no_readings_within_the_factorial_bound(monkeypatch):
     monkeypatch.setattr(graph, "key_sizes", counted)
     component((1,) * 7, 7)
     assert len(calls) == 217
-    # past the bound every key is counted first, in key order
+    # past the bound each orbit's first key is counted, in key order, and
+    # then inserted once more for its row: 7 + 7 of the 14 trees at n=4
     calls.clear()
     g = component((1,) * 4, 4, max_readings=23)
-    assert calls[:14] == [v.key for v in g.vertices]
+    m = mirror_index([v.key for v in g.vertices], g.index)
+    firsts = [v.key for i, v in enumerate(g.vertices) if i <= m[i]]
+    assert calls == firsts + firsts
+
+
+def test_component_compares_the_factorial_bound_without_computing_it(monkeypatch):
+    # 9! passes the default cap, so no larger factorial is asked for; the
+    # second of the two trees has 100001 readings
+    asked = []
+    real = graph.factorial
+    monkeypatch.setattr(graph, "factorial", lambda k: asked.append(k) or real(k))
+    with pytest.raises(CapExceededError, match="^readings exceeded cap of 100000$"):
+        component((100001, 1), 2)
+    assert max(asked) == 9
 
 
 def test_tree_count_of_long_standard_evaluations():
@@ -725,8 +750,10 @@ def test_diameter_disconnected_reports_parts():
 
 
 def test_edge_witnesses_oriented():
-    for e in [(1, 1, 1), (2, 1, 2, 1, 2)]:
-        g = component(e, len(e))
+    # a graph holds no reading cap, so one built under a tight cap gives
+    # its witnesses as any other does
+    for e, cap in [((1, 1, 1), 100000), ((2, 1, 2, 1, 2), 100000), ((1,) * 4, 23)]:
+        g = component(e, len(e), max_readings=cap)
         edges = []
         for i, j, wit in edge_witnesses(g):
             assert i < j
