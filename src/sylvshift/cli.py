@@ -31,6 +31,7 @@ from .graph import (
     graph_dot,
     meet,
     neighbor_keys,
+    neighbor_set,
 )
 from .monoid import (
     DEFAULT_REWRITE_BUDGET,
@@ -223,7 +224,7 @@ def cmd_distance(args: argparse.Namespace) -> int:
         raise SylvError("words have different evaluations, so no path exists")
     # Searched from both words over keys, so only the two balls around
     # them are ever enumerated, never the whole class.
-    d = meet(lambda key: neighbor_keys(key, args.max_readings), s.key, t.key, args.max_vertices)
+    d = meet(lambda key: neighbor_set(key, args.max_readings), s.key, t.key, args.max_vertices)
     if d is None:
         raise DisconnectedError([[word_str(s.key)], [word_str(t.key)]])
     if args.format == "json":

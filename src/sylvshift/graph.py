@@ -1,18 +1,13 @@
 """Cyclic shift graphs restricted to one evaluation class.
 
-Two elements are adjacent when one factors as x*y and the other as y*x.
-Over words: split a reading of s as xy and insert yx. The nodes that y
-reads are closed upwards (the root and some of its descendants, or
-nothing), and x is a linear extension of the forest left below them. The
-relation is a congruence, so `neighbor_keys` takes each such y once and
-each sylvester class of x once, not every reading at every split, and
-reads the neighbor's key without building its tree. The components are
-exactly the evaluation classes, as the paper proves and `verify
-connectivity` checks on small ones, so each can be searched exhaustively.
-`meet` is the one search from both ends: `distance` runs it over a built
-class's rows, and `sylvshift distance` over keys without building the
-class. `levels`, a BFS that grows whole levels by set unions, gives a
-built class's parts and all distances from one vertex.
+Two elements are adjacent when one factors as x*y and the other as y*x:
+split a reading of s as xy and insert yx. `neighbor_set` takes each split
+once per set of nodes that y reads and per sylvester class of x, and
+splices the neighbor's key from their letters. The components are the
+evaluation classes, as the paper proves and `verify connectivity` checks
+on small ones, so each is searched exhaustively. `meet` is the one search
+from both ends, over a built class's rows or over keys; `levels`, a BFS by
+set unions, gives a built class's parts and all distances from one vertex.
 """
 
 from __future__ import annotations
@@ -48,92 +43,104 @@ class ShiftWitness(namedtuple("ShiftWitness", "x y")):
                 and psylv_key(y + x) == target.key)
 
 
-def _fold(state, parts, memo: dict) -> list[Word]:
-    """The canonical readings of the trees of a state that splits into
-    (label, left state, right state) parts; v(left, right) reads as the
-    left reading, the right reading, then v.
-
-    memo maps every state folded so far to its readings; the caller seeds
-    it with the empty state's [()]. An explicit stack stands in for
-    recursion, so states nest to any depth.
-    """
-    pending: dict = {}
-    stack = [state]
+def _fold(forest: int, memo: dict, lab: Word, first: list, at_most: dict) -> list:
+    """The canonical reading and slots of each class of the linear
+    extensions of a forest of complete subtrees, a bitmask of postfix
+    positions in the tree that lab labels (first[p]: the lowest in p's
+    subtree; at_most[v]: the nodes labelled <= v). Complete subtrees have
+    disjoint label ranges, so the classes are the distinct trees v(low
+    class, high class) for each root labelled v, low and high being the
+    rest at labels <= v and > v, read as low's reading, high's, then v.
+    Slots say, per gap between distinct labels, where the letters falling
+    there read: low's, less the last when low holds v (ties go left), then
+    high's past low's. memo holds every forest folded so far, seeded with
+    the empty one's [((), (0,))]; a stack stands in for recursion."""
+    pending: dict[int, list[tuple[int, int, int]]] = {}
+    stack = [forest]
     while stack:
         top = stack[-1]
         if top in memo:
             stack.pop()
             continue
         if top not in pending:
-            pending[top] = ps = parts(top)
-            todo = [sub for _, left, right in ps for sub in (left, right) if sub not in memo]
+            pending[top] = ps = []
+            rest = top
+            while rest:
+                r = rest.bit_length() - 1  # the highest node left is a root
+                rest &= (1 << first[r]) - 1
+                below = top ^ 1 << r
+                low = below & at_most[lab[r]]
+                ps.append((lab[r], low, below ^ low))
+            todo = [sub for _, low, high in ps for sub in (low, high) if sub not in memo]
             if todo:
                 stack.extend(todo)
                 continue
         stack.pop()
-        memo[top] = [kl + kr + (v,) for v, left, right in pending.pop(top)
-                     for kl in memo[left] for kr in memo[right]]
-    return memo[state]
+        memo[top] = [(kl + kh + (v,),
+                      (sl[:-1] if v in kl else sl) + tuple([len(kl) + s for s in sh]))
+                     for v, low, high in pending.pop(top)
+                     for kl, sl in memo[low] for kh, sh in memo[high]]
+    return memo[forest]
 
 
-def neighbor_keys(w: Word, cap: int = MAX_READINGS) -> dict[Word, ShiftWitness]:
-    """The key of every tree one cyclic shift away from psylv(w), w any of
-    its readings (that tree included), with one witness each.
-
-    A split xy of a reading puts an up-closed set U of nodes in y and
-    the forest F of complete subtrees below U in x. The relation is a
-    congruence, so the neighbor psylv(yx) depends only on U and the class
-    of x among the linear extensions of F. A class's last letter is the
-    label v of some root r of F; the rest of F splits into its labels <= v
-    and > v. Two disjoint complete subtrees of a tree have disjoint label
-    ranges, so each other tree of F falls wholly on one side, as do r's
-    two subtrees, and no order ties the sides together. The classes of F
-    are therefore the trees r(left class, right class), all distinct, and
-    the canonical reading of each is itself an x for it. Nodes are numbered
-    in postfix order, so a complete subtree is a range of bits and F a
-    bitmask; the classes of each F are memoized for the call.
-
-    Raises CapExceededError before enumerating when psylv(w) has more than
-    cap readings; the (U, class) pairs tried never outnumber readings x splits.
+def _shifts(w: Word, cap: float) -> Iterator[tuple[Word, Word, Word]]:
+    """(psylv(yx)'s key, x, y) for one reading xy of psylv(w) per (U, class)
+    pair, always in the same order; w is any reading of the tree. A split
+    xy of a reading puts an up-closed set U of nodes in y and the forest F
+    of complete subtrees below U in x. The relation is a congruence, so
+    psylv(yx) depends only on U and the class of x among F's linear
+    extensions (`_fold`, memoized for the call), read canonically. Inserting
+    yx builds x's tree, then each letter of y falls into the gap of x's
+    labels that holds it. U read in postfix order is a key, and so is its
+    part in a gap, a label interval, so yx's key is x with each gap's
+    letters at its slot. Raises CapExceededError before enumerating when
+    psylv(w) has more than cap readings; the (U, class) pairs tried never
+    outnumber readings x splits.
     """
     lab, sizes = key_sizes(w)
     check_reading_cap(sizes, cap)
-    n = len(lab)
     # first[p]: the lowest postfix index in p's subtree, which spans first[p]..p
     first = [p - l - r for p, (l, r) in enumerate(sizes)]
-    at_most: dict[int, int] = {}  # label v -> bitmask of the nodes labelled <= v
-    mask = 0
-    for p in sorted(range(n), key=lab.__getitem__):
-        mask |= 1 << p
-        at_most[lab[p]] = mask
-
-    def parts(forest: int):
-        out = []
-        rest = forest
-        while rest:
-            r = rest.bit_length() - 1  # the highest node left is a root
-            rest &= (1 << first[r]) - 1
-            below = forest & ~(1 << r)
-            low = below & at_most[lab[r]]
-            out.append((lab[r], low, below ^ low))
-        return out
-
-    classes: dict[int, list[Word]] = {0: [()]}
-    out: dict[Word, ShiftWitness] = {}
+    # a bit per distinct label: smaller[v] below v, labels[p] in p's subtree
+    smaller = {v: (1 << i) - 1 for i, v in enumerate(sorted(set(lab)))}
+    labels: list[int] = []
+    for p, (l, r) in enumerate(sizes):
+        labels.append(smaller[lab[p]] + 1 | (r and labels[p - 1]) | (l and labels[p - r - 1]))
+    order = sorted(range(len(lab)), key=lab.__getitem__)  # at_most[v]: the nodes labelled <= v
+    at_most = dict(zip(map(lab.__getitem__, order), accumulate(map((1).__lshift__, order))))
+    classes: dict[int, list[tuple[Word, Word]]] = {0: [((), (0,))]}
     # Closure walk down the postfix order: a node whose parent is in U
-    # either joins U or gives F its whole subtree, a range of bits.
-    stack = [(n - 1, 0)]  # (next node, F so far)
+    # either joins U or gives F its whole subtree, a range of postfix bits.
+    stack = [(len(lab) - 1, 0, 0, ())]  # (next node, F, F's labels, U's letters)
     while stack:
-        p, forest = stack.pop()
+        p, forest, present, y = stack.pop()
         if p >= 0:
-            stack.append((p - 1, forest))
-            stack.append((first[p] - 1, forest | (1 << p + 1) - (1 << first[p])))
+            stack.append((p - 1, forest, present, (lab[p],) + y))
+            stack.append((first[p] - 1, forest | (1 << p + 1) - (1 << first[p]),
+                          present | labels[p], y))
             continue
-        y = tuple(lab[q] for q in range(n) if not forest >> q & 1)
-        for x in _fold(forest, parts, classes):
-            key = psylv_key(y + x)
-            if key not in out:
-                out[key] = ShiftWitness(x, y)
+        gaps: dict[int, list[int]] = {}  # the letters of each gap, by its number
+        for v in y:
+            gaps.setdefault((present & smaller[v]).bit_count(), []).append(v)
+        cuts = sorted(gaps.items(), reverse=True)
+        for x, slots in classes.get(forest) or _fold(forest, classes, lab, first, at_most):
+            key = list(x)
+            for gap, letters in cuts:  # from the last gap, so that no slot moves
+                key[slots[gap]:slots[gap]] = letters
+            yield tuple(key), x, y
+
+
+def neighbor_set(w: Word, cap: float = MAX_READINGS) -> set[Word]:
+    """The key of every tree one cyclic shift away from psylv(w) (itself included)."""
+    return {key for key, _, _ in _shifts(w, cap)}
+
+
+def neighbor_keys(w: Word, cap: float = MAX_READINGS) -> dict[Word, ShiftWitness]:
+    """Each key of `neighbor_set(w, cap)` with the first witness `_shifts` gives for it."""
+    out: dict[Word, ShiftWitness] = {}
+    for key, x, y in _shifts(w, cap):
+        if key not in out:
+            out[key] = ShiftWitness(x, y)
     return out
 
 
@@ -363,7 +370,7 @@ def component(e: tuple[int, ...], n: int, max_vertices: int = MAX_VERTICES,
                 check_reading_cap(key_sizes(key)[1], max_readings)
     for i, key in enumerate(keys):
         if i <= m[i]:
-            adj.append(sorted(index[k] for k in neighbor_keys(key, inf) if k != key))
+            adj.append(sorted(index[k] for k in neighbor_set(key, inf) if k != key))
         else:
             adj.append(sorted(map(m.__getitem__, adj[m[i]])))
     # found[i] counts the rows before i that list i while each is the next

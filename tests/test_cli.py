@@ -254,7 +254,7 @@ def test_distance_searches_without_the_class(monkeypatch, capsys):
 
     # a neighbor function that leaves each element alone: the two words
     # lie in different parts, exit 2
-    monkeypatch.setattr(cli, "neighbor_keys", lambda key, cap: {key: None})
+    monkeypatch.setattr(cli, "neighbor_set", lambda key, cap: {key})
     code, out, err = run(capsys, "distance", "12", "21")
     assert code == 2 and out == ""
     assert err.startswith("error: graph is disconnected (2 parts)")

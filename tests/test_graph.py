@@ -1,10 +1,14 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 from bisect import bisect_right
 from functools import cache
 from math import comb
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -31,12 +35,13 @@ from sylvshift.graph import (
     meet,
     mirror_index,
     neighbor_keys,
+    neighbor_set,
     neighbors,
     tree_count,
 )
 from sylvshift.monoid import SylvElement, element_of, evaluation_of
-from sylvshift.trees import (Node, canonical_reading, key_sizes, psylv, psylv_key, reading_count,
-                             readings)
+from sylvshift.trees import (MAX_READINGS, Node, canonical_reading, key_sizes, psylv, psylv_key,
+                             reading_count, readings)
 from sylvshift.words import Word, word_str
 
 # Evaluation classes with repeated symbols whose every tree is checked
@@ -114,18 +119,65 @@ def check_against_oracle(s):
         assert wit.validates(s, t)
 
 
-def test_neighbors_match_readings_oracle(monkeypatch):
-    tried = []
-    monkeypatch.setattr(graph, "psylv_key", lambda w: tried.append(w) or psylv_key(w))
+def test_neighbors_match_readings_oracle():
     cases = [(n, key) for n in range(8) for key in suites.standard_keys(n)]
     cases += [(len(e), key) for e in ORACLE_CLASSES for key in keys_with_evaluation(e)]
     for n, key in cases:
         s = SylvElement(n, key)
-        tried.clear()
-        graph.neighbor_keys(key)
-        # each word tried is yx for a distinct reading xy of s and split
-        assert 0 < len(tried) <= reading_count(key) * (len(key) + 1)
+        # each candidate tried is yx for a distinct reading xy of s and split
+        tried = sum(1 for _ in graph._shifts(key, MAX_READINGS))
+        assert 0 < tried <= reading_count(key) * (len(key) + 1)
         check_against_oracle(s)
+        assert set(neighbor_set(key)) == set(neighbor_keys(key))
+
+
+def test_spliced_keys_match_insertion():
+    # every (U, class) candidate's spliced key is the key that inserting yx
+    # gives, over every evaluation of rank <= 4 and total <= 7, the oracle
+    # and gapped classes, and the standard classes with n <= 8
+    evaluations = [e for k in range(5) for e in itertools.product(range(8), repeat=k)
+                   if sum(e) <= 7]
+    evaluations += ORACLE_CLASSES + [e for e, _ in GAPPED_CLASSES] + [(1,) * n for n in range(9)]
+    tried = 0
+    for e in evaluations:
+        for key in keys_with_evaluation(e):
+            for spliced, x, y in graph._shifts(key, MAX_READINGS):
+                assert spliced == psylv_key(y + x), (key, x, y)
+                tried += 1
+    assert tried > 150_000
+
+
+def test_component_inserts_only_for_the_mirror(monkeypatch):
+    # the rows splice their keys; `mirror_index` inserts each key's mirror
+    # image once on distinct letters, and repeated letters insert nothing
+    calls = []
+    monkeypatch.setattr(graph, "psylv_key", lambda w: calls.append(w) or psylv_key(w))
+    classes = [((1,) * n, n) for n in range(8)] + GAPPED_CLASSES
+    for e, n in classes + [(e, len(e)) for e in ORACLE_CLASSES]:
+        calls.clear()
+        g = component(e, n)
+        assert len(calls) == (len(g.vertices) if max(e, default=0) <= 1 else 0), e
+
+
+def test_long_runs_of_one_letter_stay_lean():
+    # A run folds as a chain: each of its prefixes keeps one reading and one
+    # slot on each side, as equal labels leave no gap between them. Inserting
+    # every candidate instead, this command took 4.3 s at 71 MB peak RSS
+    # (2 vCPUs, Python 3.11). A small process starts the command and reads
+    # its peak: a child keeps the peak RSS of the process it was forked from.
+    code = ("import resource, subprocess, sys, time\n"
+            "start = time.perf_counter()\n"
+            "out = subprocess.run([sys.executable, '-m', 'sylvshift', 'component', '--eval',\n"
+            "                      '2000,1'], capture_output=True, text=True, check=True).stdout\n"
+            "peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+            "print(out + str(time.perf_counter() - start), peak)")
+    src = str(Path(graph.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         timeout=60, env={**os.environ, "PYTHONPATH": src})
+    text, numbers = run.stdout.rstrip("\n").split("\n")
+    seconds, peak_kb = numbers.split()
+    assert text == "evaluation 2000,1 at rank 2: 2 vertices, 1 edges, connected"
+    assert float(seconds) < 4.3 and int(peak_kb) < 71 * 1024, (seconds, peak_kb)
 
 
 @settings(max_examples=60, deadline=None)
@@ -219,15 +271,17 @@ def test_component_matches_the_per_vertex_build():
         assert component(e, n).adj == adjacency_by_vertex(e), e
 
 
-def count_neighbor_keys(monkeypatch) -> list[Word]:
+def count_calls(monkeypatch, name: str) -> list[Word]:
+    """The words that each call of graph's function name gets, in order."""
     calls = []
-    real = graph.neighbor_keys
-    monkeypatch.setattr(graph, "neighbor_keys", lambda w, cap: calls.append(w) or real(w, cap))
+    real = getattr(graph, name)
+    monkeypatch.setattr(graph, name, lambda w, cap: calls.append(w) or real(w, cap))
     return calls
 
 
 def test_neighbor_keys_runs_once_per_mirror_orbit(monkeypatch):
-    calls = count_neighbor_keys(monkeypatch)
+    # the build's rows are keys only: `neighbor_set`, with no witness
+    calls = count_calls(monkeypatch, "neighbor_set")
     for n, orbits in [(5, 22), (7, 217), (8, 715)]:
         calls.clear()
         g = component((1,) * n, n)
@@ -280,7 +334,7 @@ def test_component_refuses_an_asymmetric_shift_relation(monkeypatch):
     # An asymmetry between mirror partners i and m(i) cannot show up here:
     # the list of m(i) is derived from that of i. The per-vertex build
     # covers those pairs in test_mirror_is_an_involutive_automorphism.
-    real = graph.neighbor_keys
+    real = graph.neighbor_set
     for dropped, at in [
         # 123 loses its neighbor 231, whose list is derived from 213's
         (((1, 2, 3), (2, 3, 1)), "231"),
@@ -288,9 +342,9 @@ def test_component_refuses_an_asymmetric_shift_relation(monkeypatch):
         (((2, 1, 4, 3, 5), (1, 3, 5, 4, 2)), "21435"),
     ]:
         def one_way(key, cap, dropped=dropped):
-            return {k: w for k, w in real(key, cap).items() if (key, k) != dropped}
+            return {k for k in real(key, cap) if (key, k) != dropped}
 
-        monkeypatch.setattr(graph, "neighbor_keys", one_way)
+        monkeypatch.setattr(graph, "neighbor_set", one_way)
         n = len(at)
         with pytest.raises(InternalError, match=f"not symmetric at {at}$"):
             component((1,) * n, n)
@@ -306,12 +360,12 @@ def test_component_refuses_an_asymmetric_shift_relation(monkeypatch):
             out = real(key, cap)
             if key == added[0]:
                 assert added[1] not in out
-                out[added[1]] = ShiftWitness((), added[1])
+                out.add(added[1])
             if dropped and key == dropped[0]:
-                del out[dropped[1]]
+                out.remove(dropped[1])
             return out
 
-        monkeypatch.setattr(graph, "neighbor_keys", one_more)
+        monkeypatch.setattr(graph, "neighbor_set", one_more)
         n = len(at)
         with pytest.raises(InternalError, match=f"not symmetric at {at}$"):
             component((1,) * n, n)
@@ -401,7 +455,7 @@ def test_component_reading_cap_refuses_before_the_first_row(monkeypatch):
     def row(w, cap):
         raise AssertionError("a row was enumerated before the reading cap check")
 
-    monkeypatch.setattr(graph, "neighbor_keys", row)
+    monkeypatch.setattr(graph, "neighbor_set", row)
     with pytest.raises(CapExceededError, match="^readings exceeded cap of 100000$"):
         component((1000, 1000), 2)
 
@@ -764,7 +818,7 @@ def test_edge_witnesses_oriented():
 
 def test_edge_witnesses_skip_vertices_without_a_higher_neighbor(monkeypatch):
     g = component((1,) * 7, 7)
-    calls = count_neighbor_keys(monkeypatch)
+    calls = count_calls(monkeypatch, "neighbor_keys")
     assert sum(1 for _ in edge_witnesses(g)) == g.edge_count() == 5138
     assert len(calls) == len(set(calls)) == 297
     assert {g.index[key] for key in calls} == {i for i, a in enumerate(g.adj) if a and a[-1] > i}
