@@ -144,11 +144,6 @@ def neighbor_keys(w: Word, cap: float = MAX_READINGS) -> dict[Word, ShiftWitness
     return out
 
 
-def neighbors(s: SylvElement, cap: int = MAX_READINGS) -> dict[SylvElement, ShiftWitness]:
-    """Every element one cyclic shift away from s (s itself included), with one witness each."""
-    return {SylvElement._make((s.rank, k)): wit for k, wit in neighbor_keys(s.key, cap).items()}
-
-
 def tree_count(e: tuple[int, ...], cap: float = inf) -> int:
     """len(keys_with_evaluation(e)), computed without listing them.
 

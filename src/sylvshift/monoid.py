@@ -34,13 +34,6 @@ class SylvElement(namedtuple("SylvElement", "rank key")):
         check_rank(key, rank)
         return tuple.__new__(cls, (rank, psylv_key(key)))
 
-    @classmethod
-    def of_key(cls, rank: int, key: Word) -> "SylvElement":
-        """The element whose canonical reading is key: the rank is checked and
-        key stored as given, so it must be psylv_key of some word."""
-        check_rank(key, rank)
-        return tuple.__new__(cls, (rank, key))
-
     @property
     def tree(self) -> Bst:
         """The element's tree, built from the key on each read."""
@@ -70,10 +63,6 @@ def multiply(s: SylvElement, t: SylvElement) -> SylvElement:
     if s.rank != t.rank:
         raise RankError(f"rank mismatch: {s.rank} vs {t.rank}")
     return SylvElement._make((s.rank, psylv_key(s.key + t.key)))
-
-
-def evaluation_of(s: SylvElement) -> tuple[int, ...]:
-    return evaluation(s.key, s.rank)
 
 
 def single_rewrites(w: Word) -> set[Word]:

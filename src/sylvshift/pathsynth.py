@@ -256,14 +256,16 @@ def certificate_json(cert: PathCertificate) -> str:
 
 
 def certificate_from_obj(obj: dict) -> PathCertificate:
-    """Inverse of certificate_obj; each distinct tree text is parsed once."""
+    """Inverse of certificate_obj. Each distinct tree text is parsed once,
+    and SylvElement checks its rank and re-inserts its key, which
+    psylv_key's cache also does once per tree."""
     rank = obj["rank"]
     parse = cache(parse_tree)
     steps = tuple(
         PathStep(
-            SylvElement.of_key(rank, parse(s["pre"])),
+            SylvElement(rank, parse(s["pre"])),
             ShiftWitness(parse_word(s["x"]), parse_word(s["y"])),
-            SylvElement.of_key(rank, parse(s["post"])),
+            SylvElement(rank, parse(s["post"])),
             s["case"],
         )
         for s in obj["steps"]

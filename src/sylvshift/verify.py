@@ -14,7 +14,7 @@ from contextlib import nullcontext
 
 from .cocharge import cochseq_gap, cochseq_word
 from .graph import (MAX_VERTICES, component, diameter, keys_with_evaluation, levels,
-                    neighbor_keys)
+                    neighbor_set)
 from .monoid import DEFAULT_REWRITE_BUDGET, SylvElement, element_of, multiply, rewrite_class
 from .pathsynth import CASE_TAGS, shift_path
 from .trees import MAX_READINGS, psylv_key, readings, tree_str
@@ -269,8 +269,8 @@ def suite_induced(nmax: int = 4) -> SuiteReport:
     for m in range(1, nmax):
         for n in range(m + 1, nmax + 1):
             for key in standard_keys(m):
-                low = {tuple(a + n - m for a in k) for k in neighbor_keys(key)}
-                high = set(neighbor_keys(tuple(a + n - m for a in key)))
+                low = {tuple(a + n - m for a in k) for k in neighbor_set(key)}
+                high = neighbor_set(tuple(a + n - m for a in key))
                 if low != high:
                     rep.fail(f"tree {tree_str(key)}: ranks {m} and {n} disagree")
                 checked += 1

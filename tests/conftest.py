@@ -263,7 +263,7 @@ def neighbors_by_readings(s: SylvElement) -> dict[SylvElement, ShiftWitness]:
     out: dict[SylvElement, ShiftWitness] = {}
     for w in sorted(node_readings(s.tree)):
         for k in range(len(w) + 1):
-            t = SylvElement.of_key(s.rank, canonical_reading(psylv(w[k:] + w[:k])))
+            t = SylvElement(s.rank, canonical_reading(psylv(w[k:] + w[:k])))
             if t not in out:
                 out[t] = ShiftWitness(w[:k], w[k:])
     return out

@@ -36,13 +36,12 @@ from sylvshift.graph import (
     mirror_index,
     neighbor_keys,
     neighbor_set,
-    neighbors,
     tree_count,
 )
-from sylvshift.monoid import SylvElement, element_of, evaluation_of
+from sylvshift.monoid import SylvElement, element_of
 from sylvshift.trees import (MAX_READINGS, Node, canonical_reading, key_sizes, psylv, psylv_key,
                              reading_count, readings)
-from sylvshift.words import Word, word_str
+from sylvshift.words import Word, evaluation, word_str
 
 # Evaluation classes with repeated symbols whose every tree is checked
 # against the readings oracle, next to every standard tree with n <= 7.
@@ -50,30 +49,25 @@ ORACLE_CLASSES = [(2, 1, 2, 1, 2), (3, 3), (2, 2, 2), (1, 3, 1, 2), (4, 1, 1), (
 
 
 def test_neighbors_examples():
-    s = element_of((1, 2), 2)
-    nbrs = set(neighbors(s))
-    assert nbrs == {s, element_of((2, 1), 2)}
-
-    empty = element_of((), 3)
-    assert set(neighbors(empty)) == {empty}
-
-    big = neighbors(element_of((1, 3, 2, 5, 4), 5))
-    assert element_of((5, 4, 1, 3, 2), 5) in big
+    assert neighbor_set(element_of((1, 2), 2).key) == {(1, 2), (2, 1)}
+    assert neighbor_set(element_of((), 3).key) == {()}
+    big = neighbor_set(element_of((1, 3, 2, 5, 4), 5).key)
+    assert element_of((5, 4, 1, 3, 2), 5).key in big
 
 
 def test_neighbors_witnesses_validate(monkeypatch):
     s = element_of((1, 3, 2, 5, 4), 5)
-    nbrs = neighbors(s)
+    nbrs = neighbor_keys(s.key)
 
     def build(self, label, *children):
         raise AssertionError(f"validates built a node labelled {label}")
 
     monkeypatch.setattr(Node, "__init__", build)
-    for t, wit in nbrs.items():
-        assert wit.validates(s, t)
+    for key, wit in nbrs.items():
+        assert wit.validates(s, SylvElement(5, key))
     t = element_of((5, 4, 1, 3, 2), 5)
-    assert nbrs[t].validates(s, t)
-    assert not nbrs[t].validates(t, s)
+    assert nbrs[t.key].validates(s, t)
+    assert not nbrs[t.key].validates(t, s)
     assert not ShiftWitness((1, 3, 2), (6,)).validates(element_of((1, 3, 2), 6),
                                                        element_of((1, 3, 2), 6))
     assert not ShiftWitness((1, 3), (2, 5, 4)).validates(s, element_of((2, 1), 5))
@@ -103,20 +97,20 @@ def test_validates_matches_check_first_oracle():
                 wits = [wit, ShiftWitness(wit.y, wit.x),
                         ShiftWitness(*(tuple(a - (a == 1) for a in w) for w in wit)),
                         ShiftWitness(raised(wit.x), raised(wit.y))]
-                sources = [SylvElement.of_key(n, key), SylvElement.of_key(n + 1, key),
-                           SylvElement.of_key(n + 1, raised(key))]
-                targets = [SylvElement.of_key(n, key2), SylvElement.of_key(n + 1, key2),
-                           SylvElement.of_key(n + 1, raised(key2))]
+                sources = [SylvElement(n, key), SylvElement(n + 1, key),
+                           SylvElement(n + 1, raised(key))]
+                targets = [SylvElement(n, key2), SylvElement(n + 1, key2),
+                           SylvElement(n + 1, raised(key2))]
                 for w in wits:
                     for a, b in itertools.product(sources, targets):
                         assert w.validates(a, b) is validates_checking_ranks(w, a, b), (w, a, b)
 
 
 def check_against_oracle(s):
-    got = neighbors(s)
-    assert set(got) == set(neighbors_by_readings(s))
-    for t, wit in got.items():
-        assert wit.validates(s, t)
+    got = neighbor_keys(s.key)
+    assert set(got) == {t.key for t in neighbors_by_readings(s)}
+    for key, wit in got.items():
+        assert wit.validates(s, SylvElement(s.rank, key))
 
 
 def test_neighbors_match_readings_oracle():
@@ -189,20 +183,20 @@ def test_neighbors_match_readings_oracle_sampled(w):
 def test_neighbors_symmetric_and_evaluation_preserving():
     cache = {}
 
-    def nbrs(s):
-        if s not in cache:
-            cache[s] = neighbors(s)
-        return cache[s]
+    def nbrs(key):
+        if key not in cache:
+            cache[key] = neighbor_keys(key)
+        return cache[key]
 
     for length in range(0, 6):
         for w in itertools.product((1, 2, 3, 4), repeat=length):
             s = element_of(w, 4)
-            if s in cache:
+            if s.key in cache:
                 continue
-            for t, wit in nbrs(s).items():
-                assert evaluation_of(t) == evaluation_of(s)
-                assert s in nbrs(t)
-                assert ShiftWitness(wit.y, wit.x).validates(t, s)
+            for key, wit in nbrs(s.key).items():
+                assert evaluation(key, 4) == evaluation(s.key, 4)
+                assert s.key in nbrs(key)
+                assert ShiftWitness(wit.y, wit.x).validates(SylvElement(4, key), s)
 
 
 def test_keys_with_evaluation_counts():
@@ -385,9 +379,9 @@ def test_reading_cap_is_the_exact_reading_count():
         s = element_of(w, 9)
         k = hook_length_extensions(psylv(w))
         assert len(readings(s.key, cap=k)) == k
-        assert neighbors(s, cap=k)
+        assert neighbor_keys(s.key, cap=k)
         with pytest.raises(CapExceededError):
-            neighbors(s, cap=k - 1)
+            neighbor_keys(s.key, cap=k - 1)
         with pytest.raises(CapExceededError):
             readings(s.key, cap=k - 1)
 

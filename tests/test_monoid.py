@@ -9,12 +9,11 @@ from sylvshift import monoid
 from sylvshift import verify as suites
 from sylvshift.errors import BudgetExceededError, RankError
 from sylvshift.graph import (ShiftWitness, component, diameter, distance, keys_with_evaluation,
-                             neighbors)
+                             neighbor_keys)
 from sylvshift.monoid import (
     SylvElement,
     element_of,
     equivalent,
-    evaluation_of,
     multiply,
     rewrite_class,
     rewrite_equivalent,
@@ -28,7 +27,7 @@ from sylvshift.words import evaluation
 def test_element_of_examples():
     assert element_of((3, 1, 2), 3).tree == Node(2, Node(1), Node(3))
     assert element_of((1, 3, 2), 3) == element_of((3, 1, 2), 3)
-    assert element_of((), 4) == SylvElement.of_key(4, canonical_reading(None))
+    assert element_of((), 4) == SylvElement(4, canonical_reading(None))
     assert element_of((1, 3, 2), 3).key == (1, 3, 2)
 
 
@@ -36,7 +35,9 @@ def test_element_rank_checked():
     with pytest.raises(RankError):
         element_of((1, 5), 4)
     with pytest.raises(RankError):
-        SylvElement.of_key(2, canonical_reading(psylv((1, 3))))
+        SylvElement(2, canonical_reading(psylv((1, 3))))
+    with pytest.raises(RankError):
+        SylvElement(6, element_of(EQ1_WORD, 7).key)
 
 
 def test_equivalent_examples():
@@ -98,12 +99,6 @@ def test_rewrite_matches_insertion_exhaustive_rank3():
         (3, 1, 4, 2), (1, 3, 4, 2), 4)
 
 
-def test_evaluation_of_examples():
-    assert evaluation_of(element_of(EQ1_WORD, 7)) == (2, 1, 0, 2, 3, 1, 1)
-    assert evaluation_of(element_of((), 3)) == (0, 0, 0)
-    assert evaluation_of(element_of((1, 3, 2, 5, 4), 5)) == (1, 1, 1, 1, 1)
-
-
 def test_multihomogeneity_exhaustive_small():
     for length in range(0, 5):
         for u in itertools.product((1, 2, 3), repeat=length):
@@ -152,7 +147,7 @@ def test_monoid_suite_reports_every_triple_that_does_not_associate(monkeypatch):
     monkeypatch.setattr(suites, "multiply", skewed)
     rep = suites.suite_monoid(rank=2, maxlen=2, assoc_total=4)
     assert not rep.passed
-    elems = [SylvElement.of_key(2, key) for total in range(5)
+    elems = [SylvElement(2, key) for total in range(5)
              for e in suites._evaluations(2, total) for key in keys_with_evaluation(e)]
     want = [f"associativity broke on {tree_str(a.key)}, {tree_str(b.key)}, {tree_str(c.key)}"
             for a, b, c in itertools.product(elems, repeat=3)
@@ -173,13 +168,14 @@ def test_monoid_suite_reports_a_product_outside_its_elements(monkeypatch):
 def test_suites_build_their_elements_from_keys(monkeypatch):
     # suite_monoid's elements and the path suite's sources and targets are
     # built from canonical readings, which are stored as they are: with
-    # every other way into the constructor replaced, the suites insert
-    # nothing through it; suite_induced builds no element at all
+    # element_of and multiply replaced by _make of a key inserted out of
+    # sight, the suites insert nothing through the constructor;
+    # suite_induced builds no element at all
     calls = []
     monkeypatch.setattr(monoid, "psylv_key", lambda w: calls.append(w) or psylv_key(w))
 
     def by_key(w, n):
-        return SylvElement.of_key(n, psylv_key(w))
+        return SylvElement._make((n, psylv_key(w)))
 
     class Certified:
         steps = ()
@@ -190,7 +186,7 @@ def test_suites_build_their_elements_from_keys(monkeypatch):
     seen = []
     monkeypatch.setattr(suites, "element_of", by_key)
     monkeypatch.setattr(suites, "multiply", lambda s, t: by_key(s.key + t.key, s.rank))
-    monkeypatch.setattr(suites, "neighbor_keys", lambda s: seen.append(s) or [])
+    monkeypatch.setattr(suites, "neighbor_set", lambda s: seen.append(s) or set())
     monkeypatch.setattr(suites, "shift_path", lambda s, t: seen.append((s, t)) or Certified())
     reports = [suites.suite_monoid(rank=2, maxlen=2, assoc_total=4),
                suites.suite_induced(nmax=3), suites.suite_path(nmax=3)]
@@ -209,12 +205,12 @@ def test_induced_subgraph_fails_on_a_letter_dependent_shift(monkeypatch):
     # a neighbor function that reads letter values, not only their order:
     # it drops every neighbor but the source whose key ends in letter 1,
     # which no lifted key has
-    real = suites.neighbor_keys
+    real = suites.neighbor_set
 
     def biased(key):
-        return {k: wit for k, wit in real(key).items() if k == key or k[-1] != 1}
+        return {k for k in real(key) if k == key or k[-1] != 1}
 
-    monkeypatch.setattr(suites, "neighbor_keys", biased)
+    monkeypatch.setattr(suites, "neighbor_set", biased)
     rep = suites.suite_induced(nmax=4)
     assert rep.render().startswith("FAIL induced-subgraph(n<=4)")
     assert len(rep.failures) == 5
@@ -229,11 +225,14 @@ def test_canonical_reading_is_a_complete_key():
                 continue
             symbols = [i + 1 for i, c in enumerate(e) for _ in range(c)]
             trees = list({psylv(w) for w in multiset_words(symbols)})
-            keys = [SylvElement.of_key(n, canonical_reading(t)).key for t in trees]
+            keys = [SylvElement(n, canonical_reading(t)).key for t in trees]
             assert len(set(keys)) == len(trees)
             assert set(keys) == set(keys_with_evaluation(e))
             for t, key in zip(trees, keys):
                 assert psylv(key) == t
+    # a tree that is not right-strict has no key
+    with pytest.raises(ValueError, match="right-strict"):
+        canonical_reading(Node(1, None, Node(1)))
 
 
 def test_no_library_path_compares_trees(monkeypatch):
@@ -266,26 +265,7 @@ def test_element_is_the_key_of_any_reading(w):
     s = SylvElement(4, w)
     assert s.key == canonical_reading(t)
     assert s.tree == t
-    assert SylvElement.of_key(4, canonical_reading(t)) == s == SylvElement(4, s.key)
-
-
-def test_keys_are_stored_without_a_second_insertion(monkeypatch):
-    calls = []
-    monkeypatch.setattr(monoid, "psylv_key", lambda w: calls.append(w) or psylv_key(w))
-    t = psylv(EQ1_WORD)
-    s = SylvElement.of_key(7, canonical_reading(t))
-    assert calls == [] and s.key == canonical_reading(t) and s.tree == t
-    assert SylvElement.of_key(7, s.key) == s == element_of(EQ1_WORD, 7)
-    assert calls == [EQ1_WORD]
-    # the rank is still checked, and a tree that is not right-strict has no key
-    with pytest.raises(RankError):
-        SylvElement.of_key(6, s.key)
-    with pytest.raises(ValueError, match="right-strict"):
-        canonical_reading(Node(1, None, Node(1)))
-    # component stores the keys it lists as they are
-    calls.clear()
-    g = component((2, 1, 2, 1, 2), 5)
-    assert calls == [] and len(g.vertices) == 136
+    assert SylvElement(4, canonical_reading(t)) == s == SylvElement(4, s.key)
 
 
 def test_keys_need_no_tree(monkeypatch):
@@ -300,9 +280,9 @@ def test_keys_need_no_tree(monkeypatch):
     assert multiply(element_of((3, 1), 5), element_of((2,), 5)) == element_of((1, 3, 2), 5)
     assert equivalent((3, 1, 2), (1, 3, 2), 3)
     assert not equivalent((1, 2), (2, 1), 2)
-    nbrs = neighbors(s)
-    assert element_of((5, 4, 1, 3, 2), 5) in nbrs
-    assert all(wit.validates(s, t) for t, wit in nbrs.items())
+    nbrs = neighbor_keys(s.key)
+    assert element_of((5, 4, 1, 3, 2), 5).key in nbrs
+    assert all(wit.validates(s, SylvElement(5, key)) for key, wit in nbrs.items())
     assert not ShiftWitness((1, 3), (2, 5, 4)).validates(s, element_of((2, 1), 5))
 
 
@@ -329,8 +309,8 @@ def count_check_rank(monkeypatch) -> list:
 def test_ranks_are_checked_where_letters_enter(monkeypatch, capsys):
     # A rank is checked where letters come from outside the library. An
     # element whose key the library computed from checked letters of the
-    # same rank is built unchecked: component vertices, neighbors, path
-    # step posts and products.
+    # same rank is built unchecked: component vertices, path step posts and
+    # products. Neighbor keys are computed from the source's key unchecked.
     from sylvshift.cli import main
 
     calls = count_check_rank(monkeypatch)
@@ -348,7 +328,7 @@ def test_ranks_are_checked_where_letters_enter(monkeypatch, capsys):
     assert count(lambda: component((1,) * 7, 7)) == 0
     assert count(lambda: component((2, 1, 2, 1, 2), 5)) == 0
     assert count(chain_path) == 2
-    assert count(lambda: neighbors(element_of((1, 3, 2, 5, 4), 5))) == 1
+    assert count(lambda: neighbor_keys(element_of((1, 3, 2, 5, 4), 5).key)) == 1
     assert count(lambda: multiply(element_of((2, 1), 3), element_of((3,), 3))) == 2
     # the oracle suite's rewrite_class checks its 1530 classes; nothing else
     # in the suites checks a rank more than a few times

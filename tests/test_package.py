@@ -48,7 +48,8 @@ def test_readme_command_block_runs(capsys):
 def test_runtime_imports_only_the_standard_library():
     # -I drops PYTHONPATH and the user site, so the package's own directory
     # goes on sys.path by hand; modules the interpreter loads at startup
-    # (site hooks included) are not the package's and are left out.
+    # (site hooks included) are not the package's and are left out. -I also
+    # ignores PYTHONDONTWRITEBYTECODE, so -B keeps __pycache__ out of src/.
     code = (
         "import sys\n"
         f"sys.path.insert(0, {str(Path(sylvshift.__file__).parents[1])!r})\n"
@@ -58,7 +59,7 @@ def test_runtime_imports_only_the_standard_library():
         "    importlib.import_module('sylvshift.' + m.name)\n"
         "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
     )
-    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True,
+    out = subprocess.run([sys.executable, "-I", "-B", "-c", code], capture_output=True, text=True,
                          check=True, timeout=60).stdout.split()
     assert "sylvshift.cli" in out and "sylvshift.verify" in out
     tops = {name.partition(".")[0] for name in out}

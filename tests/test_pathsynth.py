@@ -12,7 +12,7 @@ from conftest import (bfs_distances, classify_step, complete_subtree, induction_
 from sylvshift import pathsynth
 from sylvshift.cli import main
 from sylvshift.errors import InternalError, NotStandardError, ParseError, RankError
-from sylvshift.graph import ShiftWitness, neighbors
+from sylvshift.graph import ShiftWitness, neighbor_set
 from sylvshift.monoid import SylvElement, element_of
 from sylvshift.pathsynth import (
     CASE_TAGS,
@@ -35,7 +35,7 @@ U5_KEY = canonical_reading(U5)
 U5_SIZES = key_sizes(U5_KEY)[1]
 CHAIN_WORDS = ["13254", "54132", "12543", "41235", "12354", "23541"]
 CHAIN_TREES = [psylv(parse_word(w)) for w in CHAIN_WORDS]
-CHAIN = [SylvElement.of_key(5, canonical_reading(t)) for t in CHAIN_TREES]
+CHAIN = [SylvElement(5, canonical_reading(t)) for t in CHAIN_TREES]
 
 
 def record_tops(monkeypatch):
@@ -90,12 +90,12 @@ def paths_through_n6():
             shape_of = {key: key_sizes(key) for key in tree_of}
             for u in trees:
                 oracle = [visited_tops_by_scan(u, h) for h in range(1, n + 1)]
-                target = SylvElement.of_key(n, canonical_reading(u))
+                target = SylvElement(n, canonical_reading(u))
                 subtrees = [complete_subtree(u, loc) for _, loc in postfix(u)]
                 checks = set()  # (tree key, tops) pairs met on u's paths
                 for t in trees:
                     log.clear()
-                    cert = shift_path(SylvElement.of_key(n, canonical_reading(t)), target)
+                    cert = shift_path(SylvElement(n, canonical_reading(t)), target)
                     seen.update(s.case_tag for s in cert.steps)
                     if cert.steps[-1].post.tree != u:
                         missed.append((t, u))
@@ -272,7 +272,7 @@ def test_worked_example_words_are_shift_neighbors():
     for a, b in zip(CHAIN_WORDS, CHAIN_WORDS[1:]):
         s = element_of(parse_word(a), 5)
         t = element_of(parse_word(b), 5)
-        assert t in neighbors(s)
+        assert t.key in neighbor_set(s.key)
 
 
 def test_trivial_paths():
@@ -292,8 +292,8 @@ def test_shift_path_exhaustive_small():
         trees = standard_trees(n)
         for t in trees:
             for u in trees:
-                cert = shift_path(SylvElement.of_key(n, canonical_reading(t)),
-                                  SylvElement.of_key(n, canonical_reading(u)))
+                cert = shift_path(SylvElement(n, canonical_reading(t)),
+                                  SylvElement(n, canonical_reading(u)))
                 assert len(cert.steps) == n
                 assert cert.steps[0].pre.tree == t
                 assert cert.steps[-1].post.tree == u
@@ -370,7 +370,7 @@ def test_tampered_certificates_fail():
     # an edge joins two elements of one monoid: the same keys at another
     # rank do not chain into a certificate
     base, step = shift_path(element_of((1, 2), 2), element_of((2, 1), 2)).steps
-    mid = SylvElement.of_key(3, base.post.key)
+    mid = SylvElement(3, base.post.key)
     assert PathCertificate((base, step)).verify()
     assert not PathCertificate((base._replace(post=mid), step._replace(pre=mid))).verify()
 
