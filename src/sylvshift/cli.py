@@ -25,7 +25,6 @@ from .errors import (
 from .graph import (
     MAX_VERTICES,
     component,
-    component_tsv,
     diameter,
     edge_witnesses,
     graph_dot,
@@ -195,8 +194,6 @@ def cmd_component(args: argparse.Namespace) -> int:
     g = _build_component(args)
     if args.format == "dot":
         _emit(graph_dot(g, tree_labels=args.tree_labels), args)
-    elif args.format == "tsv":
-        _emit(component_tsv(g, diameter(g)), args)
     elif args.format == "json":
         _emit(json.dumps({
             "rank": g.rank,
@@ -248,7 +245,8 @@ def cmd_diameter(args: argparse.Namespace) -> int:
             "edges": g.edge_count(),
         }), args)
     elif args.format == "tsv":
-        _emit(component_tsv(g, (d, (a, b))), args)
+        _emit("\t".join([",".join(map(str, g.evaluation)), str(len(g.vertices)),
+                         str(g.edge_count()), str(d), word_str(a.key), word_str(b.key)]), args)
     else:
         _emit(f"{d}  ({word_str(a.key)} .. {word_str(b.key)})", args)
     return 0
@@ -402,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluation_flags(p)
     p.add_argument("--tree-labels", action="store_true",
                    help="label DOT vertices with full trees")
-    common(p, "rank", "max_readings", "max_vertices", formats=("text", "tsv", "dot", "json"))
+    common(p, "rank", "max_readings", "max_vertices", formats=("text", "dot", "json"))
     p.set_defaults(func=cmd_component)
 
     p = sub.add_parser("distance", help="shift distance between two words' elements")

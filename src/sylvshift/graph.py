@@ -465,17 +465,3 @@ def graph_dot(g: ComponentGraph, tree_labels: bool = False) -> str:
     lines.append("}")
     return "\n".join(lines)
 
-
-def component_tsv(g: ComponentGraph, diam: tuple[int, tuple[SylvElement, SylvElement]]) -> str:
-    """One TSV row: evaluation, vertex count, edge count, and the diameter
-    and extremal pair diam that `diameter(g)` gave."""
-    d, (a, b) = diam
-    cols = [
-        ",".join(str(c) for c in g.evaluation),
-        str(len(g.vertices)),
-        str(g.edge_count()),
-        str(d),
-        word_str(a.key),
-        word_str(b.key),
-    ]
-    return "\t".join(cols)

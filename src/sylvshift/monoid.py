@@ -25,7 +25,8 @@ class SylvElement(namedtuple("SylvElement", "rank key")):
     tree: SylvElement(n, w) checks the rank of any reading w and stores
     psylv_key(w) as key. A named tuple (rank, key) and nothing else:
     equality, hashing, repr and pickling are the tuple's. _make((rank, key))
-    checks nothing: it is for keys computed from checked letters of that rank."""
+    checks nothing: it is for keys computed from checked letters of that rank.
+    _replace checks, as SylvElement(rank, key) does."""
 
     __slots__ = ()
     _make = classmethod(tuple.__new__)  # namedtuple's would count fields by len()
@@ -33,6 +34,9 @@ class SylvElement(namedtuple("SylvElement", "rank key")):
     def __new__(cls, rank: int, key: Word) -> "SylvElement":
         check_rank(key, rank)
         return tuple.__new__(cls, (rank, psylv_key(key)))
+
+    def _replace(self, **fields) -> "SylvElement":
+        return SylvElement(**{**self._asdict(), **fields})
 
     @property
     def tree(self) -> Bst:

@@ -36,7 +36,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cache
 
-from .errors import InternalError, NotStandardError, RankError
+from .errors import InternalError, NotStandardError, ParseError, RankError
 from .graph import ShiftWitness
 from .monoid import SylvElement
 from .trees import Sizes, key_sizes, parse_tree, psylv_key, tree_str
@@ -55,6 +55,7 @@ class PathCertificate(namedtuple("PathCertificate", "steps")):
     """A chain of shifts, steps being a tuple of PathSteps."""
 
     __slots__ = ()
+    _make = classmethod(tuple.__new__)  # namedtuple's would count fields by len()
 
     @property
     def source(self) -> SylvElement:
@@ -258,8 +259,17 @@ def certificate_json(cert: PathCertificate) -> str:
 def certificate_from_obj(obj: dict) -> PathCertificate:
     """Inverse of certificate_obj. Each distinct tree text is parsed once,
     and SylvElement checks its rank and re-inserts its key, which
-    psylv_key's cache also does once per tree."""
-    rank = obj["rank"]
+    psylv_key's cache also does once per tree. An object not shaped like
+    certificate_obj's output raises ParseError."""
+    rank, steps = (obj.get("rank"), obj.get("steps")) if isinstance(obj, dict) else (None, None)
+    texts = ("pre", "post", "x", "y", "case")
+    well_formed = (isinstance(rank, int) and not isinstance(rank, bool)
+                   and isinstance(steps, list) and steps
+                   and all(isinstance(s, dict) and all(isinstance(s.get(f), str) for f in texts)
+                           for s in steps))
+    if not well_formed:
+        raise ParseError("a path certificate is an object with an int rank and a non-empty "
+                         f"list of steps whose {', '.join(texts)} are strings")
     parse = cache(parse_tree)
     steps = tuple(
         PathStep(
@@ -268,7 +278,7 @@ def certificate_from_obj(obj: dict) -> PathCertificate:
             SylvElement(rank, parse(s["post"])),
             s["case"],
         )
-        for s in obj["steps"]
+        for s in steps
     )
     return PathCertificate(steps)
 

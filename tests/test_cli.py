@@ -98,7 +98,7 @@ def test_component_and_diameter(capsys):
     code, out, _ = run(capsys, "diameter", "--standard", "-n", "3")
     assert code == 0 and out.strip().startswith("2")
 
-    code, out, _ = run(capsys, "component", "-n", "3", "--standard", "--format", "tsv")
+    code, out, _ = run(capsys, "diameter", "-n", "3", "--standard", "--format", "tsv")
     cols = out.strip().split("\t")
     assert cols[0] == "1,1,1" and cols[1] == "5"
 
@@ -118,11 +118,13 @@ def test_tsv_rows_compute_the_diameter_once(monkeypatch, capsys):
 
     monkeypatch.setattr(graph, "diameter", counted)
     monkeypatch.setattr(cli, "diameter", counted)
-    for command in ("diameter", "component"):
-        calls.clear()
-        code, out, _ = run(capsys, command, "--standard", "-n", "7", "--format", "tsv")
-        assert code == 0 and out == "1,1,1,1,1,1,1\t429\t5138\t6\t1234567\t6543217\n"
-        assert len(calls) == 1, command
+    code, out, _ = run(capsys, "diameter", "--standard", "-n", "7", "--format", "tsv")
+    assert code == 0 and out == "1,1,1,1,1,1,1\t429\t5138\t6\t1234567\t6543217\n"
+    assert len(calls) == 1
+    # The row is the diameter's, so `component` has no TSV format.
+    with pytest.raises(SystemExit) as exc:
+        main(["component", "--standard", "-n", "7", "--format", "tsv"])
+    assert exc.value.code == 2 and capsys.readouterr().out == "" and len(calls) == 1
 
 
 def test_labels_too_long_to_convert_exit_2(capsys):

@@ -45,6 +45,20 @@ def test_readme_command_block_runs(capsys):
             assert out.splitlines()[0] == comment, command
 
 
+def test_readme_library_block_runs():
+    # the block under "Library" runs as written, and its comments' claims hold
+    block = re.search(r"## Library\n+```python\n(.*?)```", README.read_text(), re.S).group(1)
+    names = {}
+    exec(block, names)
+    t, g, cert = names["t"], names["g"], names["cert"]
+    assert t.key == (1, 3, 2, 5, 4) and "# (1, 3, 2, 5, 4)" in block
+    assert len(g.vertices) == 42 and g.edge_count() == 170 and "# 42 vertices, 170 edges" in block
+    d, (a, b) = names["diameter"](g)
+    assert d == 4 and (a.key, b.key) == ((1, 2, 3, 4, 5), (4, 3, 2, 1, 5))
+    assert "keys 12345 and 43215" in block
+    assert cert.verify()
+
+
 def test_runtime_imports_only_the_standard_library():
     # -I drops PYTHONPATH and the user site, so the package's own directory
     # goes on sys.path by hand; modules the interpreter loads at startup
@@ -109,6 +123,21 @@ def test_value_types_are_immutable_picklable_and_keep_their_repr():
     assert s * s == element_of((1, 3, 2, 1, 3, 2), 3)
     with pytest.raises(TypeError):
         2 * s
+
+
+def test_namedtuple_helpers_keep_the_value_types_checked():
+    # _replace and _make work on every certificate, not only on one-step ones
+    cert = shift_path(element_of((1, 2), 2), element_of((2, 1), 2))
+    assert len(cert) == 2
+    assert cert._replace(steps=cert.steps) == cert == type(cert)._make([cert.steps])
+    # an element's _replace checks its rank and inserts its key, as
+    # SylvElement(rank, key) does
+    s = element_of((1, 3, 2), 3)
+    replaced = s._replace(key=(3, 1, 2))
+    assert replaced == element_of((3, 1, 2), 3)
+    assert replaced.key in sylvshift.component((1, 1, 1), 3).index
+    with pytest.raises(sylvshift.RankError):
+        s._replace(key=(1, 5))
 
 
 def test_deep_trees_pickle(default_recursion_limit):

@@ -337,6 +337,17 @@ def test_certificate_json_roundtrip():
     assert [s["case"] for s in obj["steps"]] == ["base", "case3", "case1", "case2b", "case4a"]
 
 
+def test_malformed_certificate_objects_raise_parse_error():
+    # the shapes certificate_obj never writes fail with the library's error
+    step = {"step": 0, "case": "base", "pre": "1(_,_)", "post": "1(_,_)", "x": "1", "y": ""}
+    assert certificate_from_obj({"rank": 1, "steps": [step]}).verify()
+    no_x = {k: v for k, v in step.items() if k != "x"}
+    for obj in ({}, {"rank": "2", "steps": [step]}, [step], {"rank": 2, "steps": "x"},
+                {"rank": 2, "steps": [no_x]}, {"rank": 2, "steps": []}):
+        with pytest.raises(ParseError):
+            certificate_from_obj(obj)
+
+
 def test_tampered_certificates_fail():
     from sylvshift.pathsynth import PathCertificate, PathStep, certificate_obj
 
