@@ -14,17 +14,17 @@ from .errors import (
 from .graph import ComponentGraph, component, diameter
 from .monoid import SylvElement, element_of, equivalent, rewrite_equivalent
 from .pathsynth import PathCertificate, shift_path
-from .trees import Bst, Node, psylv, readings
+from .trees import readings
 from .words import Word
 
 __version__ = "0.1.0"
 
 __all__ = [
     # the documented entry points
-    "element_of", "psylv", "readings", "equivalent", "rewrite_equivalent",
+    "element_of", "readings", "equivalent", "rewrite_equivalent",
     "cochseq_word", "cocharge_lower_bound", "component", "diameter", "shift_path",
     # the types in their signatures
-    "SylvElement", "Word", "Bst", "Node", "ComponentGraph", "PathCertificate",
+    "SylvElement", "Word", "ComponentGraph", "PathCertificate",
     # errors
     "SylvError", "ParseError", "RankError", "NotStandardError",
     "CapExceededError", "BudgetExceededError", "DisconnectedError", "InternalError",

@@ -7,15 +7,16 @@ i+1 is found before crossing the word's start marker). Each term repeats or
 increments its predecessor, so the i-th term lies in 0..i-1.
 
 The sequence is constant on insertion-equivalence classes of standard
-words, and one cyclic shift moves every component by at most 1, so the max
-componentwise gap between two standard trees lower-bounds their distance in
-the cyclic shift graph.
+words, so a standard tree's sequence is that of any of its readings, its
+key in particular. One cyclic shift moves every component by at most 1, so
+the max componentwise gap between two standard trees lower-bounds their
+distance in the cyclic shift graph.
 """
 
 from __future__ import annotations
 
 from .errors import NotStandardError
-from .trees import Bst, canonical_reading
+from .trees import Tree
 from .words import Word, is_standard
 
 
@@ -30,15 +31,6 @@ def cochseq_word(u: Word) -> tuple[int, ...]:
     return tuple(seq)
 
 
-def cochseq_tree(t: Bst) -> tuple[int, ...]:
-    """Cocharge sequence of a non-empty standard tree, via its canonical reading.
-
-    Every reading gives the same sequence; the tests and the
-    cocharge-congruence suite check that over all readings.
-    """
-    return cochseq_word(canonical_reading(t))
-
-
 def cochseq_gap(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     """Max componentwise gap of two cocharge sequences of equal length."""
     if len(a) != len(b):
@@ -46,6 +38,8 @@ def cochseq_gap(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     return max(abs(x - y) for x, y in zip(a, b))
 
 
-def cocharge_lower_bound(s: Bst, t: Bst) -> int:
-    """Max componentwise gap of the two sequences; a cyclic-shift-distance lower bound."""
-    return cochseq_gap(cochseq_tree(s), cochseq_tree(t))
+def cocharge_lower_bound(s: Tree, t: Tree) -> int:
+    """Max componentwise gap of the sequences of two standard trees, each
+    given by `key_sizes` and read through its key; a lower bound on their
+    cyclic shift distance."""
+    return cochseq_gap(cochseq_word(s[0]), cochseq_word(t[0]))

@@ -4,9 +4,11 @@ Elements are identified with their insertion trees; two words represent the
 same element exactly when their trees are equal. A class is the set of
 linear extensions of its tree, so an element is identified by one fixed
 reading, the canonical (postfix) one: a flat word that compares and hashes
-without walking the tree. An independent oracle decides the same relation
-by closing a word under the defining rewriting moves: adjacent symbols c, a
-with a < c may swap whenever some later symbol b satisfies a <= b < c.
+without walking the tree. Its tree, when asked for, is the key with its
+subtree sizes (`trees.Tree`, as `key_sizes` gives it). An independent
+oracle decides the same relation by closing a word under the defining
+rewriting moves: adjacent symbols c, a with a < c may swap whenever some
+later symbol b satisfies a <= b < c.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from collections import deque, namedtuple
 
 from .errors import BudgetExceededError, RankError
-from .trees import Bst, psylv, psylv_key
+from .trees import Tree, key_sizes, psylv_key
 from .words import Word, check_rank, evaluation
 
 DEFAULT_REWRITE_BUDGET = 1_000_000
@@ -39,9 +41,10 @@ class SylvElement(namedtuple("SylvElement", "rank key")):
         return SylvElement(**{**self._asdict(), **fields})
 
     @property
-    def tree(self) -> Bst:
-        """The element's tree, built from the key on each read."""
-        return psylv(self.key)
+    def tree(self) -> Tree:
+        """The element's tree as its key and subtree sizes (`key_sizes`),
+        computed from the key on each read."""
+        return key_sizes(self.key)
 
     def __mul__(self, other: "SylvElement") -> "SylvElement":
         return multiply(self, other)

@@ -14,21 +14,22 @@ extensions of its tree (Hivert, Novelli and Thibon, TCS 2005), so any
 reading y of the pruned tree gives the same T_{h+1}. The tags keep the
 names of the cases in which the paper's proof assembles x and y.
 
-Every tree of the chain, U included, is held as its key (postfix label
-sequence) and the sizes of every node's subtrees, which one pass of
-insertion's sort and stack gives (`trees.key_sizes`); no `Node` is built.
-Nodes are addressed by postfix position: the node at position p with
-subtree sizes (l, r) has its right child at p - 1 when r > 0 and its left
-child at p - r - 1 when l > 0, the root is last, and a subtree spans the
-l + r positions before its node. The target's sizes also name each step's
-shape. Locators (paths from the root) serve only to render trees. At each
-step `shift_path` checks that the step's word pair (x, y) reads the current
-tree as xy, takes yx as the next tree, and checks the two chain invariants
-on it once; any violation raises InternalError instead of producing an
-unverified path. The invariants are preconditions of `induction_step`,
-not part of what a path proves, so `PathCertificate.verify` re-checks only
-the certificate's own claims: n steps, chained, with known tags, each
-witness reading its pre tree as xy and its post tree as yx.
+Every tree of the chain, U included, is held in the library's one tree
+form, `trees.Tree`: its key (postfix label sequence) and the sizes of
+every node's subtrees, which one pass of insertion's sort and stack gives
+(`trees.key_sizes`). Nodes are addressed by postfix position: the node at
+position p with subtree sizes (l, r) has its right child at p - 1 when
+r > 0 and its left child at p - r - 1 when l > 0, the root is last, and a
+subtree spans the l + r positions before its node. The target's sizes
+also name each step's shape. Locators (paths from the root) serve only to
+render trees. At each step `shift_path` checks that the step's word pair
+(x, y) reads the current tree as xy, takes yx as the next tree, and
+checks the two chain invariants on it once; any violation raises
+InternalError instead of producing an unverified path. The invariants
+are preconditions of `induction_step`, not part of what a path proves,
+so `PathCertificate.verify` re-checks only the certificate's own claims:
+n steps, chained, with known tags, each witness reading its pre tree as
+xy and its post tree as yx.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from functools import cache
 from .errors import InternalError, NotStandardError, ParseError, RankError
 from .graph import ShiftWitness
 from .monoid import SylvElement
-from .trees import Sizes, key_sizes, parse_tree, psylv_key, tree_str
-from .words import Word, is_standard, parse_word, word_str
+from .trees import Tree, key_sizes, parse_tree, psylv_key, tree_str
+from .words import is_standard, parse_word, word_str
 
 CASE_TAGS = ("base", "case1", "case2a", "case2b", "case3", "case4a", "case4b")
 
@@ -85,7 +86,7 @@ class PathCertificate(namedtuple("PathCertificate", "steps")):
         return True
 
 
-def _occurs(t: tuple[Word, Sizes], p: int, pattern: tuple[Word, Sizes], q: int) -> bool:
+def _occurs(t: Tree, p: int, pattern: Tree, q: int) -> bool:
     """The complete subtree of pattern at position q occurs in t at position
     p: labels and parent-child shape agree on the subtree's nodes; t may
     carry extra nodes below the subtree's frontier."""
@@ -108,8 +109,7 @@ def _occurs(t: tuple[Word, Sizes], p: int, pattern: tuple[Word, Sizes], q: int) 
     return True
 
 
-def verify_step_invariants(t: tuple[Word, Sizes], target: tuple[Word, Sizes],
-                           tops: list[int]) -> bool:
+def verify_step_invariants(t: Tree, target: Tree, tops: list[int]) -> bool:
     """Check the two chain invariants of the construction after a step.
 
     t and target are trees given by `key_sizes`, their nodes by postfix
@@ -157,8 +157,7 @@ def base_step(s: SylvElement, u1: int) -> ShiftWitness:
     return ShiftWitness(w[: i + 1], w[i + 1 :])
 
 
-def induction_step(pre: tuple[Word, Sizes], target: tuple[Word, Sizes],
-                   h: int) -> tuple[ShiftWitness, str]:
+def induction_step(pre: Tree, target: Tree, h: int) -> tuple[ShiftWitness, str]:
     """One shift extending the chain from step h to step h+1.
 
     Requires the step-h invariants on pre; pre and target are trees given

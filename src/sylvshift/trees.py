@@ -1,12 +1,18 @@
-"""Right-strict binary search trees: insertion, traversals, readings.
+"""Right-strict binary search trees: insertion, readings, text and drawings.
 
-A node's label is >= every label in its left subtree and < every label in
-its right subtree, so equal symbols accumulate on the left. Inside the
-library a tree is its key, the canonical (postfix) reading, and the sizes
-of every node's subtrees, which one pass of insertion's sort and stack
-gives (`key_sizes`); a node is addressed by its position in the key. The
-functions here take any reading w of the tree. `Node` trees, the empty one
-being None, are built only by `psylv`, for callers that want one.
+psylv(w) below is the tree that inserting the symbols of w right to left
+into an empty tree gives. A node's label is >= every label in its left
+subtree and < every label in its right subtree, so equal symbols
+accumulate on the left. psylv(w) is the Cartesian tree of w (Vuillemin,
+"A unifying look at data structures", CACM 1980): a search tree on
+(label, position), and a heap on position, as a later symbol is inserted
+earlier and sits nearer the root.
+
+The library holds a tree in one form, `Tree`: its key, the canonical
+(postfix) reading, and the sizes of every node's subtrees, which one pass
+of insertion's sort and stack gives (`key_sizes`); a node is addressed by
+its position in the key. Inserting the key gives the tree back, and the
+functions here take any reading w of the tree.
 
 Locators address nodes by the path from the root: a string over {"L", "R"},
 "" being the root itself. They are for rendering only, as the node ids of
@@ -33,83 +39,13 @@ MAX_RENDER_CHARS = 20_000_000
 # a longer cache of long words costs more memory than it saves time.
 KEY_CACHE_SIZE = 256
 
-
-class Node:
-    """One node of an immutable tree. == and hash compare whole trees by
-    label and shape without recursion, so trees of any depth work at the
-    default recursion limit."""
-
-    __slots__ = ("label", "left", "right")
-
-    def __init__(self, label: int, left: Bst = None, right: Bst = None):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return _tree, (self._preorder(),)
-
-    def _preorder(self) -> tuple:
-        """The labels in preorder with None for each empty slot, which
-        spells the tree; walked on an explicit stack."""
-        out: list = []
-        stack: list[Bst] = [self]
-        while stack:
-            node = stack.pop()
-            if node is None:
-                out.append(None)
-            else:
-                out.append(node.label)
-                stack += (node.right, node.left)
-        return tuple(out)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Node):
-            return NotImplemented
-        return self is other or self._preorder() == other._preorder()
-
-    def __hash__(self) -> int:
-        return hash(self._preorder())
-
-    def __repr__(self) -> str:
-        return f"<Node {_text(self._preorder())}>"
-
-
-Bst = Node | None
 Locator = str
 Sizes = list[tuple[int, int]]  # (left, right) subtree sizes per node, in postfix order
-
-
-def psylv(w: Iterable[int]) -> Bst:
-    """Insert the symbols of w right-to-left into an initially empty tree.
-
-    The result is the Cartesian tree of w (Vuillemin, "A unifying look at
-    data structures", CACM 1980): a search tree on (label, position), as
-    equal symbols go left of later ones, and a heap on position, as a later
-    symbol is inserted earlier and sits nearer the root. Built from the
-    positions of `key_sizes(w)`, every node once.
-    """
-    return _tree(_preorder_labels(tuple(w)))
-
-
-def _tree(preorder) -> Bst:
-    """Inverse of Node._preorder: the tree that preorder spells (labels in
-    preorder, None for each empty slot), built on an explicit stack. Read
-    backwards, a node comes after its right and then its left subtree."""
-    stack: list[Bst] = []
-    for label in reversed(preorder):
-        stack.append(None if label is None else Node(label, stack.pop(), stack.pop()))
-    return stack[0]
+Tree = tuple[Word, Sizes]  # a tree as its key and its sizes, which key_sizes gives
 
 
 def psylv_key(w: Iterable[int]) -> Word:
-    """canonical_reading(psylv(w)) without building a node: the sort and
+    """The key of psylv(w), its canonical (postfix) reading: the sort and
     stack of key_sizes, keeping only each label as it is popped. The last
     KEY_CACHE_SIZE distinct words are kept with their keys; w may be any
     sequence of ints and is looked up as a tuple. Keys are tuples, so
@@ -132,28 +68,7 @@ def _insertion_key(w: Word) -> Word:
 psylv_key.cache_info = _insertion_key.cache_info
 
 
-def canonical_reading(t: Bst) -> Word:
-    """The postfix label sequence; inserting it reproduces t. Built as the
-    root, right, left preorder, then reversed, checking on the way that
-    each label lies in the window (lo, hi] its ancestors leave open; raises
-    ValueError when t is not right-strict, as then no word reproduces it."""
-    out: list[int] = []
-    stack: list[tuple[Node, float, float]] = [] if t is None else [(t, -inf, inf)]
-    while stack:
-        node, lo, hi = stack.pop()
-        label = node.label
-        if not lo < label <= hi:
-            raise ValueError(f"not a right-strict search tree: label {label} outside ({lo}, {hi}]")
-        out.append(label)
-        if node.left is not None:
-            stack.append((node.left, lo, label))
-        if node.right is not None:
-            stack.append((node.right, label, hi))
-    out.reverse()
-    return tuple(out)
-
-
-def key_sizes(w: Word) -> tuple[Word, Sizes]:
+def key_sizes(w: Word) -> Tree:
     """psylv_key(w) together with the sizes of every node's left and right
     subtrees in psylv(w), both in postfix order. One stable sort gives the
     in-order sequence of w's positions; a stack holds the open right
@@ -231,45 +146,22 @@ def readings(w: Word, cap: int = MAX_READINGS) -> set[Word]:
     return found
 
 
-def _preorder_labels(w: Word) -> list[int | None]:
-    """The labels of psylv(w) in preorder with None for each empty slot,
-    which spells the tree as Node._preorder does; walked over the postfix
-    positions of key_sizes(w) on an explicit stack."""
+def tree_str(w: Word) -> str:
+    """Nested `label(left,right)` form of psylv(w), with `_` for empty slots,
+    written in preorder over the postfix positions of key_sizes(w) on an
+    explicit stack that also holds the text still owed after each subtree."""
     key, sizes = key_sizes(w)
-    out: list[int | None] = []
-    stack = [len(key) - 1]  # positions, -1 standing for an empty slot
+    out: list[str] = []
+    stack: list[int | str] = [len(key) - 1 if key else "_"]
     while stack:
         p = stack.pop()
-        if p < 0:
-            out.append(None)
+        if isinstance(p, str):
+            out.append(p)
         else:
-            out.append(key[p])
             l, r = sizes[p]
-            stack += (p - 1 if r else -1, p - r - 1 if l else -1)
-    return out
-
-
-def _text(preorder) -> str:
-    """Nested `label(left,right)` text, `_` for each empty slot, of the tree
-    that preorder spells as Node._preorder does."""
-    out: list[str] = []
-    pending: list[str] = []  # what each open node still needs: "," and then ")"
-    for label in preorder:
-        if label is None:
-            out.append("_")
-            while pending:  # close every node this ends a right subtree of
-                out.append(pending.pop())
-                if out[-1] == ",":
-                    break
-        else:
-            out.append(f"{label}(")
-            pending += (")", ",")
+            out.append(f"{key[p]}(")
+            stack += (")", p - 1 if r else "_", ",", p - r - 1 if l else "_")
     return "".join(out)
-
-
-def tree_str(w: Word) -> str:
-    """Nested `label(left,right)` form of psylv(w), with `_` for empty slots."""
-    return _text(_preorder_labels(w))
 
 
 def parse_tree(text: str) -> Word:

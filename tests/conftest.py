@@ -1,16 +1,19 @@
-"""Shared oracles: independent recomputations the library is checked against."""
+"""Shared oracles: independent recomputations the library is checked against.
+
+The library holds a tree as its key and subtree sizes (`trees.Tree`); the
+oracles here hold it as a tree of `Node`s and walk it node by node."""
 
 import itertools
 import sys
 from collections import deque
-from math import factorial
+from math import factorial, inf
 
 import pytest
 
 from sylvshift.errors import InternalError, ParseError
 from sylvshift.graph import ComponentGraph, ShiftWitness, keys_with_evaluation, neighbor_keys
 from sylvshift.monoid import SylvElement
-from sylvshift.trees import Bst, Locator, Node, Sizes, canonical_reading, psylv
+from sylvshift.trees import Locator, Sizes, key_sizes
 
 # The 10-node tree used across the golden tests, spelled out by hand:
 # root 4; left 2(left 1(left 1), right 4); right 5(left 5(left 5),
@@ -19,9 +22,78 @@ EQ1_WORD = (5, 4, 5, 1, 7, 6, 1, 5, 2, 4)
 EQ1_STR = "4(2(1(1(_,_),_),4(_,_)),5(5(5(_,_),_),6(_,7(_,_))))"
 
 
+class Node:
+    """One node of a tree of nodes, the empty tree being None: the second
+    spelling of a tree that the oracles here walk node by node, where the
+    library holds a key and its subtree sizes. Trees share subtrees, so
+    none is changed once built. == and hash compare whole trees by label
+    and shape on an explicit stack, so trees of any depth work at the
+    default recursion limit."""
+
+    __slots__ = ("label", "left", "right")
+
+    def __init__(self, label: int, left: "Bst" = None, right: "Bst" = None):
+        self.label, self.left, self.right = label, left, right
+
+    def _preorder(self) -> tuple:
+        """The labels in preorder with None for each empty slot, which
+        spells the tree."""
+        out: list = []
+        stack: list[Bst] = [self]
+        while stack:
+            node = stack.pop()
+            if node is None:
+                out.append(None)
+            else:
+                out.append(node.label)
+                stack += (node.right, node.left)
+        return tuple(out)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Node):
+            return NotImplemented
+        return self is other or self._preorder() == other._preorder()
+
+    def __hash__(self) -> int:
+        return hash(self._preorder())
+
+    def __repr__(self) -> str:
+        return f"<Node {node_tree_str(self)}>"
+
+
+Bst = Node | None
+
+
+def psylv(w) -> Bst:
+    """The tree of nodes that the library's insertion gives for w: built
+    from the positions of its key and subtree sizes."""
+    return tree_from_key_sizes(*key_sizes(tuple(w)))
+
+
+def canonical_reading(t: Bst) -> tuple[int, ...]:
+    """The postfix label sequence; inserting it reproduces t. Built as the
+    root, right, left preorder, then reversed, checking on the way that
+    each label lies in the window (lo, hi] its ancestors leave open; raises
+    ValueError when t is not right-strict, as then no word reproduces it."""
+    out: list[int] = []
+    stack: list[tuple[Node, float, float]] = [] if t is None else [(t, -inf, inf)]
+    while stack:
+        node, lo, hi = stack.pop()
+        label = node.label
+        if not lo < label <= hi:
+            raise ValueError(f"not a right-strict search tree: label {label} outside ({lo}, {hi}]")
+        out.append(label)
+        if node.left is not None:
+            stack.append((node.left, lo, label))
+        if node.right is not None:
+            stack.append((node.right, label, hi))
+    out.reverse()
+    return tuple(out)
+
+
 def insert(t: Bst, a: int) -> Node:
     """Add a as a new leaf in the unique position keeping the tree right-strict
-    (equal symbols go left), path-copying the frozen nodes above it."""
+    (equal symbols go left), path-copying the nodes above it."""
     path = []
     cur = t
     while cur is not None:
@@ -261,9 +333,9 @@ def neighbors_by_readings(s: SylvElement) -> dict[SylvElement, ShiftWitness]:
     """Neighbors straight from the definition: every split xy of every
     reading of s, swapped and inserted."""
     out: dict[SylvElement, ShiftWitness] = {}
-    for w in sorted(node_readings(s.tree)):
+    for w in sorted(node_readings(psylv(s.key))):
         for k in range(len(w) + 1):
-            t = SylvElement(s.rank, canonical_reading(psylv(w[k:] + w[:k])))
+            t = SylvElement(s.rank, w[k:] + w[:k])
             if t not in out:
                 out[t] = ShiftWitness(w[:k], w[k:])
     return out
@@ -276,7 +348,8 @@ def validates_checking_ranks(wit: ShiftWitness, source: SylvElement, target: Syl
     xy = wit.x + wit.y
     if source.rank != target.rank or not all(1 <= a <= source.rank for a in xy):
         return False
-    return psylv_by_insertion(xy) == source.tree and psylv_by_insertion(wit.y + wit.x) == target.tree
+    return (psylv_by_insertion(xy) == psylv(source.key)
+            and psylv_by_insertion(wit.y + wit.x) == psylv(target.key))
 
 
 def adjacency_by_vertex(e: tuple[int, ...]) -> list[list[int]]:

@@ -9,7 +9,7 @@ from conftest import EQ1_STR, EQ1_WORD
 from sylvshift import verify as suites
 from sylvshift.cocharge import cochseq_word, cocharge_lower_bound
 from sylvshift.monoid import rewrite_equivalent, equivalent
-from sylvshift.trees import psylv, tree_str
+from sylvshift.trees import key_sizes, tree_str
 
 
 def _ok(k: int, name: str, detail: str = ""):
@@ -28,8 +28,8 @@ def test_02_golden_cocharge():
 
 def test_03_chain_endpoints():
     for n in range(1, 8):
-        up = psylv(tuple(range(1, n + 1)))
-        down = psylv(tuple(range(n, 0, -1)))
+        up = key_sizes(tuple(range(1, n + 1)))
+        down = key_sizes(tuple(range(n, 0, -1)))
         assert cochseq_word(tuple(range(1, n + 1))) == (0,) * n
         assert cochseq_word(tuple(range(n, 0, -1))) == tuple(range(n))
         if n >= 2:

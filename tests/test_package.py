@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 import sylvshift
-from sylvshift import element_of, shift_path
+from sylvshift import cocharge_lower_bound, component, element_of, shift_path, trees
 from sylvshift.cli import main
+from sylvshift.cocharge import cochseq_gap, cochseq_word
+from sylvshift.graph import distance
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -50,8 +52,13 @@ def test_readme_library_block_runs():
     block = re.search(r"## Library\n+```python\n(.*?)```", README.read_text(), re.S).group(1)
     names = {}
     exec(block, names)
-    t, g, cert = names["t"], names["g"], names["cert"]
+    t, u, g, cert = names["t"], names["u"], names["g"], names["cert"]
     assert t.key == (1, 3, 2, 5, 4) and "# (1, 3, 2, 5, 4)" in block
+    assert names["tree_str"](t.key) == "4(2(1(_,_),3(_,_)),5(_,_))"
+    assert "# 4(2(1(_,_),3(_,_)),5(_,_))" in block
+    assert t.tree == (t.key, [(0, 0), (0, 0), (1, 1), (0, 0), (3, 1)])
+    assert names["cochseq_word"](u.key) == (0, 1, 1, 1, 2) and "# (0, 1, 1, 1, 2)" in block
+    assert names["cocharge_lower_bound"](t.tree, u.tree) == 1 and "# 1, a lower bound" in block
     assert len(g.vertices) == 42 and g.edge_count() == 170 and "# 42 vertices, 170 edges" in block
     d, (a, b) = names["diameter"](g)
     assert d == 4 and (a.key, b.key) == ((1, 2, 3, 4, 5), (4, 3, 2, 1, 5))
@@ -104,11 +111,10 @@ def test_value_types_are_immutable_picklable_and_keep_their_repr():
         (cert, "PathCertificate(steps=(PathStep(pre=SylvElement(rank=2, key=(1, 2)), "
                "witness=ShiftWitness(x=(1, 2), y=()), post=SylvElement(rank=2, key=(1, 2)), "
                "case_tag='base'), " + repr(step) + "))"),
-        (tree, "<Node 2(1(_,_),3(_,_))>"),
     ]
     fields = {"SylvElement": ("rank", "key"), "ShiftWitness": ("x", "y"),
               "PathStep": ("pre", "witness", "post", "case_tag"),
-              "PathCertificate": ("steps",), "Node": ("label", "left", "right")}
+              "PathCertificate": ("steps",)}
     for value, text in reprs:
         assert repr(value) == text
         for name in fields[type(value).__name__]:
@@ -116,7 +122,8 @@ def test_value_types_are_immutable_picklable_and_keep_their_repr():
                 setattr(value, name, getattr(value, name))
         copy = pickle.loads(pickle.dumps(value))
         assert type(copy) is type(value) and copy == value and repr(copy) == text
-    # an element holds its rank and key only; its tree is built on each read
+    # an element holds its rank and key only; its tree is computed on each read
+    assert tree == ((1, 3, 2), [(0, 0), (0, 0), (1, 1)])
     assert not hasattr(s, "__dict__") and cached.tree is not tree
     assert pickle.loads(pickle.dumps(cached)).tree == tree == s.tree
     assert len(s) == len(s.key) == 3 and len(cert) == len(cert.steps) == 2
@@ -141,14 +148,33 @@ def test_namedtuple_helpers_keep_the_value_types_checked():
 
 
 def test_deep_trees_pickle(default_recursion_limit):
-    # an element pickles as its rank and key, a Node as its preorder, so a
-    # 5000-node chain goes through pickle at the default recursion limit
+    # an element pickles as its rank and key, and its tree as that key and
+    # a flat list of subtree sizes, so a 5000-node chain goes through
+    # pickle at the default recursion limit
     n = 5000
     s = element_of(tuple(range(1, n + 1)), n)
     chain = s.tree
     assert pickle.loads(pickle.dumps(s)) == s
     copy = pickle.loads(pickle.dumps(chain))
     assert copy == chain and copy is not chain
+
+
+def test_the_library_has_one_tree_form():
+    # an element's tree is its key and subtree sizes, the form in which a
+    # caller hands two trees to cocharge_lower_bound; the bound is then the
+    # gap of the keys' sequences and never exceeds the trees' distance
+    for n in range(1, 6):
+        g = component((1,) * n, n)
+        for s in g.vertices:
+            assert s.tree == trees.key_sizes(s.key)
+            for t in g.vertices:
+                bound = cocharge_lower_bound(s.tree, t.tree)
+                assert bound == cochseq_gap(cochseq_word(s.key), cochseq_word(t.key))
+                assert bound <= distance(g, s, t)
+    # and no module offers a second tree type or a second insertion
+    for module in (sylvshift, trees):
+        assert {"Node", "Bst", "psylv", "canonical_reading"} & set(vars(module)) == set()
+    assert not hasattr(sylvshift.cocharge, "cochseq_tree")
 
 
 def test_import_loads_no_heavy_module():

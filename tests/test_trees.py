@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from conftest import (
     EQ1_STR,
     EQ1_WORD,
+    Node,
     brute_readings,
+    canonical_reading,
     complete_subtree,
     hook_length_extensions,
     infix,
@@ -23,6 +25,7 @@ from conftest import (
     node_tree_dot,
     node_tree_str,
     postfix,
+    psylv,
     psylv_by_insertion,
     remove_subtree,
     standard_trees,
@@ -34,11 +37,8 @@ from sylvshift.errors import CapExceededError, ParseError
 from sylvshift.monoid import element_of, equivalent
 from sylvshift.trees import (
     KEY_CACHE_SIZE,
-    Node,
-    canonical_reading,
     key_sizes,
     parse_tree,
-    psylv,
     psylv_key,
     reading_count,
     readings,
@@ -370,15 +370,14 @@ def test_standard_trees_match_insertion_oracle():
 
 @pytest.mark.parametrize("w", [range(1, 100_001), range(100_000, 0, -1)])
 def test_chains_of_1e5_nodes_need_no_recursion(default_recursion_limit, w):
-    t = psylv(w)
     n = 100_000
-    assert node_count(t) == n
-    assert labels(t) == list(range(1, n + 1))
-    assert canonical_reading(t) == tuple(w) == psylv_key(tuple(w))
-    assert is_bst(t)
-    assert reading_count(canonical_reading(t)) == 1
+    key, sizes = key_sizes(tuple(w))
+    # inserted right to left, 1..n is a chain of left children under n and
+    # n..1 a chain of right children under 1; either word is its own key
+    assert key == tuple(w) == psylv_key(tuple(w))
+    assert sizes == [(p, 0) if w[0] == 1 else (0, p) for p in range(n)]
+    assert reading_count(key) == 1
     assert parse_tree(tree_str(w)) == tuple(w)
-    assert repr(t) == f"<Node {tree_str(w)}>"
     # the sideways art is quadratic in the depth, so it is drawn for a
     # 2000-node chain: deeper than the recursion limit, 8 MB of text
     assert tree_art(w[:2000]) == node_tree_art(psylv(w[:2000]))
@@ -387,13 +386,10 @@ def test_chains_of_1e5_nodes_need_no_recursion(default_recursion_limit, w):
         tree_art(w)
     with pytest.raises(CapExceededError):
         tree_dot(w)
-    # Node == and hash walk the whole tree; the two trees differ only at
-    # the deepest node once the first two symbols swap
-    u = psylv(w)
-    assert u is not t and u == t and hash(u) == hash(t)
-    assert psylv((w[1], w[0]) + tuple(w[2:])) != t
     a, b = element_of(tuple(w), n), element_of(tuple(w), n)
-    assert a.tree is not b.tree
+    assert a.tree == b.tree == (key, sizes)
     assert a == b and hash(a) == hash(b)
+    # the trees differ only at the deepest node once the first two symbols swap
+    assert element_of((w[1], w[0]) + tuple(w[2:]), n) != a
     assert repr(a) == f"SylvElement(rank={n}, key={tuple(w)!r})"
-    assert equivalent(tuple(w), canonical_reading(t), n)
+    assert equivalent(tuple(w), key, n)
