@@ -8,6 +8,7 @@ Progress goes to stderr; results go to stdout (or --out).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -338,7 +339,10 @@ SHARED_FLAGS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: parsing leaves it
+    as it was, and each parse_args call fills a fresh Namespace."""
     parser = argparse.ArgumentParser(
         prog="sylvshift",
         description="Binary search tree monoid, cocharge sequences, and cyclic shift graphs.")

@@ -13,6 +13,7 @@ later symbol b satisfies a <= b < c.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque, namedtuple
 
 from .errors import BudgetExceededError, RankError
@@ -76,16 +77,22 @@ def single_rewrites(w: Word) -> set[Word]:
     """Words one defining-relation application away from w (either direction).
 
     A swap of positions i, i+1 is allowed iff the two symbols differ and some
-    symbol strictly to the right of the pair lies in [min, max).
+    symbol strictly to the right of the pair lies in [min, max). The pairs
+    are taken right to left, with the distinct symbols right of the pair in
+    a sorted list, so one bisection finds the least of them >= min.
     """
     out: set[Word] = set()
-    for i in range(len(w) - 1):
+    right: list[int] = []
+    for i in range(len(w) - 2, -1, -1):
         s, t = w[i], w[i + 1]
-        if s == t:
-            continue
-        a, c = (s, t) if s < t else (t, s)
-        if any(a <= w[j] < c for j in range(i + 2, len(w))):
-            out.add(w[:i] + (t, s) + w[i + 2 :])
+        if s != t:
+            a, c = (s, t) if s < t else (t, s)
+            j = bisect_left(right, a)
+            if j < len(right) and right[j] < c:
+                out.add(w[:i] + (t, s) + w[i + 2 :])
+        j = bisect_left(right, t)
+        if j == len(right) or right[j] != t:
+            right.insert(j, t)
     return out
 
 

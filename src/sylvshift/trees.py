@@ -139,6 +139,10 @@ def readings(w: Word, cap: int = MAX_READINGS) -> set[Word]:
     stack: list[tuple[Word, tuple[int, ...]]] = [((), (len(key) - 1,) if key else ())]
     while stack:
         suffix, frontier = stack.pop()
+        while len(frontier) == 1:  # a forced step: one node can be written
+            p = frontier[0]
+            suffix = (key[p],) + suffix
+            frontier = children[p]
         if not frontier:
             found.add(suffix)
         for i, p in enumerate(frontier):

@@ -100,24 +100,39 @@ def suite_cocharge_congruence(nmax: int = 7) -> SuiteReport:
 def suite_cocharge_shift(maxlen: int = 6) -> SuiteReport:
     """One cyclic shift moves every cocharge component by at most 1; appending
     a single non-1 symbol at the front instead of the back raises exactly its
-    own component by 1."""
+    own component by 1.
+
+    Every word compared with a permutation w is a rotation of w (the front
+    one, (w[-1],) + w[:-1], is the rotation by n - 1), so the suite walks
+    the rotation orbits, one per permutation that starts with 1, and
+    computes each member's sequence once. Counterexamples are kept with
+    their permutation and reported in the permutations' lexicographic
+    order."""
     rep = SuiteReport(f"cocharge-shift(len<={maxlen})")
     pairs = 0
     for n in range(1, maxlen + 1):
-        for w in itertools.permutations(range(1, n + 1)):
-            base = cochseq_word(w)
-            for k in range(n + 1):
-                shifted = cochseq_word(w[k:] + w[:k])
-                if any(abs(a - b) > 1 for a, b in zip(base, shifted)):
-                    rep.fail(f"split {word_str(w)} at {k}: {base} vs {shifted}")
-                pairs += 1
-            a = w[-1]
-            if n >= 2 and a != 1:
-                front = cochseq_word((a,) + w[:-1])
-                want = tuple(c + (1 if i == a - 1 else 0) for i, c in enumerate(base))
-                if front != want:
-                    rep.fail(
-                        f"{word_str(w)}: front-rotated sequence {front}, expected {want}")
+        failures: list[tuple[Word, list[str]]] = []
+        for rest in itertools.permutations(range(2, n + 1)):
+            orbit = [(1,) + rest]
+            orbit += [orbit[0][r:] + orbit[0][:r] for r in range(1, n)]
+            seqs = [cochseq_word(w) for w in orbit]
+            for r, (w, base) in enumerate(zip(orbit, seqs)):
+                found = [f"split {word_str(w)} at {k}: {base} vs {shifted}"
+                         for k, shifted in enumerate(seqs[r:] + seqs[:r + 1])
+                         if any(abs(a - b) > 1 for a, b in zip(base, shifted))]
+                a = w[-1]
+                if a != 1:  # so n >= 2
+                    front = seqs[r - 1]  # the rotation by n - 1
+                    want = tuple(c + (1 if i == a - 1 else 0) for i, c in enumerate(base))
+                    if front != want:
+                        found.append(
+                            f"{word_str(w)}: front-rotated sequence {front}, expected {want}")
+                if found:
+                    failures.append((w, found))
+            pairs += n * (n + 1)
+        for _, found in sorted(failures):
+            for f in found:
+                rep.fail(f)
     rep.lines.append(f"{pairs} shifted pairs within componentwise distance 1")
     return rep
 

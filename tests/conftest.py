@@ -329,6 +329,21 @@ def brute_readings(t: Bst) -> set[tuple[int, ...]]:
     return {w for w in multiset_words(labels(t)) if psylv(w) == t}
 
 
+def single_rewrites_by_definition(w: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """Words one defining-relation application away from w, by the
+    definition: positions i, i+1 swap iff their symbols differ and some
+    symbol strictly to the right of the pair lies in [min, max)."""
+    out = set()
+    for i in range(len(w) - 1):
+        s, t = w[i], w[i + 1]
+        if s == t:
+            continue
+        a, c = (s, t) if s < t else (t, s)
+        if any(a <= w[j] < c for j in range(i + 2, len(w))):
+            out.add(w[:i] + (t, s) + w[i + 2 :])
+    return out
+
+
 def neighbors_by_readings(s: SylvElement) -> dict[SylvElement, ShiftWitness]:
     """Neighbors straight from the definition: every split xy of every
     reading of s, swapped and inserted."""

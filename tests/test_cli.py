@@ -446,6 +446,24 @@ def test_out_file(tmp_path, capsys):
     assert code == 2 and err.startswith("error: cannot write")
 
 
+def test_one_parser_keeps_calls_apart(tmp_path, capsys):
+    # the parser is built once per process; an option given to one call
+    # does not reach the next, which gets the option's default
+    assert build_parser() is build_parser()
+    code, out, _ = run(capsys, "tree", "132", "--format", "json")
+    assert code == 0 and json.loads(out)
+    code, out, _ = run(capsys, "tree", "132")
+    assert code == 0 and out == "2(1(_,_),3(_,_))\n"
+
+    target = tmp_path / "example.txt"
+    code, out, _ = run(capsys, "verify", "example-path", "--out", str(target))
+    assert code == 0 and out == ""
+    written = target.read_text()
+    assert written.startswith("PASS example-path")
+    code, out, _ = run(capsys, "verify", "example-path")
+    assert code == 0 and out == written and target.read_text() == written
+
+
 def test_jobs_flag(capsys):
     code, out, _ = run(capsys, "verify", "path", "--n", "3", "--jobs", "2")
     assert code == 0 and out.startswith("PASS")

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sylvshift import verify as suites
 from sylvshift.cocharge import cochseq_word, cocharge_lower_bound
 from sylvshift.errors import NotStandardError
 from sylvshift.monoid import element_of
 from sylvshift.trees import key_sizes, psylv_key, readings
+from sylvshift.words import word_str
 
 
 def test_worked_example():
@@ -88,3 +90,55 @@ def test_lower_bound_examples():
 def test_lower_bound_size_mismatch():
     with pytest.raises(NotStandardError):
         cocharge_lower_bound(key_sizes((1,)), key_sizes((1, 2)))
+
+
+def test_shift_suite_computes_each_sequence_once(monkeypatch):
+    # the suite walks rotation orbits, so each permutation's sequence is
+    # computed once: 873 = 1! + 2! + ... + 6! calls at maxlen 6
+    calls = []
+    monkeypatch.setattr(suites, "cochseq_word", lambda w: calls.append(w) or cochseq_word(w))
+    rep = suites.suite_cocharge_shift(maxlen=6)
+    assert rep.passed
+    assert rep.lines == ["5912 shifted pairs within componentwise distance 1"]
+    assert len(calls) == len(set(calls)) == 873
+
+
+def shift_report_by_permutation(maxlen: int) -> suites.SuiteReport:
+    """suite_cocharge_shift's report, computed permutation by permutation in
+    lexicographic order, every rotation's sequence anew."""
+    rep = suites.SuiteReport(f"cocharge-shift(len<={maxlen})")
+    pairs = 0
+    for n in range(1, maxlen + 1):
+        for w in itertools.permutations(range(1, n + 1)):
+            base = suites.cochseq_word(w)
+            for k in range(n + 1):
+                shifted = suites.cochseq_word(w[k:] + w[:k])
+                if any(abs(a - b) > 1 for a, b in zip(base, shifted)):
+                    rep.fail(f"split {word_str(w)} at {k}: {base} vs {shifted}")
+                pairs += 1
+            a = w[-1]
+            if n >= 2 and a != 1:
+                front = suites.cochseq_word((a,) + w[:-1])
+                want = tuple(c + (1 if i == a - 1 else 0) for i, c in enumerate(base))
+                if front != want:
+                    rep.fail(f"{word_str(w)}: front-rotated sequence {front}, expected {want}")
+    rep.lines.append(f"{pairs} shifted pairs within componentwise distance 1")
+    return rep
+
+
+def test_shift_suite_reports_as_a_scan_of_every_permutation(monkeypatch):
+    # with the sequences of some permutations raised by 1 to 3 in their last
+    # component, the orbit walk fails on the same splits and front rotations,
+    # in the same order, as a scan of the permutations in lexicographic order
+    def perturbed(w):
+        seq = cochseq_word(w)
+        bump = sum(i * a for i, a in enumerate(w)) % 7
+        return seq[:-1] + (seq[-1] + bump,) if bump <= 3 else seq
+
+    monkeypatch.setattr(suites, "cochseq_word", perturbed)
+    rep = suites.suite_cocharge_shift(maxlen=5)
+    want = shift_report_by_permutation(5)
+    splits = [f for f in want.failures if f.startswith("split")]
+    assert len(splits) > 10 and len(want.failures) - len(splits) > 10
+    assert not rep.passed
+    assert (rep.lines, rep.failures, rep.render()) == (want.lines, want.failures, want.render())

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import EQ1_WORD, Node, canonical_reading, multiset_words, psylv, psylv_by_insertion
+from conftest import (EQ1_WORD, Node, canonical_reading, multiset_words, psylv, psylv_by_insertion,
+                      single_rewrites_by_definition)
 from sylvshift import monoid
 from sylvshift import verify as suites
 from sylvshift.errors import BudgetExceededError, RankError
@@ -66,6 +67,17 @@ def test_single_rewrites():
     assert single_rewrites((1, 2)) == set()
     # no symbol in [1, 2) to the right of the pair, so 21 is frozen
     assert single_rewrites((2, 1)) == set()
+
+
+def test_single_rewrites_match_the_definition():
+    # the bisection over the sorted distinct symbols right of each pair
+    # against a scan of the whole suffix, on every word over 1..4 of length <= 7
+    checked = 0
+    for length in range(8):
+        for w in itertools.product(range(1, 5), repeat=length):
+            assert single_rewrites(w) == single_rewrites_by_definition(w), w
+            checked += 1
+    assert checked == 21845  # 21844 non-empty words and the empty one
 
 
 def test_rewrite_equivalent_examples():
