@@ -45,7 +45,8 @@ class InternalError(SylvError):
     """A structural fact the library relies on failed to hold.
 
     Raised by the path construction (a step's factorization or chain
-    invariants), `graph.component` (an asymmetric shift relation),
+    invariants), `graph.component` (an asymmetric shift relation, or a
+    listing of the class that disagrees with its count),
     `graph.mirror_index` (a letter reversal that is no involution),
     `graph.diameter` (BFS rounds that stall) and the command line (`equal
     --rewrite` disagreeing with insertion, a path certificate failing

@@ -344,14 +344,18 @@ def component(e: tuple[int, ...], n: int, max_vertices: int = MAX_VERTICES,
     nodes has at most L! readings (a class is the set of linear extensions of
     its tree); past that bound each mirror orbit's first key has its readings
     counted against max_readings, in key order, as a mirror image has the
-    same hook product. The rows then run uncapped.
+    same hook product. The rows then run uncapped. Raises InternalError when
+    the keys listed differ in number from the trees `tree_count` counted.
     """
     if len(e) != n:
         raise RankError(f"evaluation has length {len(e)}, rank is {n}")
     if any(c < 0 for c in e):
         raise RankError(f"negative multiplicity in {e}")
-    tree_count(e, max_vertices)
+    count = tree_count(e, max_vertices)
     keys = sorted(keys_with_evaluation(e))
+    # two independent enumerations of one class: counted and listed
+    if len(keys) != count:
+        raise InternalError(f"listed {len(keys)} trees with evaluation {e}, counted {count}")
     g = ComponentGraph(n, e, [SylvElement._make((n, key)) for key in keys], [])
     index, adj = g.index, g.adj
     # On distinct letters the mirror m is an automorphism, so the vertex

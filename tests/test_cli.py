@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import sylvshift
-from sylvshift import pathsynth
+from sylvshift import graph, pathsynth
 from sylvshift import verify as suites
 from sylvshift.cli import build_parser, main
 from sylvshift.graph import ShiftWitness
@@ -406,6 +406,13 @@ def test_internal_errors_exit_5(monkeypatch, capsys):
     code, out, err = run(capsys, "path", "13254", "23541", "--check")
     assert code == 5 and out == ""
     assert err.strip() == "internal error: certificate failed re-verification"
+
+    real = graph.keys_with_evaluation
+    monkeypatch.setattr(graph, "keys_with_evaluation", lambda e: real(e)[1:])
+    code, out, err = run(capsys, "component", "-n", "3", "--eval", "1,1,1")
+    assert code == 5 and out == ""
+    assert err.strip() == ("internal error: listed 4 trees with evaluation (1, 1, 1), "
+                           "counted 5")
 
 
 def test_closed_pipe_exits_cleanly():

@@ -358,6 +358,14 @@ def test_component_refuses_an_asymmetric_shift_relation(monkeypatch):
             component((1,) * n, n)
 
 
+def test_component_refuses_a_listing_that_disagrees_with_its_count(monkeypatch):
+    real = graph.keys_with_evaluation
+    monkeypatch.setattr(graph, "keys_with_evaluation", lambda e: real(e)[1:])
+    with pytest.raises(InternalError, match=r"listed 4 trees with evaluation \(1, 1, 1\), "
+                                            "counted 5$"):
+        component((1, 1, 1), 3)
+
+
 def test_component_validates_input():
     with pytest.raises(RankError):
         component((1, 1), 3)
@@ -840,3 +848,51 @@ def test_evaluations_in_lexicographic_order(default_recursion_limit):
             want = [e for e in itertools.product(range(total + 1), repeat=n) if sum(e) == total]
             assert list(suites._evaluations(n, total)) == want
     assert len(list(suites._evaluations(1500, 1))) == 1500
+
+
+def test_unused_top_letters_leave_the_class_alone():
+    # what suite_connectivity builds each class through: an evaluation
+    # ending in 0 lists the keys and rows of its base, the evaluation less
+    # its trailing zeros, at rank len(base)
+    checked = 0
+    for n in range(2, 5):
+        for total in range(0, 7):
+            for e in suites._evaluations(n, total):
+                if e[-1]:
+                    continue
+                k = max((i + 1 for i, c in enumerate(e) if c), default=1)
+                g, base = component(e, n), component(e[:k], k)
+                assert [v.key for v in g.vertices] == [v.key for v in base.vertices], e
+                assert g.adj == base.adj, e
+                checked += 1
+    assert checked == 119
+
+
+def test_connectivity_builds_each_base_once(monkeypatch):
+    calls = []
+    real = suites.component
+    monkeypatch.setattr(suites, "component",
+                        lambda e, n, *caps: calls.append((e, n)) or real(e, n, *caps))
+    assert suites.suite_connectivity().lines == ["329 evaluation classes, all connected"]
+    assert len(calls) == len(set(calls)) == 210
+    assert all(len(e) == n and (n == 1 or e[-1]) for e, n in calls)
+    calls.clear()
+    assert suites.suite_connectivity(rank=1500, maxlen=0).passed
+    assert calls == [((0,), 1)]
+
+
+def test_connectivity_reports_every_rank_of_a_failing_base(monkeypatch):
+    real = suites.component
+
+    def split_one_one(e, n, *caps):
+        g = real(e, n, *caps)
+        if e[:2] == (1, 1) and not any(e[2:]):  # the base (1, 1) at any rank
+            g.parts = [[0], [1]]  # shadows the cached property
+        return g
+
+    monkeypatch.setattr(suites, "component", split_one_one)
+    assert suites.suite_connectivity().render() == (
+        "FAIL connectivity(rank<=4, len<=6): 329 evaluation classes, all connected\n"
+        "  counterexample: evaluation (1, 1) at rank 2: 2 parts\n"
+        "  counterexample: evaluation (1, 1, 0) at rank 3: 2 parts\n"
+        "  counterexample: evaluation (1, 1, 0, 0) at rank 4: 2 parts")
