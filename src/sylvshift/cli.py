@@ -257,8 +257,6 @@ def cmd_path(args: argparse.Namespace) -> int:
     u, v = parse_word(args.source), parse_word(args.target)
     n = _infer_rank(args, u, v)
     cert = shift_path(element_of(u, n), element_of(v, n))
-    if args.check and not cert.verify():
-        raise InternalError("certificate failed re-verification")
     if args.format == "json":
         _emit(certificate_json(cert), args)
     else:
@@ -297,14 +295,16 @@ def _run_suite(suite, args: argparse.Namespace):
 
     Unset options are None and leave the suite's own default; the caps and
     the budget default to the same library constants the suites use. The
-    suite's code object names its parameters, so `inspect` is not loaded.
+    code object of the suite, or of the function a `functools.wraps`
+    wrapper names as `__wrapped__`, names its parameters, so `inspect` is
+    not loaded.
     """
     params = _params(suite)
     return suite(**{k: v for k, v in vars(args).items() if k in params and v is not None})
 
 
 def _params(suite) -> tuple[str, ...]:
-    code = suite.__code__
+    code = getattr(suite, "__wrapped__", suite).__code__
     return code.co_varnames[:code.co_argcount]
 
 
@@ -421,8 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("path", help="certified chain of cyclic shifts between two words")
     p.add_argument("source")
     p.add_argument("target")
-    p.add_argument("--check", action="store_true",
-                   help="re-check the certificate's witnesses and chain; exit 5 if it fails")
     common(p, "rank")
     p.set_defaults(func=cmd_path)
 

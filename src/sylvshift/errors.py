@@ -44,12 +44,12 @@ class DisconnectedError(SylvError):
 class InternalError(SylvError):
     """A structural fact the library relies on failed to hold.
 
-    Raised by the path construction (a step's factorization or chain
-    invariants), `graph.component` (an asymmetric shift relation, or a
-    listing of the class that disagrees with its count),
-    `graph.mirror_index` (a letter reversal that is no involution),
-    `graph.diameter` (BFS rounds that stall) and the command line (`equal
-    --rewrite` disagreeing with insertion, a path certificate failing
-    `--check`). It signals a bug in the library (or an input violating a
-    checked precondition), never an expected runtime condition.
+    Raised by the path construction (a step's chain invariants, or a
+    finished certificate failing `verify()`), `graph.component` (an
+    asymmetric shift relation, or a listing of the class that disagrees
+    with its count), `graph.mirror_index` (a letter reversal that is no
+    involution), `graph.diameter` (BFS rounds that stall) and the command
+    line (`equal --rewrite` disagreeing with insertion). It signals a bug
+    in the library (or an input violating a checked precondition), never
+    an expected runtime condition.
     """

@@ -22,14 +22,14 @@ position p with subtree sizes (l, r) has its right child at p - 1 when
 r > 0 and its left child at p - r - 1 when l > 0, the root is last, and a
 subtree spans the l + r positions before its node. The target's sizes
 also name each step's shape. Locators (paths from the root) serve only to
-render trees. At each step `shift_path` checks that the step's word pair
-(x, y) reads the current tree as xy, takes yx as the next tree, and
-checks the two chain invariants on it once; any violation raises
-InternalError instead of producing an unverified path. The invariants
-are preconditions of `induction_step`, not part of what a path proves,
-so `PathCertificate.verify` re-checks only the certificate's own claims:
-n steps, chained, with known tags, each witness reading its pre tree as
-xy and its post tree as yx.
+render trees. At each step `shift_path` takes yx as the next tree and
+checks the two chain invariants on it once. The invariants are
+preconditions of `induction_step`, not part of what a path proves, so
+`PathCertificate.verify` checks only the certificate's own claims: n
+steps, chained, with known tags, each witness reading its pre tree as xy
+and its post tree as yx. `shift_path` runs it once on the finished chain.
+A failed invariant or a failed `verify()` raises InternalError, so every
+certificate it returns has passed both.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from functools import cache
 from .errors import InternalError, NotStandardError, ParseError, RankError
 from .graph import ShiftWitness
 from .monoid import SylvElement
-from .trees import Tree, key_sizes, parse_tree, psylv_key, tree_str
+from .trees import Tree, key_sizes, parse_tree, tree_str
 from .words import is_standard, parse_word, word_str
 
 CASE_TAGS = ("base", "case1", "case2a", "case2b", "case3", "case4a", "case4b")
@@ -146,17 +146,6 @@ def _shape(l: int, r: int) -> str:
     return "case3" if l else "case1"
 
 
-def base_step(s: SylvElement, u1: int) -> ShiftWitness:
-    """First shift: rotate s's key so u1 comes last, making it the root."""
-    w = s.key
-    if not w or not is_standard(w):
-        raise NotStandardError("base step needs a non-empty standard tree")
-    if u1 not in w:
-        raise ValueError(f"symbol {u1} does not label any node")
-    i = w.index(u1)
-    return ShiftWitness(w[: i + 1], w[i + 1 :])
-
-
 def induction_step(pre: Tree, target: Tree, h: int) -> tuple[ShiftWitness, str]:
     """One shift extending the chain from step h to step h+1.
 
@@ -188,7 +177,8 @@ def induction_step(pre: Tree, target: Tree, h: int) -> tuple[ShiftWitness, str]:
 
 
 def shift_path(start: SylvElement, target: SylvElement) -> PathCertificate:
-    """Certified chain of exactly n cyclic shifts from start to target."""
+    """Chain of exactly n cyclic shifts from start to target, returned only
+    once it ends at target and `verify()` holds; InternalError otherwise."""
     if start.rank != target.rank:
         raise RankError(f"rank mismatch: {start.rank} vs {target.rank}")
     if not start.key or not target.key:
@@ -204,12 +194,11 @@ def shift_path(start: SylvElement, target: SylvElement) -> PathCertificate:
     steps: list[PathStep] = []
     pre, t = start, None  # t: pre's tree as key_sizes, once a step has built it
     for h, (l, r) in enumerate(sizes):
-        if h == 0:
-            witness, tag = base_step(pre, key[0]), "base"
+        if h == 0:  # rotate start's key so that u_1 comes last, as the root
+            i = start.key.index(key[0]) + 1
+            witness, tag = ShiftWitness(start.key[:i], start.key[i:]), "base"
         else:
             witness, tag = induction_step(t, goal, h)
-        if psylv_key(witness.x + witness.y) != pre.key:
-            raise InternalError(f"step {h} ({tag}): assembled factorization is not a reading")
         t = key_sizes(witness.y + witness.x)
         post = SylvElement._make((start.rank, t[0]))  # pre's letters, so no rank check
         # Postfix order visits a node right after its subtree, which spans
@@ -225,7 +214,10 @@ def shift_path(start: SylvElement, target: SylvElement) -> PathCertificate:
 
     if pre != target:
         raise InternalError("path did not terminate at the target tree")
-    return PathCertificate(tuple(steps))
+    cert = PathCertificate(tuple(steps))
+    if not cert.verify():
+        raise InternalError("certificate failed re-verification")
+    return cert
 
 
 def certificate_obj(cert: PathCertificate) -> dict:

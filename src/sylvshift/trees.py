@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from functools import lru_cache
-from math import comb, inf
+from math import comb
 
 from .errors import CapExceededError, ParseError
 from .words import Word, parse_label
@@ -91,12 +91,6 @@ def key_sizes(w: Word) -> Tree:
             size += left + 1
         spine.append((i, size))
     return tuple(key), sizes
-
-
-def reading_count(w: Word) -> int:
-    """Number of readings of psylv(w), w being any one of them: the
-    product of `check_reading_cap` with no cap."""
-    return check_reading_cap(key_sizes(w)[1], inf)
 
 
 def check_reading_cap(sizes: Sizes, cap: float) -> int:

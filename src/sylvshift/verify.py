@@ -235,9 +235,6 @@ def _path_worker(args: tuple[int, list[Word], list[Word]]) -> tuple[int, set, li
         except Exception as exc:  # noqa: BLE001  (reported, not swallowed)
             failures.append(f"path {word_str(start.key)} -> {tree_str(end.key)}: {exc}")
             continue
-        if not cert.verify():
-            failures.append(f"path {word_str(start.key)} -> {tree_str(end.key)}: "
-                            "invalid certificate")
         tags.update(s.case_tag for s in cert.steps)
         count += 1
     return count, tags, failures
@@ -276,7 +273,8 @@ EXAMPLE_CHAIN = ("13254", "54132", "12543", "41235", "12354", "23541")
 
 
 def suite_example_path() -> SuiteReport:
-    """The worked 5-node chain: tree-by-tree golden match; verify() validates the edges."""
+    """The worked 5-node chain: tree-by-tree golden match; shift_path's verify() validates
+    the edges."""
     rep = SuiteReport("example-path")
     words = [tuple(int(c) for c in w) for w in EXAMPLE_CHAIN]
     cert = shift_path(element_of(words[0], 5), element_of(words[-1], 5))
@@ -284,8 +282,6 @@ def suite_example_path() -> SuiteReport:
         want = element_of(words[i + 1], 5)
         if step.post != want:
             rep.fail(f"step {i}: got {tree_str(step.post.key)}, want {tree_str(want.key)}")
-    if not cert.verify():
-        rep.fail("certificate fails re-verification")
     rep.lines.append("5-step chain matches the worked example and all edges validate")
     return rep
 

@@ -1,4 +1,5 @@
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -194,7 +195,7 @@ TREE_GOLDENS = [
      "648643647456060299181ae9570de2a5ce2301f67cd95b8dc5341001fa392933"),
     (("component", "-n", "6", "--standard", "--format", "dot", "--tree-labels"),
      "3b17dda05e8d544b493e8bcf2dabb3cc39d3a76b50a3b317d5eb1b537e813c47"),
-    (("path", "13254", "23541", "--check"),
+    (("path", "13254", "23541"),
      "0d5250bdbd5a4969abb7a2e578774a4aa1e54bdaac92c02f9db8836da4c4b724"),
     (("neighbors", "5451761524", "--format", "json"),
      "120e0552c895868d7b0e06582cfadf111caadc5da0c4e5ebad2db8fcac03185e"),
@@ -263,7 +264,7 @@ def test_distance_searches_without_the_class(monkeypatch, capsys):
 
 
 def test_path_text_and_json(capsys):
-    code, out, _ = run(capsys, "path", "13254", "23541", "--check")
+    code, out, _ = run(capsys, "path", "13254", "23541")
     assert code == 0
     assert "[base]" in out and "23541" in out
 
@@ -279,7 +280,7 @@ def test_path_text_and_json(capsys):
 def test_path_between_long_chains(capsys):
     up = ".".join(str(a) for a in range(1, 301))
     down = ".".join(str(a) for a in range(300, 0, -1))
-    code, out, _ = run(capsys, "path", up, down, "-n", "300", "--check", "--format", "json")
+    code, out, _ = run(capsys, "path", up, down, "-n", "300", "--format", "json")
     assert code == 0
     assert len(json.loads(out)["steps"]) == 300
 
@@ -381,6 +382,28 @@ def test_verify_refuses_a_size_flag_no_named_suite_reads(capsys):
     assert code == 0 and out.startswith("PASS example-path")
 
 
+def test_verify_reads_the_flags_of_a_wrapped_suite(monkeypatch, capsys):
+    # a functools.wraps wrapper, as a tracer installs one, takes *args and
+    # **kwargs; the suite it wraps still names the flags verify passes on
+    seen = {}
+
+    def wrapped(name):
+        real = suites.SUITES[name]
+
+        @functools.wraps(real)
+        def wrapper(*args, **kwargs):
+            seen[name] = kwargs
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("oracle", "path"):
+        monkeypatch.setitem(suites.SUITES, name, wrapped(name))
+    code, out, _ = run(capsys, "verify", "oracle", "--maxlen", "2")
+    assert code == 0 and out.startswith("PASS") and seen["oracle"]["maxlen"] == 2
+    code, out, _ = run(capsys, "verify", "path", "--n", "2", "--jobs", "2")
+    assert code == 0 and out.startswith("PASS") and seen["path"] == {"nmax": 2, "jobs": 2}
+
+
 def test_main_leaves_the_recursion_limit(default_recursion_limit, capsys):
     code, out, _ = run(capsys, "verify", "connectivity", "-n", "1500", "--maxlen", "0")
     assert code == 0 and out.startswith("PASS")
@@ -400,12 +423,13 @@ def test_internal_errors_exit_5(monkeypatch, capsys):
     assert code == 5 and out == ""
     assert err.startswith("internal error: step 1 (case3): ")
 
-    code, _, _ = run(capsys, "path", "13254", "23541", "--check")
+    code, _, _ = run(capsys, "path", "13254", "23541")
     assert code == 0
     monkeypatch.setattr(PathCertificate, "verify", lambda self: False)
-    code, out, err = run(capsys, "path", "13254", "23541", "--check")
-    assert code == 5 and out == ""
-    assert err.strip() == "internal error: certificate failed re-verification"
+    for argv in (("path", "13254", "23541"), ("verify", "example-path")):
+        code, out, err = run(capsys, *argv)
+        assert code == 5 and out == ""
+        assert err.strip() == "internal error: certificate failed re-verification"
 
     real = graph.keys_with_evaluation
     monkeypatch.setattr(graph, "keys_with_evaluation", lambda e: real(e)[1:])

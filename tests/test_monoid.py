@@ -191,9 +191,6 @@ def test_suites_build_their_elements_from_keys(monkeypatch):
     class Certified:
         steps = ()
 
-        def verify(self):
-            return True
-
     seen = []
     monkeypatch.setattr(suites, "element_of", by_key)
     monkeypatch.setattr(suites, "multiply", lambda s, t: by_key(s.key + t.key, s.rank))

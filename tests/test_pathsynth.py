@@ -10,6 +10,7 @@ from conftest import (Node, bfs_distances, canonical_reading, classify_step, com
                       induction_step_by_cases, node_tree_str, postfix, psylv, standard_trees,
                       step_invariants_by_tree, visited_tops_by_scan)
 from sylvshift import pathsynth
+from sylvshift import verify as suites
 from sylvshift.cli import main
 from sylvshift.errors import InternalError, NotStandardError, ParseError, RankError
 from sylvshift.graph import ShiftWitness, neighbor_set
@@ -18,7 +19,6 @@ from sylvshift.pathsynth import (
     CASE_TAGS,
     PathCertificate,
     PathStep,
-    base_step,
     certificate_from_obj,
     certificate_json,
     induction_step,
@@ -174,17 +174,51 @@ def test_induction_steps_match_case_oracle_beyond_n6(pair):
 
 
 def test_base_step_examples():
-    wit = base_step(CHAIN[0], 2)
+    # the first step rotates the source's key so that the target's first
+    # postfix node comes last, as the root
+    wit = shift_path(CHAIN[0], CHAIN[-1]).steps[0].witness
     assert (wit.x, wit.y) == ((1, 3, 2), (5, 4))
     assert wit.validates(CHAIN[0], CHAIN[1])
 
     single = element_of((1,), 1)
-    wit = base_step(single, 1)
+    wit = shift_path(single, single).steps[0].witness
     assert wit.validates(single, single) and wit.x == (1,) and wit.y == ()
 
-    wit = base_step(element_of((2, 1), 2), 2)
-    assert wit.validates(element_of((2, 1), 2), element_of((1, 2), 2))
+    down = element_of((2, 1), 2)
+    wit = shift_path(down, down).steps[0].witness
+    assert wit.validates(down, element_of((1, 2), 2))
     assert (wit.x, wit.y) == ((2,), (1,))
+
+
+def test_shift_path_returns_only_verified_certificates(monkeypatch):
+    # one witness rejected by verify(): the chain is built, then refused
+    real = ShiftWitness.validates
+    rejected = CHAIN[3]
+    monkeypatch.setattr(ShiftWitness, "validates",
+                        lambda self, pre, post: pre != rejected and real(self, pre, post))
+    with pytest.raises(InternalError, match="^certificate failed re-verification$"):
+        shift_path(CHAIN[0], CHAIN[-1])
+    # a witness that does not read its pre tree fails at its own step
+    monkeypatch.undo()
+    real_step = pathsynth.induction_step
+
+    def corrupted(*args):
+        witness, tag = real_step(*args)
+        return ShiftWitness(witness.x[:-1], witness.y), tag
+
+    monkeypatch.setattr(pathsynth, "induction_step", corrupted)
+    with pytest.raises(InternalError, match=r"^step 1 \(case3\): "):
+        shift_path(CHAIN[0], CHAIN[-1])
+
+
+def test_path_suite_reports_certificates_that_fail_verify(monkeypatch):
+    monkeypatch.setattr(PathCertificate, "verify", lambda self: False)
+    rep = suites.suite_path(3)
+    # every ordered pair of standard trees with n <= 3: 1 + 2 * 2 + 5 * 5
+    assert rep.render().startswith("FAIL path(n<=3)")
+    assert len(rep.failures) == 30
+    assert all(f.endswith(": certificate failed re-verification") for f in rep.failures)
+    assert "  counterexample: path 1 -> 1(_,_): certificate failed re-verification\n" in rep.render()
 
 
 def test_induction_steps_match_worked_example():
@@ -253,8 +287,8 @@ def test_paths_build_no_tree(default_recursion_limit, capsys):
         assert back == cert and back.verify()
     # and so does every command that prints trees
     formats = ("text", "art", "dot", "json")
-    for argv in (["path", "13254", "23541", "--check"],
-                 ["path", "13254", "23541", "--check", "--format", "json"],
+    for argv in (["path", "13254", "23541"],
+                 ["path", "13254", "23541", "--format", "json"],
                  *(["tree", "5451761524", "--format", f] for f in formats),
                  ["readings", "5451761524"],
                  ["multiply", "2143", "3412", "--format", "json"],

@@ -1,5 +1,6 @@
 import itertools
 import sys
+from math import inf
 
 import pytest
 from hypothesis import given
@@ -37,10 +38,10 @@ from sylvshift.errors import CapExceededError, ParseError
 from sylvshift.monoid import element_of, equivalent
 from sylvshift.trees import (
     KEY_CACHE_SIZE,
+    check_reading_cap,
     key_sizes,
     parse_tree,
     psylv_key,
-    reading_count,
     readings,
     tree_art,
     tree_dot,
@@ -140,7 +141,7 @@ def test_readings_count_matches_hook_formula():
     for n in range(1, 7):
         for t in standard_trees(n):
             assert (len(readings(canonical_reading(t))) == hook_length_extensions(t)
-                    == reading_count(canonical_reading(t)))
+                    == check_reading_cap(key_sizes(canonical_reading(t))[1], inf))
 
 
 def test_child_sizes_of_any_reading_match_its_tree():
@@ -170,7 +171,7 @@ def test_reading_count_exact_on_multiset_trees():
     for length in range(0, 7):
         for w in itertools.product((1, 2, 3), repeat=length):
             # w is any reading of its tree, not only the canonical one
-            assert len(readings(w)) == reading_count(w)
+            assert len(readings(w)) == check_reading_cap(key_sizes(w)[1], inf)
 
 
 def test_readings_cap():
@@ -376,7 +377,7 @@ def test_chains_of_1e5_nodes_need_no_recursion(default_recursion_limit, w):
     # n..1 a chain of right children under 1; either word is its own key
     assert key == tuple(w) == psylv_key(tuple(w))
     assert sizes == [(p, 0) if w[0] == 1 else (0, p) for p in range(n)]
-    assert reading_count(key) == 1
+    assert check_reading_cap(key_sizes(key)[1], inf) == 1
     assert parse_tree(tree_str(w)) == tuple(w)
     # the sideways art is quadratic in the depth, so it is drawn for a
     # 2000-node chain: deeper than the recursion limit, 8 MB of text
