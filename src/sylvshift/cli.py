@@ -278,7 +278,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for param, least in verify_mod.LEAST_SIZES.get(name, {}).items():
             value = getattr(args, param)
             if value is not None and value < least:
-                flag = "--n" if param == "nmax" else f"--{param}"
+                flag = SIZE_FLAGS[param]
                 raise SylvError(f"suite {name} has nothing to check at {flag} {value}; "
                                 f"it needs {flag} >= {least}")
     read = {param for name in names for param in _params(verify_mod.SUITES[name])}

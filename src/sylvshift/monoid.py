@@ -48,10 +48,15 @@ class SylvElement(namedtuple("SylvElement", "rank key")):
         return key_sizes(self.key)
 
     def __mul__(self, other: "SylvElement") -> "SylvElement":
+        if not isinstance(other, SylvElement):
+            return NotImplemented
         return multiply(self, other)
 
     def __rmul__(self, other):
         return NotImplemented  # not the tuple's repetition
+
+    def __add__(self, other):
+        return NotImplemented  # not the tuple's concatenation
 
     def __len__(self) -> int:
         return len(self.key)

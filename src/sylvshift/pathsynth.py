@@ -21,10 +21,9 @@ every node's subtrees, which one pass of insertion's sort and stack gives
 position p with subtree sizes (l, r) has its right child at p - 1 when
 r > 0 and its left child at p - r - 1 when l > 0, the root is last, and a
 subtree spans the l + r positions before its node. The target's sizes
-also name each step's shape. Locators (paths from the root) serve only to
-render trees. At each step `shift_path` takes yx as the next tree and
-checks the two chain invariants on it once. The invariants are
-preconditions of `induction_step`, not part of what a path proves, so
+also name each step's shape. At each step `shift_path` takes yx as the
+next tree and checks the two chain invariants on it once. The invariants
+are preconditions of `induction_step`, not part of what a path proves, so
 `PathCertificate.verify` checks only the certificate's own claims: n
 steps, chained, with known tags, each witness reading its pre tree as xy
 and its post tree as yx. `shift_path` runs it once on the finished chain.

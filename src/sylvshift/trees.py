@@ -13,10 +13,6 @@ The library holds a tree in one form, `Tree`: its key, the canonical
 of insertion's sort and stack gives (`key_sizes`); a node is addressed by
 its position in the key. Inserting the key gives the tree back, and the
 functions here take any reading w of the tree.
-
-Locators address nodes by the path from the root: a string over {"L", "R"},
-"" being the root itself. They are for rendering only, as the node ids of
-`tree_dot`.
 """
 
 from __future__ import annotations
@@ -29,17 +25,16 @@ from .errors import CapExceededError, ParseError
 from .words import Word, parse_label
 
 MAX_READINGS = 100_000
-# Characters that tree_art or tree_dot may write for one tree. Both grow
-# with the square of its depth (an art line is indented four spaces per
-# level, a DOT id is its node's path from the root): a 2000-node chain
-# draws 8 MB of art, a 1e5-node one would need 2e10 characters.
+# Characters that tree_art may write for one tree. Art grows with the
+# square of the tree's depth, as a line is indented four spaces per level:
+# a 2000-node chain draws 8 MB of art, a 1e5-node one would need 2e10
+# characters. DOT text is linear in the tree and needs no cap.
 MAX_RENDER_CHARS = 20_000_000
-# Distinct words whose keys psylv_key keeps. The exhaustive suites ask for
-# the same few thousand keys again and again; 256 serves most repeats, and
-# a longer cache of long words costs more memory than it saves time.
+# Distinct words whose keys psylv_key keeps. The repeats come mostly from
+# the path suite, which re-inserts the same chains' words; 256 serves
+# them, and a longer cache of long words costs more memory than it saves.
 KEY_CACHE_SIZE = 256
 
-Locator = str
 Sizes = list[tuple[int, int]]  # (left, right) subtree sizes per node, in postfix order
 Tree = tuple[Word, Sizes]  # a tree as its key and its sizes, which key_sizes gives
 
@@ -183,60 +178,20 @@ def parse_tree(text: str) -> Word:
     return tuple(key)
 
 
-def _depths(sizes: Sizes) -> list[int]:
-    """The depth of every node by postfix position, the root's being 0; a
-    node's parent comes after it."""
-    depth = [0] * len(sizes)
-    for p in reversed(range(len(sizes))):
-        l, r = sizes[p]
-        if r:
-            depth[p - 1] = depth[p] + 1
-        if l:
-            depth[p - r - 1] = depth[p] + 1
-    return depth
-
-
-def _check_render_size(chars: int) -> None:
-    if chars > MAX_RENDER_CHARS:
-        raise CapExceededError("rendered characters", MAX_RENDER_CHARS)
-
-
 def tree_dot(w: Word) -> str:
-    """Graphviz DOT for psylv(w); edges carry their child side. Raises
-    CapExceededError, before writing any line, when the text would be
-    longer than MAX_RENDER_CHARS."""
+    """Graphviz DOT for psylv(w): the node at key position p is `n<p>`, its
+    lines come in key order, and each edge carries its child side. The text
+    is linear in the tree, so a chain of any depth is drawn."""
     key, sizes = key_sizes(w)
-    # Counted with the newline that ends every line but the last: the
-    # header and "}" take 38 characters (81 with the empty tree's line). A
-    # node at depth d has the id "n" + its d-letter locator, or "nroot",
-    # and writes `  n<id> [label="<label>"];` (16 and its id and label);
-    # below the root it also writes `  n<parent id> -> n<id> [label="<side>"];`
-    # (22 and both ids).
-    chars = 38 if key else 81
-    for a, d in zip(key, _depths(sizes)):
-        chars += 16 + (d or 4) + len(str(a))
-        if d:
-            chars += 22 + (d - 1 or 4) + d
-    _check_render_size(chars)
-    locs: list[Locator] = [""] * len(key)
-    for p in reversed(range(len(key))):  # a node's parent sits after it
-        l, r = sizes[p]
-        if r:
-            locs[p - 1] = locs[p] + "R"
-        if l:
-            locs[p - r - 1] = locs[p] + "L"
-    # in order: psylv(key) is a search tree on (label, postfix position)
-    nodes = [(key[p], locs[p]) for p in sorted(range(len(key)), key=key.__getitem__)]
     lines = ["digraph bst {", "  node [shape=circle];"]
     if not key:
         lines.append('  empty [label="(empty)" shape=plaintext];')
-    for label, loc in nodes:
-        lines.append(f'  n{loc or "root"} [label="{label}"];')
-    for _, loc in nodes:
-        if loc:
-            parent = loc[:-1] or "root"
-            side = loc[-1]
-            lines.append(f'  n{parent} -> n{loc} [label="{side}"];')
+    lines += (f'  n{p} [label="{a}"];' for p, a in enumerate(key))
+    for p, (l, r) in enumerate(sizes):
+        if l:
+            lines.append(f'  n{p} -> n{p - r - 1} [label="L"];')
+        if r:
+            lines.append(f'  n{p} -> n{p - 1} [label="R"];')
     lines.append("}")
     return "\n".join(lines)
 
@@ -249,7 +204,14 @@ def tree_art(w: Word) -> str:
     if not w:
         return "(empty)"
     key, sizes = key_sizes(w)
-    depth = _depths(sizes)
-    _check_render_size(sum(4 * d + len(str(a)) + 1 for a, d in zip(key, depth)) - 1)
+    depth = [0] * len(key)
+    for p in reversed(range(len(key))):  # a node's parent sits after it
+        l, r = sizes[p]
+        if r:
+            depth[p - 1] = depth[p] + 1
+        if l:
+            depth[p - r - 1] = depth[p] + 1
+    if sum(4 * d + len(str(a)) + 1 for a, d in zip(key, depth)) - 1 > MAX_RENDER_CHARS:
+        raise CapExceededError("rendered characters", MAX_RENDER_CHARS)
     order = sorted(range(len(key)), key=key.__getitem__)  # in order, by (label, position)
     return "\n".join("    " * depth[p] + str(key[p]) for p in reversed(order))

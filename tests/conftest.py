@@ -13,13 +13,17 @@ import pytest
 from sylvshift.errors import InternalError, ParseError
 from sylvshift.graph import ComponentGraph, ShiftWitness, keys_with_evaluation, neighbor_keys
 from sylvshift.monoid import SylvElement
-from sylvshift.trees import Locator, Sizes, key_sizes
+from sylvshift.trees import Sizes, key_sizes
 
 # The 10-node tree used across the golden tests, spelled out by hand:
 # root 4; left 2(left 1(left 1), right 4); right 5(left 5(left 5),
 # right 6(right 7)).
 EQ1_WORD = (5, 4, 5, 1, 7, 6, 1, 5, 2, 4)
 EQ1_STR = "4(2(1(1(_,_),_),4(_,_)),5(5(5(_,_),_),6(_,7(_,_))))"
+
+# The oracles address a node by its path from the root: a string over
+# {"L", "R"}, "" being the root itself.
+Locator = str
 
 
 class Node:
@@ -296,17 +300,19 @@ def node_parse_tree(text: str) -> Bst:
 
 
 def node_tree_dot(t: Bst) -> str:
-    """Graphviz DOT for a tree of nodes; edges carry their child side."""
+    """Graphviz DOT for a tree of nodes: the node at position p of its
+    postfix walk is `n<p>`; edges carry their child side."""
+    nodes = postfix(t)
+    position = {loc: p for p, (_, loc) in enumerate(nodes)}
     lines = ["digraph bst {", "  node [shape=circle];"]
     if t is None:
         lines.append('  empty [label="(empty)" shape=plaintext];')
-    for label, loc in infix(t):
-        lines.append(f'  n{loc or "root"} [label="{label}"];')
-    for _, loc in infix(t):
-        if loc:
-            parent = loc[:-1] or "root"
-            side = loc[-1]
-            lines.append(f'  n{parent} -> n{loc} [label="{side}"];')
+    for p, (label, _) in enumerate(nodes):
+        lines.append(f'  n{p} [label="{label}"];')
+    for p, (_, loc) in enumerate(nodes):
+        for side in "LR":
+            if loc + side in position:
+                lines.append(f'  n{p} -> n{position[loc + side]} [label="{side}"];')
     lines.append("}")
     return "\n".join(lines)
 

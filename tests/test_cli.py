@@ -141,12 +141,15 @@ def test_labels_too_long_to_convert_exit_2(capsys):
 
 def test_tree_drawings_too_large_exit_3(capsys):
     chain = ".".join(map(str, range(1, 100_001)))
-    for fmt in ("art", "dot"):
-        code, out, err = run(capsys, "tree", chain, "--format", fmt)
-        assert code == 3 and out == ""
-        assert err == "error: rendered characters exceeded cap of 20000000\n"
+    code, out, err = run(capsys, "tree", chain, "--format", "art")
+    assert code == 3 and out == ""
+    assert err == "error: rendered characters exceeded cap of 20000000\n"
     code, out, _ = run(capsys, "tree", chain)
     assert code == 0 and out.startswith("100000(99999(")
+    # DOT text is linear in the tree: the whole chain is drawn
+    code, out, _ = run(capsys, "tree", chain, "--format", "dot")
+    assert code == 0 and len(out) < 60 * 100_000
+    assert out.endswith('  n99999 -> n99998 [label="L"];\n}\n')
 
 
 # sha256 of the full stdout of `component` with witnessed edges, pinned
@@ -180,11 +183,11 @@ TREE_GOLDENS = [
     (("tree", "5451761524", "--format", "art"),
      "81a62d5841354e7eceac61842740ad01abe8692fda5b6aec13bb2f10d818644f"),
     (("tree", "5451761524", "--format", "dot"),
-     "eb6077fd9d786c2b8a3f9bb01d4e48dd24b5467cc53704c690bc127b55a52079"),
+     "0ccb57f3cfd255e42851d78ffd68b38fbf68d66d30146fee6dae07a329af6ccb"),
     (("tree", "5451761524", "--format", "json"),
      "781e04067fe40f18c29ef38497a9a91317c34d95868880cc59af432081a3d903"),
     (("tree", "1.3.12.5", "--format", "dot"),
-     "bb2166ca7c21a34b8db70d1744d08a274dffe14897449aa860b9332ced824551"),
+     "1cbc36f9094a758e77b0ad413b2430c80a61cf6083b383bd7416bd2c20e44082"),
     (("tree", ""),
      "4415b7e361fc6f6ba2492adef1f27cfb00d0105e4588177470cecc4214b35284"),
     (("readings", "5451761524"),
@@ -326,11 +329,11 @@ def test_exit_codes(capsys):
                                ("path", "--n", "0"),
                                ("cocharge-congruence", "--n", "0"),
                                ("oracle", "--maxlen", "0"),
-                               ("oracle", "--rank", "0"),
+                               ("oracle", "-n/--rank", "0"),
                                ("cocharge-shift", "--maxlen", "0"),
-                               ("connectivity", "--rank", "0"),
+                               ("connectivity", "-n/--rank", "0"),
                                ("all", "--n", "1")):
-        code, out, err = run(capsys, "verify", suite, flag, value)
+        code, out, err = run(capsys, "verify", suite, flag.split("/")[-1], value)
         assert code == 2 and out == "" and f"at {flag} {value}" in err
         assert suite == "all" or f"suite {suite} " in err
     for suite, flag in (("connectivity", "--maxlen"), ("monoid", "--rank"),

@@ -128,8 +128,11 @@ def test_value_types_are_immutable_picklable_and_keep_their_repr():
     assert pickle.loads(pickle.dumps(cached)).tree == tree == s.tree
     assert len(s) == len(s.key) == 3 and len(cert) == len(cert.steps) == 2
     assert s * s == element_of((1, 3, 2, 1, 3, 2), 3)
-    with pytest.raises(TypeError):
-        2 * s
+    # an element multiplies only by an element: no tuple repetition or
+    # concatenation on either side
+    for product in (lambda: 2 * s, lambda: s * 2, lambda: s + s):
+        with pytest.raises(TypeError):
+            product()
 
 
 def test_namedtuple_helpers_keep_the_value_types_checked():

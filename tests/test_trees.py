@@ -289,23 +289,22 @@ def test_parse_tree_refuses_labels_too_long_to_convert():
 
 
 def test_render_cap_is_the_exact_text_length(monkeypatch):
-    # art and DOT text are counted before any line is drawn: a cap of the
-    # text's own length draws it, one less refuses it; labels of several
-    # digits and repeated labels are counted as drawn (the empty tree's
-    # art, "(empty)", is not counted)
+    # art is counted before any line is drawn: a cap of the text's own
+    # length draws it, one less refuses it; labels of several digits and
+    # repeated labels are counted as drawn (the empty tree's art,
+    # "(empty)", is not counted)
     cap = trees.MAX_RENDER_CHARS
     # the 2000-node chain's 8 MB of art lies within the default cap
     assert len(tree_art(range(1, 2001))) <= cap
-    for length in range(0, 6):
+    for length in range(1, 6):
         for w in itertools.product((1, 2, 12, 345), repeat=length):
-            for render in (tree_art, tree_dot) if w else (tree_dot,):
-                monkeypatch.setattr(trees, "MAX_RENDER_CHARS", cap)
-                text = render(w)
-                monkeypatch.setattr(trees, "MAX_RENDER_CHARS", len(text))
-                assert render(w) == text
-                monkeypatch.setattr(trees, "MAX_RENDER_CHARS", len(text) - 1)
-                with pytest.raises(CapExceededError):
-                    render(w)
+            monkeypatch.setattr(trees, "MAX_RENDER_CHARS", cap)
+            text = tree_art(w)
+            monkeypatch.setattr(trees, "MAX_RENDER_CHARS", len(text))
+            assert tree_art(w) == text
+            monkeypatch.setattr(trees, "MAX_RENDER_CHARS", len(text) - 1)
+            with pytest.raises(CapExceededError):
+                tree_art(w)
 
 
 def test_emitters_smoke():
@@ -385,8 +384,13 @@ def test_chains_of_1e5_nodes_need_no_recursion(default_recursion_limit, w):
     # the whole chain would draw about 2e10 characters: refused up front
     with pytest.raises(CapExceededError):
         tree_art(w)
-    with pytest.raises(CapExceededError):
-        tree_dot(w)
+    # DOT names each node by its key position, so its text is linear
+    text = tree_dot(w)
+    dot = text.split("\n")
+    assert len(text) < 60 * n and len(dot) == 2 * n + 2
+    side = "L" if w[0] == 1 else "R"
+    assert dot[2] == f'  n0 [label="{w[0]}"];' and dot[n + 1] == f'  n{n - 1} [label="{w[-1]}"];'
+    assert dot[n + 2:-1] == [f'  n{p} -> n{p - 1} [label="{side}"];' for p in range(1, n)]
     a, b = element_of(tuple(w), n), element_of(tuple(w), n)
     assert a.tree == b.tree == (key, sizes)
     assert a == b and hash(a) == hash(b)
