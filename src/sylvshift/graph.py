@@ -178,11 +178,14 @@ def tree_count(e: tuple[int, ...], cap: float = inf) -> int:
 
 
 def keys_with_evaluation(e: tuple[int, ...]) -> list[Word]:
-    """The key (canonical reading) of every tree with evaluation e, each once:
-    the pop sequences that `tree_count` counts, walked on an explicit stack.
-    Frames share their spine and their pops as linked (label, rest) pairs,
-    so the walk holds little beyond the keys it returns.
-    """
+    """The key (canonical reading) of every tree with evaluation e, once each
+    and in increasing order: the pop sequences that `tree_count` counts, on
+    a stack of frames that share their spine and pops as linked (label,
+    rest) pairs. The stack tries node j's pop counts k from h down to 0;
+    choices k > k' share their first k' pops. Under k the next letter is a
+    spine label below v = word[j]: the spine rises strictly, and a repeat of
+    v is popped under both (k' >= 1). Under k' node j pushes v, so every pop
+    or spine label read next is >= v."""
     word = [v for v, c in enumerate(e, 1) for _ in range(c)]
     out: list[Word] = []
     stack = [(0, 0, None, None)]  # (node j, spine height, spine, pops), each newest first
@@ -213,10 +216,10 @@ def keys_with_evaluation(e: tuple[int, ...]) -> list[Word]:
 class ComponentGraph:
     """The subgraph induced by all elements with one fixed evaluation.
 
-    Vertices are sorted by key, index maps each key to its vertex, and
-    adj[i] lists i's neighbors in increasing order; self-loops are dropped.
-    Edges carry no witness, and the graph no cap: `edge_witnesses` recomputes
-    the witnesses from vertices that all passed `component`'s reading cap.
+    Vertices come in the key order `keys_with_evaluation` lists, index maps
+    each key to its vertex, and adj[i] lists i's neighbors in increasing
+    order, without self-loops. Edges carry no witness, and the graph no cap:
+    `edge_witnesses` recomputes witnesses from vertices that passed the cap.
     """
 
     def __init__(self, rank: int, evaluation: tuple[int, ...],
@@ -340,19 +343,20 @@ def component(e: tuple[int, ...], n: int, max_vertices: int = MAX_VERTICES,
     """Build the evaluation-class graph for e over the rank-n alphabet.
 
     Both caps refuse before the first row is built. `tree_count` counts the
-    class against max_vertices before any key is listed. A tree of L = sum(e)
-    nodes has at most L! readings (a class is the set of linear extensions of
-    its tree); past that bound each mirror orbit's first key has its readings
-    counted against max_readings, in key order, as a mirror image has the
-    same hook product. The rows then run uncapped. Raises InternalError when
-    the keys listed differ in number from the trees `tree_count` counted.
+    class against max_vertices before `keys_with_evaluation` lists its keys,
+    already in vertex order. A tree of L = sum(e) nodes has at most L!
+    readings (a class is the set of linear extensions of its tree); past
+    that bound each mirror orbit's first key has its readings counted
+    against max_readings, in key order, as a mirror image has the same hook
+    product. The rows then run uncapped. Raises InternalError when the keys
+    listed differ in number from the trees `tree_count` counted.
     """
     if len(e) != n:
         raise RankError(f"evaluation has length {len(e)}, rank is {n}")
     if any(c < 0 for c in e):
         raise RankError(f"negative multiplicity in {e}")
     count = tree_count(e, max_vertices)
-    keys = sorted(keys_with_evaluation(e))
+    keys = keys_with_evaluation(e)
     # two independent enumerations of one class: counted and listed
     if len(keys) != count:
         raise InternalError(f"listed {len(keys)} trees with evaluation {e}, counted {count}")

@@ -58,6 +58,10 @@ class SylvElement(namedtuple("SylvElement", "rank key")):
     def __add__(self, other):
         return NotImplemented  # not the tuple's concatenation
 
+    def __radd__(self, other):  # NotImplemented would let a tuple on the left concatenate
+        raise TypeError(f"unsupported operand type(s) for +: {type(other).__name__!r} and "
+                        "'SylvElement'")
+
     def __len__(self) -> int:
         return len(self.key)
 

@@ -49,11 +49,6 @@ def _all_words(rank: int, length: int):
     return itertools.product(range(1, rank + 1), repeat=length)
 
 
-def standard_keys(n: int) -> list[Word]:
-    """The keys (canonical readings) of all standard trees on n nodes, sorted."""
-    return sorted(keys_with_evaluation((1,) * n))
-
-
 def suite_oracle(rank: int = 4, maxlen: int = 6,
                  budget: int = DEFAULT_REWRITE_BUDGET) -> SuiteReport:
     """Rewriting closure classes coincide with insertion fibers, all words checked."""
@@ -85,7 +80,7 @@ def suite_cocharge_congruence(nmax: int = 7) -> SuiteReport:
     rep = SuiteReport(f"cocharge-congruence(n<={nmax})")
     checked = 0
     for n in range(1, nmax + 1):
-        keys = standard_keys(n)
+        keys = keys_with_evaluation((1,) * n)
         for key in keys:
             fiber = readings(key)
             seqs = {cochseq_word(w) for w in fiber}
@@ -141,24 +136,20 @@ def suite_connectivity(rank: int = 4, maxlen: int = 6, max_vertices: int = MAX_V
                        max_readings: int = MAX_READINGS) -> SuiteReport:
     """Every evaluation class up to the given rank and length is connected.
 
-    Rows read only the letters, so an evaluation whose top letters are
-    unused, such as (1, 1, 0, 0) at rank 4, has the keys and rows of its
-    base (1, 1) at rank 2: the evaluation less its trailing zeros, keeping
-    one entry. Each base is built once, at rank len(base): the lowest rank
-    where it appears, so the loops meet it there first. Every evaluation is
-    then checked, reported and counted through its base's part count."""
+    Insertion only compares letters, so an order-preserving map of the
+    letters carries keys, key order and rows from one class to another: the
+    class of (0, 1, 0, 1) at rank 4 is that of its zero-free form (1, 1) at
+    rank 2. Each zero-free form is built once, at rank len(base), and every
+    evaluation is checked, reported and counted through its part count."""
     rep = SuiteReport(f"connectivity(rank<={rank}, len<={maxlen})")
     built = 0
-    parts: dict[tuple[int, ...], int] = {}  # base -> its class's part count
+    parts: dict[tuple[int, ...], int] = {}  # zero-free form -> its class's part count
     for n in range(1, rank + 1):
         for length in range(0, maxlen + 1):
             for e in _evaluations(n, length):
-                k = n
-                while k > 1 and not e[k - 1]:
-                    k -= 1
-                base = e[:k]
+                base = tuple(c for c in e if c)
                 if base not in parts:
-                    parts[base] = len(component(base, k, max_vertices, max_readings).parts)
+                    parts[base] = len(component(base, len(base), max_vertices, max_readings).parts)
                 if parts[base] > 1:
                     rep.fail(f"evaluation {e} at rank {n}: {parts[base]} parts")
                 built += 1
@@ -247,7 +238,7 @@ def suite_path(nmax: int = 5, jobs: int = 1) -> SuiteReport:
     total = 0
     work = []
     for n in range(1, nmax + 1):
-        keys = standard_keys(n)
+        keys = keys_with_evaluation((1,) * n)
         size = -(-len(keys) // max(jobs, 1))
         work += [(n, keys[i:i + size], keys) for i in range(0, len(keys), size)]
     # one pool serves every n, and none is started for a single item
@@ -292,7 +283,7 @@ def suite_induced(nmax: int = 4) -> SuiteReport:
     checked = 0
     for m in range(1, nmax):
         for n in range(m + 1, nmax + 1):
-            for key in standard_keys(m):
+            for key in keys_with_evaluation((1,) * m):
                 low = {tuple(a + n - m for a in k) for k in neighbor_set(key)}
                 high = neighbor_set(tuple(a + n - m for a in key))
                 if low != high:

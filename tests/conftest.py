@@ -449,9 +449,7 @@ def hook_length_extensions(t: Bst) -> int:
 
 def standard_trees(n: int) -> list[Bst]:
     """All standard trees on n nodes, sorted by canonical reading."""
-    from sylvshift.verify import standard_keys
-
-    return [psylv(key) for key in standard_keys(n)]
+    return [psylv(key) for key in keys_with_evaluation((1,) * n)]
 
 
 def standard_trees_by_insertion(n: int) -> list[Bst]:

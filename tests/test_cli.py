@@ -137,6 +137,14 @@ def test_labels_too_long_to_convert_exit_2(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err == f"error: label of {limit + 1} digits is too long to read\n"
+    # an integer flag that long is refused by its parser, as a malformed one is
+    for flag, low in (("--max-vertices", 1), ("-n", 0)):
+        with pytest.raises(SystemExit) as exc:
+            main(["component", "--eval", "1,1", flag, long])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument {'-n/--rank' if flag == '-n' else flag}: "
+            f"expected an integer >= {low}, got '{long}'\n")
 
 
 def test_tree_drawings_too_large_exit_3(capsys):
@@ -347,6 +355,9 @@ def test_exit_codes(capsys):
                 main(argv)
             assert exc.value.code == 2
     capsys.readouterr()
+    for command in ("component", "diameter"):
+        code, out, err = run(capsys, command, "--standard")
+        assert code == 2 and out == "" and err == "error: --standard needs --rank\n"
 
 
 def test_numbers_follow_the_word_label_rule(capsys):
@@ -544,3 +555,72 @@ def test_verify_monoid_states_its_associativity_range(capsys):
     assert code == 0
     assert out == ("PASS monoid(rank=2, len<=0): 1 class pairs multiply consistently; "
                    "2050 triples of total length <= 6 associate\n")
+
+
+def _neighbor_lines(rows) -> str:
+    return "\n".join(f"{r}  (x={x or 'e'}, y={y or 'e'})" for r, x, y in rows)
+
+
+def _component_text(obj) -> str:
+    return (f"evaluation {','.join(map(str, obj['evaluation']))} at rank {obj['rank']}: "
+            f"{len(obj['vertices'])} vertices, {len(obj['edges'])} edges, "
+            + ("connected" if obj["connected"] else "not connected"))
+
+
+def _dot_as_component_text(out: str) -> str:
+    lines = out.splitlines()
+    return (f"evaluation 2,1,2 at rank 3: {sum('[label=' in s and '--' not in s for s in lines)} "
+            f"vertices, {sum(' -- ' in s for s in lines)} edges, connected")
+
+
+# The arguments each command runs with below, and what each of its other
+# formats says in the words of its text form (None: a drawing, not read back).
+FORMAT_ARGV = {
+    "tree": ["5451761524"],
+    "cochseq": ["1246375"],
+    "eval": ["5451761524", "-n", "7"],
+    "readings": ["1324"],
+    "equal": ["312", "132"],
+    "multiply": ["21", "13"],
+    "neighbors": ["13254"],
+    "component": ["--eval", "2,1,2"],
+    "distance": ["12345", "54321"],
+    "diameter": ["--standard", "-n", "4"],
+    "path": ["13254", "23541"],
+}
+AS_TEXT = {
+    ("tree", "art"): None,
+    ("tree", "dot"): None,
+    ("tree", "json"): lambda out: json.loads(out)["tree"],
+    ("cochseq", "json"): lambda out: " ".join(map(str, json.loads(out)["cochseq"])),
+    ("eval", "json"): lambda out: ",".join(map(str, json.loads(out)["evaluation"])),
+    ("readings", "json"): lambda out: "\n".join(json.loads(out)["readings"]),
+    ("equal", "json"): lambda out: "true" if json.loads(out)["equal"] else "false",
+    ("multiply", "json"): lambda out: json.loads(out)["tree"],
+    ("neighbors", "tsv"): lambda out: _neighbor_lines(s.split("\t") for s in out.splitlines()),
+    ("neighbors", "json"): lambda out: _neighbor_lines(
+        (n["reading"], n["x"], n["y"]) for n in json.loads(out)["neighbors"]),
+    ("component", "dot"): _dot_as_component_text,
+    ("component", "json"): lambda out: _component_text(json.loads(out)),
+    ("distance", "json"): lambda out: str(json.loads(out)["distance"]),
+    ("diameter", "tsv"): lambda out: "{3}  ({4} .. {5})".format(*out.rstrip("\n").split("\t")),
+    ("diameter", "json"): lambda out: "{}  ({} .. {})".format(
+        json.loads(out)["diameter"], *json.loads(out)["pair"]),
+    ("path", "json"): lambda out: pathsynth.transcript(certificate_from_obj(json.loads(out))),
+}
+COMMANDS = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+FORMATS = [(name, fmt) for name, p in COMMANDS.choices.items()
+           for a in p._actions if a.dest == "format" for fmt in a.choices]
+
+
+@pytest.mark.parametrize("command, fmt", FORMATS)
+def test_every_format_says_what_the_text_form_says(capsys, command, fmt):
+    argv = [command, *FORMAT_ARGV[command]]
+    code, text, err = run(capsys, *argv)
+    assert code == 0 and text and err == ""
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert code == 0 and out and err == ""
+    if fmt == "text":
+        assert out == text
+    elif AS_TEXT[command, fmt]:
+        assert AS_TEXT[command, fmt](out) == text.rstrip("\n")

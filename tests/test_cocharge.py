@@ -142,3 +142,12 @@ def test_shift_suite_reports_as_a_scan_of_every_permutation(monkeypatch):
     assert len(splits) > 10 and len(want.failures) - len(splits) > 10
     assert not rep.passed
     assert (rep.lines, rep.failures, rep.render()) == (want.lines, want.failures, want.render())
+
+
+def test_congruence_suite_reports_a_tree_whose_readings_disagree(monkeypatch):
+    # a "sequence" that is the word itself differs between any two readings
+    monkeypatch.setattr(suites, "cochseq_word", tuple)
+    assert suites.suite_cocharge_congruence(3).render() == (
+        "FAIL cocharge-congruence(n<=3): 9 standard words grouped and checked\n"
+        "  counterexample: tree 2(1(_,_),3(_,_)) has readings with sequences "
+        "[(1, 3, 2), (3, 1, 2)]")

@@ -85,7 +85,7 @@ def test_validates_matches_check_first_oracle():
         def raised(w):
             return tuple(a + (a == n) for a in w)
 
-        for key in suites.standard_keys(n):
+        for key in keys_with_evaluation((1,) * n):
             for key2, wit in graph.neighbor_keys(key).items():
                 wits = [wit, ShiftWitness(wit.y, wit.x),
                         ShiftWitness(*(tuple(a - (a == 1) for a in w) for w in wit)),
@@ -107,7 +107,7 @@ def check_against_oracle(s):
 
 
 def test_neighbors_match_readings_oracle():
-    cases = [(n, key) for n in range(8) for key in suites.standard_keys(n)]
+    cases = [(n, key) for n in range(8) for key in keys_with_evaluation((1,) * n)]
     cases += [(len(e), key) for e in ORACLE_CLASSES for key in keys_with_evaluation(e)]
     for n, key in cases:
         s = SylvElement(n, key)
@@ -852,21 +852,36 @@ def test_evaluations_in_lexicographic_order(default_recursion_limit):
 
 
 def test_unused_top_letters_leave_the_class_alone():
-    # what suite_connectivity builds each class through: an evaluation
-    # ending in 0 lists the keys and rows of its base, the evaluation less
-    # its trailing zeros, at rank len(base)
+    # what suite_connectivity builds each class through: an evaluation with
+    # zeros anywhere is the class of its zero-free form at rank len(base),
+    # relabeled by the order-preserving map of the letters it uses
     checked = 0
     for n in range(2, 5):
         for total in range(0, 7):
             for e in suites._evaluations(n, total):
-                if e[-1]:
+                if all(e):
                     continue
-                k = max((i + 1 for i, c in enumerate(e) if c), default=1)
-                g, base = component(e, n), component(e[:k], k)
-                assert [v.key for v in g.vertices] == [v.key for v in base.vertices], e
-                assert g.adj == base.adj, e
+                base = tuple(c for c in e if c)
+                used = [a for a, c in enumerate(e, 1) if c]
+                lower = {a: i for i, a in enumerate(used, 1)}  # onto 1..len(base), in order
+                g, h = component(e, n), component(base, len(base))
+                assert [tuple(map(lower.__getitem__, v.key)) for v in g.vertices] == \
+                    [v.key for v in h.vertices], e
+                assert g.adj == h.adj, e
                 checked += 1
-    assert checked == 119
+    assert checked == 272
+
+
+def test_keys_are_listed_in_increasing_order():
+    # component takes the listing as its vertex order, unsorted
+    checked = 0
+    for n in range(1, 6):
+        for total in range(0, 9):
+            for e in suites._evaluations(n, total):
+                keys = keys_with_evaluation(e)
+                assert all(a < b for a, b in zip(keys, keys[1:])), e
+                checked += 1
+    assert checked == 2001
 
 
 def test_connectivity_builds_each_base_once(monkeypatch):
@@ -875,11 +890,11 @@ def test_connectivity_builds_each_base_once(monkeypatch):
     monkeypatch.setattr(suites, "component",
                         lambda e, n, *caps: calls.append((e, n)) or real(e, n, *caps))
     assert suites.suite_connectivity().lines == ["329 evaluation classes, all connected"]
-    assert len(calls) == len(set(calls)) == 210
-    assert all(len(e) == n and (n == 1 or e[-1]) for e, n in calls)
+    assert len(calls) == len(set(calls)) == 57
+    assert all(len(e) == n and all(e) for e, n in calls)
     calls.clear()
     assert suites.suite_connectivity(rank=1500, maxlen=0).passed
-    assert calls == [((0,), 1)]
+    assert calls == [((), 0)]
 
 
 def test_connectivity_reports_every_rank_of_a_failing_base(monkeypatch):
@@ -887,13 +902,20 @@ def test_connectivity_reports_every_rank_of_a_failing_base(monkeypatch):
 
     def split_one_one(e, n, *caps):
         g = real(e, n, *caps)
-        if e[:2] == (1, 1) and not any(e[2:]):  # the base (1, 1) at any rank
+        if e == (1, 1):
             g.parts = [[0], [1]]  # shadows the cached property
         return g
 
     monkeypatch.setattr(suites, "component", split_one_one)
-    assert suites.suite_connectivity().render() == (
-        "FAIL connectivity(rank<=4, len<=6): 329 evaluation classes, all connected\n"
-        "  counterexample: evaluation (1, 1) at rank 2: 2 parts\n"
-        "  counterexample: evaluation (1, 1, 0) at rank 3: 2 parts\n"
-        "  counterexample: evaluation (1, 1, 0, 0) at rank 4: 2 parts")
+    # every evaluation at every rank whose zero-free form is (1, 1)
+    want = [f"  counterexample: evaluation {e} at rank {n}: 2 parts"
+            for n in range(1, 5) for length in range(0, 7)
+            for e in suites._evaluations(n, length) if tuple(c for c in e if c) == (1, 1)]
+    assert len(want) == 10
+    assert suites.suite_connectivity().render().split("\n") == [
+        "FAIL connectivity(rank<=4, len<=6): 329 evaluation classes, all connected", *want]
+
+
+def test_empty_graph_has_no_diameter():
+    with pytest.raises(ValueError, match="empty graph has no diameter"):
+        diameter(ComponentGraph(0, (), [], []))

@@ -304,3 +304,32 @@ def test_ranks_are_checked_where_letters_enter(monkeypatch, capsys):
     # in the suites checks a rank more than a few times
     assert count(lambda: main(["verify", "all", "--jobs", "1"])) < 2000
     capsys.readouterr()
+
+
+def test_oracle_suite_reports_a_closure_that_differs_from_its_fiber(monkeypatch):
+    # each closure of more than one word loses its largest word and gains
+    # a word of letters beyond the rank
+    def skewed(w, rank, budget):
+        closure = rewrite_class(w, rank, budget)
+        return closure if len(closure) == 1 else closure - {max(closure)} | {(rank + 1,) * len(w)}
+
+    monkeypatch.setattr(suites, "rewrite_class", skewed)
+    assert suites.suite_oracle(3, 3).render().split("\n") == [
+        "FAIL oracle(rank=3, maxlen=3): 39 words in 35 classes agree",
+        *(f"  counterexample: word {w}: closure has 1 strays (e.g. [(4, 4, 4)]), misses 1 "
+          f"(e.g. [{m}])" for w, m in (("121", (2, 1, 1)), ("131", (3, 1, 1)),
+                                       ("132", (3, 1, 2)), ("232", (3, 2, 2))))]
+
+
+def test_monoid_suite_reports_classes_whose_products_differ(monkeypatch):
+    # a product of more than three letters is keyed by the word itself, so
+    # the readings of one class give distinct "product trees"
+    real = suites.psylv_key
+    monkeypatch.setattr(suites, "psylv_key", lambda w: real(w) if len(w) <= 3 else tuple(w))
+    lines = suites.suite_monoid(3, 3, 0).render().split("\n")
+    assert lines[:3] == [
+        "FAIL monoid(rank=3, len<=3): 1296 class pairs multiply consistently; "
+        "1 triples of total length <= 0 associate",
+        "  counterexample: classes of 1 and 121: 2 product trees",
+        "  counterexample: classes of 1 and 131: 2 product trees"]
+    assert lines[-1] == "  ... and 254 more"

@@ -130,7 +130,7 @@ def test_value_types_are_immutable_picklable_and_keep_their_repr():
     assert s * s == element_of((1, 3, 2, 1, 3, 2), 3)
     # an element multiplies only by an element: no tuple repetition or
     # concatenation on either side
-    for product in (lambda: 2 * s, lambda: s * 2, lambda: s + s):
+    for product in (lambda: 2 * s, lambda: s * 2, lambda: s + s, lambda: (1, 2) + s):
         with pytest.raises(TypeError):
             product()
 

@@ -435,3 +435,58 @@ def test_verify_accepts_any_valid_chain():
     assert not PathCertificate((trivial,) * 4).verify()
     untagged = PathStep(t, trivial.witness, t, "case5")
     assert not PathCertificate((trivial,) * 4 + (untagged,)).verify()
+
+
+def test_occurs_refuses_each_mismatch():
+    from sylvshift.pathsynth import _occurs
+
+    # 2 over its left child 1, and 1 over its right child 2
+    t12, t21 = key_sizes((1, 2)), key_sizes((2, 1))
+    assert _occurs(t12, 1, t12, 1) and _occurs(t12, 1, key_sizes((2,)), 0)
+    assert not _occurs(t12, 1, t21, 1)  # the labels differ
+    assert not _occurs(key_sizes((1,)), 0, t21, 1)  # no right child where the pattern has one
+    assert not _occurs(key_sizes((2,)), 0, t12, 1)  # no left child where the pattern has one
+
+
+def test_step_invariants_refuse_a_top_that_is_not_the_targets_subtree():
+    # t's root 2 is the target's, but its right subtree holds 3 over 4,
+    # where the target's holds 4 over 3
+    t, target = key_sizes((1, 3, 4, 2)), key_sizes((1, 4, 3, 2))
+    assert verify_step_invariants(target, target, [3])
+    assert not verify_step_invariants(t, target, [3])
+
+
+def test_step_invariants_match_the_tree_oracle_off_the_chain():
+    # every standard tree with n <= 5 against every target's stack of
+    # topmost visited nodes after each step, chain state or not
+    verdicts = Counter()
+    for n in range(1, 6):
+        trees = standard_trees(n)
+        for u in trees:
+            subtrees = [complete_subtree(u, loc) for _, loc in postfix(u)]
+            target = key_sizes(canonical_reading(u))
+            for h in range(1, n + 1):
+                tops = visited_tops_by_scan(u, h)
+                patterns = [subtrees[p] for p in reversed(tops)]
+                for t in trees:
+                    got = verify_step_invariants(key_sizes(canonical_reading(t)), target, tops)
+                    verdicts[got, step_invariants_by_tree(t, patterns)] += 1
+    assert verdicts == {(True, True): 807, (False, False): 8881}
+
+
+def test_example_path_suite_reports_a_step_off_the_worked_chain(monkeypatch):
+    # the same ends, with the worked chain's second tree swapped for another
+    monkeypatch.setattr(suites, "EXAMPLE_CHAIN",
+                        ("13254", "54132", "12345", "41235", "12354", "23541"))
+    assert suites.suite_example_path().render() == (
+        "FAIL example-path: 5-step chain matches the worked example and all edges validate\n"
+        "  counterexample: step 1: got 3(2(1(_,_),_),4(_,5(_,_))), "
+        "want 5(4(3(2(1(_,_),_),_),_),_)")
+
+
+def test_path_suite_reports_cases_never_exercised(monkeypatch):
+    monkeypatch.setattr(suites, "CASE_TAGS", CASE_TAGS + ("case5",))
+    assert suites.suite_path(4).render() == (
+        "FAIL path(n<=4): 226 ordered pairs, cases seen: "
+        "['base', 'case1', 'case2a', 'case2b', 'case3', 'case4a', 'case4b']\n"
+        "  counterexample: cases never exercised: ['case5']")

@@ -398,3 +398,10 @@ def test_chains_of_1e5_nodes_need_no_recursion(default_recursion_limit, w):
     assert element_of((w[1], w[0]) + tuple(w[2:]), n) != a
     assert repr(a) == f"SylvElement(rank={n}, key={tuple(w)!r})"
     assert equivalent(tuple(w), key, n)
+
+
+def test_reading_cap_below_one_is_refused():
+    # every tree, the empty one included, has at least one reading
+    for w in ((), (1,), (2, 1, 3)):
+        with pytest.raises(ValueError, match="cap must be >= 1"):
+            check_reading_cap(key_sizes(w)[1], 0)

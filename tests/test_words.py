@@ -81,3 +81,11 @@ def test_standard_iff_all_ones(p):
     w = tuple(p)
     assert is_standard(w)
     assert evaluation(w, len(w)) == (1,) * len(w)
+
+
+def test_check_rank_refuses_a_negative_rank():
+    from sylvshift.words import check_rank
+
+    for w in ((), (1,)):
+        with pytest.raises(RankError, match="rank must be >= 0, got -1"):
+            check_rank(w, -1)
