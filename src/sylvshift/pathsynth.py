@@ -21,14 +21,19 @@ every node's subtrees, which one pass of insertion's sort and stack gives
 position p with subtree sizes (l, r) has its right child at p - 1 when
 r > 0 and its left child at p - r - 1 when l > 0, the root is last, and a
 subtree spans the l + r positions before its node. The target's sizes
-also name each step's shape. At each step `shift_path` takes yx as the
-next tree and checks the two chain invariants on it once. The invariants
-are preconditions of `induction_step`, not part of what a path proves, so
+also name each step's shape. Only the base step inserts its yx. A later
+step moves one subtree, so `_moved` derives the next tree from the
+current one's key and sizes: x's subtree keeps its shape at the top, and
+the rest of the tree, split at x's least and greatest labels, hangs below
+it in two parts that keep theirs. `shift_path` checks the two chain
+invariants once on each new tree. The invariants are preconditions of
+`induction_step`, not part of what a path proves, so
 `PathCertificate.verify` checks only the certificate's own claims: n
 steps, chained, with known tags, each witness reading its pre tree as xy
-and its post tree as yx. `shift_path` runs it once on the finished chain.
-A failed invariant or a failed `verify()` raises InternalError, so every
-certificate it returns has passed both.
+and its post tree as yx. It inserts both words, so it checks every
+derived tree independently; `shift_path` runs it once on the finished
+chain. A failed invariant or a failed `verify()` raises InternalError, so
+every certificate it returns has passed both.
 """
 
 from __future__ import annotations
@@ -175,9 +180,78 @@ def induction_step(pre: Tree, target: Tree, h: int) -> tuple[ShiftWitness, str]:
     return ShiftWitness(w[start:p + 1], w[:start] + w[p + 1:]), tag
 
 
+def _moved(pre: Tree, p: int) -> Tree:
+    """The tree of yx, where x reads the complete subtree S of the
+    standard tree pre at position p and y reads the rest of pre.
+
+    S, with sizes (l, r), holds exactly the labels a = u - l .. b = u + r,
+    u = key[p]. Inserting yx builds S from x; each letter of y then runs
+    down S's left spine below a or its right spine above b. So the post
+    tree is S with pre restricted to the labels below a as a's left
+    subtree, and pre restricted to those above b as b's right subtree.
+    Restricting to an interval of labels keeps ancestry and postfix order:
+    the low part's key is pre's key before S, then u's ancestors below a,
+    deepest first, and the high part's is the rest of pre's key after S.
+    The post key is low + x[:j] + high + x[j:], j being b's index in x. A
+    node v of S's left spine gets left size v - 1, one of its right spine
+    right size n - v. u's ancestors keep the labels v + 1 .. a - 1 on
+    their right when below a, and b + 1 .. v - 1 on their left when above
+    b. Every other node keeps its subtrees, and so its sizes.
+    """
+    key, sizes = pre
+    n = len(key)
+    l, r = sizes[p]
+    if l + r + 1 == n:  # x is the whole tree
+        return pre
+    u = key[p]
+    a, b, start = u - l, u + r, p - l - r
+    post = sizes.copy()
+    lows = []  # positions of u's ancestors below a, from the root down
+    q = n - 1
+    while q > p:
+        v = key[q]
+        ql, qr = sizes[q]
+        if v < u:
+            lows.append(q)
+            post[q] = (ql, a - 1 - v)
+            q -= 1
+        else:
+            post[q] = (v - 1 - b, qr)
+            q -= qr + 1
+    post[p] = (u - 1, n - u)
+    q, ql = p, l
+    while ql:  # S's left spine below u, down to a
+        q -= sizes[q][1] + 1
+        ql, qr = sizes[q]
+        post[q] = (key[q] - 1, qr)
+    q = p
+    while sizes[q][1]:  # S's right spine below u, down to b: positions p - 1, p - 2, ...
+        q -= 1
+        post[q] = (sizes[q][0], n - key[q])
+    # q is b's position. In pre's key the ancestors below a cut the rest
+    # after S into the high part's pieces.
+    low_key, low_sizes = key[:start], post[:start]
+    high_key, high_sizes = (), []
+    i = p + 1
+    for j in reversed(lows):
+        low_key += (key[j],)
+        low_sizes.append(post[j])
+        high_key += key[i:j]
+        high_sizes += post[i:j]
+        i = j + 1
+    return (low_key + key[start:q] + high_key + key[i:] + key[q:p + 1],
+            low_sizes + post[start:q] + high_sizes + post[i:] + post[q:p + 1])
+
+
 def shift_path(start: SylvElement, target: SylvElement) -> PathCertificate:
     """Chain of exactly n cyclic shifts from start to target, returned only
     once it ends at target and `verify()` holds; InternalError otherwise."""
+    return _shift_path(start, target, key_sizes(target.key))
+
+
+def _shift_path(start: SylvElement, target: SylvElement, goal: Tree) -> PathCertificate:
+    """shift_path given the target's tree, goal = key_sizes(target.key), so
+    that a caller pairing one target with many sources sizes it once."""
     if start.rank != target.rank:
         raise RankError(f"rank mismatch: {start.rank} vs {target.rank}")
     if not start.key or not target.key:
@@ -187,18 +261,18 @@ def shift_path(start: SylvElement, target: SylvElement) -> PathCertificate:
     if len(start) != len(target):
         raise NotStandardError("trees must have the same number of nodes")
 
-    goal = key_sizes(target.key)
     key, sizes = goal
     tops: list[int] = []  # postfix positions of the topmost visited nodes, oldest first
     steps: list[PathStep] = []
-    pre, t = start, None  # t: pre's tree as key_sizes, once a step has built it
+    pre, t = start, None  # t: pre's tree as key_sizes gives it, once a step has built it
     for h, (l, r) in enumerate(sizes):
         if h == 0:  # rotate start's key so that u_1 comes last, as the root
             i = start.key.index(key[0]) + 1
             witness, tag = ShiftWitness(start.key[:i], start.key[i:]), "base"
+            t = key_sizes(witness.y + witness.x)
         else:
             witness, tag = induction_step(t, goal, h)
-        t = key_sizes(witness.y + witness.x)
+            t = _moved(t, t[0].index(witness.x[-1]))
         post = SylvElement._make((start.rank, t[0]))  # pre's letters, so no rank check
         # Postfix order visits a node right after its subtree, which spans
         # the l + r positions before it: the node replaces the tops there.

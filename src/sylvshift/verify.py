@@ -16,8 +16,8 @@ from .cocharge import cochseq_gap, cochseq_word
 from .graph import (MAX_VERTICES, component, diameter, keys_with_evaluation, levels,
                     neighbor_set)
 from .monoid import DEFAULT_REWRITE_BUDGET, SylvElement, element_of, multiply, rewrite_class
-from .pathsynth import CASE_TAGS, shift_path
-from .trees import MAX_READINGS, psylv_key, readings, tree_str
+from .pathsynth import CASE_TAGS, _shift_path, shift_path
+from .trees import MAX_READINGS, key_sizes, psylv_key, readings, tree_str
 from .words import Word, word_str
 
 
@@ -214,15 +214,17 @@ def suite_distance_lower_bound(nmax: int = 5) -> SuiteReport:
 
 
 def _path_worker(args: tuple[int, list[Word], list[Word]]) -> tuple[int, set, list[str]]:
-    """Run shift_path from each source key to every target key; for --jobs."""
+    """Run shift_path from each source key to every target key, sizing each
+    target once; for --jobs."""
     n, sources, targets = args
     tags: set[str] = set()
     failures: list[str] = []
     count = 0
-    for start, end in itertools.product([SylvElement._make((n, key)) for key in sources],
-                                        [SylvElement._make((n, key)) for key in targets]):
+    for start, (end, goal) in itertools.product(
+            [SylvElement._make((n, key)) for key in sources],
+            [(SylvElement._make((n, key)), key_sizes(key)) for key in targets]):
         try:
-            cert = shift_path(start, end)
+            cert = _shift_path(start, end, goal)
         except Exception as exc:  # noqa: BLE001  (reported, not swallowed)
             failures.append(f"path {word_str(start.key)} -> {tree_str(end.key)}: {exc}")
             continue

@@ -38,18 +38,20 @@ CHAIN_TREES = [psylv(parse_word(w)) for w in CHAIN_WORDS]
 CHAIN = [SylvElement(5, canonical_reading(t)) for t in CHAIN_TREES]
 
 
-def record_tops(monkeypatch):
-    """Make shift_path log a copy of its stack of the postfix positions of
-    the topmost visited nodes at every step; returns the log."""
-    log = []
+def record_steps(monkeypatch):
+    """Make shift_path log, at every step, the tree it built and a copy of
+    its stack of the postfix positions of the topmost visited nodes;
+    returns the two logs."""
+    trees, log = [], []
     real = pathsynth.verify_step_invariants
 
     def recording(t, target, tops):
+        trees.append(t)
         log.append(list(tops))
         return real(t, target, tops)
 
     monkeypatch.setattr(pathsynth, "verify_step_invariants", recording)
-    return log
+    return trees, log
 
 
 def case_oracle_disagreements(cert, target, tree_of=psylv) -> list[str]:
@@ -77,13 +79,15 @@ def paths_through_n6():
     """shift_path on every ordered standard pair with n <= 6, run once: the
     case tags seen, the pairs whose path missed its target, the pairs whose
     stack of topmost visited nodes left the scan oracle at some step, the
-    steps where the case-by-case oracle disagrees with the library, and the
+    steps where the case-by-case oracle disagrees with the library, the
     count of each (library, tree oracle) verdict pair of the chain
     invariants, over the distinct (tree, stack) pairs of every step's post
-    tree and pre tree with the step's stack of topmost visited nodes."""
+    tree and pre tree with the step's stack of topmost visited nodes, and
+    the steps whose tree, as shift_path built it, is not key_sizes of the
+    step's yx."""
     with pytest.MonkeyPatch.context() as mp:
-        log = record_tops(mp)
-        seen, missed, stack_mismatches, case_mismatches = set(), [], [], []
+        trees_built, log = record_steps(mp)
+        seen, missed, stack_mismatches, case_mismatches, moved_mismatches = set(), [], [], [], []
         verdicts = Counter()
         for n in range(1, 7):
             trees = standard_trees(n)
@@ -95,8 +99,13 @@ def paths_through_n6():
                 subtrees = [complete_subtree(u, loc) for _, loc in postfix(u)]
                 checks = set()  # (tree key, tops) pairs met on u's paths
                 for t in trees:
+                    trees_built.clear()
                     log.clear()
                     cert = shift_path(SylvElement(n, canonical_reading(t)), target)
+                    moved_mismatches += [
+                        (tree_str(cert.source.key), tree_str(target.key), h)
+                        for h, (step, built) in enumerate(zip(cert.steps, trees_built, strict=True))
+                        if built != key_sizes(step.witness.y + step.witness.x)]
                     seen.update(s.case_tag for s in cert.steps)
                     if psylv(cert.steps[-1].post.key) != u:
                         missed.append((t, u))
@@ -111,7 +120,7 @@ def paths_through_n6():
                     patterns = [subtrees[p] for p in reversed(tops)]
                     verdicts[verify_step_invariants(shape_of[key], shape_of[target.key], tops),
                              step_invariants_by_tree(tree_of[key], patterns)] += 1
-    return seen, missed, stack_mismatches, case_mismatches, verdicts
+    return seen, missed, stack_mismatches, case_mismatches, verdicts, moved_mismatches
 
 
 def test_classify_steps_of_worked_example():
@@ -136,7 +145,7 @@ def test_classify_covers_all_consecutive_pairs():
 
 def test_visited_tops(monkeypatch):
     # after 3 postfix steps of U5 (nodes 2, 3, 5), nodes 3 and 5 are topmost
-    log = record_tops(monkeypatch)
+    _, log = record_steps(monkeypatch)
     shift_path(element_of(parse_word("13254"), 5), element_of(parse_word("23541"), 5))
     assert log[2] == [1, 2] and [U5_KEY[p] for p in log[2]] == [3, 5]
     assert log[4] == [4] and U5_KEY[4] == 1
@@ -144,26 +153,36 @@ def test_visited_tops(monkeypatch):
 
 
 def test_visited_tops_matches_scan_oracle(paths_through_n6):
-    _, _, stack_mismatches, _, _ = paths_through_n6
+    _, _, stack_mismatches, _, _, _ = paths_through_n6
     assert stack_mismatches == []
 
 
 def test_induction_steps_match_case_oracle(paths_through_n6):
-    _, _, _, case_mismatches, _ = paths_through_n6
+    _, _, _, case_mismatches, _, _ = paths_through_n6
     assert case_mismatches == []
 
 
 def test_step_invariants_match_tree_oracle(paths_through_n6):
     # on every step's post tree (where the invariants hold) and pre tree
     # (where they mostly fail), against every stack of topmost nodes met
-    _, _, _, _, verdicts = paths_through_n6
+    _, _, _, _, verdicts, _ = paths_through_n6
     assert set(verdicts) == {(True, True), (False, False)}
 
 
+def test_moved_trees_match_insertion(paths_through_n6):
+    # every step after the base derives its tree from the pre tree's by
+    # moving one subtree; insertion of yx must give the same key and sizes
+    _, _, _, _, _, moved_mismatches = paths_through_n6
+    assert moved_mismatches == []
+
+
 @st.composite
-def standard_pairs(draw):
-    n = draw(st.integers(7, 40))
-    return [element_of(tuple(draw(st.permutations(range(1, n + 1)))), n) for _ in range(2)]
+def standard_pairs(draw, nmax=40, chains=False):
+    n = draw(st.integers(7, nmax))
+    words = st.permutations(range(1, n + 1))
+    if chains:
+        words |= st.sampled_from([tuple(range(1, n + 1)), tuple(range(n, 0, -1))])
+    return [element_of(tuple(draw(words)), n) for _ in range(2)]
 
 
 @given(standard_pairs())
@@ -171,6 +190,17 @@ def test_induction_steps_match_case_oracle_beyond_n6(pair):
     source, target = pair
     cert = shift_path(source, target)
     assert case_oracle_disagreements(cert, target) == []
+
+
+@given(standard_pairs(nmax=60, chains=True))
+def test_moved_matches_insertion_beyond_n6(pair):
+    # chains in either direction give the longest walks from the root to
+    # the moved subtree
+    source, target = pair
+    for step in shift_path(source, target).steps[1:]:
+        pre = key_sizes(step.pre.key)
+        p = pre[0].index(step.witness.x[-1])
+        assert pathsynth._moved(pre, p) == key_sizes(step.witness.y + step.witness.x)
 
 
 def test_base_step_examples():
@@ -332,7 +362,7 @@ def test_shift_path_exhaustive_small():
 
 
 def test_case_coverage_through_n6(paths_through_n6):
-    seen, missed, _, _, _ = paths_through_n6
+    seen, missed, _, _, _, _ = paths_through_n6
     assert missed == []
     assert seen == set(CASE_TAGS)
 
