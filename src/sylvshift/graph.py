@@ -155,7 +155,13 @@ def tree_count(e: tuple[int, ...], cap: float = inf) -> int:
     exactly when k >= 1. So the trees are the pop sequences with k >= 1
     wherever letter j repeats letter j - 1, and a tree's pops, followed by
     the spine left at the end, spell its key in postfix order. Count the
-    sequences by stack height: O(len(word)^2) additions.
+    sequences by stack height, reading e run by run: O(len(e)) additions
+    per letter read, and no list the length of the word. A repeated letter
+    applies the same map as the one before it, so once a repeat leaves the
+    counts unchanged the rest of its run leaves them so too and is skipped.
+    A repeat that does change them raises their sum, which no letter
+    lowers, so at most 2 len(e) + cap letters are read before the cap
+    refuses.
 
     Raises CapExceededError("component vertices", cap) after the first
     prefix of the word whose pop sequences outnumber cap. That is exact:
@@ -163,18 +169,19 @@ def tree_count(e: tuple[int, ...], cap: float = inf) -> int:
     j - 1 is on the stack for node j to pop), and distinct prefixes extend
     to distinct sequences, so no prefix counts more than the whole word.
     """
-    word = [v for v, c in enumerate(e) for _ in range(c)]
     ways = [1]  # ways[h]: pop sequences so far that leave h entries on the stack
-    count = 1  # sum(ways)
-    for j, v in enumerate(word):
-        if count > cap:
-            break
-        above = list(accumulate(reversed(ways)))[::-1]  # above[h] = sum(ways[h:])
-        ways = [0] + (above[1:] if j and word[j - 1] == v else above)
-        count = sum(ways)
-    if count > cap:
+    for run in e:
+        for i in range(run):
+            if sum(ways) > cap:
+                raise CapExceededError("component vertices", cap)
+            above = list(accumulate(reversed(ways)))[::-1]  # above[h] = sum(ways[h:])
+            grown = [0] + (above[1:] if i else above)
+            if grown == ways:
+                break
+            ways = grown
+    if sum(ways) > cap:
         raise CapExceededError("component vertices", cap)
-    return count
+    return sum(ways)
 
 
 def keys_with_evaluation(e: tuple[int, ...]) -> list[Word]:

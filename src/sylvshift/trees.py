@@ -30,9 +30,11 @@ MAX_READINGS = 100_000
 # a 2000-node chain draws 8 MB of art, a 1e5-node one would need 2e10
 # characters. DOT text is linear in the tree and needs no cap.
 MAX_RENDER_CHARS = 20_000_000
-# Distinct words whose keys psylv_key keeps. The repeats come mostly from
-# the path suite, which re-inserts the same chains' words; 256 serves
-# them, and a longer cache of long words costs more memory than it saves.
+# Distinct words whose keys psylv_key keeps. A path certificate's verify()
+# re-inserts its steps' words, which shift_path's own verify() inserted
+# just before: a second verify() of the same certificate (as the paths
+# benchmark makes) finds every word here, while shift_path's one verify()
+# hits little. A longer cache of long words costs more memory than it saves.
 KEY_CACHE_SIZE = 256
 
 Sizes = list[tuple[int, int]]  # (left, right) subtree sizes per node, in postfix order

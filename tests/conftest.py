@@ -1,7 +1,18 @@
 """Shared oracles: independent recomputations the library is checked against.
 
 The library holds a tree as its key and subtree sizes (`trees.Tree`); the
-oracles here hold it as a tree of `Node`s and walk it node by node."""
+oracles here hold it as a tree of `Node`s and walk it node by node.
+
+Not every helper is independent of the library. Independent oracles
+recompute from the definition and call no library function for the
+answer: `psylv_by_insertion` (leaf by leaf insertion), `node_readings`
+(linear extensions of the node order), `bfs_by_index` (BFS one arc at a
+time), `single_rewrites_by_definition` (the defining relations) and
+`neighbors_by_readings` (every split of every reading, swapped). Others
+only rebuild nodes from the library's own output: `psylv` and
+`tree_from_key_sizes` from `key_sizes`, `standard_trees` from
+`keys_with_evaluation`. A test that compares a library result with one of
+those checks a conversion, not the result."""
 
 import itertools
 import sys
@@ -127,16 +138,6 @@ def labels(t: Bst) -> list[int]:
     return out
 
 
-def node_count(t: Bst) -> int:
-    return len(labels(t))
-
-
-def is_standard_tree(t: Bst) -> bool:
-    """True iff the tree has exactly one node labelled by each of 1..size."""
-    ls = labels(t)
-    return ls == list(range(1, len(ls) + 1))
-
-
 def postfix(t: Bst) -> list[tuple[int, Locator]]:
     """Left subtree, right subtree, root, each node with its locator: every
     node after its descendants. Built as the root, right, left preorder,
@@ -163,20 +164,6 @@ def complete_subtree(t: Bst, x: Locator) -> Bst:
     if cur is None and x:
         raise ValueError(f"locator {x!r} addresses an empty slot")
     return cur
-
-
-def find_loc(t: Bst, a: int) -> str | None:
-    """Locator of the node labelled a in a standard (distinct-label) tree."""
-    loc = ""
-    cur = t
-    while cur is not None:
-        if a == cur.label:
-            return loc
-        if a < cur.label:
-            cur, loc = cur.left, loc + "L"
-        else:
-            cur, loc = cur.right, loc + "R"
-    return None
 
 
 def psylv_by_insertion(w) -> Bst:
@@ -329,12 +316,6 @@ def multiset_words(symbols) -> set[tuple[int, ...]]:
     return set(itertools.permutations(symbols))
 
 
-def brute_readings(t: Bst) -> set[tuple[int, ...]]:
-    """Readings computed straight from the definition: every arrangement of
-    the labels whose insertion reproduces the tree."""
-    return {w for w in multiset_words(labels(t)) if psylv(w) == t}
-
-
 def single_rewrites_by_definition(w: tuple[int, ...]) -> set[tuple[int, ...]]:
     """Words one defining-relation application away from w, by the
     definition: positions i, i+1 swap iff their symbols differ and some
@@ -438,9 +419,9 @@ def hook_length_extensions(t: Bst) -> int:
     def sizes(node: Bst) -> list[int]:
         if node is None:
             return []
-        return [node_count(node)] + sizes(node.left) + sizes(node.right)
+        return [len(labels(node))] + sizes(node.left) + sizes(node.right)
 
-    n = node_count(t)
+    n = len(labels(t))
     prod = 1
     for s in sizes(t):
         prod *= s
@@ -586,7 +567,7 @@ def induction_step_by_cases(t: Bst, target: Bst, nodes, h: int) -> tuple[ShiftWi
     rm = "R" * _spine_len(bh, "R")
     left_min = complete_subtree(t, lm).left  # subtree hanging off the copy's leftmost node
     right_max = complete_subtree(t, rm).right  # subtree hanging off its rightmost node
-    u_loc = find_loc(t, u_next)
+    u_loc = dict(postfix(t)).get(u_next)  # t is standard: its labels are distinct
     if u_loc is None:
         raise InternalError(f"step {h}: symbol {u_next} missing from the tree")
     u_node = complete_subtree(t, u_loc)

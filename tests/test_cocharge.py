@@ -37,8 +37,6 @@ def test_cochseq_tree():
     # a standard tree's sequence is its key's, as every reading's is
     t = element_of((3, 1, 2), 3).tree
     assert cochseq_word(t[0]) == cochseq_word((1, 3, 2)) == cochseq_word((3, 1, 2)) == (0, 0, 1)
-    assert cochseq_word(psylv_key((1,))) == (0,)
-    assert cochseq_word(psylv_key(range(1, 8))) == (0,) * 7
 
 
 def test_all_readings_agree_through_n6():
@@ -84,7 +82,6 @@ def test_lower_bound_examples():
         down = key_sizes(tuple(range(n, 0, -1)))
         assert cocharge_lower_bound(up, down) == n - 1
         assert cocharge_lower_bound(up, up) == 0
-    assert cocharge_lower_bound(key_sizes((1, 2)), key_sizes((2, 1))) == 1
 
 
 def test_lower_bound_size_mismatch():

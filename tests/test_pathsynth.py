@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import (Node, bfs_distances, canonical_reading, classify_step, complete_subtree,
+from conftest import (Node, canonical_reading, classify_step, complete_subtree,
                       induction_step_by_cases, node_tree_str, postfix, psylv, standard_trees,
                       step_invariants_by_tree, visited_tops_by_scan)
 from sylvshift import pathsynth
 from sylvshift import verify as suites
-from sylvshift.cli import main
 from sylvshift.errors import InternalError, NotStandardError, ParseError, RankError
 from sylvshift.graph import ShiftWitness, neighbor_set
 from sylvshift.monoid import SylvElement, element_of
@@ -77,14 +76,14 @@ def case_oracle_disagreements(cert, target, tree_of=psylv) -> list[str]:
 @pytest.fixture(scope="module")
 def paths_through_n6():
     """shift_path on every ordered standard pair with n <= 6, run once: the
-    case tags seen, the pairs whose path missed its target, the pairs whose
-    stack of topmost visited nodes left the scan oracle at some step, the
-    steps where the case-by-case oracle disagrees with the library, the
-    count of each (library, tree oracle) verdict pair of the chain
-    invariants, over the distinct (tree, stack) pairs of every step's post
-    tree and pre tree with the step's stack of topmost visited nodes, and
-    the steps whose tree, as shift_path built it, is not key_sizes of the
-    step's yx."""
+    case tags seen, the pairs whose path does not run from source to target,
+    the pairs whose stack of topmost visited nodes left the scan oracle at
+    some step, the steps where the case-by-case oracle disagrees with the
+    library, the count of each (library, tree oracle) verdict pair of the
+    chain invariants, over the distinct (tree, stack) pairs of every step's
+    post tree and pre tree with the step's stack of topmost visited nodes,
+    and the steps whose tree, as shift_path built it, is not key_sizes of
+    the step's yx."""
     with pytest.MonkeyPatch.context() as mp:
         trees_built, log = record_steps(mp)
         seen, missed, stack_mismatches, case_mismatches, moved_mismatches = set(), [], [], [], []
@@ -107,7 +106,7 @@ def paths_through_n6():
                         for h, (step, built) in enumerate(zip(cert.steps, trees_built, strict=True))
                         if built != key_sizes(step.witness.y + step.witness.x)]
                     seen.update(s.case_tag for s in cert.steps)
-                    if psylv(cert.steps[-1].post.key) != u:
+                    if (psylv(cert.steps[0].pre.key), psylv(cert.steps[-1].post.key)) != (t, u):
                         missed.append((t, u))
                     if log != oracle:
                         stack_mismatches.append((t, u))
@@ -292,7 +291,7 @@ def test_shift_path_golden():
     assert "13254" in text and "[case2b]" in text
 
 
-def test_paths_build_no_tree(default_recursion_limit, capsys):
+def test_paths_build_no_tree(default_recursion_limit):
     # every tree of the chain is a key and its subtree sizes, the library's
     # one tree form: the construction, the re-check, and writing and
     # reading the certificate run at the default recursion limit, on a
@@ -315,18 +314,6 @@ def test_paths_build_no_tree(default_recursion_limit, capsys):
         assert cert.verify()
         back = certificate_from_obj(json.loads(certificate_json(cert)))
         assert back == cert and back.verify()
-    # and so does every command that prints trees
-    formats = ("text", "art", "dot", "json")
-    for argv in (["path", "13254", "23541"],
-                 ["path", "13254", "23541", "--format", "json"],
-                 *(["tree", "5451761524", "--format", f] for f in formats),
-                 ["readings", "5451761524"],
-                 ["multiply", "2143", "3412", "--format", "json"],
-                 ["neighbors", "5451761524", "--format", "json"],
-                 ["component", "-n", "5", "--eval", "2,1,2,1,2", "--format", "dot",
-                  "--tree-labels"]):
-        assert main(argv) == 0, argv
-    capsys.readouterr()
 
 
 def test_worked_example_words_are_shift_neighbors():
@@ -337,45 +324,16 @@ def test_worked_example_words_are_shift_neighbors():
 
 
 def test_trivial_paths():
-    single = element_of((1,), 1)
-    cert = shift_path(single, single)
-    assert len(cert.steps) == 1
-    assert cert.steps[0].witness.x == (1,) and cert.steps[0].witness.y == ()
-
     cert = shift_path(element_of((1, 2), 2), element_of((2, 1), 2))
     assert len(cert.steps) == 2
     assert cert.target == element_of((2, 1), 2)
     assert cert.verify()
 
 
-def test_shift_path_exhaustive_small():
-    for n in range(1, 5):
-        trees = standard_trees(n)
-        for t in trees:
-            for u in trees:
-                cert = shift_path(SylvElement(n, canonical_reading(t)),
-                                  SylvElement(n, canonical_reading(u)))
-                assert len(cert.steps) == n
-                assert psylv(cert.steps[0].pre.key) == t
-                assert psylv(cert.steps[-1].post.key) == u
-                assert cert.verify()
-
-
 def test_case_coverage_through_n6(paths_through_n6):
     seen, missed, _, _, _, _ = paths_through_n6
     assert missed == []
     assert seen == set(CASE_TAGS)
-
-
-def test_path_length_dominates_bfs_distance():
-    from sylvshift.graph import component
-
-    for n in range(2, 6):
-        g = component((1,) * n, n)
-        for s in g.vertices:
-            dists = bfs_distances(g, s)
-            for t in g.vertices:
-                assert dists[t] <= n
 
 
 def test_input_validation():

@@ -61,6 +61,8 @@ def test_word_str_picks_format():
     assert word_str((1, 3, 2)) == "132"
     assert word_str((1, 3, 12, 5)) == "1.3.12.5"
     assert word_str(()) == ""
+    assert word_str((9,)) == "9"
+    assert word_str((12, 3)) == "12.3"  # a leading dot only for a lone label
 
 
 @given(symbols)
