@@ -25,27 +25,31 @@ also name each step's shape. Only the base step inserts its yx. A later
 step moves one subtree, so `_moved` derives the next tree from the
 current one's key and sizes: x's subtree keeps its shape at the top, and
 the rest of the tree, split at x's least and greatest labels, hangs below
-it in two parts that keep theirs. `shift_path` checks the two chain
-invariants once on each new tree. The invariants are preconditions of
-`induction_step`, not part of what a path proves, so
-`PathCertificate.verify` checks only the certificate's own claims: n
-steps, chained, with known tags, each witness reading its pre tree as xy
-and its post tree as yx. It inserts both words, so it checks every
-derived tree independently; `shift_path` runs it once on the finished
-chain. A failed invariant or a failed `verify()` raises InternalError, so
-every certificate it returns has passed both.
+it in two parts that keep theirs. `paths_to(target)` walks the chains
+of many sources to one target and builds each later step once: from step
+1 on a chain depends only on the target and the current tree, so chains
+that meet share their steps from there (`shift_path` is its one-source
+case). The walk checks the two chain invariants once on each new tree.
+The invariants are preconditions of `induction_step`, not part of what a
+path proves, so `PathCertificate.verify` checks only the certificate's
+own claims: n steps, chained, with known tags, each witness reading its
+pre tree as xy and its post tree as yx. It inserts both words, so it
+checks every derived tree independently; the walk runs it once on each
+finished chain. A failed invariant or a failed `verify()` raises
+InternalError, so every certificate it returns has passed both.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Callable
 from functools import cache
 
 from .errors import InternalError, NotStandardError, ParseError, RankError
 from .graph import ShiftWitness
 from .monoid import SylvElement
 from .trees import Tree, key_sizes, parse_tree, tree_str
-from .words import is_standard, parse_word, word_str
+from .words import Word, is_standard, parse_word, word_str
 
 CASE_TAGS = ("base", "case1", "case2a", "case2b", "case3", "case4a", "case4b")
 
@@ -246,51 +250,81 @@ def _moved(pre: Tree, p: int) -> Tree:
 def shift_path(start: SylvElement, target: SylvElement) -> PathCertificate:
     """Chain of exactly n cyclic shifts from start to target, returned only
     once it ends at target and `verify()` holds; InternalError otherwise."""
-    return _shift_path(start, target, key_sizes(target.key))
+    return paths_to(target)(start)
 
 
-def _shift_path(start: SylvElement, target: SylvElement, goal: Tree) -> PathCertificate:
-    """shift_path given the target's tree, goal = key_sizes(target.key), so
-    that a caller pairing one target with many sources sizes it once."""
-    if start.rank != target.rank:
-        raise RankError(f"rank mismatch: {start.rank} vs {target.rank}")
-    if not start.key or not target.key:
-        raise NotStandardError("paths need non-empty trees")
-    if not (is_standard(start.key) and is_standard(target.key)):
-        raise NotStandardError("paths are defined for standard trees only")
-    if len(start) != len(target):
-        raise NotStandardError("trees must have the same number of nodes")
+def paths_to(target: SylvElement) -> Callable[[SylvElement], PathCertificate]:
+    """The walk to target: a function that takes a source and returns its
+    certified chain to target, as `shift_path` does. The target is sized
+    once, and the sources' chains share their steps.
 
-    key, sizes = goal
-    tops: list[int] = []  # postfix positions of the topmost visited nodes, oldest first
-    steps: list[PathStep] = []
-    pre, t = start, None  # t: pre's tree as key_sizes gives it, once a step has built it
-    for h, (l, r) in enumerate(sizes):
-        if h == 0:  # rotate start's key so that u_1 comes last, as the root
-            i = start.key.index(key[0]) + 1
-            witness, tag = ShiftWitness(start.key[:i], start.key[i:]), "base"
-            t = key_sizes(witness.y + witness.x)
-        else:
-            witness, tag = induction_step(t, goal, h)
-            t = _moved(t, t[0].index(witness.x[-1]))
-        post = SylvElement._make((start.rank, t[0]))  # pre's letters, so no rank check
-        # Postfix order visits a node right after its subtree, which spans
-        # the l + r positions before it: the node replaces the tops there.
-        while tops and tops[-1] >= h - l - r:
-            tops.pop()
-        tops.append(h)
-        if not verify_step_invariants(t, goal, tops):
-            raise InternalError("chain invariants fail after the base step" if h == 0
-                                else f"step {h} ({tag}): chain invariants fail afterwards")
-        steps.append(PathStep(pre, witness, post, tag))
-        pre = post
+    Step h >= 1 depends only on the target, h and the step's pre tree T_h:
+    `induction_step` and `_moved` read T_h's key and subtree sizes, which
+    its key determines, and the stack of topmost visited nodes depends
+    only on h and the target. So `verify_step_invariants` on the step's
+    post tree is a pure function of (h, T_h) too, and checking it again
+    could not give another answer. The walk keeps one dict from (h, T_h's
+    key) to the step and its post tree; a source whose chain reaches a
+    known (h, T_h) takes the stored step and goes on from its post tree.
+    Chains from different sources meet within a few steps, and from there
+    on they are identical. The base step still runs for every source, a
+    failing step raises InternalError and is never stored, so each source
+    that reaches it fails on its own, and every certificate gets its own
+    end check and its own whole `verify()`."""
+    goal = key_sizes(target.key)
+    known: dict[tuple[int, Word], tuple[PathStep, Tree]] = {}
 
-    if pre != target:
-        raise InternalError("path did not terminate at the target tree")
-    cert = PathCertificate(tuple(steps))
-    if not cert.verify():
-        raise InternalError("certificate failed re-verification")
-    return cert
+    def path(start: SylvElement) -> PathCertificate:
+        if start.rank != target.rank:
+            raise RankError(f"rank mismatch: {start.rank} vs {target.rank}")
+        if not start.key or not target.key:
+            raise NotStandardError("paths need non-empty trees")
+        if not (is_standard(start.key) and is_standard(target.key)):
+            raise NotStandardError("paths are defined for standard trees only")
+        if len(start) != len(target):
+            raise NotStandardError("trees must have the same number of nodes")
+
+        key, sizes = goal
+        tops: list[int] = []  # postfix positions of the topmost visited nodes, oldest first
+        steps: list[PathStep] = []
+        pre, t = start, None  # t: pre's tree as key_sizes gives it, once a step has built it
+        for h, (l, r) in enumerate(sizes):
+            # Postfix order visits a node right after its subtree, which spans
+            # the l + r positions before it: the node replaces the tops there.
+            while tops and tops[-1] >= h - l - r:
+                tops.pop()
+            tops.append(h)
+            if h == 0:  # rotate start's key so that u_1 comes last, as the root
+                i = start.key.index(key[0]) + 1
+                witness, tag = ShiftWitness(start.key[:i], start.key[i:]), "base"
+                t = key_sizes(witness.y + witness.x)
+            else:
+                hit = known.get((h, pre.key))
+                if hit is not None:
+                    step, t = hit
+                    steps.append(step)
+                    pre = step.post
+                    continue
+                witness, tag = induction_step(t, goal, h)
+                t = _moved(t, t[0].index(witness.x[-1]))
+            post = SylvElement._make((start.rank, t[0]))  # pre's letters, so no rank check
+            if not verify_step_invariants(t, goal, tops):
+                raise InternalError("chain invariants fail after the base step" if h == 0
+                                    else f"step {h} ({tag}): chain invariants fail afterwards")
+            step = PathStep(pre, witness, post, tag)
+            if h:
+                known[h, pre.key] = step, t
+            steps.append(step)
+            pre = post
+
+        if pre != target:
+            raise InternalError("path did not terminate at the target tree")
+        cert = PathCertificate(tuple(steps))
+        if not cert.verify():
+            raise InternalError("certificate failed re-verification")
+        return cert
+
+    return path
 
 
 def certificate_obj(cert: PathCertificate) -> dict:

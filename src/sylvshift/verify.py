@@ -16,8 +16,8 @@ from .cocharge import cochseq_gap, cochseq_word
 from .graph import (MAX_VERTICES, component, diameter, keys_with_evaluation, levels,
                     neighbor_set)
 from .monoid import DEFAULT_REWRITE_BUDGET, SylvElement, element_of, multiply, rewrite_class
-from .pathsynth import CASE_TAGS, _shift_path, shift_path
-from .trees import MAX_READINGS, key_sizes, psylv_key, readings, tree_str
+from .pathsynth import CASE_TAGS, paths_to, shift_path
+from .trees import MAX_READINGS, psylv_key, readings, tree_str
 from .words import Word, word_str
 
 
@@ -214,27 +214,31 @@ def suite_distance_lower_bound(nmax: int = 5) -> SuiteReport:
 
 
 def _path_worker(args: tuple[int, list[Word], list[Word]]) -> tuple[int, set, list[str]]:
-    """Run shift_path from each source key to every target key, sizing each
-    target once; for --jobs."""
-    n, sources, targets = args
+    """Certify a chain from every source key to each target key, walking
+    each target's sources together (`paths_to`); for --jobs."""
+    n, targets, sources = args
+    starts = [SylvElement._make((n, key)) for key in sources]
     tags: set[str] = set()
     failures: list[str] = []
     count = 0
-    for start, (end, goal) in itertools.product(
-            [SylvElement._make((n, key)) for key in sources],
-            [(SylvElement._make((n, key)), key_sizes(key)) for key in targets]):
-        try:
-            cert = _shift_path(start, end, goal)
-        except Exception as exc:  # noqa: BLE001  (reported, not swallowed)
-            failures.append(f"path {word_str(start.key)} -> {tree_str(end.key)}: {exc}")
-            continue
-        tags.update(s.case_tag for s in cert.steps)
-        count += 1
+    for key in targets:
+        path = paths_to(SylvElement._make((n, key)))
+        for start in starts:
+            try:
+                cert = path(start)
+            except Exception as exc:  # noqa: BLE001  (reported, not swallowed)
+                failures.append(f"path {word_str(start.key)} -> {tree_str(key)}: {exc}")
+                continue
+            tags.update(s.case_tag for s in cert.steps)
+            count += 1
     return count, tags, failures
 
 
 def suite_path(nmax: int = 5, jobs: int = 1) -> SuiteReport:
-    """Certified n-step chains exist between all standard pairs; full coverage of cases."""
+    """Certified n-step chains exist between all standard pairs; full coverage of cases.
+
+    The work is split by targets, so the walk to a target sees all its
+    sources and shares their steps."""
     rep = SuiteReport(f"path(n<={nmax})")
     seen_tags: set[str] = set()
     total = 0
@@ -243,18 +247,20 @@ def suite_path(nmax: int = 5, jobs: int = 1) -> SuiteReport:
         keys = keys_with_evaluation((1,) * n)
         size = -(-len(keys) // max(jobs, 1))
         work += [(n, keys[i:i + size], keys) for i in range(0, len(keys), size)]
-    # one pool serves every n, and none is started for a single item
-    pooled = jobs > 1 and len(work) > 1
+    # one pool serves every n, with no more workers than items (fork starts
+    # them all at once), and none is started for a single item
+    workers = min(jobs, len(work))
+    pooled = workers > 1
     if pooled:
         from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=jobs) if pooled else nullcontext() as pool:
+    with ProcessPoolExecutor(max_workers=workers) if pooled else nullcontext() as pool:
         results = pool.map(_path_worker, work) if pooled else map(_path_worker, work)
-        for (n, sources, _), (count, tags, failures) in zip(work, results):
+        for (n, targets, _), (count, tags, failures) in zip(work, results):
             total += count
             seen_tags |= tags
             for f in failures:
                 rep.fail(f)
-            _progress(f"path: n={n}, {len(sources)} sources done ({total} pairs so far)")
+            _progress(f"path: n={n}, {len(targets)} targets done ({total} pairs so far)")
     missing = [t for t in CASE_TAGS if t not in seen_tags]
     if nmax >= 4 and missing:
         rep.fail(f"cases never exercised: {missing}")

@@ -193,21 +193,28 @@ def test_suites_build_their_elements_from_keys(monkeypatch):
     monkeypatch.setattr(suites, "element_of", by_key)
     monkeypatch.setattr(suites, "multiply", lambda s, t: by_key(s.key + t.key, s.rank))
     monkeypatch.setattr(suites, "neighbor_set", lambda s: seen.append(s) or set())
-    goals = []
-    monkeypatch.setattr(suites, "_shift_path",
-                        lambda s, t, goal: seen.append((s, t)) or goals.append(goal) or Certified())
+    targets = []
+
+    def paths_to(t):
+        targets.append(t)
+        return lambda s: seen.append((s, t)) or Certified()
+
+    monkeypatch.setattr(suites, "paths_to", paths_to)
     reports = [suites.suite_monoid(rank=2, maxlen=2, assoc_total=4),
                suites.suite_induced(nmax=3), suites.suite_path(nmax=3)]
     assert calls == []
     assert all(rep.passed for rep in reports)
     # induced: for each key of rank m and each rank n > m, the key and then
     # the key lifted by n - m, so 2 * (1 * 2 + 2 * 1) calls; path:
-    # 1 + 2 * 2 + 5 * 5 ordered pairs, each with its target's tree
+    # 1 + 2 * 2 + 5 * 5 ordered pairs, target by target
     assert len(seen) == 8 + 30
     assert seen[:8] == [(1,), (2,), (1,), (3,), (1, 2), (2, 3), (2, 1), (3, 2)]
-    for (s, t), goal in zip(seen[8:], goals, strict=True):
+    for s, t in seen[8:]:
         assert (s, t) == (SylvElement(s.rank, s.key), SylvElement(t.rank, t.key))
-        assert goal == key_sizes(t.key)
+    # each target reaches paths_to, which sizes it, once, and its walk then
+    # takes every source of its size
+    assert len(set(targets)) == len(targets) == 1 + 2 + 5
+    assert [t for _, t in seen[8:]] == [t for t in targets for u in targets if len(u) == len(t)]
 
 
 def test_induced_subgraph_fails_on_a_letter_dependent_shift(monkeypatch):

@@ -12,7 +12,7 @@ from conftest import (Node, canonical_reading, classify_step, complete_subtree,
 from sylvshift import pathsynth
 from sylvshift import verify as suites
 from sylvshift.errors import InternalError, NotStandardError, ParseError, RankError
-from sylvshift.graph import ShiftWitness, neighbor_set
+from sylvshift.graph import ShiftWitness, keys_with_evaluation, neighbor_set
 from sylvshift.monoid import SylvElement, element_of
 from sylvshift.pathsynth import (
     CASE_TAGS,
@@ -26,7 +26,7 @@ from sylvshift.pathsynth import (
     verify_step_invariants,
 )
 from sylvshift.trees import key_sizes, tree_str
-from sylvshift.words import parse_word
+from sylvshift.words import parse_word, word_str
 
 U5 = psylv(parse_word("23541"))
 U5_NODES = postfix(U5)
@@ -82,11 +82,14 @@ def paths_through_n6():
     library, the count of each (library, tree oracle) verdict pair of the
     chain invariants, over the distinct (tree, stack) pairs of every step's
     post tree and pre tree with the step's stack of topmost visited nodes,
-    and the steps whose tree, as shift_path built it, is not key_sizes of
-    the step's yx."""
+    the steps whose tree, as shift_path built it, is not key_sizes of
+    the step's yx, the pairs where the walk to the target shared by all
+    sources (`paths_to`) certifies another chain than shift_path alone,
+    and the set of (target, h, T_h) of steps h >= 1 with n <= 5."""
     with pytest.MonkeyPatch.context() as mp:
         trees_built, log = record_steps(mp)
         seen, missed, stack_mismatches, case_mismatches, moved_mismatches = set(), [], [], [], []
+        shared_mismatches, steps_through_n5 = [], set()
         verdicts = Counter()
         for n in range(1, 7):
             trees = standard_trees(n)
@@ -97,6 +100,7 @@ def paths_through_n6():
                 target = SylvElement(n, canonical_reading(u))
                 subtrees = [complete_subtree(u, loc) for _, loc in postfix(u)]
                 checks = set()  # (tree key, tops) pairs met on u's paths
+                walk = pathsynth.paths_to(target)
                 for t in trees:
                     trees_built.clear()
                     log.clear()
@@ -115,11 +119,17 @@ def paths_through_n6():
                                         for d in disagreements]
                     checks.update((key, tuple(tops)) for step, tops in zip(cert.steps, oracle)
                                   for key in (step.pre.key, step.post.key))
+                    if walk(cert.source) != cert:
+                        shared_mismatches.append((tree_str(cert.source.key), tree_str(target.key)))
+                    if n <= 5:
+                        steps_through_n5.update((target.key, h, step.pre.key)
+                                                for h, step in enumerate(cert.steps) if h)
                 for key, tops in checks:
                     patterns = [subtrees[p] for p in reversed(tops)]
                     verdicts[verify_step_invariants(shape_of[key], shape_of[target.key], tops),
                              step_invariants_by_tree(tree_of[key], patterns)] += 1
-    return seen, missed, stack_mismatches, case_mismatches, verdicts, moved_mismatches
+    return (seen, missed, stack_mismatches, case_mismatches, verdicts, moved_mismatches,
+            shared_mismatches, steps_through_n5)
 
 
 def test_classify_steps_of_worked_example():
@@ -152,27 +162,48 @@ def test_visited_tops(monkeypatch):
 
 
 def test_visited_tops_matches_scan_oracle(paths_through_n6):
-    _, _, stack_mismatches, _, _, _ = paths_through_n6
+    _, _, stack_mismatches, *_ = paths_through_n6
     assert stack_mismatches == []
 
 
 def test_induction_steps_match_case_oracle(paths_through_n6):
-    _, _, _, case_mismatches, _, _ = paths_through_n6
+    _, _, _, case_mismatches, *_ = paths_through_n6
     assert case_mismatches == []
 
 
 def test_step_invariants_match_tree_oracle(paths_through_n6):
     # on every step's post tree (where the invariants hold) and pre tree
     # (where they mostly fail), against every stack of topmost nodes met
-    _, _, _, _, verdicts, _ = paths_through_n6
+    _, _, _, _, verdicts, *_ = paths_through_n6
     assert set(verdicts) == {(True, True), (False, False)}
 
 
 def test_moved_trees_match_insertion(paths_through_n6):
     # every step after the base derives its tree from the pre tree's by
     # moving one subtree; insertion of yx must give the same key and sizes
-    _, _, _, _, _, moved_mismatches = paths_through_n6
+    _, _, _, _, _, moved_mismatches, *_ = paths_through_n6
     assert moved_mismatches == []
+
+
+def test_shared_walk_builds_each_step_once(paths_through_n6, monkeypatch):
+    # the walk to a target certifies, for every source with n <= 6, the
+    # chain shift_path certifies alone: the same steps, witnesses, posts
+    # and tags. The path suite then builds and checks each step h >= 1 once
+    # per distinct (target, h, T_h) of those chains, and checks the base
+    # step once per pair.
+    *_, shared_mismatches, steps_through_n5 = paths_through_n6
+    assert shared_mismatches == []
+    calls = Counter()
+
+    def counting(name):
+        real = getattr(pathsynth, name)
+        return lambda *args: calls.update([name]) or real(*args)
+
+    for name in ("induction_step", "verify_step_invariants"):
+        monkeypatch.setattr(pathsynth, name, counting(name))
+    assert suites.suite_path(5).passed
+    assert calls["induction_step"] == len(steps_through_n5) == 743
+    assert calls["verify_step_invariants"] == 743 + 1990
 
 
 @st.composite
@@ -238,6 +269,62 @@ def test_shift_path_returns_only_verified_certificates(monkeypatch):
     monkeypatch.setattr(pathsynth, "induction_step", corrupted)
     with pytest.raises(InternalError, match=r"^step 1 \(case3\): "):
         shift_path(CHAIN[0], CHAIN[-1])
+
+
+def test_a_failing_step_is_not_shared(monkeypatch):
+    # the invariants fail at one (target, h, T_{h+1}) with h >= 1 that
+    # several but not all sources reach, at n = 4: the suite reports each
+    # of those sources, and only them
+    keys = keys_with_evaluation((1,) * 4)
+    reached = Counter()
+    for key in keys:
+        target = SylvElement(4, key)
+        for source in keys:
+            for h, step in enumerate(shift_path(SylvElement(4, source), target).steps[1:], 1):
+                reached[key, h, step.post.key] += 1
+    (key, h, post), count = next(item for item in reached.most_common() if item[1] < len(keys))
+    assert count > 1
+    real = pathsynth.verify_step_invariants
+    monkeypatch.setattr(
+        pathsynth, "verify_step_invariants",
+        lambda t, goal, tops: (goal[0], tops[-1], t[0]) != (key, h, post) and real(t, goal, tops))
+    failures = []
+    for source in keys:
+        try:
+            shift_path(SylvElement(4, source), SylvElement(4, key))
+        except InternalError as exc:
+            failures.append(f"path {word_str(source)} -> {tree_str(key)}: {exc}")
+    rep = suites.suite_path(4)
+    assert len(failures) == count
+    assert rep.failures == failures
+    assert all(f": step {h} (" in f and f.endswith("): chain invariants fail afterwards")
+               for f in failures)
+
+
+def test_path_pool_has_no_more_workers_than_work_items(monkeypatch):
+    # fork starts every worker of a pool at once: --jobs 5000 on 8 work
+    # items (one target each at n <= 3) must ask for 8
+    import concurrent.futures
+
+    sizes = []
+
+    class InProcess:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
+    want = suites.suite_path(3).render()
+    assert [suites.suite_path(3, jobs).render() for jobs in (5000, 2)] == [want, want]
+    assert sizes == [1 + 2 + 5, 2]
 
 
 def test_path_suite_reports_certificates_that_fail_verify(monkeypatch):
@@ -331,7 +418,7 @@ def test_trivial_paths():
 
 
 def test_case_coverage_through_n6(paths_through_n6):
-    seen, missed, _, _, _, _ = paths_through_n6
+    seen, missed, *_ = paths_through_n6
     assert missed == []
     assert seen == set(CASE_TAGS)
 
