@@ -335,7 +335,8 @@ SHARED_FLAGS = {
         type=_int_at_least(1), default=DEFAULT_REWRITE_BUDGET,
         help="cap on words visited by a rewriting search")),
     "jobs": (("--jobs",), dict(
-        type=_int_at_least(1), help="worker processes for the path suite")),
+        type=_int_at_least(1),
+        help="worker processes for the path suite, at most the CPU count")),
 }
 
 

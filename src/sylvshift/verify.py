@@ -9,6 +9,7 @@ asked (--jobs), and reports are canonicalized so runs are reproducible.
 from __future__ import annotations
 
 import itertools
+import os
 import sys
 from contextlib import nullcontext
 
@@ -247,9 +248,9 @@ def suite_path(nmax: int = 5, jobs: int = 1) -> SuiteReport:
         keys = keys_with_evaluation((1,) * n)
         size = -(-len(keys) // max(jobs, 1))
         work += [(n, keys[i:i + size], keys) for i in range(0, len(keys), size)]
-    # one pool serves every n, with no more workers than items (fork starts
-    # them all at once), and none is started for a single item
-    workers = min(jobs, len(work))
+    # one pool serves every n, with no more workers than items or CPUs (fork
+    # starts them all at once), and none is started for a single item
+    workers = min(jobs, len(work), os.cpu_count() or 1)
     pooled = workers > 1
     if pooled:
         from concurrent.futures import ProcessPoolExecutor

@@ -16,7 +16,6 @@ from sylvshift.cli import SIZE_FLAGS, build_parser, main
 from sylvshift.graph import ShiftWitness
 from sylvshift.monoid import SylvElement
 from sylvshift.pathsynth import PathCertificate, certificate_from_obj
-from sylvshift.trees import parse_tree, psylv_key
 from sylvshift.words import parse_word
 
 
@@ -24,32 +23,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
-
-
-def test_tree_golden(capsys):
-    code, out, _ = run(capsys, "tree", "5451761524")
-    assert code == 0
-    assert out.strip() == "4(2(1(1(_,_),_),4(_,_)),5(5(5(_,_),_),6(_,7(_,_))))"
-
-
-def test_tree_empty_and_formats(capsys):
-    code, out, _ = run(capsys, "tree", "")
-    assert code == 0 and out.strip() == "_"
-    code, out, _ = run(capsys, "tree", "132", "--format", "dot")
-    assert code == 0 and out.startswith("digraph")
-    code, out, _ = run(capsys, "tree", "132", "--format", "art")
-    assert code == 0 and "2" in out
-
-
-def test_tree_json_roundtrip(capsys):
-    code, out, _ = run(capsys, "tree", "13254", "--format", "json")
-    obj = json.loads(out)
-    assert parse_tree(obj["tree"]) == psylv_key(parse_word(obj["word"]))
-
-
-def test_dotted_words(capsys):
-    code, out, _ = run(capsys, "tree", "1.3.12.5")
-    assert code == 0 and "12(" in out
 
 
 def test_cochseq(capsys):
@@ -70,34 +43,6 @@ def test_eval_readings_equal_multiply(capsys):
 
     code, out, _ = run(capsys, "multiply", "2", "1")
     assert code == 0 and out.strip() == "1(_,2(_,_))"
-
-
-def test_neighbors(capsys):
-    code, out, _ = run(capsys, "neighbors", "12", "-n", "2")
-    assert code == 0
-    assert {line.split()[0] for line in out.strip().splitlines()} == {"12", "21"}
-    code, out, _ = run(capsys, "neighbors", "13254", "--format", "json")
-    obj = json.loads(out)
-    readings = {n["reading"] for n in obj["neighbors"]}
-    assert "15432" in readings  # the tree of 54132
-    for n in obj["neighbors"]:
-        x, y = parse_word(n["x"]), parse_word(n["y"])
-        assert psylv_key(y + x) == parse_tree(n["tree"])
-
-
-def test_component_and_diameter(capsys):
-    code, out, _ = run(capsys, "component", "-n", "2", "--eval", "1,1")
-    assert code == 0 and "2 vertices, 1 edges, connected" in out
-
-    code, out, _ = run(capsys, "diameter", "--standard", "-n", "3")
-    assert code == 0 and out.strip().startswith("2")
-
-    code, out, _ = run(capsys, "diameter", "-n", "3", "--standard", "--format", "tsv")
-    cols = out.strip().split("\t")
-    assert cols[0] == "1,1,1" and cols[1] == "5"
-
-    code, out, _ = run(capsys, "component", "-n", "2", "--eval", "1,1", "--format", "dot")
-    assert code == 0 and out.startswith("graph")
 
 
 def test_tsv_rows_compute_the_diameter_once(monkeypatch, capsys):
@@ -279,11 +224,6 @@ def test_path_between_long_chains(capsys):
     code, out, _ = run(capsys, "path", up, down, "-n", "300", "--format", "json")
     assert code == 0
     assert len(json.loads(out)["steps"]) == 300
-
-
-def test_verify_suite(capsys):
-    code, out, _ = run(capsys, "verify", "example-path")
-    assert code == 0 and out.startswith("PASS")
 
 
 def test_exit_codes(capsys):
@@ -498,11 +438,6 @@ def test_one_parser_keeps_calls_apart(tmp_path, capsys):
     assert written.startswith("PASS example-path")
     code, out, _ = run(capsys, "verify", "example-path")
     assert code == 0 and out == written and target.read_text() == written
-
-
-def test_jobs_flag(capsys):
-    code, out, _ = run(capsys, "verify", "path", "--n", "3", "--jobs", "2")
-    assert code == 0 and out.startswith("PASS")
 
 
 SHARED_FLAGS = {"-n", "--format", "--max-readings", "--max-vertices", "--budget", "--jobs", "--out"}

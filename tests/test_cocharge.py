@@ -12,18 +12,6 @@ from sylvshift.trees import key_sizes, psylv_key, readings
 from sylvshift.words import word_str
 
 
-def test_worked_example():
-    assert cochseq_word((1, 2, 4, 6, 3, 7, 5)) == (0, 0, 0, 1, 1, 2, 2)
-
-
-def test_chain_words():
-    for n in range(1, 8):
-        up = tuple(range(1, n + 1))
-        down = tuple(range(n, 0, -1))
-        assert cochseq_word(up) == (0,) * n
-        assert cochseq_word(down) == tuple(range(n))
-
-
 def test_rejects_non_standard():
     for bad in ((1, 1), (2, 3), ()):
         with pytest.raises(NotStandardError):

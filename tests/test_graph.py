@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (adjacency_by_vertex, bfs_by_index, bfs_distances, canonical_reading,
-                      diameter_by_bfs, hook_length_extensions, is_bst, labels, mirror_tree,
-                      multiset_words, neighbors_by_readings, psylv, validates_checking_ranks)
+from conftest import (Node, adjacency_by_vertex, bfs_by_index, bfs_distances, canonical_reading,
+                      diameter_by_bfs, hook_length_extensions, is_bst, mirror_tree,
+                      multiset_words, neighbors_by_readings, psylv, psylv_by_insertion,
+                      validates_checking_ranks)
 from sylvshift import graph, trees
 from sylvshift import verify as suites
 from sylvshift.errors import CapExceededError, DisconnectedError, InternalError, RankError
@@ -28,7 +29,6 @@ from sylvshift.graph import (
     diameter,
     distance,
     edge_witnesses,
-    graph_dot,
     keys_with_evaluation,
     levels,
     meet,
@@ -44,13 +44,6 @@ from sylvshift.words import Word, evaluation, word_str
 # Evaluation classes with repeated symbols whose every tree is checked
 # against the readings oracle, next to every standard tree with n <= 7.
 ORACLE_CLASSES = [(2, 1, 2, 1, 2), (3, 3), (2, 2, 2), (1, 3, 1, 2), (4, 1, 1), (2, 2, 2, 2)]
-
-
-def test_neighbors_examples():
-    assert neighbor_set(element_of((1, 2), 2).key) == {(1, 2), (2, 1)}
-    assert neighbor_set(element_of((), 3).key) == {()}
-    big = neighbor_set(element_of((1, 3, 2, 5, 4), 5).key)
-    assert element_of((5, 4, 1, 3, 2), 5).key in big
 
 
 def test_neighbors_witnesses_validate():
@@ -181,36 +174,25 @@ def test_neighbors_symmetric_and_evaluation_preserving():
                 assert ShiftWitness(wit.y, wit.x).validates(SylvElement(4, key), s)
 
 
-def test_keys_with_evaluation_counts():
-    catalan = [1, 1, 2, 5, 14, 42, 132]
-    for n in range(1, 7):
-        assert len(keys_with_evaluation((1,) * n)) == catalan[n]
-    assert len(keys_with_evaluation((2, 0))) == 1
-    assert keys_with_evaluation(()) == [()]  # the empty tree
-
-
 def test_keys_with_evaluation_matches_bruteforce():
     # the key of every distinct insertion tree of the class appears exactly
-    # once, for every evaluation of rank <= 4 and total <= 6
+    # once, for every evaluation of rank <= 4 and total <= 6, with trees from
+    # the library's insertion or the definition's; each key inserts back to
+    # its tree, so comparing keys is comparing trees
     for e in (e for k in range(5) for e in itertools.product(range(7), repeat=k) if sum(e) <= 6):
         symbols = [i + 1 for i, c in enumerate(e) for _ in range(c)]
-        brute = {canonical_reading(psylv(w)) for w in multiset_words(symbols)}
+        words = multiset_words(symbols)
         built = keys_with_evaluation(e)
-        assert len(built) == len(set(built))
-        assert set(built) == brute
-        assert all(is_bst(psylv(key)) and canonical_reading(psylv(key)) == key for key in built)
-        assert tree_count(e) == len(built)
-
-
-def test_component_examples():
-    g = component((1, 1), 2)
-    assert len(g.vertices) == 2 and g.edge_count() == 1 and g.connected
-
-    g3 = component((1, 1, 1), 3)
-    assert len(g3.vertices) == 5 and g3.connected
-
-    g_rep = component((2, 0), 2)
-    assert len(g_rep.vertices) == 1 and g_rep.connected
+        assert len(built) == len(set(built)) == tree_count(e)
+        assert set(built) == {canonical_reading(psylv(w)) for w in words}
+        trees = {psylv_by_insertion(w) for w in words}
+        keys = {SylvElement(len(e), canonical_reading(t)).key: t for t in trees}
+        assert len(keys) == len(trees) and set(keys) == set(built)
+        assert all(is_bst(t) and psylv(key) == t and canonical_reading(t) == key
+                   for key, t in keys.items())
+    # a tree that is not right-strict has no key
+    with pytest.raises(ValueError, match="right-strict"):
+        canonical_reading(Node(1, None, Node(1)))
 
 
 def test_component_edges_match_word_bruteforce():
@@ -687,14 +669,6 @@ def test_levels_distance_and_parts_match_plain_bfs(adj):
                 assert exc.value.parts == g.parts
 
 
-def test_chain_distance_lower_bound():
-    for n in range(2, 6):
-        g = component((1,) * n, n)
-        up = element_of(tuple(range(1, n + 1)), n)
-        down = element_of(tuple(range(n, 0, -1)), n)
-        assert distance(g, up, down) >= n - 1
-
-
 def test_distance_lower_bound_suite_checks_every_pair(monkeypatch):
     assert suites.suite_distance_lower_bound(nmax=4).lines == [
         "225 standard pairs dominate their cocharge bound"]
@@ -721,15 +695,6 @@ def test_distance_lower_bound_suite_checks_every_pair(monkeypatch):
     rep = suites.suite_distance_lower_bound(nmax=3)
     assert "n=3: 213 reaches 1 of 5 trees" in rep.failures
     assert rep.lines == ["7 standard pairs dominate their cocharge bound"]
-
-
-def test_diameter_small():
-    d2, _ = diameter(component((1, 1), 2))
-    assert d2 == 1
-    d3, _ = diameter(component((1, 1, 1), 3))
-    assert 2 <= d3 <= 3
-    d4, _ = diameter(component((1, 1, 1, 1), 4))
-    assert 3 <= d4 <= 4
 
 
 def test_diameter_matches_per_vertex_bfs():
@@ -810,18 +775,6 @@ def test_vertices_sorted_and_deterministic():
     assert [v.tree for v in again.vertices] == [v.tree for v in g.vertices]
     assert again.adj == g.adj
     assert list(edge_witnesses(again)) == list(edge_witnesses(g))
-
-
-def test_emitters():
-    g = component((1, 1), 2)
-    dot = graph_dot(g)
-    assert dot.startswith("graph") and "--" in dot and '"12"' in dot
-
-
-def test_all_vertices_share_evaluation():
-    g = component((2, 1, 1), 3)
-    for v in g.vertices:
-        assert sorted(labels(psylv(v.key))) == [1, 1, 2, 3]
 
 
 def test_evaluations_in_lexicographic_order(default_recursion_limit):

@@ -12,7 +12,7 @@ from conftest import (Node, canonical_reading, classify_step, complete_subtree,
 from sylvshift import pathsynth
 from sylvshift import verify as suites
 from sylvshift.errors import InternalError, NotStandardError, ParseError, RankError
-from sylvshift.graph import ShiftWitness, keys_with_evaluation, neighbor_set
+from sylvshift.graph import ShiftWitness, keys_with_evaluation
 from sylvshift.monoid import SylvElement, element_of
 from sylvshift.pathsynth import (
     CASE_TAGS,
@@ -53,24 +53,35 @@ def record_steps(monkeypatch):
     return trees, log
 
 
-def case_oracle_disagreements(cert, target, tree_of=psylv) -> list[str]:
+def case_oracle_disagreements(cert, target, tree_of=psylv, checked=None) -> list[str]:
     """Steps of cert where the proof's case-by-case construction, run on the
     step's pre tree (tree_of its key), raises a lemma error, or gives another
-    tag, another x, or a y that reads another element."""
-    u = psylv(target.key)
-    nodes = postfix(u)
+    tag, another x, or a y that reads another element. checked maps each
+    (target key, h, pre key, case tag, witness) already met to its finding
+    ("" if none): the oracle's input and the library's output, so a step
+    that several chains share is checked once."""
+    checked = {} if checked is None else checked
     out = []
     for h, step in enumerate(cert.steps[1:], start=1):
-        try:
-            wit, tag = induction_step_by_cases(tree_of(step.pre.key), u, nodes, h)
-        except InternalError as exc:
-            out.append(f"step {h}: {exc}")
-            continue
-        same_y = element_of(wit.y, target.rank) == element_of(step.witness.y, target.rank)
-        if (tag, wit.x) != (step.case_tag, step.witness.x) or not same_y:
-            out.append(f"step {h}: cases give {tag} {wit.x} {wit.y}, the library "
-                       f"{step.case_tag} {step.witness.x} {step.witness.y}")
+        mark = (target.key, h, step.pre.key, step.case_tag, step.witness)
+        if mark not in checked:
+            checked[mark] = case_oracle_finding(step, h, target, tree_of)
+        if checked[mark]:
+            out.append(f"step {h}: {checked[mark]}")
     return out
+
+
+def case_oracle_finding(step, h, target, tree_of) -> str:
+    u = psylv(target.key)
+    try:
+        wit, tag = induction_step_by_cases(tree_of(step.pre.key), u, postfix(u), h)
+    except InternalError as exc:
+        return str(exc)
+    same_y = element_of(wit.y, target.rank) == element_of(step.witness.y, target.rank)
+    if (tag, wit.x) != (step.case_tag, step.witness.x) or not same_y:
+        return (f"cases give {tag} {wit.x} {wit.y}, the library "
+                f"{step.case_tag} {step.witness.x} {step.witness.y}")
+    return ""
 
 
 @pytest.fixture(scope="module")
@@ -91,30 +102,42 @@ def paths_through_n6():
         seen, missed, stack_mismatches, case_mismatches, moved_mismatches = set(), [], [], [], []
         shared_mismatches, steps_through_n5 = [], set()
         verdicts = Counter()
+        # a step is checked against each oracle once per distinct input and
+        # output: the case oracle through case_oracle_disagreements, and
+        # insertion per (witness, built key, built sizes)
+        case_checked, moved_checked = {}, {}
         for n in range(1, 7):
             trees = standard_trees(n)
             tree_of = {canonical_reading(t): t for t in trees}
             shape_of = {key: key_sizes(key) for key in tree_of}
             for u in trees:
                 oracle = [visited_tops_by_scan(u, h) for h in range(1, n + 1)]
-                target = SylvElement(n, canonical_reading(u))
+                goal = canonical_reading(u)
+                target = SylvElement(n, goal)
                 subtrees = [complete_subtree(u, loc) for _, loc in postfix(u)]
                 checks = set()  # (tree key, tops) pairs met on u's paths
                 walk = pathsynth.paths_to(target)
                 for t in trees:
                     trees_built.clear()
                     log.clear()
-                    cert = shift_path(SylvElement(n, canonical_reading(t)), target)
-                    moved_mismatches += [
-                        (tree_str(cert.source.key), tree_str(target.key), h)
-                        for h, (step, built) in enumerate(zip(cert.steps, trees_built, strict=True))
-                        if built != key_sizes(step.witness.y + step.witness.x)]
+                    start = canonical_reading(t)
+                    cert = shift_path(SylvElement(n, start), target)
+                    for h, (step, built) in enumerate(zip(cert.steps, trees_built, strict=True)):
+                        wit = step.witness
+                        mark = (wit, built[0], tuple(built[1]))
+                        if mark not in moved_checked:
+                            moved_checked[mark] = built == key_sizes(wit.y + wit.x)
+                        if not moved_checked[mark]:
+                            moved_mismatches.append(
+                                (tree_str(cert.source.key), tree_str(target.key), h))
                     seen.update(s.case_tag for s in cert.steps)
-                    if (psylv(cert.steps[0].pre.key), psylv(cert.steps[-1].post.key)) != (t, u):
+                    # the oracle's readings of t and u as keys: a chain from t to u
+                    if (cert.steps[0].pre.key, cert.steps[-1].post.key) != (start, goal):
                         missed.append((t, u))
                     if log != oracle:
                         stack_mismatches.append((t, u))
-                    disagreements = case_oracle_disagreements(cert, target, tree_of.__getitem__)
+                    disagreements = case_oracle_disagreements(cert, target, tree_of.__getitem__,
+                                                              case_checked)
                     case_mismatches += [(tree_str(cert.source.key), tree_str(target.key), d)
                                         for d in disagreements]
                     checks.update((key, tuple(tops)) for step, tops in zip(cert.steps, oracle)
@@ -303,8 +326,10 @@ def test_a_failing_step_is_not_shared(monkeypatch):
 
 def test_path_pool_has_no_more_workers_than_work_items(monkeypatch):
     # fork starts every worker of a pool at once: --jobs 5000 on 8 work
-    # items (one target each at n <= 3) must ask for 8
+    # items (one target each at n <= 3) must ask for 8, or for the CPU
+    # count when that is lower
     import concurrent.futures
+    import os
 
     sizes = []
 
@@ -323,8 +348,10 @@ def test_path_pool_has_no_more_workers_than_work_items(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
     want = suites.suite_path(3).render()
-    assert [suites.suite_path(3, jobs).render() for jobs in (5000, 2)] == [want, want]
-    assert sizes == [1 + 2 + 5, 2]
+    for cpus in (3, 64):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert [suites.suite_path(3, jobs).render() for jobs in (5000, 2)] == [want, want]
+    assert sizes == [3, 2, 1 + 2 + 5, 2]
 
 
 def test_path_suite_reports_certificates_that_fail_verify(monkeypatch):
@@ -403,20 +430,6 @@ def test_paths_build_no_tree(default_recursion_limit):
         assert back == cert and back.verify()
 
 
-def test_worked_example_words_are_shift_neighbors():
-    for a, b in zip(CHAIN_WORDS, CHAIN_WORDS[1:]):
-        s = element_of(parse_word(a), 5)
-        t = element_of(parse_word(b), 5)
-        assert t.key in neighbor_set(s.key)
-
-
-def test_trivial_paths():
-    cert = shift_path(element_of((1, 2), 2), element_of((2, 1), 2))
-    assert len(cert.steps) == 2
-    assert cert.target == element_of((2, 1), 2)
-    assert cert.verify()
-
-
 def test_case_coverage_through_n6(paths_through_n6):
     seen, missed, *_ = paths_through_n6
     assert missed == []
@@ -432,15 +445,6 @@ def test_input_validation():
         shift_path(element_of((1,), 3), element_of((1, 2), 3))
     with pytest.raises(NotStandardError):
         shift_path(element_of((), 1), element_of((), 1))
-
-
-def test_certificate_json_roundtrip():
-    cert = shift_path(element_of(parse_word("13254"), 5), element_of(parse_word("23541"), 5))
-    obj = json.loads(certificate_json(cert))
-    back = certificate_from_obj(obj)
-    assert back == cert
-    assert back.verify()
-    assert [s["case"] for s in obj["steps"]] == ["base", "case3", "case1", "case2b", "case4a"]
 
 
 def test_malformed_certificate_objects_raise_parse_error():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from conftest import (
     EQ1_STR,
-    EQ1_WORD,
     Node,
     canonical_reading,
     complete_subtree,
@@ -117,13 +116,6 @@ def test_postfix_visits_descendants_first(eq1_tree):
     for i, (_, loc) in enumerate(order):
         for _, later in order[i + 1 :]:
             assert not (later != loc and later.startswith(loc))
-
-
-def test_readings_examples():
-    assert readings((1, 3, 2)) == {(1, 3, 2), (3, 1, 2)}
-    assert readings((2, 1)) == {(2, 1)}
-    assert readings((5,)) == {(5,)}
-    assert readings(()) == {()}
 
 
 def test_readings_count_matches_hook_formula():
@@ -294,13 +286,6 @@ def test_render_cap_is_the_exact_text_length(monkeypatch):
             monkeypatch.setattr(trees, "MAX_RENDER_CHARS", len(text) - 1)
             with pytest.raises(CapExceededError):
                 tree_art(w)
-
-
-def test_emitters_smoke():
-    dot = tree_dot(EQ1_WORD)
-    assert dot.startswith("digraph") and dot.count("->") == 9
-    assert "7" in tree_art(EQ1_WORD)
-    assert tree_art(()) == "(empty)"
 
 
 def check_against_node_oracles(w):
