@@ -15,10 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (Node, adjacency_by_vertex, bfs_by_index, bfs_distances, canonical_reading,
+from conftest import (adjacency_by_vertex, bfs_by_index, bfs_distances, canonical_reading,
                       diameter_by_bfs, hook_length_extensions, is_bst, mirror_tree,
-                      multiset_words, neighbors_by_readings, psylv, psylv_by_insertion,
-                      validates_checking_ranks)
+                      multiset_words, neighbors_by_readings, psylv, validates_checking_ranks)
 from sylvshift import graph, trees
 from sylvshift import verify as suites
 from sylvshift.errors import CapExceededError, DisconnectedError, InternalError, RankError
@@ -176,23 +175,15 @@ def test_neighbors_symmetric_and_evaluation_preserving():
 
 def test_keys_with_evaluation_matches_bruteforce():
     # the key of every distinct insertion tree of the class appears exactly
-    # once, for every evaluation of rank <= 4 and total <= 6, with trees from
-    # the library's insertion or the definition's; each key inserts back to
-    # its tree, so comparing keys is comparing trees
+    # once, for every evaluation of rank <= 4 and total <= 6
     for e in (e for k in range(5) for e in itertools.product(range(7), repeat=k) if sum(e) <= 6):
         symbols = [i + 1 for i, c in enumerate(e) for _ in range(c)]
-        words = multiset_words(symbols)
+        brute = {canonical_reading(psylv(w)) for w in multiset_words(symbols)}
         built = keys_with_evaluation(e)
-        assert len(built) == len(set(built)) == tree_count(e)
-        assert set(built) == {canonical_reading(psylv(w)) for w in words}
-        trees = {psylv_by_insertion(w) for w in words}
-        keys = {SylvElement(len(e), canonical_reading(t)).key: t for t in trees}
-        assert len(keys) == len(trees) and set(keys) == set(built)
-        assert all(is_bst(t) and psylv(key) == t and canonical_reading(t) == key
-                   for key, t in keys.items())
-    # a tree that is not right-strict has no key
-    with pytest.raises(ValueError, match="right-strict"):
-        canonical_reading(Node(1, None, Node(1)))
+        assert len(built) == len(set(built))
+        assert set(built) == brute
+        assert all(is_bst(psylv(key)) and canonical_reading(psylv(key)) == key for key in built)
+        assert tree_count(e) == len(built)
 
 
 def test_component_edges_match_word_bruteforce():

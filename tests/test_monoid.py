@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import (EQ1_WORD, Node, canonical_reading, psylv, psylv_by_insertion,
+from conftest import (EQ1_WORD, Node, canonical_reading, multiset_words, psylv, psylv_by_insertion,
                       single_rewrites_by_definition)
 from sylvshift import monoid
 from sylvshift import verify as suites
@@ -219,6 +219,25 @@ def test_induced_subgraph_fails_on_a_letter_dependent_shift(monkeypatch):
     rep = suites.suite_induced(nmax=4)
     assert rep.render().startswith("FAIL induced-subgraph(n<=4)")
     assert len(rep.failures) == 5
+
+
+def test_canonical_reading_is_a_complete_key():
+    # distinct trees of one evaluation have distinct keys, and each key
+    # inserts back to its tree, so comparing keys is comparing trees
+    for n in range(0, 5):
+        for e in itertools.product(range(7), repeat=n):
+            if sum(e) > 6:
+                continue
+            symbols = [i + 1 for i, c in enumerate(e) for _ in range(c)]
+            trees = list({psylv_by_insertion(w) for w in multiset_words(symbols)})
+            keys = [SylvElement(n, canonical_reading(t)).key for t in trees]
+            assert len(set(keys)) == len(trees)
+            assert set(keys) == set(keys_with_evaluation(e))
+            for t, key in zip(trees, keys):
+                assert psylv(key) == t
+    # a tree that is not right-strict has no key
+    with pytest.raises(ValueError, match="right-strict"):
+        canonical_reading(Node(1, None, Node(1)))
 
 
 @given(st.lists(st.integers(1, 4), max_size=9).map(tuple))
