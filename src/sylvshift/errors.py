@@ -47,7 +47,8 @@ class InternalError(SylvError):
     Raised by the path construction (a step's chain invariants, or a
     finished certificate failing `verify()`), `graph.component` (an
     asymmetric shift relation, or a listing of the class that disagrees
-    with its count), `graph.mirror_index` (a letter reversal that is no
+    with its count), `graph.search_parts` and `graph.component` (a row
+    that names a key outside the class), `graph.mirror_index` (a letter reversal that is no
     involution), `graph.diameter` (BFS rounds that stall) and the command
     line (`equal --rewrite` disagreeing with insertion). It signals a bug
     in the library (or an input violating a checked precondition), never

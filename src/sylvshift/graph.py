@@ -6,15 +6,17 @@ once per set of nodes that y reads and per sylvester class of x, and
 splices the neighbor's key from their letters. The components are the
 evaluation classes, as the paper proves and `verify connectivity` checks
 on small ones, so each is searched exhaustively. `meet` is the one search
-from both ends, over a built class's rows or over keys; `levels`, a BFS by
-set unions, gives a built class's parts and all distances from one vertex.
+from both ends, over a built class's rows or over keys; `search_parts` is
+the one search for parts, over a built class's rows or over keys, and
+stops once every vertex is placed; `levels`, a BFS by set unions, gives
+all distances from one vertex.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import namedtuple
-from collections.abc import Callable, Collection, Hashable, Iterator
+from collections.abc import Callable, Collection, Hashable, Iterable, Iterator, Sequence
 from functools import cached_property
 from itertools import accumulate
 from math import factorial, inf
@@ -246,16 +248,58 @@ class ComponentGraph:
 
     @cached_property
     def parts(self) -> list[list[int]]:
-        """Each part's sorted vertex indices, lowest part first: what
-        `levels` reaches from the lowest vertex not yet placed."""
-        seen: set[int] = set()
-        parts = []
-        for start in range(len(self.vertices)):
-            if start not in seen:
-                part = set().union(*levels(self.adj, start))
-                seen |= part
-                parts.append(sorted(part))
-        return parts
+        """Each part's sorted vertex indices, lowest part first, by
+        `search_parts` over the rows."""
+        return search_parts(range(len(self.vertices)), self.adj.__getitem__)
+
+
+def search_parts(vertices: Sequence[Hashable],
+                 row: Callable[[Hashable], Iterable[Hashable]]) -> list[list[int]]:
+    """The parts of the undirected graph on vertices that row(v) lists v's
+    neighbors in, as sorted lists of indices into vertices, lowest part
+    first. row(v) may list v itself.
+
+    Each part is grown from the lowest vertex not yet placed, one row at a
+    time in BFS order, and the search returns as soon as every vertex is
+    placed, before the rows that would only meet placed vertices. That is
+    sound: the parts found before the current one are exhausted, every row
+    of theirs read, so they are closed, and each vertex placed since is
+    reached from the current part's first vertex along edges. So once no
+    vertex is left, the current part is all the vertices still unplaced
+    when it began, and it is connected. A connected class thus needs only
+    the rows that find its last vertex. Raises InternalError when a row
+    names a vertex not in vertices.
+    """
+    index = {v: i for i, v in enumerate(vertices)}
+    placed = [False] * len(vertices)
+    left = len(vertices)
+    parts = []
+    start = 0
+    while left:
+        while placed[start]:
+            start += 1
+        placed[start] = True
+        left -= 1
+        part = [start]
+        for i in part:  # part grows as it is read: a BFS queue
+            if not left:
+                break
+            u = vertices[i]
+            for v in row(u):
+                j = index.get(v)
+                if j is None:
+                    raise InternalError(_outside(u, v))
+                if not placed[j]:
+                    placed[j] = True
+                    left -= 1
+                    part.append(j)
+        parts.append(sorted(part))
+    return parts
+
+
+def _outside(u: Hashable, v: Hashable) -> str:
+    """The error a row of u gives when it names v, which is no vertex."""
+    return f"the row of {u!r} names {v!r}, which is not in the class"
 
 
 def levels(adj: list[list[int]], source: int) -> Iterator[set[int]]:
@@ -345,18 +389,21 @@ def mirror_index(keys: list[Word], index: dict[Word, int]) -> list[int]:
     return m
 
 
-def component(e: tuple[int, ...], n: int, max_vertices: int = MAX_VERTICES,
-              max_readings: int = MAX_READINGS) -> ComponentGraph:
-    """Build the evaluation-class graph for e over the rank-n alphabet.
+def _class_keys(e: tuple[int, ...], n: int, max_vertices: int, max_readings: int,
+                mirrored: bool) -> tuple[list[Word], Sequence[int]]:
+    """The keys of the class of e at rank n, in vertex order, and m: with
+    mirrored set on distinct letters, the `mirror_index` of the keys, else
+    range(len(keys)), each vertex its own orbit. `component` and
+    `class_parts` check their input and both caps here, in this order,
+    before the first row.
 
-    Both caps refuse before the first row is built. `tree_count` counts the
-    class against max_vertices before `keys_with_evaluation` lists its keys,
-    already in vertex order. A tree of L = sum(e) nodes has at most L!
-    readings (a class is the set of linear extensions of its tree); past
-    that bound each mirror orbit's first key has its readings counted
-    against max_readings, in key order, as a mirror image has the same hook
-    product. The rows then run uncapped. Raises InternalError when the keys
-    listed differ in number from the trees `tree_count` counted.
+    `tree_count` counts the class against max_vertices before
+    `keys_with_evaluation` lists its keys, already in vertex order. A tree
+    of L = sum(e) nodes has at most L! readings (a class is the set of
+    linear extensions of its tree); past that bound each orbit's first key
+    has its readings counted against max_readings, in key order, as a
+    mirror image has the same hook product. Raises InternalError when the
+    keys listed differ in number from the trees `tree_count` counted.
     """
     if len(e) != n:
         raise RankError(f"evaluation has length {len(e)}, rank is {n}")
@@ -367,20 +414,50 @@ def component(e: tuple[int, ...], n: int, max_vertices: int = MAX_VERTICES,
     # two independent enumerations of one class: counted and listed
     if len(keys) != count:
         raise InternalError(f"listed {len(keys)} trees with evaluation {e}, counted {count}")
-    g = ComponentGraph(n, e, [SylvElement._make((n, key)) for key in keys], [])
-    index, adj = g.index, g.adj
-    # On distinct letters the mirror m is an automorphism, so the vertex
-    # i <= m[i] of each orbit enumerates its neighbors and the other maps
-    # its partner's finished row. On repeated letters every vertex enumerates.
-    m = mirror_index(keys, index) if max(e, default=0) <= 1 else range(len(keys))
+    m: Sequence[int] = range(len(keys))
+    if mirrored and max(e, default=0) <= 1:
+        m = mirror_index(keys, {key: i for i, key in enumerate(keys)})
     # whether L! > max_readings, stopping at the first k! past it
     if any(factorial(k) > max_readings for k in range(sum(e) + 1)):
         for i, key in enumerate(keys):
             if i <= m[i]:
                 check_reading_cap(key_sizes(key)[1], max_readings)
+    return keys, m
+
+
+def class_parts(e: tuple[int, ...], n: int, max_vertices: int = MAX_VERTICES,
+                max_readings: int = MAX_READINGS) -> list[list[int]]:
+    """The parts of the class of e at rank n, as `component(e, n,
+    max_vertices, max_readings).parts` lists them, without building it:
+    `search_parts` over its keys, with `neighbor_set(key, inf)` as the rows.
+    No adjacency list, mirror or symmetry pass is made, and the rows past
+    the one that places the last key are never enumerated. Refuses on the
+    caps as `component` does, before the first row."""
+    keys, _ = _class_keys(e, n, max_vertices, max_readings, mirrored=False)
+    return search_parts(keys, lambda key: neighbor_set(key, inf))
+
+
+def component(e: tuple[int, ...], n: int, max_vertices: int = MAX_VERTICES,
+              max_readings: int = MAX_READINGS) -> ComponentGraph:
+    """Build the evaluation-class graph for e over the rank-n alphabet.
+
+    Both caps refuse before the first row is built (`_class_keys`), and the
+    rows then run uncapped. Raises InternalError when a row names a key
+    outside the class, or when the rows are not symmetric.
+    """
+    # On distinct letters the mirror m is an automorphism, so the vertex
+    # i <= m[i] of each orbit enumerates its neighbors and the other maps
+    # its partner's finished row. On repeated letters every vertex enumerates.
+    keys, m = _class_keys(e, n, max_vertices, max_readings, mirrored=True)
+    g = ComponentGraph(n, e, [SylvElement._make((n, key)) for key in keys], [])
+    index, adj = g.index, g.adj
     for i, key in enumerate(keys):
         if i <= m[i]:
-            adj.append(sorted(index[k] for k in neighbor_set(key, inf) if k != key))
+            row = neighbor_set(key, inf)
+            try:
+                adj.append(sorted(index[k] for k in row if k != key))
+            except KeyError as exc:
+                raise InternalError(_outside(key, exc.args[0])) from None
         else:
             adj.append(sorted(map(m.__getitem__, adj[m[i]])))
     # found[i] counts the rows before i that list i while each is the next

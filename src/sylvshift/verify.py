@@ -14,8 +14,8 @@ import sys
 from contextlib import nullcontext
 
 from .cocharge import cochseq_gap, cochseq_word
-from .graph import (MAX_VERTICES, component, diameter, keys_with_evaluation, levels,
-                    neighbor_set)
+from .graph import (MAX_VERTICES, class_parts, component, diameter, keys_with_evaluation,
+                    levels, neighbor_set)
 from .monoid import DEFAULT_REWRITE_BUDGET, SylvElement, element_of, multiply, rewrite_class
 from .pathsynth import CASE_TAGS, paths_to, shift_path
 from .trees import MAX_READINGS, psylv_key, readings, tree_str
@@ -140,7 +140,8 @@ def suite_connectivity(rank: int = 4, maxlen: int = 6, max_vertices: int = MAX_V
     Insertion only compares letters, so an order-preserving map of the
     letters carries keys, key order and rows from one class to another: the
     class of (0, 1, 0, 1) at rank 4 is that of its zero-free form (1, 1) at
-    rank 2. Each zero-free form is built once, at rank len(base), and every
+    rank 2. Each zero-free form is searched once, at rank len(base), by
+    `class_parts`, which stops once every key is placed, and every
     evaluation is checked, reported and counted through its part count."""
     rep = SuiteReport(f"connectivity(rank<={rank}, len<={maxlen})")
     built = 0
@@ -150,7 +151,7 @@ def suite_connectivity(rank: int = 4, maxlen: int = 6, max_vertices: int = MAX_V
             for e in _evaluations(n, length):
                 base = tuple(c for c in e if c)
                 if base not in parts:
-                    parts[base] = len(component(base, len(base), max_vertices, max_readings).parts)
+                    parts[base] = len(class_parts(base, len(base), max_vertices, max_readings))
                 if parts[base] > 1:
                     rep.fail(f"evaluation {e} at rank {n}: {parts[base]} parts")
                 built += 1

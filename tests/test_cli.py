@@ -384,6 +384,31 @@ def test_internal_errors_exit_5(monkeypatch, capsys):
                            "counted 5")
 
 
+def test_a_row_outside_the_class_exits_5(monkeypatch, capsys):
+    # the key 123 lists the key 1234, of another class; a bare KeyError
+    # once escaped `component` as a traceback
+    real = graph.neighbor_set
+    monkeypatch.setattr(graph, "neighbor_set",
+                        lambda key, cap: real(key, cap) | {(1, 2, 3, 4)} if key == (1, 2, 3)
+                        else real(key, cap))
+    for argv in (("component", "--standard", "-n", "3"), ("verify", "connectivity")):
+        code, out, err = run(capsys, *argv)
+        assert code == 5 and out == ""
+        assert err.splitlines()[-1] == ("internal error: the row of (1, 2, 3) names "
+                                        "(1, 2, 3, 4), which is not in the class")
+
+
+def test_connectivity_caps_refuse_as_the_build_did(capsys):
+    # the first class past a cap is refused before its first row
+    # (test_class_parts_and_component_refuse_alike), after rank 1's classes
+    for flag, value in (("--max-vertices", "3"), ("--max-readings", "2")):
+        code, out, err = run(capsys, "verify", "connectivity", flag, value)
+        assert (code, out) == (3, "")
+        what = "component vertices" if flag == "--max-vertices" else "readings"
+        assert err == ("connectivity: rank 1 done (7 components so far)\n"
+                       f"error: {what} exceeded cap of {value}\n")
+
+
 def test_closed_pipe_exits_cleanly():
     # `component ... | head -1`: the reader leaves after one line of about
     # 187 kB, more than a pipe buffers, so the write fails with EPIPE

@@ -24,6 +24,7 @@ from sylvshift.errors import CapExceededError, DisconnectedError, InternalError,
 from sylvshift.graph import (
     ComponentGraph,
     ShiftWitness,
+    class_parts,
     component,
     diameter,
     distance,
@@ -34,6 +35,7 @@ from sylvshift.graph import (
     mirror_index,
     neighbor_keys,
     neighbor_set,
+    search_parts,
     tree_count,
 )
 from sylvshift.monoid import SylvElement, element_of
@@ -810,10 +812,12 @@ def test_keys_are_listed_in_increasing_order():
 
 
 def test_connectivity_builds_each_base_once(monkeypatch):
+    # each zero-free form is searched once, at its own rank, and none built
     calls = []
-    real = suites.component
-    monkeypatch.setattr(suites, "component",
+    real = suites.class_parts
+    monkeypatch.setattr(suites, "class_parts",
                         lambda e, n, *caps: calls.append((e, n)) or real(e, n, *caps))
+    monkeypatch.setattr(suites, "component", None)
     assert suites.suite_connectivity().lines == ["329 evaluation classes, all connected"]
     assert len(calls) == len(set(calls)) == 57
     assert all(len(e) == n and all(e) for e, n in calls)
@@ -823,22 +827,111 @@ def test_connectivity_builds_each_base_once(monkeypatch):
 
 
 def test_connectivity_reports_every_rank_of_a_failing_base(monkeypatch):
-    real = suites.component
-
-    def split_one_one(e, n, *caps):
-        g = real(e, n, *caps)
-        if e == (1, 1):
-            g.parts = [[0], [1]]  # shadows the cached property
-        return g
-
-    monkeypatch.setattr(suites, "component", split_one_one)
-    # every evaluation at every rank whose zero-free form is (1, 1)
-    want = [f"  counterexample: evaluation {e} at rank {n}: 2 parts"
-            for n in range(1, 5) for length in range(0, 7)
-            for e in suites._evaluations(n, length) if tuple(c for c in e if c) == (1, 1)]
-    assert len(want) == 10
+    real = suites.class_parts
+    monkeypatch.setattr(suites, "class_parts",
+                        lambda e, n, *caps: [[0], [1]] if e == (1, 1) else real(e, n, *caps))
     assert suites.suite_connectivity().render().split("\n") == [
-        "FAIL connectivity(rank<=4, len<=6): 329 evaluation classes, all connected", *want]
+        "FAIL connectivity(rank<=4, len<=6): 329 evaluation classes, all connected",
+        *SPLIT_ONE_ONE]
+
+
+# every evaluation at every rank whose zero-free form is (1, 1)
+SPLIT_ONE_ONE = [f"  counterexample: evaluation {e} at rank {n}: 2 parts"
+                 for n in range(1, 5) for length in range(0, 7)
+                 for e in suites._evaluations(n, length) if tuple(c for c in e if c) == (1, 1)]
+
+
+def test_connectivity_reports_a_class_its_rows_split(monkeypatch):
+    # rows that leave 12 and 21 alone split the class of (1, 1) in two
+    real = graph.neighbor_set
+    monkeypatch.setattr(graph, "neighbor_set",
+                        lambda key, cap: {key} if len(key) == 2 and key[0] != key[1]
+                        else real(key, cap))
+    assert len(SPLIT_ONE_ONE) == 10
+    assert suites.suite_connectivity().render().split("\n") == [
+        "FAIL connectivity(rank<=4, len<=6): 329 evaluation classes, all connected",
+        *SPLIT_ONE_ONE]
+
+
+def test_connectivity_stops_each_search_once_every_key_is_placed(monkeypatch):
+    # 198 rows for the 657 keys of the 57 zero-free forms; building every
+    # row of each took 647, and a class of one key needs none
+    calls = count_calls(monkeypatch, "neighbor_set")
+    assert suites.suite_connectivity().passed
+    assert len(calls) == len(set(calls)) == 198
+    calls.clear()
+    assert class_parts((1, 1), 2) == [[0, 1]] and len(calls) == 1
+    assert class_parts((3,), 1) == [[0]] and calls == [(1, 2)]
+
+
+def parts_by_levels(adj: list[list[int]]) -> list[list[int]]:
+    """The parts as the BFS of `levels` from each vertex not yet seen finds them."""
+    seen: set[int] = set()
+    parts = []
+    for start in range(len(adj)):
+        if start not in seen:
+            part = set().union(*levels(adj, start))
+            seen |= part
+            parts.append(sorted(part))
+    return parts
+
+
+@settings(max_examples=80, deadline=None)
+@given(adjacency_lists())
+def test_search_parts_matches_levels(adj):
+    n = len(adj)
+    g = ComponentGraph(n, (1,) * n, [element_of((v + 1,), n) for v in range(n)], adj)
+    assert g.parts == parts_by_levels(adj)
+    # the same graph on named vertices, each row listing its own vertex too
+    names = [f"v{v}" for v in range(n)]
+    assert search_parts(names, lambda u: [u] + [names[j] for j in adj[int(u[1:])]]) == g.parts
+
+
+def test_class_parts_match_the_built_class():
+    bases = {tuple(c for c in e if c) for n in range(1, 5) for length in range(7)
+             for e in suites._evaluations(n, length)}
+    assert len(bases) == 57
+    for e in sorted(bases) + ORACLE_CLASSES:
+        g = component(e, len(e))
+        assert class_parts(e, len(e)) == g.parts == parts_by_levels(g.adj) == \
+            [list(range(len(g.vertices)))], e
+
+
+def test_a_row_outside_the_class_is_refused(monkeypatch):
+    with pytest.raises(InternalError, match="^the row of 'b' names 'z', which is not in the class$"):
+        search_parts("abc", lambda u: "az" if u == "b" else "ab")
+    # only the rows read are checked: the search stops once 2 is placed
+    assert search_parts("abc", lambda u: "abz" if u == "c" else "abc") == [[0, 1, 2]]
+    with pytest.raises(InternalError, match="^the row of 1 names 3, which is not in the class$"):
+        ComponentGraph(3, (1, 1, 1), [element_of((v,), 3) for v in (1, 2, 3)],
+                       [[], [3], []]).parts
+    # the key 123 lists the key 1234, of another class
+    real = graph.neighbor_set
+    monkeypatch.setattr(graph, "neighbor_set",
+                        lambda key, cap: real(key, cap) | {(1, 2, 3, 4)} if key == (1, 2, 3)
+                        else real(key, cap))
+    msg = r"^the row of \(1, 2, 3\) names \(1, 2, 3, 4\), which is not in the class$"
+    with pytest.raises(InternalError, match=msg):
+        class_parts((1, 1, 1), 3)
+    with pytest.raises(InternalError, match=msg):
+        component((1, 1, 1), 3)
+
+
+def test_class_parts_and_component_refuse_alike(monkeypatch):
+    # both check their input and caps in one helper, before the first row
+    def row(key, cap):
+        raise AssertionError("a row was enumerated before the checks")
+
+    monkeypatch.setattr(graph, "neighbor_set", row)
+    for args in [((1, 1), 3), ((1, -1), 2), ((1, 1, 1), 3, 4), ((1, 1, 1), 3, 5, 1),
+                 ((1000, 1000), 2), ((2, 2, 2), 3, 90, 19)]:
+        with pytest.raises(Exception) as built:
+            component(*args)
+        with pytest.raises(Exception) as searched:
+            class_parts(*args)
+        assert isinstance(built.value, (RankError, CapExceededError)), args
+        assert (type(searched.value), str(searched.value)) == \
+            (type(built.value), str(built.value)), args
 
 
 def test_empty_graph_has_no_diameter():

@@ -7,7 +7,8 @@ A site is one comparison, arithmetic, bitwise or augmented-assignment
 operator, or one int constant, in a function body of one of MODULES. A
 site is named module.function:ordinal, its place among the sites of the
 function's AST walk, so an edit to a comment or to another function does
-not move it. PER_MODULE sites per module are drawn with random.Random(SEED).
+not move it. PER_MODULE sites per module are drawn with random.Random seeded
+by SEED and the module's name, so one module's sites never move another's.
 Each mutant swaps its operator (SWAPS) or adds 1 to its constant.
 
 Mutants run one at a time, since some tests bound their own time: each
@@ -91,10 +92,12 @@ def sites_of(func):
 
 
 def all_sites():
-    """{site name: mutation text}, PER_MODULE drawn per module."""
-    rng = random.Random(SEED)
+    """{site name: mutation text}, PER_MODULE drawn per module, each module
+    from a generator seeded by SEED and its own name: a site added to or
+    removed from one module redraws that module only."""
     chosen = {}
     for module in MODULES:
+        rng = random.Random(f"{SEED}:{module}")
         tree = ast.parse((ROOT / "src" / "sylvshift" / f"{module}.py").read_text())
         found = [(f"{module}.{name}:{k}", text) for name, func in functions(tree)
                  for k, (_, _, text) in enumerate(sites_of(func))]
