@@ -389,21 +389,18 @@ def mirror_index(keys: list[Word], index: dict[Word, int]) -> list[int]:
     return m
 
 
-def _class_keys(e: tuple[int, ...], n: int, max_vertices: int, max_readings: int,
-                mirrored: bool) -> tuple[list[Word], Sequence[int]]:
-    """The keys of the class of e at rank n, in vertex order, and m: with
-    mirrored set on distinct letters, the `mirror_index` of the keys, else
-    range(len(keys)), each vertex its own orbit. `component` and
-    `class_parts` check their input and both caps here, in this order,
-    before the first row.
+def _class_keys(e: tuple[int, ...], n: int, max_vertices: int, max_readings: int) -> list[Word]:
+    """The keys of the class of e at rank n, in vertex order. `component`
+    and `class_parts` check their input and both caps here, in this order,
+    before any other work on a key.
 
     `tree_count` counts the class against max_vertices before
-    `keys_with_evaluation` lists its keys, already in vertex order. A tree
-    of L = sum(e) nodes has at most L! readings (a class is the set of
-    linear extensions of its tree); past that bound each orbit's first key
-    has its readings counted against max_readings, in key order, as a
-    mirror image has the same hook product. Raises InternalError when the
-    keys listed differ in number from the trees `tree_count` counted.
+    `keys_with_evaluation` lists its keys, already in vertex order. A class
+    is the set of linear extensions of its tree, and every reading ends
+    with the root, so a tree of L = sum(e) nodes has at most (L - 1)!
+    readings; past that bound every key has its readings counted against
+    max_readings, in key order. Raises InternalError when the keys listed
+    differ in number from the trees `tree_count` counted.
     """
     if len(e) != n:
         raise RankError(f"evaluation has length {len(e)}, rank is {n}")
@@ -414,15 +411,11 @@ def _class_keys(e: tuple[int, ...], n: int, max_vertices: int, max_readings: int
     # two independent enumerations of one class: counted and listed
     if len(keys) != count:
         raise InternalError(f"listed {len(keys)} trees with evaluation {e}, counted {count}")
-    m: Sequence[int] = range(len(keys))
-    if mirrored and max(e, default=0) <= 1:
-        m = mirror_index(keys, {key: i for i, key in enumerate(keys)})
-    # whether L! > max_readings, stopping at the first k! past it
-    if any(factorial(k) > max_readings for k in range(sum(e) + 1)):
-        for i, key in enumerate(keys):
-            if i <= m[i]:
-                check_reading_cap(key_sizes(key)[1], max_readings)
-    return keys, m
+    # whether (L - 1)! > max_readings, stopping at the first k! past it
+    if any(factorial(k) > max_readings for k in range(sum(e))):
+        for key in keys:
+            check_reading_cap(key_sizes(key)[1], max_readings)
+    return keys
 
 
 def class_parts(e: tuple[int, ...], n: int, max_vertices: int = MAX_VERTICES,
@@ -433,24 +426,25 @@ def class_parts(e: tuple[int, ...], n: int, max_vertices: int = MAX_VERTICES,
     No adjacency list, mirror or symmetry pass is made, and the rows past
     the one that places the last key are never enumerated. Refuses on the
     caps as `component` does, before the first row."""
-    keys, _ = _class_keys(e, n, max_vertices, max_readings, mirrored=False)
-    return search_parts(keys, lambda key: neighbor_set(key, inf))
+    return search_parts(_class_keys(e, n, max_vertices, max_readings),
+                        lambda key: neighbor_set(key, inf))
 
 
 def component(e: tuple[int, ...], n: int, max_vertices: int = MAX_VERTICES,
               max_readings: int = MAX_READINGS) -> ComponentGraph:
     """Build the evaluation-class graph for e over the rank-n alphabet.
 
-    Both caps refuse before the first row is built (`_class_keys`), and the
-    rows then run uncapped. Raises InternalError when a row names a key
-    outside the class, or when the rows are not symmetric.
+    Both caps refuse in `_class_keys`, before the mirror and the first row,
+    and the rows then run uncapped. Raises InternalError when a row names a
+    key outside the class, or when the rows are not symmetric.
     """
+    keys = _class_keys(e, n, max_vertices, max_readings)
+    g = ComponentGraph(n, e, [SylvElement._make((n, key)) for key in keys], [])
+    index, adj = g.index, g.adj
     # On distinct letters the mirror m is an automorphism, so the vertex
     # i <= m[i] of each orbit enumerates its neighbors and the other maps
     # its partner's finished row. On repeated letters every vertex enumerates.
-    keys, m = _class_keys(e, n, max_vertices, max_readings, mirrored=True)
-    g = ComponentGraph(n, e, [SylvElement._make((n, key)) for key in keys], [])
-    index, adj = g.index, g.adj
+    m = mirror_index(keys, index) if max(e, default=0) <= 1 else range(len(keys))
     for i, key in enumerate(keys):
         if i <= m[i]:
             row = neighbor_set(key, inf)

@@ -259,18 +259,6 @@ def test_mirror_is_an_involutive_automorphism():
             assert sorted(m[j] for j in adj[i]) == adj[m[i]]
 
 
-def test_mirror_partners_have_equal_reading_counts():
-    # the mirror swaps the two subtree sizes at every node, which leaves each
-    # factor C(l + r, l) of the hook product as it is, so `component` counts
-    # the readings of one tree per orbit
-    for n in range(9):
-        keys = sorted(keys_with_evaluation((1,) * n))
-        m = mirror_index(keys, {key: i for i, key in enumerate(keys)})
-        counts = [check_reading_cap(key_sizes(key)[1], inf) for key in keys]
-        for i, key in enumerate(keys):
-            assert counts[m[i]] == counts[i], key
-
-
 def test_a_mirror_that_is_no_involution_is_refused(monkeypatch):
     # why component keeps the per-vertex build on repeated letters: on
     # (2, 2) the reversal maps the class onto itself, but is no involution
@@ -421,7 +409,7 @@ def test_component_reading_cap_refuses_before_the_first_row(monkeypatch):
 
 
 def test_component_counts_no_readings_within_the_factorial_bound(monkeypatch):
-    # 7! = 5040 readings at most, within the default cap, so the standard
+    # 6! = 720 readings at most, within the default cap, so the standard
     # n=7 build inserts only the keys of its rows: one per mirror orbit,
     # (429 + 5 symmetric trees) / 2
     calls = []
@@ -434,13 +422,18 @@ def test_component_counts_no_readings_within_the_factorial_bound(monkeypatch):
     monkeypatch.setattr(graph, "key_sizes", counted)
     component((1,) * 7, 7)
     assert len(calls) == 217
-    # past the bound each orbit's first key is counted, in key order, and
-    # then inserted once more for its row: 7 + 7 of the 14 trees at n=4
+    # a reading ends with the root, so 3! bounds the readings at n=4: past
+    # it every key is counted, in key order, and then each mirror orbit's
+    # first key is inserted once more for its row, 14 + 7 calls
     calls.clear()
-    g = component((1,) * 4, 4, max_readings=23)
+    g = component((1,) * 4, 4, max_readings=5)
     m = mirror_index([v.key for v in g.vertices], g.index)
     firsts = [v.key for i, v in enumerate(g.vertices) if i <= m[i]]
-    assert calls == firsts + firsts
+    assert calls == [v.key for v in g.vertices] + firsts and len(firsts) == 7
+    # within it only the rows run
+    calls.clear()
+    component((1,) * 4, 4, max_readings=6)
+    assert calls == firsts
 
 
 def test_component_compares_the_factorial_bound_without_computing_it(monkeypatch):
@@ -646,6 +639,9 @@ def test_levels_distance_and_parts_match_plain_bfs(adj):
     G.add_nodes_from(range(n))
     G.add_edges_from((i, j) for i, row in enumerate(adj) for j in row)
     assert g.parts == sorted(sorted(part) for part in nx.connected_components(G))
+    # the same graph on named vertices, each row listing its own vertex too
+    names = [f"v{v}" for v in range(n)]
+    assert search_parts(names, lambda u: [u] + [names[j] for j in adj[int(u[1:])]]) == g.parts
     for s in range(n):
         want = bfs_by_index(adj, s)
         assert want == nx.single_source_shortest_path_length(G, s)
@@ -722,11 +718,14 @@ def test_diameter_searches_no_connected_graph(monkeypatch):
     graphs = [component((1,) * 6, 6)] + [component(e, len(e)) for e in ORACLE_CLASSES]
     want = [diameter_by_bfs(g) for g in graphs]
 
-    def refuse(adj, source):
-        raise AssertionError("diameter ran a BFS")
+    def refuse(vertices, row):
+        raise AssertionError("diameter searched for parts")
 
-    monkeypatch.setattr(graph, "levels", refuse)
+    monkeypatch.setattr(graph, "search_parts", refuse)
     assert [diameter(g) for g in graphs] == want
+    stalled = ComponentGraph(2, (1, 1), graphs[0].vertices[:2], [[], []])
+    with pytest.raises(AssertionError, match="searched for parts"):
+        diameter(stalled)
 
 
 def test_diameter_disconnected_reports_parts():
@@ -864,37 +863,13 @@ def test_connectivity_stops_each_search_once_every_key_is_placed(monkeypatch):
     assert class_parts((3,), 1) == [[0]] and calls == [(1, 2)]
 
 
-def parts_by_levels(adj: list[list[int]]) -> list[list[int]]:
-    """The parts as the BFS of `levels` from each vertex not yet seen finds them."""
-    seen: set[int] = set()
-    parts = []
-    for start in range(len(adj)):
-        if start not in seen:
-            part = set().union(*levels(adj, start))
-            seen |= part
-            parts.append(sorted(part))
-    return parts
-
-
-@settings(max_examples=80, deadline=None)
-@given(adjacency_lists())
-def test_search_parts_matches_levels(adj):
-    n = len(adj)
-    g = ComponentGraph(n, (1,) * n, [element_of((v + 1,), n) for v in range(n)], adj)
-    assert g.parts == parts_by_levels(adj)
-    # the same graph on named vertices, each row listing its own vertex too
-    names = [f"v{v}" for v in range(n)]
-    assert search_parts(names, lambda u: [u] + [names[j] for j in adj[int(u[1:])]]) == g.parts
-
-
 def test_class_parts_match_the_built_class():
     bases = {tuple(c for c in e if c) for n in range(1, 5) for length in range(7)
              for e in suites._evaluations(n, length)}
     assert len(bases) == 57
     for e in sorted(bases) + ORACLE_CLASSES:
         g = component(e, len(e))
-        assert class_parts(e, len(e)) == g.parts == parts_by_levels(g.adj) == \
-            [list(range(len(g.vertices)))], e
+        assert class_parts(e, len(e)) == g.parts == [list(range(len(g.vertices)))], e
 
 
 def test_a_row_outside_the_class_is_refused(monkeypatch):
@@ -919,12 +894,17 @@ def test_a_row_outside_the_class_is_refused(monkeypatch):
 
 def test_class_parts_and_component_refuse_alike(monkeypatch):
     # both check their input and caps in one helper, before the first row
+    # and, in component, before the mirror inserts a word
     def row(key, cap):
         raise AssertionError("a row was enumerated before the checks")
 
+    def insert(w):
+        raise AssertionError("a word was inserted before the checks")
+
     monkeypatch.setattr(graph, "neighbor_set", row)
+    monkeypatch.setattr(graph, "psylv_key", insert)
     for args in [((1, 1), 3), ((1, -1), 2), ((1, 1, 1), 3, 4), ((1, 1, 1), 3, 5, 1),
-                 ((1000, 1000), 2), ((2, 2, 2), 3, 90, 19)]:
+                 ((1000, 1000), 2), ((2, 2, 2), 3, 90, 19), ((1,) * 9, 9, 20000, 10)]:
         with pytest.raises(Exception) as built:
             component(*args)
         with pytest.raises(Exception) as searched:
